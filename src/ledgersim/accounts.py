@@ -25,8 +25,6 @@ FN_SEND = "send"
 FN_SET_PRICE = "setPrice"
 FN_BUY_GUARDED = "buyGuarded"
 
-CHANGING_FUNCTIONS = (FN_BUY, FN_SEND, FN_SET_PRICE, FN_BUY_GUARDED)
-
 
 class UnknownContract(Exception):
     pass

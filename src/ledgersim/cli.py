@@ -169,6 +169,9 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.cases < 1:
+        print(f"error: --cases must be at least 1, got {args.cases}", file=sys.stderr)
+        return 2
     report = fuzz_theorem(args.theorem, args.seed, args.cases)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

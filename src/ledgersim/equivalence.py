@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ledger import Chain, InvalidChainError, as_transactions, schedule_extension, utxo, validate_chain
+from .ledger import Chain, InvalidChainError, as_transactions, index_of, schedule_extension, utxo, validate_chain
 from .model import Input, Output, Position, Transaction, positions_of
 
 
@@ -83,17 +83,12 @@ def rename_positions(chain: Chain | Sequence[Transaction], renaming: PositionRen
 def spent_edges(chain: Chain | Sequence[Transaction]) -> list[tuple[int, Output, int, Input]]:
     """Every bound output-input pair of a valid chain, as
     (producer index, output, spender index, input)."""
-    txs = as_transactions(chain)
-    producer: dict[Position, tuple[int, Output]] = {}
-    for index, tx in enumerate(txs):
-        for out in tx.outputs:
-            producer[out.position] = (index, out)
-    edges = []
-    for index, tx in enumerate(txs):
-        for inp in tx.inputs:
-            out_index, out = producer[inp.position]
-            edges.append((out_index, out, index, inp))
-    return edges
+    index = index_of(chain)
+    return [
+        (index.producer[inp.position], index.output[inp.position], spender, inp)
+        for spender, tx in enumerate(as_transactions(chain))
+        for inp in tx.inputs
+    ]
 
 
 def _require_valid(chain: Chain) -> None:

@@ -10,7 +10,9 @@ reproducible from a seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .ledger import Chain, ValidationReport, append, utxo
 from .model import ADA, Chip, Input, Output, PositionAllocator, SlotRange, Transaction, Value
@@ -37,11 +39,27 @@ class GenConfig:
         return (ADA, Chip(1, 1), Chip(2, 5), Chip(3, 1))
 
 
+SPENDABLE_KINDS = (ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND)
+_position = attrgetter("position")
+
+
 def spendable(chain: Chain | tuple) -> list[Output]:
     """Unspent outputs the generic generator knows how to spend, in a
     deterministic order."""
-    outs = [o for o in utxo(chain) if o.validator.kind in (ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND)]
-    return sorted(outs, key=lambda o: o.position)
+    outs = [o for o in utxo(chain) if o.validator.kind in SPENDABLE_KINDS]
+    return sorted(outs, key=_position)
+
+
+def _advance(pool: list[Output], tx: Transaction) -> None:
+    """Turn ``spendable(chain)`` into ``spendable`` of the chain extended by
+    ``tx``, in place: drop what tx spends, insert what it creates."""
+    for inp in tx.inputs:
+        at = bisect_left(pool, inp.position, key=_position)
+        if at < len(pool) and pool[at].position == inp.position:
+            del pool[at]
+    for out in tx.outputs:
+        if out.validator.kind in SPENDABLE_KINDS:
+            insort(pool, out, key=_position)
 
 
 def spend(out: Output, rng: random.Random) -> Input:
@@ -97,7 +115,8 @@ class ChainGen:
         rng = self.rng
         if rng.random() < self.cfg.empty_tx_prob:
             return Transaction(frozenset(), frozenset(), self.random_range(slot) if slot is not None else None)
-        pool = spendable(chain) if pool is None else list(pool)
+        if pool is None:
+            pool = spendable(chain)
         genesis = not pool or rng.random() < self.cfg.genesis_prob
         inputs: frozenset[Input] = frozenset()
         if not genesis:
@@ -119,18 +138,16 @@ class ChainGen:
         """Append ``steps`` random valid transactions; returns the extended
         chain and the appended transactions."""
         added = []
+        pool = spendable(chain)
         for _ in range(steps):
-            if self.cfg.slotted:
-                slot = self.next_slot(chain)
-                tx = self.transaction(chain, alloc, slot=slot)
-                result = append(chain, tx, slot)
-            else:
-                tx = self.transaction(chain, alloc)
-                result = append(chain, tx, None)
+            slot = self.next_slot(chain) if self.cfg.slotted else None
+            tx = self.transaction(chain, alloc, pool, slot)
+            result = append(chain, tx, slot)
             if isinstance(result, ValidationReport):  # generator bug guard
                 raise AssertionError(f"generated transaction failed to append: {result.describe()}")
             chain = result
             added.append(tx)
+            _advance(pool, tx)
         return chain, added
 
     def chain(self, length: int | None = None) -> tuple[Chain, PositionAllocator]:

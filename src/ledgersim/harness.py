@@ -77,6 +77,14 @@ class Intent:
         return cls(actor, kind, tuple(sorted(params.items())), prebuilt)
 
 
+def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
+    """The key of a named actor."""
+    for name, key in actors:
+        if name == actor:
+            return key
+    raise KeyError(f"unknown actor {actor!r}")
+
+
 @dataclass(frozen=True)
 class EutxoWorld:
     chain: Chain
@@ -84,24 +92,12 @@ class EutxoWorld:
     policies: PolicyTable
     actors: tuple[tuple[str, int], ...]
 
-    def key_of(self, actor: str) -> int:
-        for name, key in self.actors:
-            if name == actor:
-                return key
-        raise KeyError(f"unknown actor {actor!r}")
-
 
 @dataclass(frozen=True)
 class AccountWorld:
     chain: AccountChain
     contract: int
     actors: tuple[tuple[str, int], ...]
-
-    def key_of(self, actor: str) -> int:
-        for name, key in self.actors:
-            if name == actor:
-                return key
-        raise KeyError(f"unknown actor {actor!r}")
 
 
 @dataclass(frozen=True)
@@ -150,38 +146,37 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
 
     Returns (transaction, planned ada payment) or (None, refusal reason).
     """
-    key = world.key_of(intent.actor)
+    key = _key_of(world.actors, intent.actor)
     if intent.kind == "tx":
         if intent.prebuilt is None:
             raise ValueError("tx intent needs a prebuilt transaction")
-        issuer_lock = pay_to_pubkey(world.cfg.issuer)
-        paid = sum(out.value.get(ADA) for out in intent.prebuilt.outputs if out.validator == issuer_lock)
-        return (intent.prebuilt, paid), ""
-    if intent.kind == "buy":
+        tx = intent.prebuilt
+    elif intent.kind == "buy":
         amount = intent.get("n")
         max_price = intent.get("max_price")
         try:
             tx = build_buy_tx(chain, world.cfg, key, amount, alloc, max_price)
         except (PriceRefused, InsufficientSupply, NoPortalError) as exc:
             return None, str(exc)
-        issuer_lock = pay_to_pubkey(world.cfg.issuer)
-        paid = sum(out.value.get(ADA) for out in tx.outputs if out.validator == issuer_lock)
-        return (tx, paid), ""
-    if intent.kind == "set_price":
+    elif intent.kind == "set_price":
         try:
             tx = build_set_price_tx(chain, world.cfg, intent.get("p"), alloc)
         except NoPortalError as exc:
             return None, str(exc)
-        return (tx, 0), ""
-    raise ValueError(f"unknown eutxo intent kind {intent.kind!r}")
+    else:
+        raise ValueError(f"unknown eutxo intent kind {intent.kind!r}")
+    issuer_lock = pay_to_pubkey(world.cfg.issuer)
+    paid = sum(out.value.get(ADA) for out in tx.outputs if out.validator == issuer_lock)
+    return (tx, paid), ""
 
 
 def _eutxo_holdings(world: EutxoWorld, chain: Chain, paid: dict[str, int]) -> tuple:
     holdings = []
+    unspent = utxo(chain)
     for name, key in sorted(world.actors):
         lock = pay_to_pubkey(key)
         facts: dict[str, int] = {}
-        for out in utxo(chain):
+        for out in unspent:
             if out.validator == lock:
                 for chip, qty in out.value:
                     label = _chip_label(chip)
@@ -280,7 +275,7 @@ def _run_account(world: AccountWorld, intents: Sequence[Intent], order: tuple[in
         if intent.kind != "call":
             raise ValueError(f"unknown account intent kind {intent.kind!r}")
         function = intent.get("function")
-        sender = world.key_of(intent.actor)
+        sender = _key_of(world.actors, intent.actor)
         value = intent.get("value", 0)
         args = _call_args(function, intent)
         tx = CallTx(world.contract, function, sender, value, args)
@@ -757,12 +752,6 @@ class Scenario:
     contract: int = 1
     deployer: str = ""
 
-    def key_of(self, actor: str) -> int:
-        for name, key in self.actors:
-            if name == actor:
-                return key
-        raise KeyError(f"unknown actor {actor!r}")
-
 
 def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
     """Set up the initial ledger a scenario runs against."""
@@ -779,9 +768,8 @@ def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
             raise ValueError(f"portal initialization rejected: {chain.describe()}")
         return EutxoWorld(chain, scenario.cfg, policies, scenario.actors)
     if scenario.ledger == ACCOUNT:
-        chain = deploy_changing(
-            AccountChain(), scenario.contract, scenario.key_of(scenario.deployer), scenario.supply, scenario.price
-        )
+        deployer = _key_of(scenario.actors, scenario.deployer)
+        chain = deploy_changing(AccountChain(), scenario.contract, deployer, scenario.supply, scenario.price)
         return AccountWorld(chain, scenario.contract, scenario.actors)
     raise ValueError(f"unknown ledger kind {scenario.ledger!r}")
 

@@ -5,14 +5,29 @@ chain-wide distinct, every input points at a unique strictly-earlier unspent
 output whose validator accepts the spend, and (when the chain carries slot
 assignments) every transaction's slot falls inside its slot range.  Failures
 are reported, not thrown; see :class:`ValidationReport`.
+
+Every query that asks what sits at a position, and whether it is spent, reads
+one :class:`LedgerIndex`.  Invariant: a chain's index summarizes exactly that
+chain's transactions, in order.  A ``Chain`` builds its index on the first
+query that needs it, in O(n) for n transactions, and keeps it.  A successful
+:func:`append` updates the parent's index in place, in O(|inputs| +
+|outputs|), and hands it to the child; the parent, whose transactions the
+index no longer summarizes, builds a fresh one if it is queried again, and so
+does any chain made another way (``prefix``, parsing, renaming).  Building the
+child still copies the transaction tuple, and on a slotted chain re-checks the
+slots.  ``utxo``, ``resolve_input``, ``classify`` and the policy, portal,
+generator and equivalence modules read the cached index; ``validate_chain``
+grows a fresh one as it walks, since it checks each transaction against the
+prefix before it, and leaves the result on the chain.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .model import Input, Output, Transaction, context_at
+from .model import Input, Output, Position, Transaction, context_at
 from .validators import run_validator
 
 # Violation condition ids.
@@ -56,6 +71,83 @@ class ValidationReport:
         return "; ".join(f"tx {v.index}: {v.condition} ({v.detail})" for v in self.violations)
 
 
+class LedgerIndex:
+    """What sits at each position of a transaction sequence, and whether it
+    is spent, for any sequence, valid or not.
+
+    For each position: the first transaction with an output there
+    (``producer``) and that output (``output``), and the first transaction
+    with an input there (``spender``).  ``unspent`` holds the outputs no later
+    input names, by position; ``shadowed`` holds more of them at a position
+    already in ``unspent`` and ``clashes`` every position output more than
+    once, both empty on a valid chain.  ``size`` counts the transactions
+    summarized and ``last_slot`` is the last slot among them.
+    """
+
+    __slots__ = ("size", "last_slot", "producer", "output", "spender", "unspent", "shadowed", "clashes")
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.last_slot: int | None = None
+        self.producer: dict[Position, int] = {}
+        self.output: dict[Position, Output] = {}
+        self.spender: dict[Position, int] = {}
+        self.unspent: dict[Position, Output] = {}
+        self.shadowed: dict[Position, list[Output]] = {}
+        self.clashes: set[Position] = set()
+
+    @classmethod
+    def of(cls, txs: Iterable[Transaction], slots: Sequence[int] | None = None) -> LedgerIndex:
+        """The index of a sequence, built from scratch in O(n)."""
+        index = cls()
+        for i, tx in enumerate(txs):
+            index.absorb(tx, None if slots is None else slots[i])
+        return index
+
+    def absorb(self, tx: Transaction, slot: int | None = None) -> None:
+        """Summarize one more transaction, at index ``size``.  Its inputs
+        spend only earlier outputs, so they are taken first."""
+        at = self.size
+        for inp in tx.inputs:
+            self.spender.setdefault(inp.position, at)
+            self.unspent.pop(inp.position, None)
+            if self.shadowed:
+                self.shadowed.pop(inp.position, None)
+        for out in tx.outputs:
+            p = out.position
+            if p in self.output:
+                self.clashes.add(p)
+                if p in self.unspent:
+                    self.shadowed.setdefault(p, []).append(out)
+                    continue
+            else:
+                self.producer[p] = at
+                self.output[p] = out
+            self.unspent[p] = out
+        if slot is not None:
+            self.last_slot = slot
+        self.size = at + 1
+
+    def resolve(self, position: Position) -> Output | None:
+        """The unique output at ``position``, spent or not, or None.
+
+        Raises MalformedChainError when more than one output carries it.
+        """
+        if position in self.clashes:
+            raise MalformedChainError(f"two outputs share position {position}")
+        return self.output.get(position)
+
+    def unspent_outputs(self) -> Iterator[Output]:
+        """Every output no later input names; one per position on a valid
+        chain."""
+        if not self.shadowed:
+            return iter(self.unspent.values())
+        return itertools.chain(self.unspent.values(), *self.shadowed.values())
+
+    def utxo(self) -> frozenset[Output]:
+        return frozenset(self.unspent_outputs())
+
+
 @dataclass(frozen=True)
 class Chain:
     """An ordered sequence of transactions, optionally with one slot per
@@ -63,6 +155,10 @@ class Chain:
 
     transactions: tuple[Transaction, ...] = ()
     slots: tuple[int, ...] | None = None
+
+    # The chain's LedgerIndex once built or handed over by append.  Not a
+    # field, so equality, hashing and repr ignore it.
+    _index = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transactions", tuple(self.transactions))
@@ -95,11 +191,31 @@ class Chain:
     def prefix(self, upto: int) -> Chain:
         return Chain(self.transactions[:upto], self.slots[:upto] if self.slots is not None else None)
 
+    def index(self) -> LedgerIndex:
+        """The index of this chain: the cached one while it still summarizes
+        exactly these transactions (append only ever grows it), else a fresh
+        O(n) build."""
+        index = self._index
+        if index is None or index.size != len(self.transactions):
+            index = LedgerIndex.of(self.transactions, self.slots)
+            object.__setattr__(self, "_index", index)
+        return index
+
 
 def as_transactions(chain: Chain | Sequence[Transaction]) -> tuple[Transaction, ...]:
     if isinstance(chain, Chain):
         return chain.transactions
     return tuple(chain)
+
+
+def index_of(chain: Chain | Sequence[Transaction] | LedgerIndex) -> LedgerIndex:
+    """The index of a chain (cached), of a bare sequence (built afresh), or
+    the given index itself."""
+    if isinstance(chain, LedgerIndex):
+        return chain
+    if isinstance(chain, Chain):
+        return chain.index()
+    return LedgerIndex.of(chain)
 
 
 def resolve_input(chain: Chain | Sequence[Transaction], inp: Input, upto: int) -> Output | None:
@@ -112,70 +228,39 @@ def resolve_input(chain: Chain | Sequence[Transaction], inp: Input, upto: int) -
     txs = as_transactions(chain)
     if upto < 0 or upto > len(txs):
         raise ValueError(f"upto must lie in [0, {len(txs)}], got {upto}")
-    found: Output | None = None
-    for tx in txs[:upto]:
-        for out in tx.outputs:
-            if out.position == inp.position:
-                if found is not None:
-                    raise MalformedChainError(f"two outputs share position {inp.position}")
-                found = out
-    return found
+    index = index_of(chain) if upto == len(txs) else LedgerIndex.of(txs[:upto])
+    return index.resolve(inp.position)
 
 
-class _ChainState:
-    """Incremental accumulator used by validation and append."""
-
-    __slots__ = ("out_at", "spent", "last_slot")
-
-    def __init__(self) -> None:
-        self.out_at: dict[int, tuple[int, Output]] = {}
-        self.spent: set[int] = set()
-        self.last_slot: int | None = None
-
-    def absorb(self, index: int, tx: Transaction, slot: int | None) -> None:
-        for out in tx.outputs:
-            self.out_at.setdefault(out.position, (index, out))
-        for inp in tx.inputs:
-            self.spent.add(inp.position)
-        if slot is not None:
-            self.last_slot = slot
-
-
-def _check_transaction(state: _ChainState, index: int, tx: Transaction, slot: int | None) -> list[Violation]:
-    """All violations of appending ``tx`` (at ``index``/``slot``) to the chain
-    summarized by ``state``."""
+def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None) -> list[Violation]:
+    """All violations of appending ``tx`` (at ``slot``) to the chain
+    summarized by ``index``."""
+    at = index.size
     violations: list[Violation] = []
     for out in tx.outputs:
-        if out.position in state.out_at:
-            violations.append(
-                Violation(index, DUPLICATE_POSITION, f"output position {out.position} already used")
-            )
+        if out.position in index.output:
+            violations.append(Violation(at, DUPLICATE_POSITION, f"output position {out.position} already used"))
     for inp in tx.inputs:
-        hit = state.out_at.get(inp.position)
-        if hit is None:
+        out = index.output.get(inp.position)
+        if out is None:
             violations.append(
-                Violation(index, DANGLING_OR_FORWARD, f"input at {inp.position} resolves to no earlier output")
+                Violation(at, DANGLING_OR_FORWARD, f"input at {inp.position} resolves to no earlier output")
             )
             continue
-        if inp.position in state.spent:
-            violations.append(
-                Violation(index, DANGLING_OR_FORWARD, f"output at {inp.position} is already spent")
-            )
+        if inp.position in index.spender:
+            violations.append(Violation(at, DANGLING_OR_FORWARD, f"output at {inp.position} is already spent"))
             continue
-        _, out = hit
         if not run_validator(out.validator, inp.redeemer, out.datum, out.value, context_at(tx, inp)):
             violations.append(
-                Violation(index, VALIDATOR_REJECTED, f"validator {out.validator.kind} rejected input at {inp.position}")
+                Violation(at, VALIDATOR_REJECTED, f"validator {out.validator.kind} rejected input at {inp.position}")
             )
     if slot is not None:
-        if state.last_slot is not None and slot < state.last_slot:
-            violations.append(
-                Violation(index, SLOT_OUT_OF_RANGE, f"slot {slot} below chain tip {state.last_slot}")
-            )
+        if index.last_slot is not None and slot < index.last_slot:
+            violations.append(Violation(at, SLOT_OUT_OF_RANGE, f"slot {slot} below chain tip {index.last_slot}"))
         if tx.slot_range is not None and not tx.slot_range.contains(slot):
             hi = "*" if tx.slot_range.hi is None else tx.slot_range.hi
             violations.append(
-                Violation(index, SLOT_OUT_OF_RANGE, f"slot {slot} outside range [{tx.slot_range.lo}, {hi}]")
+                Violation(at, SLOT_OUT_OF_RANGE, f"slot {slot} outside range [{tx.slot_range.lo}, {hi}]")
             )
     return violations
 
@@ -189,19 +274,20 @@ def validate_chain(chain: Chain | Sequence[Transaction], policies=None) -> Valid
     """
     if not isinstance(chain, Chain):
         chain = Chain(tuple(chain))
-    state = _ChainState()
+    index = LedgerIndex()
     violations: list[Violation] = []
-    for index, tx in enumerate(chain.transactions):
-        slot = chain.slots[index] if chain.slots is not None else None
-        found = _check_transaction(state, index, tx, slot)
+    for at, tx in enumerate(chain.transactions):
+        slot = chain.slots[at] if chain.slots is not None else None
+        found = _check_transaction(index, tx, slot)
         violations.extend(found)
         if policies is not None and not found:  # policy deltas need resolvable inputs
             from .policy import policy_violation
 
-            problem = policy_violation(policies, chain.prefix(index), tx)
+            problem = policy_violation(policies, index, tx)
             if problem is not None:
-                violations.append(Violation(index, POLICY_VIOLATION, problem))
-        state.absorb(index, tx, slot)
+                violations.append(Violation(at, POLICY_VIOLATION, problem))
+        index.absorb(tx, slot)
+    object.__setattr__(chain, "_index", index)
     return ValidationReport(tuple(violations))
 
 
@@ -220,22 +306,21 @@ def append(chain: Chain, tx: Transaction, slot: int | None = None, policies=None
         raise ValueError("cannot attach a slot to an unslotted chain")
     if slot is not None and slot < 0:
         raise ValueError("slot must be a natural")
-    state = _ChainState()
-    for index, prior in enumerate(chain.transactions):
-        state.absorb(index, prior, chain.slots[index] if chain.slots is not None else None)
-    violations = _check_transaction(state, len(chain), tx, slot)
+    index = chain.index()
+    violations = _check_transaction(index, tx, slot)
     if not violations and policies is not None:
         from .policy import policy_violation
 
-        problem = policy_violation(policies, chain, tx)
+        problem = policy_violation(policies, index, tx)
         if problem is not None:
             violations.append(Violation(len(chain), POLICY_VIOLATION, problem))
     if violations:
         return ValidationReport(tuple(violations))
-    if slot is not None:
-        new_slots = (chain.slots or ()) + (slot,)
-        return Chain(chain.transactions + (tx,), new_slots)
-    return Chain(chain.transactions + (tx,), None)
+    slots = None if slot is None else (chain.slots or ()) + (slot,)
+    extended = Chain(chain.transactions + (tx,), slots)
+    index.absorb(tx, slot)
+    object.__setattr__(extended, "_index", index)
+    return extended
 
 
 def utxo(chain: Chain | Sequence[Transaction]) -> frozenset[Output]:
@@ -243,16 +328,7 @@ def utxo(chain: Chain | Sequence[Transaction]) -> frozenset[Output]:
 
     Defined for arbitrary transaction sequences, valid or not.
     """
-    txs = as_transactions(chain)
-    later_inputs: set[int] = set()
-    unspent: list[Output] = []
-    for tx in reversed(txs):
-        for out in tx.outputs:
-            if out.position not in later_inputs:
-                unspent.append(out)
-        for inp in tx.inputs:
-            later_inputs.add(inp.position)
-    return frozenset(unspent)
+    return index_of(chain).utxo()
 
 
 BLOCKCHAIN = "blockchain"
@@ -272,25 +348,19 @@ def classify(chain: Chain | Sequence[Transaction]) -> str:
         chain = Chain(tuple(chain))
     if validate_chain(chain).valid:
         return BLOCKCHAIN
-    txs = chain.transactions
-    out_at: dict[int, tuple[int, Output]] = {}
-    for index, tx in enumerate(txs):
-        for out in tx.outputs:
-            if out.position in out_at:
-                return NEITHER
-            out_at[out.position] = (index, out)
-    seen_inputs: set[int] = set()
-    for index, tx in enumerate(txs):
+    index = chain.index()
+    if index.clashes:
+        return NEITHER
+    for at, tx in enumerate(chain.transactions):
         for inp in tx.inputs:
-            if inp.position in seen_inputs:
-                return NEITHER
-            seen_inputs.add(inp.position)
-            hit = out_at.get(inp.position)
-            if hit is None:
+            if index.spender[inp.position] != at:
+                return NEITHER  # an earlier input names the same position
+            producer = index.producer.get(inp.position)
+            if producer is None:
                 continue  # dangling inputs are what chunks permit
-            target_index, out = hit
-            if target_index >= index:
+            if producer >= at:
                 return NEITHER
+            out = index.output[inp.position]
             if not run_validator(out.validator, inp.redeemer, out.datum, out.value, context_at(tx, inp)):
                 return NEITHER
     return CHUNK

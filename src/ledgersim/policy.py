@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .ledger import Chain, MalformedChainError, resolve_input, utxo
-from .model import Transaction
+from .ledger import Chain, LedgerIndex, MalformedChainError, index_of
+from .model import Output, Transaction
 
 FREE_FORGE = "FreeForge"
 FORBID_FORGE = "ForbidForge"
@@ -60,42 +60,45 @@ class PolicyTable:
         return self.default_rule
 
 
-def forged(chain: Chain | Sequence[Transaction], tx: Transaction, symbol: int) -> int:
+def _consumed(index: LedgerIndex, tx: Transaction) -> list[Output]:
+    """The outputs the transaction's inputs resolve to; every one must."""
+    outs = []
+    for inp in tx.inputs:
+        out = index.resolve(inp.position)
+        if out is None:
+            raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
+        outs.append(out)
+    return outs
+
+
+def forged(chain: Chain | Sequence[Transaction] | LedgerIndex, tx: Transaction, symbol: int) -> int:
     """Net quantity of the symbol created by ``tx`` on top of ``chain``.
 
     Output quantities minus the quantities carried by the outputs its inputs
     resolve to; negative means burning.  Every input must resolve.
     """
-    txs = chain.transactions if isinstance(chain, Chain) else tuple(chain)
     created = sum(out.value.symbol_total(symbol) for out in tx.outputs)
-    consumed = 0
-    for inp in tx.inputs:
-        out = resolve_input(txs, inp, len(txs))
-        if out is None:
-            raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
-        consumed += out.value.symbol_total(symbol)
-    return created - consumed
+    return created - sum(out.value.symbol_total(symbol) for out in _consumed(index_of(chain), tx))
 
 
-def circulating(chain: Chain | Sequence[Transaction], symbol: int) -> int:
+def circulating(chain: Chain | Sequence[Transaction] | LedgerIndex, symbol: int) -> int:
     """Total quantity of the symbol over the chain's unspent outputs."""
-    return sum(out.value.symbol_total(symbol) for out in utxo(chain))
+    return sum(out.value.symbol_total(symbol) for out in index_of(chain).utxo())
 
 
-def policy_violation(table: PolicyTable, chain: Chain | Sequence[Transaction], tx: Transaction) -> str | None:
+def policy_violation(
+    table: PolicyTable, chain: Chain | Sequence[Transaction] | LedgerIndex, tx: Transaction
+) -> str | None:
     """First policy problem with appending ``tx``, or None when all pertinent
     policies are satisfied."""
+    index = index_of(chain)
     symbols: set[int] = set()
     for out in tx.outputs:
         symbols |= out.value.symbols()
-    txs = chain.transactions if isinstance(chain, Chain) else tuple(chain)
-    for inp in tx.inputs:
-        out = resolve_input(txs, inp, len(txs))
-        if out is None:
-            raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
+    for out in _consumed(index, tx):
         symbols |= out.value.symbols()
     for symbol in sorted(symbols):
-        delta = forged(chain, tx, symbol)
+        delta = forged(index, tx, symbol)
         if delta == 0:
             continue
         rule = table.rule_for(symbol)
@@ -107,7 +110,7 @@ def policy_violation(table: PolicyTable, chain: Chain | Sequence[Transaction], t
             return f"symbol {symbol} is affine and may not be burned (delta {delta:+d})"
         if delta > 1:
             return f"symbol {symbol} is affine: at most one may ever exist (delta {delta:+d})"
-        existing = circulating(chain, symbol)
+        existing = circulating(index, symbol)
         if existing != 0:
             return f"symbol {symbol} is affine and already circulates ({existing})"
     return None

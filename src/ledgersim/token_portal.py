@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ledger import Chain, MalformedChainError, utxo
+from .ledger import Chain, MalformedChainError, index_of
 from .model import (
     ADA,
     Chip,
@@ -162,12 +162,12 @@ def init_portal(cfg: TokenConfig, supply: int, price: int, alloc: PositionAlloca
 
 def find_portal(chain: Chain, cfg: TokenConfig) -> Output:
     """The unique unspent output carrying the state chip."""
-    carriers = [out for out in utxo(chain) if out.value.get(cfg.state_chip) > 0]
+    carriers = {out for out in index_of(chain).unspent_outputs() if out.value.get(cfg.state_chip) > 0}
     if not carriers:
         raise NoPortalError("no unspent output carries the state chip")
     if len(carriers) > 1:
         raise MalformedChainError("state chip appears in more than one unspent output")
-    return carriers[0]
+    return carriers.pop()
 
 
 def lookup_price(chain: Chain, cfg: TokenConfig) -> int:

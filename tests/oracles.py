@@ -1,0 +1,232 @@
+"""Naive reference definitions of the ledger queries, kept as test oracles.
+
+Each one walks the transaction sequence from scratch on every call, the way
+the package answered these queries before ``LedgerIndex``: the from-scratch
+chain-state check behind validation and append, the reverse-scan ``utxo``,
+the scanning ``resolve_input``, the two-pass ``classify``, the producer-map
+``spent_edges`` and the policy check built on them.  ``test_ledger_index.py``
+compares the indexed versions against these on random sequences, valid or
+not.
+"""
+
+from ledgersim.ledger import (
+    BLOCKCHAIN,
+    CHUNK,
+    DANGLING_OR_FORWARD,
+    DUPLICATE_POSITION,
+    NEITHER,
+    POLICY_VIOLATION,
+    SLOT_OUT_OF_RANGE,
+    VALIDATOR_REJECTED,
+    MalformedChainError,
+    ValidationReport,
+    Violation,
+)
+from ledgersim.model import context_at
+from ledgersim.policy import AFFINE_ONCE, FORBID_FORGE, FREE_FORGE
+from ledgersim.validators import ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND, run_validator
+
+
+class ChainState:
+    """Accumulator rebuilt from transaction 0 for every check."""
+
+    def __init__(self):
+        self.out_at = {}
+        self.spent = set()
+        self.last_slot = None
+
+    def absorb(self, index, tx, slot):
+        for out in tx.outputs:
+            self.out_at.setdefault(out.position, (index, out))
+        for inp in tx.inputs:
+            self.spent.add(inp.position)
+        if slot is not None:
+            self.last_slot = slot
+
+
+def check_transaction(state, index, tx, slot):
+    violations = []
+    for out in tx.outputs:
+        if out.position in state.out_at:
+            violations.append(Violation(index, DUPLICATE_POSITION, f"output position {out.position} already used"))
+    for inp in tx.inputs:
+        hit = state.out_at.get(inp.position)
+        if hit is None:
+            violations.append(
+                Violation(index, DANGLING_OR_FORWARD, f"input at {inp.position} resolves to no earlier output")
+            )
+            continue
+        if inp.position in state.spent:
+            violations.append(Violation(index, DANGLING_OR_FORWARD, f"output at {inp.position} is already spent"))
+            continue
+        _, out = hit
+        if not run_validator(out.validator, inp.redeemer, out.datum, out.value, context_at(tx, inp)):
+            violations.append(
+                Violation(index, VALIDATOR_REJECTED, f"validator {out.validator.kind} rejected input at {inp.position}")
+            )
+    if slot is not None:
+        if state.last_slot is not None and slot < state.last_slot:
+            violations.append(Violation(index, SLOT_OUT_OF_RANGE, f"slot {slot} below chain tip {state.last_slot}"))
+        if tx.slot_range is not None and not tx.slot_range.contains(slot):
+            hi = "*" if tx.slot_range.hi is None else tx.slot_range.hi
+            violations.append(
+                Violation(index, SLOT_OUT_OF_RANGE, f"slot {slot} outside range [{tx.slot_range.lo}, {hi}]")
+            )
+    return violations
+
+
+def _slot(slots, index):
+    return None if slots is None else slots[index]
+
+
+def validate(txs, slots=None, policies=None):
+    txs = tuple(txs)
+    state = ChainState()
+    violations = []
+    for index, tx in enumerate(txs):
+        found = check_transaction(state, index, tx, _slot(slots, index))
+        violations.extend(found)
+        if policies is not None and not found:
+            problem = policy_violation(policies, txs[:index], tx)
+            if problem is not None:
+                violations.append(Violation(index, POLICY_VIOLATION, problem))
+        state.absorb(index, tx, _slot(slots, index))
+    return ValidationReport(tuple(violations))
+
+
+def append_report(txs, slots, tx, slot, policies=None):
+    """The report ``append`` must give: every prior transaction absorbed from
+    scratch, then ``tx`` checked."""
+    txs = tuple(txs)
+    state = ChainState()
+    for index, prior in enumerate(txs):
+        state.absorb(index, prior, _slot(slots, index))
+    violations = check_transaction(state, len(txs), tx, slot)
+    if not violations and policies is not None:
+        problem = policy_violation(policies, txs, tx)
+        if problem is not None:
+            violations.append(Violation(len(txs), POLICY_VIOLATION, problem))
+    return ValidationReport(tuple(violations))
+
+
+def utxo(txs):
+    later_inputs = set()
+    unspent = []
+    for tx in reversed(tuple(txs)):
+        for out in tx.outputs:
+            if out.position not in later_inputs:
+                unspent.append(out)
+        for inp in tx.inputs:
+            later_inputs.add(inp.position)
+    return frozenset(unspent)
+
+
+def resolve_input(txs, inp, upto):
+    txs = tuple(txs)
+    if upto < 0 or upto > len(txs):
+        raise ValueError(f"upto must lie in [0, {len(txs)}], got {upto}")
+    found = None
+    for tx in txs[:upto]:
+        for out in tx.outputs:
+            if out.position == inp.position:
+                if found is not None:
+                    raise MalformedChainError(f"two outputs share position {inp.position}")
+                found = out
+    return found
+
+
+def classify(txs):
+    txs = tuple(txs)
+    if validate(txs).valid:
+        return BLOCKCHAIN
+    out_at = {}
+    for index, tx in enumerate(txs):
+        for out in tx.outputs:
+            if out.position in out_at:
+                return NEITHER
+            out_at[out.position] = (index, out)
+    seen_inputs = set()
+    for index, tx in enumerate(txs):
+        for inp in tx.inputs:
+            if inp.position in seen_inputs:
+                return NEITHER
+            seen_inputs.add(inp.position)
+            hit = out_at.get(inp.position)
+            if hit is None:
+                continue
+            target_index, out = hit
+            if target_index >= index:
+                return NEITHER
+            if not run_validator(out.validator, inp.redeemer, out.datum, out.value, context_at(tx, inp)):
+                return NEITHER
+    return CHUNK
+
+
+def spent_edges(txs):
+    txs = tuple(txs)
+    producer = {}
+    for index, tx in enumerate(txs):
+        for out in tx.outputs:
+            producer[out.position] = (index, out)
+    edges = []
+    for index, tx in enumerate(txs):
+        for inp in tx.inputs:
+            out_index, out = producer[inp.position]
+            edges.append((out_index, out, index, inp))
+    return edges
+
+
+def spendable(txs):
+    outs = [o for o in utxo(txs) if o.validator.kind in (ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND)]
+    return sorted(outs, key=lambda o: o.position)
+
+
+def forged(txs, tx, symbol):
+    txs = tuple(txs)
+    created = sum(out.value.symbol_total(symbol) for out in tx.outputs)
+    consumed = 0
+    for inp in tx.inputs:
+        out = resolve_input(txs, inp, len(txs))
+        if out is None:
+            raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
+        consumed += out.value.symbol_total(symbol)
+    return created - consumed
+
+
+def circulating(txs, symbol):
+    return sum(out.value.symbol_total(symbol) for out in utxo(txs))
+
+
+def policy_violation(table, txs, tx):
+    txs = tuple(txs)
+    symbols = set()
+    for out in tx.outputs:
+        symbols |= out.value.symbols()
+    for inp in tx.inputs:
+        out = resolve_input(txs, inp, len(txs))
+        if out is None:
+            raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
+        symbols |= out.value.symbols()
+    for symbol in sorted(symbols):
+        delta = forged(txs, tx, symbol)
+        if delta == 0:
+            continue
+        rule = table.rule_for(symbol)
+        if rule == FREE_FORGE:
+            continue
+        if rule == FORBID_FORGE:
+            return f"symbol {symbol} may not be forged or burned (delta {delta:+d})"
+        assert rule == AFFINE_ONCE
+        if delta < 0:
+            return f"symbol {symbol} is affine and may not be burned (delta {delta:+d})"
+        if delta > 1:
+            return f"symbol {symbol} is affine: at most one may ever exist (delta {delta:+d})"
+        existing = circulating(txs, symbol)
+        if existing != 0:
+            return f"symbol {symbol} is affine and already circulates ({existing})"
+    return None
+
+
+def find_carriers(txs, chip):
+    """The unspent outputs carrying ``chip`` (find_portal's scan)."""
+    return [out for out in utxo(txs) if out.value.get(chip) > 0]

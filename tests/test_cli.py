@@ -165,6 +165,14 @@ def test_fuzz_remark18_exit_zero_on_finding(capsys):
     assert "COUNTEREXAMPLE" in out
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_fuzz_nonpositive_cases_exits_2(capsys, cases):
+    code, out, err = run_cli(capsys, "fuzz", "--theorem", "theorem17", "--cases", cases)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_fuzz_reruns_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "fuzz", "--theorem", "theorem17", "--cases", "60", "--seed", "9")
     _, out2, _ = run_cli(capsys, "fuzz", "--theorem", "theorem17", "--cases", "60", "--seed", "9")
