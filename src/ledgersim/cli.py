@@ -14,7 +14,7 @@ import sys
 
 from . import formats
 from .equivalence import canonicalize, obs_equiv
-from .harness import THEOREMS, bundled_race_scenario, fuzz_theorem, run_scenario
+from .harness import STATEMENTS, THEOREMS, bundled_race_scenario, fuzz_theorem, run_scenario
 from .ledger import classify, utxo, validate_chain
 
 
@@ -136,28 +136,19 @@ def cmd_equiv(args) -> int:
     return 1
 
 
-def _parse_schedule_flag(raw: str):
-    if raw == "all":
-        return ("all",)
-    if raw.startswith("sample"):
-        pieces = raw.split()
-        if len(pieces) == 3 and pieces[2].startswith("@"):
-            return ("sample", int(pieces[1]), int(pieces[2][1:]))
-        raise argparse.ArgumentTypeError("sample schedule looks like: 'sample N @SEED'")
-    try:
-        return ("explicit", tuple(int(p) for p in raw.split(",")))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad schedule {raw!r}")
-
-
 def cmd_scenario(args) -> int:
+    try:
+        override = [formats.parse_schedule(raw.split()) for raw in args.schedule or ()] or None
+    except formats.ParseError as exc:
+        print(f"error: --schedule: {exc}", file=sys.stderr)
+        return 2
     try:
         scenario = formats.parse_scenario(_read(args.scenario))
     except formats.ParseError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_scenario(scenario, args.schedule or None)
+        report = run_scenario(scenario, override)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -177,10 +168,9 @@ def cmd_fuzz(args) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.to_text(), end="")
-    if args.theorem == "remark18":
-        # refutation hunt: finding a counterexample is the expected outcome
-        return 0 if report.counterexamples else 1
-    return 0 if not report.counterexamples else 1
+    # a refutation hunt expects counterexamples; a proved statement expects none
+    refuted = STATEMENTS[args.theorem].expect == "refuted"
+    return 0 if bool(report.counterexamples) == refuted else 1
 
 
 def cmd_demo_race(args) -> int:
@@ -232,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", help="run a scenario file's schedules")
     p.add_argument("scenario")
-    p.add_argument("--schedule", action="append", type=_parse_schedule_flag, help="override the file's schedules")
+    p.add_argument("--schedule", action="append", help="override the file's schedules")
     add_format(p)
     p.set_defaults(func=cmd_scenario)
 

@@ -26,14 +26,14 @@ from .validators import KIND_ARITY, ValidatorRef
 
 
 class ParseError(Exception):
-    """Malformed input file; message carries the line number."""
+    """Malformed input; a message about a line of a file carries its number."""
 
 
-def _fail(lineno: int, message: str):
-    raise ParseError(f"line {lineno}: {message}")
+def _fail(lineno: int | None, message: str):
+    raise ParseError(message if lineno is None else f"line {lineno}: {message}")
 
 
-def _nat(token: str, lineno: int, what: str) -> int:
+def _nat(token: str, lineno: int | None, what: str) -> int:
     try:
         n = int(token)
     except ValueError:
@@ -254,6 +254,23 @@ def _parse_chip_token(token: str, lineno: int) -> Chip:
     return Chip(_nat(sym, lineno, "currency symbol"), _nat(tok, lineno, "token name"))
 
 
+def parse_schedule(tokens: list[str], lineno: int | None = None) -> tuple:
+    """One schedule clause, from the words after SCHEDULE or of a --schedule
+    flag: ``all``, ``sample <n> @<seed>`` or an explicit order ``<i,j,...>``."""
+    if tokens == ["all"]:
+        return ("all",)
+    if tokens and tokens[0] == "sample":
+        if len(tokens) != 3 or not tokens[2].startswith("@"):
+            _fail(lineno, "sample schedule looks like: sample <n> @<seed>")
+        return ("sample", _nat(tokens[1], lineno, "sample count"), _nat(tokens[2][1:], lineno, "seed"))
+    if len(tokens) == 1:
+        try:
+            return ("explicit", tuple(int(piece) for piece in tokens[0].split(",")))
+        except ValueError:
+            _fail(lineno, f"bad explicit schedule {tokens[0]!r}")
+    _fail(lineno, "schedule must be 'all', 'sample <n> @<seed>' or '<i,j,...>'")
+
+
 def parse_scenario(text: str):
     """Parse a scenario file into a harness Scenario."""
     from .harness import ACCOUNT, EUTXO, Intent, Scenario
@@ -340,21 +357,7 @@ def parse_scenario(text: str):
                     _fail(lineno, f"{kind} parameters: missing {sorted(missing)}, unknown {sorted(unknown)}")
                 intents.append(Intent.of(actor, kind, **kv))
         elif keyword == "SCHEDULE":
-            rest = tokens[1:]
-            if rest == ["all"]:
-                schedules.append(("all",))
-            elif rest and rest[0] == "sample":
-                if len(rest) != 3 or not rest[2].startswith("@"):
-                    _fail(lineno, "sample schedule looks like: SCHEDULE sample <n> @<seed>")
-                schedules.append(("sample", _nat(rest[1], lineno, "sample count"), _nat(rest[2][1:], lineno, "seed")))
-            elif len(rest) == 1:
-                try:
-                    order = tuple(int(piece) for piece in rest[0].split(","))
-                except ValueError:
-                    _fail(lineno, f"bad explicit schedule {rest[0]!r}")
-                schedules.append(("explicit", order))
-            else:
-                _fail(lineno, "bad SCHEDULE line")
+            schedules.append(parse_schedule(tokens[1:], lineno))
         else:
             _fail(lineno, f"unknown keyword {keyword!r}")
 

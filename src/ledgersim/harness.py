@@ -13,8 +13,8 @@ runs are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -66,11 +66,6 @@ class Intent:
             if k == key:
                 return v
         return default
-
-    @property
-    def build_time(self) -> str:
-        """UTxO intents are fixed at submit; account calls run at execution."""
-        return "at-execute" if self.kind == "call" else "at-submit"
 
     @classmethod
     def of(cls, actor: str, kind: str, prebuilt: Transaction | None = None, **params) -> Intent:
@@ -318,28 +313,6 @@ def _call_args(function: str, intent: Intent) -> tuple[int, ...]:
     return ()
 
 
-def enumerate_interleavings(count: int, limit: int, seed: int = 0) -> list[tuple[int, ...]]:
-    """All permutations of ``count`` indices when count! <= limit, otherwise
-    ``limit`` seeded uniform samples (reproducible per seed)."""
-    if count < 0:
-        raise ValueError("count must be a natural")
-    if math.factorial(count) <= limit:
-        return _all_permutations(count)
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(limit):
-        order = list(range(count))
-        rng.shuffle(order)
-        samples.append(tuple(order))
-    return samples
-
-
-def _all_permutations(count: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    return [tuple(p) for p in itertools.permutations(range(count))]
-
-
 # ---------------------------------------------------------------------------
 # Theorem fuzzing
 
@@ -356,6 +329,10 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class FuzzReport:
+    """One campaign.  ``passes`` counts the cases whose conclusion held, so
+    ``cases - passes`` counterexamples were found; ``counterexamples`` keeps
+    the first five of them, shrunk."""
+
     which: str
     seed: int
     cases: int
@@ -386,10 +363,33 @@ class FuzzReport:
         return "\n".join(lines) + "\n"
 
 
-THEOREMS = ("lemma15_1", "lemma15_2", "theorem17", "prop19", "lemma21", "remark18")
+@dataclass(frozen=True)
+class Statement:
+    """One fuzzable statement of the paper.
+
+    ``sample(rng)`` draws an instance: named chains and transactions, in the
+    order a counterexample reports them, or None when the draw failed.
+    ``judge(instance)`` runs the statement's check once and returns None when
+    the hypothesis is unmet, True when the conclusion holds, and otherwise
+    ``(part, detail, parts)``: the counterexample's kind is the statement's
+    name followed by ``part``, and ``parts`` is what it reports.  ``expect``
+    is "holds" for a proved statement, where a counterexample is a bug, and
+    "refuted" for a refutation, where it is the finding.  ``shrink`` is False
+    when an instance's parts derive from one another, so that dropping a
+    transaction from one would leave the others stale.
+    """
+
+    sample: Callable[[random.Random], dict | None]
+    judge: Callable[[dict], tuple | bool | None]
+    expect: str = "holds"
+    shrink: bool = True
+
+    def fails(self, instance: dict) -> bool:
+        """True when the instance meets the hypothesis but not the conclusion."""
+        return isinstance(self.judge(instance), tuple)
 
 
-def _payload(**parts) -> tuple[tuple[str, str], ...]:
+def _payload(parts: dict) -> tuple[tuple[str, str], ...]:
     rendered = []
     for name, part in parts.items():
         if isinstance(part, Chain):
@@ -409,76 +409,63 @@ def _drop_tx(chain: Chain, index: int) -> Chain:
     return Chain(txs, slots)
 
 
+def _smaller(instance: dict):
+    """The instance with one transaction dropped from the base chain, then
+    with one dropped from the batch."""
+    base = instance.get("base")
+    if isinstance(base, Chain):
+        for index in range(len(base)):
+            yield {**instance, "base": _drop_tx(base, index)}
+    batch = instance.get("txs") or ()
+    for index in range(len(batch)):
+        yield {**instance, "txs": batch[:index] + batch[index + 1 :]}
+
+
 def minimize_instance(instance: dict, fails: Callable[[dict], bool]) -> dict:
     """Greedy shrink: repeatedly drop one transaction from the base chain or
     the batch while the failure persists."""
-    changed = True
-    while changed:
-        changed = False
-        base = instance.get("base")
-        if isinstance(base, Chain):
-            for index in range(len(base)):
-                candidate = dict(instance)
-                candidate["base"] = _drop_tx(base, index)
-                try:
-                    if fails(candidate):
-                        instance = candidate
-                        changed = True
-                        break
-                except Exception:
-                    continue
-            if changed:
-                continue
-        batch = instance.get("txs")
-        if batch:
-            for index in range(len(batch)):
-                candidate = dict(instance)
-                candidate["txs"] = batch[:index] + batch[index + 1 :]
-                try:
-                    if fails(candidate):
-                        instance = candidate
-                        changed = True
-                        break
-                except Exception:
-                    continue
-    return instance
+    while True:
+        smaller = next((candidate for candidate in _smaller(instance) if fails(candidate)), None)
+        if smaller is None:
+            return instance
+        instance = smaller
 
 
 def fuzz_theorem(which: str, seed: int = 0, cases: int = 1000) -> FuzzReport:
-    """Generate random instances satisfying the statement's hypotheses and
-    check its conclusion.
+    """Draw instances of one statement until ``cases`` of them meet its
+    hypothesis, giving up after 20 draws per case, and judge each.
 
-    For the proved statements any counterexample is an implementation bug; for
-    the slot-ranged defer refutation (``remark18``) counterexamples are the
-    expected finding.  Counterexamples are shrunk by greedy transaction
-    removal and serialized for replay.
+    The first five counterexamples are shrunk by greedy transaction removal
+    and serialized for replay.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
-    checker = _CHECKERS.get(which)
-    if checker is None:
+    statement = STATEMENTS.get(which)
+    if statement is None:
         raise ValueError(f"unknown theorem {which!r}; choose from {THEOREMS}")
     rng = random.Random(seed)
     attempts = 0
     done = 0
     passes = 0
     counterexamples: list[Counterexample] = []
-    max_attempts = cases * 20
-    while done < cases and attempts < max_attempts:
+    while done < cases and attempts < cases * 20:
         attempts += 1
-        found = checker(rng)
-        if found is None:  # hypothesis not satisfied; resample
+        instance = statement.sample(rng)
+        verdict = None if instance is None else statement.judge(instance)
+        if verdict is None:  # hypothesis not satisfied; resample
             continue
         done += 1
-        ok, counterexample = found
-        if ok:
+        if verdict is True:
             passes += 1
         elif len(counterexamples) < 5:
-            counterexamples.append(counterexample)
+            part, detail, parts = verdict
+            if statement.shrink:
+                parts = minimize_instance(instance, statement.fails)
+            counterexamples.append(Counterexample(which + part, detail, _payload(parts)))
     return FuzzReport(which, seed, done, attempts, passes, tuple(counterexamples))
 
 
-def _check_lemma15_1(rng: random.Random):
+def _sample_lemma15_1(rng: random.Random) -> dict:
     gen = ChainGen(rng)
     base, alloc = gen.chain()
     tx1, tx2 = gen.apart_pair(base, alloc)
@@ -495,51 +482,41 @@ def _check_lemma15_1(rng: random.Random):
     elif variant < 0.3:
         # tx2 gets a dangling input at a never-used position
         tx2 = Transaction(tx2.inputs | {Input(alloc.fresh() + 1000, 0)}, tx2.outputs)
-    report = check_commute(base, tx1, tx2)
+    return {"base": base, "tx1": tx1, "tx2": tx2}
+
+
+def _judge_lemma15_1(instance: dict):
+    """Apart transactions commute: both orders are valid or neither, and
+    they are observationally equivalent."""
+    report = check_commute(instance["base"], instance["tx1"], instance["tx2"])
     if not report.apart:
         return None
-    ok = (report.valid_12 == report.valid_21) and report.equiv
-    if ok:
-        return True, None
-    detail = f"apart pair: valid_12={report.valid_12} valid_21={report.valid_21} equiv={report.equiv}"
-    instance = {"base": base, "tx1": tx1, "tx2": tx2}
-
-    def fails(inst):
-        r = check_commute(inst["base"], inst["tx1"], inst["tx2"])
-        return apart(inst["tx1"], inst["tx2"]) and not ((r.valid_12 == r.valid_21) and r.equiv)
-
-    instance = minimize_instance(instance, fails)
-    return False, Counterexample("lemma15_1", detail, _payload(base=instance["base"], tx1=instance["tx1"], tx2=instance["tx2"]))
+    if report.valid_12 == report.valid_21 and report.equiv:
+        return True
+    return "", f"apart pair: valid_12={report.valid_12} valid_21={report.valid_21} equiv={report.equiv}", instance
 
 
-def _check_lemma15_2(rng: random.Random):
+def _sample_lemma15_2(rng: random.Random) -> dict:
     gen = ChainGen(rng)
     base, alloc = gen.chain()
     extended, added = gen.grow(base, 1, alloc)
-    tx_prime = added[0]
     tx = gen.transaction(extended, alloc)
-    if not validate_chain(base.transactions + (tx_prime, tx)).valid:
-        return None  # hypothesis valid(B;tx';tx) not satisfied
-    lhs = validate_chain(base.transactions + (tx,)).valid
+    return {"base": base, "tx_prime": added[0], "tx": tx}
+
+
+def _judge_lemma15_2(instance: dict):
+    """If B;tx';tx is valid, then B;tx is valid exactly when tx is apart from tx'."""
+    base, tx_prime, tx = instance["base"].transactions, instance["tx_prime"], instance["tx"]
+    if not validate_chain(base + (tx_prime, tx)).valid:
+        return None
+    lhs = validate_chain(base + (tx,)).valid
     rhs = apart(tx, tx_prime)
     if lhs == rhs:
-        return True, None
-    detail = f"valid(B;tx)={lhs} but apart={rhs}"
-    instance = {"base": base, "tx_prime": tx_prime, "tx": tx}
-
-    def fails(inst):
-        b = inst["base"].transactions
-        if not validate_chain(b + (inst["tx_prime"], inst["tx"])).valid:
-            return False
-        return validate_chain(b + (inst["tx"],)).valid != apart(inst["tx"], inst["tx_prime"])
-
-    instance = minimize_instance(instance, fails)
-    return False, Counterexample(
-        "lemma15_2", detail, _payload(base=instance["base"], tx_prime=instance["tx_prime"], tx=instance["tx"])
-    )
+        return True
+    return "", f"valid(B;tx)={lhs} but apart={rhs}", instance
 
 
-def _defer_instance(rng: random.Random, slotted: bool):
+def _defer_instance(rng: random.Random, slotted: bool) -> dict:
     cfg = GenConfig(slotted=slotted)
     gen = ChainGen(rng, cfg)
     base, alloc = gen.chain()
@@ -556,57 +533,32 @@ def _defer_instance(rng: random.Random, slotted: bool):
                 tx = Transaction(tx.inputs | {spend(fresh[0], rng)}, tx.outputs, tx.slot_range)
             except ValueError:
                 pass
-    return gen, base, tuple(batch), tx
+    return {"base": base, "txs": tuple(batch), "tx": tx}
 
 
-def _check_theorem17(rng: random.Random):
-    _, base, batch, tx = _defer_instance(rng, slotted=False)
-    report = check_defer(base, batch, tx)
+def _judge_theorem17(instance: dict):
+    """If B;txs;tx and B;tx are valid, then B;tx;txs is valid and equivalent."""
+    report = check_defer(instance["base"], instance["txs"], instance["tx"])
     if not report.hyp:
         return None
     if report.valid_tx_first and report.equiv:
-        return True, None
-    detail = f"hyp holds but valid_tx_first={report.valid_tx_first} equiv={report.equiv}"
-    instance = {"base": base, "txs": batch, "tx": tx}
-
-    def fails(inst):
-        r = check_defer(inst["base"], inst["txs"], inst["tx"])
-        return r.hyp and not (r.valid_tx_first and r.equiv)
-
-    instance = minimize_instance(instance, fails)
-    return False, Counterexample(
-        "theorem17", detail, _payload(base=instance["base"], txs=instance["txs"], tx=instance["tx"])
-    )
+        return True
+    return "", f"hyp holds but valid_tx_first={report.valid_tx_first} equiv={report.equiv}", instance
 
 
-def _check_prop19(rng: random.Random):
-    _, base, batch, tx = _defer_instance(rng, slotted=True)
-    report = check_defer_slotted(base, batch, tx)
-    if not (report.valid_txs_tx and report.valid_tx_txs):
-        return None  # hypothesis: both orders must be appendable
-    if report.equiv:
-        return True, None
-    detail = "both orders schedule but are not observationally equivalent"
-    instance = {"base": base, "txs": batch, "tx": tx}
-
-    def fails(inst):
-        r = check_defer_slotted(inst["base"], inst["txs"], inst["tx"])
-        return r.valid_txs_tx and r.valid_tx_txs and not r.equiv
-
-    instance = minimize_instance(instance, fails)
-    return False, Counterexample(
-        "prop19", detail, _payload(base=instance["base"], txs=instance["txs"], tx=instance["tx"])
-    )
-
-
-def remark18_fails(instance: dict) -> bool:
-    """True when the instance witnesses the slot-ranged failure of deferral:
-    both hypotheses of the untimed statement hold, yet tx cannot go first."""
+def _judge_prop19(instance: dict):
+    """With slot ranges: if both orders can be scheduled, they are equivalent."""
     report = check_defer_slotted(instance["base"], instance["txs"], instance["tx"])
-    return report.valid_txs_tx and report.valid_tx and not report.valid_tx_txs
+    if not (report.valid_txs_tx and report.valid_tx_txs):
+        return None
+    if report.equiv:
+        return True
+    return "", "both orders schedule but are not observationally equivalent", instance
 
 
-def _check_remark18(rng: random.Random):
+def _sample_remark18(rng: random.Random) -> dict | None:
+    """A pinned transaction valid only at the tip slot, then a late one whose
+    range opens after the pin closes."""
     cfg = GenConfig(slotted=True, reject_all_prob=0.0)
     gen = ChainGen(rng, cfg)
     base, alloc = gen.chain(length=rng.randrange(1, 4))
@@ -632,14 +584,19 @@ def _check_remark18(rng: random.Random):
         frozenset({gen.random_output(alloc)}),
         SlotRange(tip + 1 + rng.randrange(3), None),  # opens after the pin closes
     )
-    instance = {"base": base, "txs": (pinned,), "tx": late}
-    if not remark18_fails(instance):
-        return None  # hypotheses did not come out satisfied; resample
-    instance = minimize_instance(instance, remark18_fails)
+    return {"base": base, "txs": (pinned,), "tx": late}
+
+
+def _judge_remark18(instance: dict):
+    """Deferral read on slotted chains: if B;txs;tx and B;tx are valid, then
+    B;tx;txs can be scheduled.  Slot ranges refute it."""
+    report = check_defer_slotted(instance["base"], instance["txs"], instance["tx"])
+    if not (report.valid_txs_tx and report.valid_tx):
+        return None
+    if report.valid_tx_txs:
+        return True
     detail = "txs is time-sensitive: B;txs;tx and B;tx are valid but B;tx;txs cannot be scheduled"
-    return False, Counterexample(
-        "remark18", detail, _payload(base=instance["base"], txs=instance["txs"], tx=instance["tx"])
-    )
+    return "", detail, instance
 
 
 def _alpha_variant(rng: random.Random, base: Chain) -> Chain:
@@ -674,62 +631,67 @@ def _swap_variant(rng: random.Random, base: Chain) -> Chain:
     return Chain(tuple(txs))
 
 
-def _check_lemma21(rng: random.Random):
+def _sample_lemma21(rng: random.Random) -> dict:
+    """A chain, an alpha-variant of it, that variant with some apart
+    transactions swapped, and a transaction valid on the chain."""
     gen = ChainGen(rng, GenConfig(slotted=False))
     base, alloc = gen.chain()
-    variant = _alpha_variant(rng, base)
-    # part 2: alpha-variants are alpha-equivalent and observationally equivalent
-    if not alpha_equiv(base, variant) or not obs_equiv(base, variant):
-        instance = {"base": base}
-        return False, Counterexample("lemma21_2", "alpha variant not equivalent", _payload(base=base, variant=variant))
-    # part 1: appending the same valid tx to observationally equivalent chains
-    swapped = _swap_variant(rng, variant)
+    alpha = _alpha_variant(rng, base)
+    variant = _swap_variant(rng, alpha)
     alloc2 = PositionAllocator.above(
-        {p for tx in swapped.transactions for p in positions_of(tx)} | {alloc.peek()}
+        {p for tx in variant.transactions for p in positions_of(tx)} | {alloc.peek()}
     )
-    pool = spendable(base)
-    tx = gen.transaction(base, alloc2, pool=pool)
-    ok1 = True
-    if validate_chain(base.transactions + (tx,)).valid and validate_chain(swapped.transactions + (tx,)).valid:
-        ok1 = obs_equiv(base.transactions + (tx,), swapped.transactions + (tx,))
-    if not ok1:
-        return False, Counterexample(
-            "lemma21_1", "equivalent chains diverge after the same append", _payload(base=base, variant=swapped, tx=tx)
-        )
+    tx = gen.transaction(base, alloc2, pool=spendable(base))
+    return {"base": base, "alpha": alpha, "variant": variant, "tx": tx}
+
+
+def _judge_lemma21(instance: dict):
+    """Alpha-equivalence is respected by observational equivalence and by
+    appends, once name clashes are freshened away."""
+    base, alpha, variant, tx = instance["base"], instance["alpha"], instance["variant"], instance["tx"]
+    # part 2: alpha-variants are alpha-equivalent and observationally equivalent
+    if not alpha_equiv(base, alpha) or not obs_equiv(base, alpha):
+        return "_2", "alpha variant not equivalent", {"base": base, "variant": alpha}
+    # part 1: appending the same valid tx to observationally equivalent chains
+    extended, variant_extended = base.transactions + (tx,), variant.transactions + (tx,)
+    if (
+        validate_chain(extended).valid
+        and validate_chain(variant_extended).valid
+        and not obs_equiv(extended, variant_extended)
+    ):
+        return "_1", "equivalent chains diverge after the same append", {"base": base, "variant": variant, "tx": tx}
     # parts 3 and 4: a name-clash between tx and the variant's spent pairs is
     # repaired by alpha-converting the variant, after which validity and
     # equivalence transfer
     clash_candidates = sorted(
-        {out.position for _, out, _, _ in spent_edges(swapped)}
+        {out.position for _, out, _, _ in spent_edges(variant)}
         - {p for t in base.transactions for p in positions_of(t)}
     )
-    clash_outputs = frozenset()
     if clash_candidates and tx.outputs:
         victim = sorted(tx.outputs, key=lambda o: o.position)[0]
-        clash_outputs = (tx.outputs - {victim}) | {
-            Output(clash_candidates[0], victim.validator, victim.datum, victim.value)
-        }
-        tx = Transaction(tx.inputs, clash_outputs, tx.slot_range)
+        clash = Output(clash_candidates[0], victim.validator, victim.datum, victim.value)
+        tx = Transaction(tx.inputs, (tx.outputs - {victim}) | {clash}, tx.slot_range)
     if not validate_chain(base.transactions + (tx,)).valid:
-        return None  # construction failed to keep tx valid on B; resample
-    fresh_variant = freshen_spent_clashes(swapped, positions_of(tx))
+        return None  # construction failed to keep tx valid on B
+    fresh_variant = freshen_spent_clashes(variant, positions_of(tx))
     ok3 = validate_chain(fresh_variant.transactions + (tx,)).valid
     ok4 = obs_equiv(base.transactions + (tx,), fresh_variant.transactions + (tx,))
-    ok_alpha = alpha_equiv(swapped, fresh_variant)
+    ok_alpha = alpha_equiv(variant, fresh_variant)
     if ok3 and ok4 and ok_alpha:
-        return True, None
+        return True
     detail = f"freshened variant: valid={ok3} equiv={ok4} alpha={ok_alpha}"
-    return False, Counterexample("lemma21_34", detail, _payload(base=base, variant=swapped, tx=tx))
+    return "_34", detail, {"base": base, "variant": variant, "tx": tx}
 
 
-_CHECKERS = {
-    "lemma15_1": _check_lemma15_1,
-    "lemma15_2": _check_lemma15_2,
-    "theorem17": _check_theorem17,
-    "prop19": _check_prop19,
-    "lemma21": _check_lemma21,
-    "remark18": _check_remark18,
+STATEMENTS = {
+    "lemma15_1": Statement(_sample_lemma15_1, _judge_lemma15_1),
+    "lemma15_2": Statement(_sample_lemma15_2, _judge_lemma15_2),
+    "theorem17": Statement(lambda rng: _defer_instance(rng, slotted=False), _judge_theorem17),
+    "prop19": Statement(lambda rng: _defer_instance(rng, slotted=True), _judge_prop19),
+    "lemma21": Statement(_sample_lemma21, _judge_lemma21, shrink=False),
+    "remark18": Statement(_sample_remark18, _judge_remark18, expect="refuted"),
 }
+THEOREMS = tuple(STATEMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -780,10 +742,14 @@ def expand_schedules(scenario: Scenario, override: Sequence[tuple] | None = None
     orders: list[tuple[int, ...]] = []
     for clause in override if override is not None else scenario.schedules:
         if clause[0] == "all":
-            orders.extend(_all_permutations(count))
+            orders.extend(itertools.permutations(range(count)))
         elif clause[0] == "sample":
             _, n, seed = clause
-            orders.extend(_sampled(count, n, seed))
+            rng = random.Random(seed)
+            for _ in range(n):
+                order = list(range(count))
+                rng.shuffle(order)
+                orders.append(tuple(order))
         elif clause[0] == "explicit":
             order = tuple(clause[1])
             if sorted(order) != list(range(count)):
@@ -792,16 +758,6 @@ def expand_schedules(scenario: Scenario, override: Sequence[tuple] | None = None
         else:
             raise ValueError(f"unknown schedule clause {clause!r}")
     return orders
-
-
-def _sampled(count: int, n: int, seed: int) -> list[tuple[int, ...]]:
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(n):
-        order = list(range(count))
-        rng.shuffle(order)
-        samples.append(tuple(order))
-    return samples
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from ledgersim.cli import main as cli_main
 from ledgersim.equivalence import alpha_equiv, apart, rename_positions, spent_edges
 from ledgersim.gen import ChainGen, GenConfig, spend
 from ledgersim.harness import (
+    STATEMENTS,
     bundled_race_scenario,
     fuzz_theorem,
-    remark18_fails,
     run_scenario,
 )
 from ledgersim.ledger import Chain, ValidationReport, append, classify, utxo, validate_chain
@@ -130,7 +130,7 @@ def test_criterion_5_slot_ranges(corpus_dir):
     base = formats.parse_chain(payload["base"])
     txs, _ = formats.parse_transactions(payload["txs"])
     (tx,), _ = formats.parse_transactions(payload["tx"])
-    assert remark18_fails({"base": base, "txs": txs, "tx": tx})
+    assert STATEMENTS["remark18"].fails({"base": base, "txs": txs, "tx": tx})
 
     hunt = fuzz_theorem("remark18", seed=18, cases=50)
     assert hunt.counterexamples

@@ -146,6 +146,15 @@ def test_scenario_schedule_override(capsys, corpus_dir):
     assert len(payload["outcomes"]) == 1
 
 
+@pytest.mark.parametrize("clause", ["sample -1 @5", "sample 2 @-1", "1,,0"])
+def test_scenario_bad_schedule_flag_exits_2(capsys, corpus_dir, clause):
+    code, out, err = run_cli(capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"), "--schedule", clause)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --schedule: ") and len(err.strip().splitlines()) == 1
+    assert "line" not in err
+
+
 def test_scenario_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.scenario"
     bad.write_text("LEDGER martian\n")
@@ -163,6 +172,10 @@ def test_fuzz_remark18_exit_zero_on_finding(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "--theorem", "remark18", "--cases", "5", "--seed", "3")
     assert code == 0
     assert "COUNTEREXAMPLE" in out
+    # counterexamples= counts the ones kept (at most 5); cases - passes counts the ones found
+    code, out, _ = run_cli(capsys, "fuzz", "--theorem", "remark18", "--cases", "20", "--seed", "3")
+    assert code == 0
+    assert "cases=20 " in out and " passes=0 " in out and "counterexamples=5" in out
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

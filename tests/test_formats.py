@@ -140,13 +140,13 @@ def test_scenario_parse_errors():
 def test_remark18_corpus_witness(corpus_dir):
     import json
 
-    from ledgersim.harness import remark18_fails
+    from ledgersim.harness import STATEMENTS
 
     payload = json.loads((corpus_dir / "remark18-counterexample.json").read_text())
     base = formats.parse_chain(payload["base"])
     txs, _ = formats.parse_transactions(payload["txs"])
     (tx,), _ = formats.parse_transactions(payload["tx"])
-    assert remark18_fails({"base": base, "txs": txs, "tx": tx})
+    assert STATEMENTS["remark18"].fails({"base": base, "txs": txs, "tx": tx})
 
 
 def test_suffix_closure_corpus_witness(corpus_dir):

@@ -1,5 +1,6 @@
 """Scheduler behaviour, interleaving enumeration, fuzz engine plumbing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,12 +9,11 @@ from ledgersim.harness import (
     Intent,
     Outcome,
     bundled_race_scenario,
+    STATEMENTS,
     build_world,
-    enumerate_interleavings,
     expand_schedules,
     fuzz_theorem,
     minimize_instance,
-    remark18_fails,
     run_scenario,
     run_schedule,
 )
@@ -107,19 +107,22 @@ def test_empty_intents():
     assert dict(outcome.state)["portal_supply"] == 1000
 
 
-def test_enumerate_interleavings_small():
-    assert enumerate_interleavings(2, 10) == [(0, 1), (1, 0)]
-    assert enumerate_interleavings(1, 10) == [(0,)]
-    assert enumerate_interleavings(0, 10) == [()]
+def test_expand_schedules_all_small():
+    race = bundled_race_scenario("eutxo")
+    for intents, orders in ((2, [(0, 1), (1, 0)]), (1, [(0,)]), (0, [()])):
+        scenario = dataclasses.replace(race, intents=race.intents[:intents])
+        assert expand_schedules(scenario, [("all",)]) == orders
 
 
-def test_enumerate_interleavings_sampled():
-    sampled = enumerate_interleavings(5, 10, seed=42)
+def test_expand_schedules_sampled():
+    race = bundled_race_scenario("eutxo")
+    scenario = dataclasses.replace(race, intents=race.intents * 2 + race.intents[:1])
+    sampled = expand_schedules(scenario, [("sample", 10, 42)])
     assert len(sampled) == 10
     assert all(sorted(order) == [0, 1, 2, 3, 4] for order in sampled)
-    assert sampled == enumerate_interleavings(5, 10, seed=42)
-    assert sampled != enumerate_interleavings(5, 10, seed=43)
-    assert math.factorial(5) > 10  # sampling branch really exercised
+    assert sampled == expand_schedules(scenario, [("sample", 10, 42)])
+    assert sampled != expand_schedules(scenario, [("sample", 10, 43)])
+    assert math.factorial(5) > 10  # fewer samples than orders
 
 
 def test_expand_schedules_explicit_and_sample():
@@ -175,12 +178,7 @@ def test_remark18_counterexamples_replay():
     base = formats.parse_chain(payload["base"])
     txs, _ = formats.parse_transactions(payload["txs"])
     (tx,), _ = formats.parse_transactions(payload["tx"])
-    assert remark18_fails({"base": base, "txs": txs, "tx": tx})
-
-
-def test_intent_build_time():
-    assert Intent.of("buyer", "buy", n=1).build_time == "at-submit"
-    assert Intent.of("buyer", "call", function="buy", value=1).build_time == "at-execute"
+    assert STATEMENTS["remark18"].fails({"base": base, "txs": txs, "tx": tx})
 
 
 def test_prebuilt_transaction_intent():
@@ -255,7 +253,131 @@ def test_minimize_instance_shrinks():
     pinned = Transaction(frozenset({Input(1, 0)}), frozenset(), SlotRange(0, 0))
     late = Transaction(frozenset({Input(2, 0)}), frozenset(), SlotRange(5, None))
     instance = {"base": base, "txs": (pinned,), "tx": late}
-    assert remark18_fails(instance)
-    shrunk = minimize_instance(instance, remark18_fails)
-    assert remark18_fails(shrunk)
+    fails = STATEMENTS["remark18"].fails
+    assert fails(instance)
+    shrunk = minimize_instance(instance, fails)
+    assert fails(shrunk)
     assert len(shrunk["base"]) < len(base)
+
+
+# ---------------------------------------------------------------------------
+# Failure path: a check patched so that the statement's conclusion fails.
+
+
+def _without_equiv(real):
+    return lambda *args: dataclasses.replace(real(*args), equiv=False)
+
+
+# (statement, check patched in ledgersim.harness, the patch, kind, payload names)
+BROKEN_CHECKS = [
+    ("lemma15_1", "check_commute", _without_equiv, "lemma15_1", ["base", "tx1", "tx2"]),
+    ("lemma15_2", "apart", lambda real: lambda tx1, tx2: not real(tx1, tx2), "lemma15_2", ["base", "tx_prime", "tx"]),
+    ("theorem17", "check_defer", _without_equiv, "theorem17", ["base", "txs", "tx"]),
+    ("prop19", "check_defer_slotted", _without_equiv, "prop19", ["base", "txs", "tx"]),
+    ("lemma21", "alpha_equiv", lambda real: lambda a, b: False, "lemma21_2", ["base", "variant"]),
+    # part 1 compares transaction tuples, part 2 compares chains
+    ("lemma21", "obs_equiv", lambda real: lambda a, b: isinstance(a, Chain) and real(a, b), "lemma21_1", ["base", "variant", "tx"]),
+    ("lemma21", "freshen_spent_clashes", lambda real: lambda chain, positions: Chain(), "lemma21_34", ["base", "variant", "tx"]),
+]
+
+
+@pytest.mark.parametrize("which, check, patch, kind, names", BROKEN_CHECKS)
+def test_broken_check_yields_shrunk_counterexample(monkeypatch, capsys, which, check, patch, kind, names):
+    import json
+
+    from ledgersim import harness
+    from ledgersim.cli import main
+
+    monkeypatch.setattr(harness, check, patch(getattr(harness, check)))
+    shrinks = []
+    real_minimize = harness.minimize_instance
+
+    def spy(instance, fails):
+        shrunk = real_minimize(instance, fails)
+        shrinks.append((len(instance["base"]), len(shrunk["base"])))
+        return shrunk
+
+    monkeypatch.setattr(harness, "minimize_instance", spy)
+    code = main(["fuzz", "--theorem", which, "--cases", "20", "--seed", "1", "--format", "json"])
+    assert code == 1
+    first = json.loads(capsys.readouterr().out)["counterexamples"][0]
+    assert first["kind"] == kind
+    assert sorted(first["payload"]) == sorted(names)
+    if which == "lemma21":
+        assert shrinks == []  # its parts derive from one another
+    else:
+        assert any(after < before for before, after in shrinks)
+
+
+def test_remark18_with_conclusion_holding_exits_one(monkeypatch, capsys):
+    from ledgersim import harness
+    from ledgersim.cli import main
+
+    real = harness.check_defer_slotted
+    monkeypatch.setattr(harness, "check_defer_slotted", lambda *a: dataclasses.replace(real(*a), valid_tx_txs=True))
+    assert main(["fuzz", "--theorem", "remark18", "--cases", "5", "--seed", "3"]) == 1
+    assert "counterexamples=0" in capsys.readouterr().out
+
+
+def test_shrink_predicate_exceptions_propagate(monkeypatch):
+    from ledgersim import harness
+
+    real_check, real_minimize = harness.check_defer_slotted, harness.minimize_instance
+    shrinking = []
+
+    def check(*args):
+        if shrinking:
+            raise RuntimeError("check failed on a shrink candidate")
+        return real_check(*args)
+
+    def minimize(instance, fails):
+        shrinking.append(True)
+        return real_minimize(instance, fails)
+
+    monkeypatch.setattr(harness, "check_defer_slotted", check)
+    monkeypatch.setattr(harness, "minimize_instance", minimize)
+    with pytest.raises(RuntimeError, match="shrink candidate"):
+        fuzz_theorem("remark18", seed=3, cases=1)
+
+
+# sha256 of (to_text(), CLI JSON) at seed 7: 200 cases, or 20 for remark18.
+TRANSCRIPT_PINS = {
+    "lemma15_1": (
+        "34db32069272a9e243da1111c7832e84b40aea03840da01994bff1d0bb8c2525",
+        "9c257be942d9ba5ecd8408b8f397197c4de295c9153724d14dd3b4fe0f98172f",
+    ),
+    "lemma15_2": (
+        "ffebc90b5a856853f05986e4b301be2c91abc349ec2ace8be217c9ee1160fea4",
+        "0d8efd783f9a320c8e0464f8aa35aac0dae4786e600c647eaff80968aa454806",
+    ),
+    "theorem17": (
+        "2a55d518d8f6948c8f8e178246138676778683fed7da35332a493aa6a42ec760",
+        "4065d257e16cfe838b639a492823ca5d9ab03353639dda2f6fb40559d54b63da",
+    ),
+    "prop19": (
+        "dd1ff72f5813747e03fe8a2bc8f8c6cb12282bf693ac5ae894781518e8074add",
+        "dbecac8ef59c34a859e493682211900b7a9bb087fee56203e583d5821c6d6762",
+    ),
+    "lemma21": (
+        "dfc48ed405c7cc6590c6772b24fd12d8f609acf0d8c09aba1d5d18d872246567",
+        "82f5008ba3956b0851da884cac1242436e28763fce21dadb88cbf8a26f54560d",
+    ),
+    "remark18": (
+        "2c84ecb166e0d53f16033a3175d54182904acbd06fa5708c1c26b5fc0f2ccfc7",
+        "0f98d2542824e94bf200aeb4c226b5668bfd2d5338017083a2a848bc1abaf99e",
+    ),
+}
+
+
+@pytest.mark.parametrize("which", sorted(TRANSCRIPT_PINS))
+def test_fuzz_transcript_pinned(which):
+    """The campaign's RNG draws and shrink steps are fixed across versions,
+    not only across reruns."""
+    import hashlib
+    import json
+
+    report = fuzz_theorem(which, seed=7, cases=20 if which == "remark18" else 200)
+    text = report.to_text()
+    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (text, payload))
+    assert digests == TRANSCRIPT_PINS[which]

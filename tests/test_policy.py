@@ -120,3 +120,29 @@ def test_policy_check_invariant_under_canonical_rename():
     assert check_policies(table, chain, probe) == check_policies(table, renamed, probe) == False
     free_probe = _genesis(singleton(Chip(6, 6), 5), position=51)
     assert check_policies(table, chain, free_probe) == check_policies(table, renamed, free_probe) == True
+
+
+def test_affine_apart_corpus_witness(corpus_dir):
+    """Under an AffineOnce policy two apart transactions no longer commute:
+    the order decides which of them lands."""
+    import json
+
+    from ledgersim import formats
+    from ledgersim.equivalence import apart
+    from ledgersim.ledger import POLICY_VIOLATION, utxo
+
+    payload = json.loads((corpus_dir / "affine-apart-counterexample.json").read_text())
+    table = PolicyTable.of({int(symbol): rule for symbol, rule in payload["policies"].items()})
+    base = formats.parse_chain(payload["base"])
+    (tx1,), _ = formats.parse_transactions(payload["tx1"])
+    (tx2,), _ = formats.parse_transactions(payload["tx2"])
+    assert apart(tx1, tx2)
+    unspent = []
+    for first, second in ((tx1, tx2), (tx2, tx1)):
+        chain = append(base, first, policies=table)
+        assert isinstance(chain, Chain)
+        rejected = append(chain, second, policies=table)
+        assert not isinstance(rejected, Chain)
+        assert rejected.first().condition == POLICY_VIOLATION
+        unspent.append({out.position for out in utxo(chain)})
+    assert unspent == [{10}, {11}]
