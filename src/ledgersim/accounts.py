@@ -18,12 +18,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .validators import KeyId, pair, unpair
+from .validators import KeyId
 
 FN_BUY = "buy"
 FN_SEND = "send"
 FN_SET_PRICE = "setPrice"
 FN_BUY_GUARDED = "buyGuarded"
+
+#: The contract's functions: the names of each one's arguments, in order.
+FUNCTIONS = {
+    FN_BUY: (),
+    FN_SEND: ("to", "amount"),
+    FN_SET_PRICE: ("p",),
+    FN_BUY_GUARDED: ("expected",),
+}
+#: The functions that consume the attached payment.
+PAYABLE = frozenset({FN_BUY, FN_BUY_GUARDED})
 
 
 class UnknownContract(Exception):
@@ -70,37 +80,6 @@ class ContractState:
     def with_price(self, price: int) -> ContractState:
         return ContractState(self.issuer, price, self.balances)
 
-    def encode(self) -> int:
-        """Injective encoding of the state as a single natural (Cantor-packed)."""
-        flat = [self.issuer, self.price, len(self.balances)]
-        for k, q in self.balances:
-            flat.extend((k, q))
-        return encode_naturals(flat)
-
-    @classmethod
-    def decode(cls, code: int) -> ContractState:
-        flat = decode_naturals(code)
-        issuer, price, count = flat[0], flat[1], flat[2]
-        pairs = tuple((flat[3 + 2 * i], flat[4 + 2 * i]) for i in range(count))
-        return cls(issuer, price, pairs)
-
-
-def encode_naturals(values: list[int]) -> int:
-    """Pack a list of naturals into one natural, length first."""
-    code = 0
-    for v in reversed(values):
-        code = pair(v, code)
-    return pair(len(values), code)
-
-
-def decode_naturals(code: int) -> list[int]:
-    count, rest = unpair(code)
-    out = []
-    for _ in range(count):
-        v, rest = unpair(rest)
-        out.append(v)
-    return out
-
 
 @dataclass(frozen=True)
 class CallTx:
@@ -116,10 +95,6 @@ class CallTx:
         object.__setattr__(self, "args", tuple(self.args))
         if self.value < 0:
             raise ValueError("attached value must be a natural")
-
-    def args_datum(self) -> int:
-        """The arguments as one Cantor-packed natural."""
-        return encode_naturals(list(self.args))
 
 
 @dataclass(frozen=True)
@@ -246,24 +221,22 @@ def call(chain: AccountChain, tx: CallTx) -> tuple[AccountChain, CallResult]:
     """Apply one call to the chain.
 
     Guard failures leave the chain's contracts untouched (the attempt is still
-    logged); unknown contracts or functions raise.  Attached value is consumed
-    only by the buy functions; the others ignore it (not payable).
+    logged); unknown contracts or functions raise, and so does a call with
+    the wrong number of arguments (ValueError).  Attached value is consumed
+    only by the ``PAYABLE`` functions; the others ignore it.
     """
     acct = chain.get(tx.contract)
+    names = FUNCTIONS.get(tx.function)
+    if names is None:
+        raise UnknownFunction(f"contract has no function {tx.function!r}")
+    if len(tx.args) != len(names):
+        raise ValueError(f"{tx.function} takes ({', '.join(names)})")
     if tx.function == FN_BUY:
         new_acct, result = changing_buy(acct, tx.sender, tx.value)
     elif tx.function == FN_SEND:
-        if len(tx.args) != 2:
-            raise ValueError("send takes (recipient, amount)")
-        new_acct, result = changing_send(acct, tx.sender, tx.args[0], tx.args[1])
+        new_acct, result = changing_send(acct, tx.sender, *tx.args)
     elif tx.function == FN_SET_PRICE:
-        if len(tx.args) != 1:
-            raise ValueError("setPrice takes (price,)")
-        new_acct, result = changing_set_price(acct, tx.sender, tx.args[0])
-    elif tx.function == FN_BUY_GUARDED:
-        if len(tx.args) != 1:
-            raise ValueError("buyGuarded takes (expected_price,)")
-        new_acct, result = changing_buy_guarded(acct, tx.sender, tx.value, tx.args[0])
+        new_acct, result = changing_set_price(acct, tx.sender, *tx.args)
     else:
-        raise UnknownFunction(f"contract has no function {tx.function!r}")
+        new_acct, result = changing_buy_guarded(acct, tx.sender, tx.value, *tx.args)
     return chain._with(tx.contract, new_acct, (tx, result.ok)), result

@@ -56,12 +56,6 @@ class PositionRenaming:
         if self.fixed & set(sources) or self.fixed & set(targets):
             raise ValueError("renaming touches a fixed position")
 
-    def apply(self, position: Position) -> Position:
-        for a, b in self.mapping:
-            if a == position:
-                return b
-        return position
-
     def as_dict(self) -> dict[Position, Position]:
         return dict(self.mapping)
 

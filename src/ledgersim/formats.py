@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .accounts import FUNCTIONS, PAYABLE
 from .ledger import Chain
 from .model import Chip, Input, Output, SlotRange, Transaction, Value
 from .policy import RULES, PolicyTable
@@ -229,12 +230,6 @@ def parse_chain(text: str) -> Chain:
 
 EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}}
 OPTIONAL_PARAMS = {"buy": {"max_price"}}
-ACCOUNT_FUNCTIONS = {
-    "buy": {"value"},
-    "buyGuarded": {"value", "expected"},
-    "send": {"to", "amount"},
-    "setPrice": {"p"},
-}
 
 
 def _parse_kv(tokens: Iterable[str], lineno: int) -> dict[str, int]:
@@ -339,10 +334,11 @@ def parse_scenario(text: str):
                 if len(tokens) < 4:
                     _fail(lineno, "call intent needs a function name")
                 function = tokens[3]
-                if function not in ACCOUNT_FUNCTIONS:
+                if function not in FUNCTIONS:
                     _fail(lineno, f"unknown function {function!r}")
                 kv = _parse_kv(tokens[4:], lineno)
-                missing = ACCOUNT_FUNCTIONS[function] - set(kv)
+                required = set(FUNCTIONS[function]) | ({"value"} if function in PAYABLE else set())
+                missing = required - set(kv)
                 if missing:
                     _fail(lineno, f"{function} missing {sorted(missing)}")
                 intents.append(Intent.of(actor, "call", function=function, **kv))

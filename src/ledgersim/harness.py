@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import formats
-from .accounts import AccountChain, CallTx, call, deploy_changing
+from .accounts import FUNCTIONS, PAYABLE, AccountChain, CallTx, call, deploy_changing
 from .equivalence import (
     alpha_equiv,
     apart,
@@ -203,52 +203,48 @@ def run_schedule(
     return _run_account(world, intents, order)
 
 
+def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain | None, str]:
+    """Append one built intent: the extended chain and no reason, or None and
+    the first violation."""
+    result = append(chain, tx, None, policies)
+    if isinstance(result, ValidationReport):
+        first = result.first()
+        return None, f"{first.condition}: {first.detail}"
+    return result, ""
+
+
 def _run_eutxo(world: EutxoWorld, intents: Sequence[Intent], order: tuple[int, ...], rebuild: bool) -> Outcome:
     positions: set[int] = set()
     for tx in world.chain.transactions:
         positions |= positions_of(tx)
     alloc = PositionAllocator.above(positions)
-    built: list[tuple[Transaction, int] | None] = []
-    refusals: list[str] = []
-    for intent in intents:  # submit phase: build everything against the snapshot
-        result, refusal = _build_eutxo_intent(world, intent, world.chain, alloc)
-        built.append(result)
-        refusals.append(refusal)
+    # submit phase: build everything against the snapshot
+    built = [_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents]
     chain = world.chain
     statuses: list[tuple[str, str]] = [("", "")] * len(intents)
     paid: dict[str, int] = {}
     for index in order:
-        entry = built[index]
-        reason = f"refused-at-build: {refusals[index]}" if entry is None else ""
+        intent = intents[index]
+        entry, refusal = built[index]
+        if entry is None:
+            result, reason = None, f"refused-at-build: {refusal}"
+        else:
+            result, reason = _attach(chain, entry[0], world.policies)
         accepted_how = ""
-        if entry is not None:
-            tx, payment = entry
-            result = append(chain, tx, None, world.policies)
-            if isinstance(result, ValidationReport):
-                first = result.first()
-                reason = f"{first.condition}: {first.detail}"
-                entry = None
-        if entry is None and rebuild and intents[index].kind != "tx":
-            retry, refusal = _build_eutxo_intent(world, intents[index], chain, alloc)
-            if retry is None:
+        if result is None and rebuild and intent.kind != "tx":
+            entry, refusal = _build_eutxo_intent(world, intent, chain, alloc)
+            if entry is None:
                 reason = f"refused-at-rebuild: {refusal}"
             else:
-                tx, payment = retry
-                result = append(chain, tx, None, world.policies)
-                if isinstance(result, ValidationReport):
-                    first = result.first()
-                    reason = f"{first.condition}: {first.detail}"
-                else:
-                    entry = retry
-                    accepted_how = "rebuilt-at-execute"
-        if entry is None:
+                result, reason = _attach(chain, entry[0], world.policies)
+                accepted_how = "rebuilt-at-execute"
+        if result is None:
             statuses[index] = ("rejected", reason)
             continue
         chain = result
         statuses[index] = ("accepted", accepted_how)
-        if intents[index].kind == "buy":
-            actor = intents[index].actor
-            paid[actor] = paid.get(actor, 0) + payment
+        if intent.kind == "buy":
+            paid[intent.actor] = paid.get(intent.actor, 0) + entry[1]
     try:
         portal = find_portal(chain, world.cfg)
         state = (
@@ -272,11 +268,11 @@ def _run_account(world: AccountWorld, intents: Sequence[Intent], order: tuple[in
         function = intent.get("function")
         sender = _key_of(world.actors, intent.actor)
         value = intent.get("value", 0)
-        args = _call_args(function, intent)
+        args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
         tx = CallTx(world.contract, function, sender, value, args)
         chain, result = call(chain, tx)
         statuses[index] = (result.status, result.reason)
-        if result.ok and function in ("buy", "buyGuarded"):
+        if result.ok and function in PAYABLE:
             paid[intent.actor] = paid.get(intent.actor, 0) + value
     acct = chain.get(world.contract)
     holdings = []
@@ -301,16 +297,6 @@ def _run_account(world: AccountWorld, intents: Sequence[Intent], order: tuple[in
         sort_keys=True,
     )
     return Outcome(order, tuple(statuses), tuple(holdings), state, _digest(digest_src))
-
-
-def _call_args(function: str, intent: Intent) -> tuple[int, ...]:
-    if function == "send":
-        return (intent.get("to"), intent.get("amount"))
-    if function == "setPrice":
-        return (intent.get("p"),)
-    if function == "buyGuarded":
-        return (intent.get("expected"),)
-    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 A sequence of transactions is a valid chain when output positions are
 chain-wide distinct, every input points at a unique strictly-earlier unspent
-output whose validator accepts the spend, and (when the chain carries slot
-assignments) every transaction's slot falls inside its slot range.  Failures
-are reported, not thrown; see :class:`ValidationReport`.
+output whose validator accepts the spend, (when the chain carries slot
+assignments) every transaction's slot falls inside its slot range, and (when a
+monetary policy table is in force) every transaction's forging obeys it.
+``_check_transaction`` is the one place these conditions are stated; every
+other judgement derives from it.  A chunk is a sequence that is valid once one
+transaction put in front of it supplies an output any spend unlocks at every
+position its inputs name and none of its transactions outputs.  Failures are
+reported, not thrown; see :class:`ValidationReport`.
 
 Every query that asks what sits at a position, and whether it is spent, reads
 one :class:`LedgerIndex`.  Invariant: a chain's index summarizes exactly that
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .model import Input, Output, Position, Transaction, context_at
-from .validators import run_validator
+from .validators import ACCEPT_ALL, run_validator
 
 # Violation condition ids.
 DUPLICATE_POSITION = "duplicate-position"
@@ -232,9 +237,11 @@ def resolve_input(chain: Chain | Sequence[Transaction], inp: Input, upto: int) -
     return index.resolve(inp.position)
 
 
-def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None) -> list[Violation]:
+def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, policies) -> list[Violation]:
     """All violations of appending ``tx`` (at ``slot``) to the chain
-    summarized by ``index``."""
+    summarized by ``index``.  ``policies``, when given, is a monetary policy
+    table, checked only when every other condition holds: its forging
+    deltas need every input resolved."""
     at = index.size
     violations: list[Violation] = []
     for out in tx.outputs:
@@ -262,6 +269,12 @@ def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None) ->
             violations.append(
                 Violation(at, SLOT_OUT_OF_RANGE, f"slot {slot} outside range [{tx.slot_range.lo}, {hi}]")
             )
+    if policies is not None and not violations:
+        from .policy import policy_violation  # policy imports this module
+
+        problem = policy_violation(policies, index, tx)
+        if problem is not None:
+            violations.append(Violation(at, POLICY_VIOLATION, problem))
     return violations
 
 
@@ -278,14 +291,7 @@ def validate_chain(chain: Chain | Sequence[Transaction], policies=None) -> Valid
     violations: list[Violation] = []
     for at, tx in enumerate(chain.transactions):
         slot = chain.slots[at] if chain.slots is not None else None
-        found = _check_transaction(index, tx, slot)
-        violations.extend(found)
-        if policies is not None and not found:  # policy deltas need resolvable inputs
-            from .policy import policy_violation
-
-            problem = policy_violation(policies, index, tx)
-            if problem is not None:
-                violations.append(Violation(at, POLICY_VIOLATION, problem))
+        violations.extend(_check_transaction(index, tx, slot, policies))
         index.absorb(tx, slot)
     object.__setattr__(chain, "_index", index)
     return ValidationReport(tuple(violations))
@@ -307,13 +313,7 @@ def append(chain: Chain, tx: Transaction, slot: int | None = None, policies=None
     if slot is not None and slot < 0:
         raise ValueError("slot must be a natural")
     index = chain.index()
-    violations = _check_transaction(index, tx, slot)
-    if not violations and policies is not None:
-        from .policy import policy_violation
-
-        problem = policy_violation(policies, index, tx)
-        if problem is not None:
-            violations.append(Violation(len(chain), POLICY_VIOLATION, problem))
+    violations = _check_transaction(index, tx, slot, policies)
     if violations:
         return ValidationReport(tuple(violations))
     slots = None if slot is None else (chain.slots or ()) + (slot,)
@@ -339,31 +339,21 @@ NEITHER = "neither"
 def classify(chain: Chain | Sequence[Transaction]) -> str:
     """Classify a transaction sequence as blockchain, chunk, or neither.
 
-    A chunk satisfies the blockchain conditions except that inputs may dangle
-    (point outside the sequence): positions stay chain-wide distinct, no input
-    points at an output at its own or a later index, and every input that does
-    resolve inside the sequence passes its validator.
+    A chunk satisfies every blockchain condition, slot ranges included,
+    except that inputs may dangle (point outside the sequence): it is a valid
+    chain once one transaction put in front of it, at slot 0, supplies an
+    ``ACCEPT_ALL`` output at every position its inputs name that none of its
+    transactions outputs.
     """
     if not isinstance(chain, Chain):
         chain = Chain(tuple(chain))
     if validate_chain(chain).valid:
         return BLOCKCHAIN
     index = chain.index()
-    if index.clashes:
-        return NEITHER
-    for at, tx in enumerate(chain.transactions):
-        for inp in tx.inputs:
-            if index.spender[inp.position] != at:
-                return NEITHER  # an earlier input names the same position
-            producer = index.producer.get(inp.position)
-            if producer is None:
-                continue  # dangling inputs are what chunks permit
-            if producer >= at:
-                return NEITHER
-            out = index.output[inp.position]
-            if not run_validator(out.validator, inp.redeemer, out.datum, out.value, context_at(tx, inp)):
-                return NEITHER
-    return CHUNK
+    dangling = index.spender.keys() - index.output.keys()
+    supplier = Transaction(frozenset(), frozenset(Output(p, ACCEPT_ALL) for p in dangling))
+    slots = None if chain.slots is None else (0,) + chain.slots
+    return CHUNK if validate_chain(Chain((supplier,) + chain.transactions, slots)).valid else NEITHER
 
 
 def schedule_extension(chain: Chain, txs: Iterable[Transaction], policies=None) -> Chain | None:
@@ -379,15 +369,13 @@ def schedule_extension(chain: Chain, txs: Iterable[Transaction], policies=None) 
     slotted = chain.slotted or (len(chain) == 0 and any(tx.slot_range is not None for tx in txs))
     current = chain
     for tx in txs:
+        slot = None
         if slotted:
-            floor = current.last_slot()
-            floor = 0 if floor is None else floor
+            floor = current.last_slot() or 0
             slot = max(floor, tx.slot_range.lo) if tx.slot_range is not None else floor
             if tx.slot_range is not None and not tx.slot_range.contains(slot):
                 return None
-            result = append(current, tx, slot, policies)
-        else:
-            result = append(current, tx, None, policies)
+        result = append(current, tx, slot, policies)
         if isinstance(result, ValidationReport):
             return None
         current = result

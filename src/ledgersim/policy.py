@@ -35,29 +35,26 @@ class Policy:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Finite map from currency symbol to policy; unlisted symbols follow the
-    default rule (free forging, so genesis-style issuance works)."""
+    """Finite map from currency symbol to policy; unlisted symbols are forged
+    freely (``FREE_FORGE``), so genesis-style issuance works."""
 
     policies: tuple[Policy, ...] = ()
-    default_rule: str = FREE_FORGE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "policies", tuple(self.policies))
-        if self.default_rule not in RULES:
-            raise ValueError(f"unknown policy rule {self.default_rule!r}")
         symbols = [p.symbol for p in self.policies]
         if len(set(symbols)) != len(symbols):
             raise ValueError("at most one policy per currency symbol")
 
     @classmethod
-    def of(cls, rules: Mapping[int, str], default_rule: str = FREE_FORGE) -> PolicyTable:
-        return cls(tuple(Policy(s, r) for s, r in sorted(rules.items())), default_rule)
+    def of(cls, rules: Mapping[int, str]) -> PolicyTable:
+        return cls(tuple(Policy(s, r) for s, r in sorted(rules.items())))
 
     def rule_for(self, symbol: int) -> str:
         for p in self.policies:
             if p.symbol == symbol:
                 return p.rule
-        return self.default_rule
+        return FREE_FORGE
 
 
 def _consumed(index: LedgerIndex, tx: Transaction) -> list[Output]:

@@ -135,10 +135,14 @@ def resolve_input(txs, inp, upto):
     return found
 
 
-def classify(txs):
+def classify(txs, slots=None):
     txs = tuple(txs)
-    if validate(txs).valid:
+    if validate(txs, slots).valid:
         return BLOCKCHAIN
+    if slots is not None:
+        for tx, slot in zip(txs, slots):
+            if tx.slot_range is not None and not tx.slot_range.contains(slot):
+                return NEITHER
     out_at = {}
     for index, tx in enumerate(txs):
         for out in tx.outputs:

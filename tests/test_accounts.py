@@ -8,13 +8,10 @@ import pytest
 from ledgersim.accounts import (
     AccountChain,
     CallTx,
-    ContractState,
     UnknownContract,
     UnknownFunction,
     call,
-    decode_naturals,
     deploy_changing,
-    encode_naturals,
 )
 
 
@@ -47,6 +44,14 @@ def test_unknown_contract_and_function():
         call(chain, CallTx(9, "buy", 2, 1))
     with pytest.raises(UnknownFunction):
         call(chain, CallTx(1, "withdraw", 2, 1))
+
+
+@pytest.mark.parametrize(
+    "function, args", [("buy", (1,)), ("send", (3,)), ("setPrice", ()), ("buyGuarded", (1, 2))]
+)
+def test_call_checks_argument_count(function, args):
+    with pytest.raises(ValueError):
+        call(fresh(), CallTx(1, function, sender=1, value=5, args=args))
 
 
 def test_buy_integer_division():
@@ -183,19 +188,3 @@ def test_order_sensitivity_witness():
     assert chain2.get(1).state.balance_of(2) == 1    # front-run: floor(100/100)
     assert chain1.get(1).balance == chain2.get(1).balance == 100  # paid the same
     assert chain1.get(1).state != chain2.get(1).state
-
-
-def test_goedel_codecs_round_trip():
-    rng = random.Random(10)
-    for _ in range(300):
-        values = [rng.randrange(0, 1000) for _ in range(rng.randrange(0, 6))]
-        assert decode_naturals(encode_naturals(values)) == values
-    state = ContractState(issuer=1, price=42, balances=((1, 900), (7, 100)))
-    assert ContractState.decode(state.encode()) == state
-    empty = ContractState(issuer=3, price=0)
-    assert ContractState.decode(empty.encode()) == empty
-
-
-def test_call_args_datum():
-    tx = CallTx(1, "send", sender=2, args=(3, 5))
-    assert decode_naturals(tx.args_datum()) == [3, 5]

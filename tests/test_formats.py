@@ -137,6 +137,26 @@ def test_scenario_parse_errors():
             formats.parse_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "intent, message",
+    [
+        ("buyGuarded", "buyGuarded missing ['expected', 'value']"),
+        ("buyGuarded value=3", "buyGuarded missing ['expected']"),
+        ("send to=1", "send missing ['amount']"),
+        ("buy", "buy missing ['value']"),
+        ("setPrice", "setPrice missing ['p']"),
+    ],
+)
+def test_call_intent_missing_parameter(intent, message):
+    text = (
+        "LEDGER account\nCONTRACT 1\nDEPLOYER issuer\nSUPPLY 5\nPRICE 1\nACTOR issuer 1\n"
+        f"INTENT issuer call {intent}\nSCHEDULE all\n"
+    )
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_scenario(text)
+    assert str(err.value) == f"line 7: {message}"
+
+
 def test_remark18_corpus_witness(corpus_dir):
     import json
 

@@ -381,3 +381,47 @@ def test_fuzz_transcript_pinned(which):
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (text, payload))
     assert digests == TRANSCRIPT_PINS[which]
+
+
+def _random_eutxo_race(seed: int):
+    """A seeded 6-intent race on the bundled portal: buys with and without a
+    price limit, price changes, and prebuilt mints of the affine state chip."""
+    import random
+
+    from ledgersim.model import Chip, Output, Transaction, singleton
+    from ledgersim.validators import ACCEPT_ALL
+
+    rng = random.Random(seed)
+    intents = []
+    for i in range(6):
+        draw = rng.random()
+        if draw < 0.5:
+            limit = {"max_price": rng.randrange(1, 8)} if rng.random() < 0.5 else {}
+            intents.append(Intent.of(rng.choice(("buyer", "b2")), "buy", n=rng.randrange(1, 1200), **limit))
+        elif draw < 0.85:
+            intents.append(Intent.of("issuer", "set_price", p=rng.randrange(0, 8)))
+        else:
+            mint = Transaction(frozenset(), frozenset({Output(900 + i, ACCEPT_ALL, 0, singleton(Chip(2, 1), 1))}))
+            intents.append(Intent.of("b2", "tx", prebuilt=mint))
+    scenario = bundled_race_scenario("eutxo")
+    return dataclasses.replace(scenario, actors=scenario.actors + (("b2", 9),), intents=tuple(intents))
+
+
+# sha256 of every outcome's to_text(), for seeds 0-2, all 720 orders, rebuild off then on.
+SCHEDULE_PIN = "51eb1d7e71f5249d9ee21ef04236872e4fe47045069ad9ab97cb85f781f0f8ff"
+
+
+def test_eutxo_race_outcomes_pinned():
+    """Submit-time and rebuilt attaches give the same outcomes across
+    versions; the benchmark never turns ``rebuild`` on."""
+    import hashlib
+    import itertools
+
+    digest = hashlib.sha256()
+    for seed in range(3):
+        scenario = _random_eutxo_race(seed)
+        world = build_world(scenario)
+        for rebuild in (False, True):
+            for order in itertools.permutations(range(6)):
+                digest.update(run_schedule(world, scenario.intents, order, rebuild).to_text().encode())
+    assert digest.hexdigest() == SCHEDULE_PIN

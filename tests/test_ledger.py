@@ -182,6 +182,17 @@ def test_classify_chunk_rejects_duplicate_positions():
     assert classify((tx1, tx3)) == NEITHER
 
 
+def test_classify_applies_slot_ranges():
+    """A chunk meets every blockchain condition but dangling inputs, so a
+    slot outside its range makes a sequence neither."""
+    genesis = Transaction(frozenset(), frozenset({ref_output(A)}), SlotRange(5, 6))
+    spend = Transaction(frozenset({Input(A, 0)}), frozenset())
+    assert classify(Chain((genesis, spend), (0, 1))) == NEITHER
+    dangling = Transaction(frozenset({Input(A, 0), Input(99, 0)}), frozenset())
+    assert classify(Chain((genesis, dangling), (0, 1))) == NEITHER
+    assert classify(Chain((genesis, dangling), (5, 6))) == CHUNK
+
+
 def test_slots_monotonicity_enforced_by_type():
     tx = Transaction()
     with pytest.raises(ValueError):

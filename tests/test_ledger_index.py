@@ -124,6 +124,7 @@ def test_queries_match_oracles_on_random_sequences():
         assert outcome(validate_chain, Chain(txs, slots), POLICIES) == outcome(oracles.validate, txs, slots, POLICIES)
         assert utxo(txs) == oracles.utxo(txs)
         assert classify(txs) == oracles.classify(txs)
+        assert classify(Chain(txs, slots)) == oracles.classify(txs, slots)
         for upto in range(len(txs) + 1):
             for position in range(POSITIONS):
                 inp = Input(position, 0)
