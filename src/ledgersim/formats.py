@@ -341,6 +341,9 @@ def parse_scenario(text: str):
                 missing = required - set(kv)
                 if missing:
                     _fail(lineno, f"{function} missing {sorted(missing)}")
+                unknown = set(kv) - required
+                if unknown:
+                    _fail(lineno, f"{function} unknown {sorted(unknown)}")
                 intents.append(Intent.of(actor, "call", function=function, **kv))
             else:
                 if kind not in EUTXO_INTENTS:

@@ -8,6 +8,13 @@ does.  On the account ledger a call executes against whatever state it finds,
 so its effect depends on the order.  ``run_schedule`` is a pure function of
 (initial ledger, intents, order); outcomes serialize canonically so identical
 runs are byte-identical.
+
+The UTxO submit phase is therefore the same in every order: each intent is
+built against the world's snapshot, never against the chain an order has
+grown, and is built again only under ``rebuild=True``, at its execution turn.
+So an ``EutxoWorld`` keeps the submit phase of the last intent tuple it ran
+(each built transaction or refusal, and the allocator position after the
+builds), and every further order of the same intents starts from that entry.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -45,7 +53,7 @@ from .token_portal import (
     build_set_price_tx,
     find_portal,
 )
-from .validators import pay_to_pubkey
+from .validators import PAY_TO_PUBKEY_KIND, pay_to_pubkey
 
 EUTXO = "eutxo"
 ACCOUNT = "account"
@@ -86,6 +94,11 @@ class EutxoWorld:
     cfg: TokenConfig
     policies: PolicyTable
     actors: tuple[tuple[str, int], ...]
+
+    # (intents, built, next free position) of the last submit phase run
+    # against this world.  Not a field, so equality, hashing and repr ignore
+    # it.
+    _submitted = None
 
 
 @dataclass(frozen=True)
@@ -165,18 +178,31 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
     return (tx, paid), ""
 
 
+def _submit(world: EutxoWorld, intents: tuple[Intent, ...]) -> tuple[tuple, int]:
+    """The submit phase: every intent built against the world's snapshot, as
+    one (entry, refusal) pair per intent, and the next free position after
+    the builds.  Kept on the world for the last intent tuple."""
+    cached = world._submitted
+    if cached is not None and cached[0] == intents:
+        return cached[1], cached[2]
+    alloc = PositionAllocator.above(p for tx in world.chain.transactions for p in positions_of(tx))
+    built = tuple(_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents)
+    object.__setattr__(world, "_submitted", (intents, built, alloc.peek()))
+    return built, alloc.peek()
+
+
 def _eutxo_holdings(world: EutxoWorld, chain: Chain, paid: dict[str, int]) -> tuple:
+    """Each actor's pay-to-key holdings, from one pass over the unspent set."""
+    by_key: dict[int, dict[str, int]] = {}
+    for out in utxo(chain):
+        if out.validator.kind == PAY_TO_PUBKEY_KIND:
+            facts = by_key.setdefault(out.validator.params[0], {})
+            for chip, qty in out.value:
+                label = _chip_label(chip)
+                facts[label] = facts.get(label, 0) + qty
     holdings = []
-    unspent = utxo(chain)
     for name, key in sorted(world.actors):
-        lock = pay_to_pubkey(key)
-        facts: dict[str, int] = {}
-        for out in unspent:
-            if out.validator == lock:
-                for chip, qty in out.value:
-                    label = _chip_label(chip)
-                    facts[label] = facts.get(label, 0) + qty
-        facts["ada_paid"] = paid.get(name, 0)
+        facts = {**by_key.get(key, {}), "ada_paid": paid.get(name, 0)}
         holdings.append((name, tuple(sorted(facts.items()))))
     return tuple(holdings)
 
@@ -214,12 +240,8 @@ def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain
 
 
 def _run_eutxo(world: EutxoWorld, intents: Sequence[Intent], order: tuple[int, ...], rebuild: bool) -> Outcome:
-    positions: set[int] = set()
-    for tx in world.chain.transactions:
-        positions |= positions_of(tx)
-    alloc = PositionAllocator.above(positions)
-    # submit phase: build everything against the snapshot
-    built = [_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents]
+    built, next_position = _submit(world, tuple(intents))
+    alloc = PositionAllocator(next_position)  # rebuilds take positions from here
     chain = world.chain
     statuses: list[tuple[str, str]] = [("", "")] * len(intents)
     paid: dict[str, int] = {}
@@ -722,11 +744,29 @@ def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
     raise ValueError(f"unknown ledger kind {scenario.ledger!r}")
 
 
+#: The most orders one run may ask for: every order of 8 intents.  A run
+#: keeps each order and its outcome in memory, so more is refused up front.
+MAX_ORDERS = math.factorial(8)
+
+
 def expand_schedules(scenario: Scenario, override: Sequence[tuple] | None = None) -> list[tuple[int, ...]]:
-    """Concrete permutations for every schedule clause."""
+    """Concrete permutations for every schedule clause; a ValueError, before
+    any is built, when the clauses ask for more than ``MAX_ORDERS``."""
     count = len(scenario.intents)
+    clauses = override if override is not None else scenario.schedules
+    asked = 0
+    for clause in clauses:
+        if clause[0] == "all":
+            asked += math.factorial(min(count, 9))  # 9! alone is past the bound
+        else:
+            asked += clause[1] if clause[0] == "sample" else 1
+    if asked > MAX_ORDERS:
+        raise ValueError(
+            f"schedules ask for more than {MAX_ORDERS} orders (all orders of 8 intents); "
+            "run fewer with 'sample <n> @<seed>'"
+        )
     orders: list[tuple[int, ...]] = []
-    for clause in override if override is not None else scenario.schedules:
+    for clause in clauses:
         if clause[0] == "all":
             orders.extend(itertools.permutations(range(count)))
         elif clause[0] == "sample":

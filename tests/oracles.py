@@ -6,7 +6,8 @@ chain-state check behind validation and append, the reverse-scan ``utxo``,
 the scanning ``resolve_input``, the two-pass ``classify``, the producer-map
 ``spent_edges`` and the policy check built on them.  ``test_ledger_index.py``
 compares the indexed versions against these on random sequences, valid or
-not.
+not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
+set, which ``test_harness.py`` compares with its one-pass grouping.
 """
 
 from ledgersim.ledger import (
@@ -24,7 +25,7 @@ from ledgersim.ledger import (
 )
 from ledgersim.model import context_at
 from ledgersim.policy import AFFINE_ONCE, FORBID_FORGE, FREE_FORGE
-from ledgersim.validators import ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND, run_validator
+from ledgersim.validators import ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND, pay_to_pubkey, run_validator
 
 
 class ChainState:
@@ -234,3 +235,21 @@ def policy_violation(table, txs, tx):
 def find_carriers(txs, chip):
     """The unspent outputs carrying ``chip`` (find_portal's scan)."""
     return [out for out in utxo(txs) if out.value.get(chip) > 0]
+
+
+def eutxo_holdings(world, chain, paid):
+    """Each actor's holdings: the unspent set scanned once per actor for
+    outputs locked to the actor's key, plus the ada the actor paid."""
+    holdings = []
+    unspent = utxo(chain.transactions)
+    for name, key in sorted(world.actors):
+        lock = pay_to_pubkey(key)
+        facts = {}
+        for out in unspent:
+            if out.validator == lock:
+                for chip, qty in out.value:
+                    label = f"{chip.symbol}:{chip.token}"
+                    facts[label] = facts.get(label, 0) + qty
+        facts["ada_paid"] = paid.get(name, 0)
+        holdings.append((name, tuple(sorted(facts.items()))))
+    return tuple(holdings)

@@ -155,6 +155,41 @@ def test_scenario_bad_schedule_flag_exits_2(capsys, corpus_dir, clause):
     assert "line" not in err
 
 
+def test_scenario_unknown_call_parameter_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(
+        "LEDGER account\nCONTRACT 1\nDEPLOYER issuer\nSUPPLY 5\nPRICE 1\nACTOR issuer 1\n"
+        "INTENT issuer call setPrice p=3 bogus=4\nSCHEDULE all\n"
+    )
+    code, out, err = run_cli(capsys, "scenario", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: line 7: setPrice unknown ['bogus']\n"
+
+
+def test_scenario_all_on_nine_intents_exits_2(capsys, tmp_path):
+    nine = tmp_path / "nine.scenario"
+    nine.write_text(
+        "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"
+        + "INTENT buyer buy n=1\n" * 9
+        + "SCHEDULE all\n"
+    )
+    code, out, err = run_cli(capsys, "scenario", str(nine))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: schedules ask for more than 40320 orders") and len(err.splitlines()) == 1
+    assert "sample" in err
+
+
+def test_scenario_oversized_sample_flag_exits_2(capsys, corpus_dir):
+    code, out, err = run_cli(
+        capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"), "--schedule", "sample 50000 @1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: schedules ask for more than 40320 orders") and len(err.splitlines()) == 1
+
+
 def test_scenario_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.scenario"
     bad.write_text("LEDGER martian\n")

@@ -157,6 +157,27 @@ def test_call_intent_missing_parameter(intent, message):
     assert str(err.value) == f"line 7: {message}"
 
 
+@pytest.mark.parametrize(
+    "intent, message",
+    [
+        ("setPrice p=3 bogus=4", "setPrice unknown ['bogus']"),
+        ("setPrice p=3 value=2", "setPrice unknown ['value']"),
+        ("send to=1 amount=2 value=5", "send unknown ['value']"),
+        ("buy value=3 n=1", "buy unknown ['n']"),
+        ("buyGuarded expected=1 value=3 p=2 to=1", "buyGuarded unknown ['p', 'to']"),
+        ("send to=1 bogus=4", "send missing ['amount']"),  # missing is reported first
+    ],
+)
+def test_call_intent_unknown_parameter(intent, message):
+    text = (
+        "LEDGER account\nCONTRACT 1\nDEPLOYER issuer\nSUPPLY 5\nPRICE 1\nACTOR issuer 1\n"
+        f"INTENT issuer call {intent}\nSCHEDULE all\n"
+    )
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_scenario(text)
+    assert str(err.value) == f"line 7: {message}"
+
+
 def test_remark18_corpus_witness(corpus_dir):
     import json
 

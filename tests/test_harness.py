@@ -133,6 +133,27 @@ def test_expand_schedules_explicit_and_sample():
         expand_schedules(scenario, [("explicit", (0, 2))])
 
 
+def test_expand_schedules_bounds_the_orders_asked_for():
+    """Up to MAX_ORDERS orders over all clauses are built; one more is
+    refused."""
+    from ledgersim.harness import MAX_ORDERS
+
+    race = bundled_race_scenario("eutxo")
+    eight = dataclasses.replace(race, intents=race.intents * 4)
+    nine = dataclasses.replace(race, intents=race.intents * 4 + race.intents[:1])
+    assert MAX_ORDERS == math.factorial(8)
+    assert len(expand_schedules(eight, [("all",)])) == MAX_ORDERS
+    assert len(expand_schedules(race, [("sample", MAX_ORDERS, 1)])) == MAX_ORDERS
+    for scenario, clauses in (
+        (nine, [("all",)]),
+        (race, [("sample", MAX_ORDERS + 1, 1)]),
+        (eight, [("all",), ("explicit", tuple(range(8)))]),
+        (race, [("sample", MAX_ORDERS, 1), ("all",)]),
+    ):
+        with pytest.raises(ValueError, match="more than 40320 orders"):
+            expand_schedules(scenario, clauses)
+
+
 def test_run_scenario_distinct_outcomes():
     report = run_scenario(bundled_race_scenario("eutxo"))
     assert len(report.outcomes) == 2
@@ -383,9 +404,10 @@ def test_fuzz_transcript_pinned(which):
     assert digests == TRANSCRIPT_PINS[which]
 
 
-def _random_eutxo_race(seed: int):
-    """A seeded 6-intent race on the bundled portal: buys with and without a
-    price limit, price changes, and prebuilt mints of the affine state chip."""
+def _random_eutxo_race(seed: int, max_n: int = 1200):
+    """A seeded 6-intent race on the bundled portal: buys of fewer than
+    ``max_n`` tokens with and without a price limit, price changes, and
+    prebuilt mints of the affine state chip."""
     import random
 
     from ledgersim.model import Chip, Output, Transaction, singleton
@@ -397,7 +419,7 @@ def _random_eutxo_race(seed: int):
         draw = rng.random()
         if draw < 0.5:
             limit = {"max_price": rng.randrange(1, 8)} if rng.random() < 0.5 else {}
-            intents.append(Intent.of(rng.choice(("buyer", "b2")), "buy", n=rng.randrange(1, 1200), **limit))
+            intents.append(Intent.of(rng.choice(("buyer", "b2")), "buy", n=rng.randrange(1, max_n), **limit))
         elif draw < 0.85:
             intents.append(Intent.of("issuer", "set_price", p=rng.randrange(0, 8)))
         else:
@@ -425,3 +447,102 @@ def test_eutxo_race_outcomes_pinned():
             for order in itertools.permutations(range(6)):
                 digest.update(run_schedule(world, scenario.intents, order, rebuild).to_text().encode())
     assert digest.hexdigest() == SCHEDULE_PIN
+
+
+def _counting_builders(monkeypatch) -> dict:
+    """Count calls of the two portal builders as the scheduler sees them."""
+    from ledgersim import harness
+
+    calls = {"buy": 0, "set_price": 0}
+    for kind, name in (("buy", "build_buy_tx"), ("set_price", "build_set_price_tx")):
+
+        def counted(*args, _real=getattr(harness, name), _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_submit_phase_built_once_per_world(monkeypatch, seed):
+    """All 720 orders on one world build each intent once; with rebuild on,
+    only the rebuilds add builder calls."""
+    import itertools
+    from collections import Counter
+
+    calls = _counting_builders(monkeypatch)
+    scenario = _random_eutxo_race(seed)
+    world = build_world(scenario)
+    orders = list(itertools.permutations(range(6)))
+    for order in orders:
+        run_schedule(world, scenario.intents, order)
+    kinds = Counter(intent.kind for intent in scenario.intents)
+    assert kinds["buy"] and kinds["set_price"]
+    assert calls == {"buy": kinds["buy"], "set_price": kinds["set_price"]}
+    # with rebuild on, every builder intent whose submit-time transaction did
+    # not attach is rebuilt exactly once at its turn
+    rebuilds = Counter()
+    for order in orders:
+        outcome = run_schedule(world, scenario.intents, order, rebuild=True)
+        for intent, status in zip(scenario.intents, outcome.statuses):
+            if intent.kind != "tx" and status != ("accepted", ""):
+                rebuilds[intent.kind] += 1
+    assert rebuilds["buy"] and rebuilds["set_price"]
+    assert calls == {kind: kinds[kind] + rebuilds[kind] for kind in calls}
+
+
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_shared_world_matches_fresh_worlds(rebuild):
+    """Outcomes on one world equal those on a fresh world per order, also
+    when the world runs intent tuple A, then B, then A again."""
+    import itertools
+
+    a, b = _random_eutxo_race(0), _random_eutxo_race(6)
+    orders = list(itertools.permutations(range(6)))
+    fresh = {
+        scenario.intents: [run_schedule(build_world(scenario), scenario.intents, order, rebuild) for order in orders]
+        for scenario in (a, b)
+    }
+    # both races hold a prebuilt mint the policy rejects and a buy refused at build
+    refused = "refused-at-rebuild" if rebuild else "refused-at-build"
+    for outcomes in fresh.values():
+        reasons = {reason.split(":")[0] for outcome in outcomes for _, reason in outcome.statuses}
+        assert {refused, "policy-violation"} <= reasons
+    world = build_world(a)
+    for scenario in (a, b, a):
+        assert [run_schedule(world, scenario.intents, order, rebuild) for order in orders] == fresh[scenario.intents]
+    # the kept submit phase is not part of the world's value
+    untouched = build_world(b)
+    assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
+
+
+def test_holdings_match_per_actor_scan(monkeypatch):
+    """The one-pass holdings equal the per-actor scan on every chain the
+    scheduler reaches, with two actors on one key and one holding nothing."""
+    import itertools
+
+    import oracles
+    from ledgersim import harness
+
+    real = harness._eutxo_holdings
+    seen = []
+
+    def checked(world, chain, paid):
+        holdings = real(world, chain, paid)
+        assert holdings == oracles.eutxo_holdings(world, chain, paid)
+        seen.append(dict(holdings))
+        return holdings
+
+    monkeypatch.setattr(harness, "_eutxo_holdings", checked)
+    for seed in (0, 3, 6):
+        scenario = _random_eutxo_race(seed, max_n=300)  # rebuilt buys can all land
+        actors = scenario.actors + (("b3", 9), ("idle", 42))  # b3 shares b2's key
+        world = build_world(dataclasses.replace(scenario, actors=actors))
+        for rebuild in (False, True):
+            for order in itertools.permutations(range(6)):
+                run_schedule(world, scenario.intents, order, rebuild)
+    assert len(seen) == 3 * 2 * 720
+    assert all(facts["idle"] == (("ada_paid", 0),) for facts in seen)
+    # b3 holds b2's tokens, on some chains from two buys of fewer than 300
+    assert any(dict(facts["b3"]).get("1:1", 0) >= 300 for facts in seen)
