@@ -8,8 +8,8 @@ deterministic harness races the two under arbitrary interleavings.
 """
 
 from .accounts import AccountChain, CallTx, ContractState, call, deploy_changing
-from .equivalence import alpha_equiv, apart, apart_seq, canonicalize, check_commute, check_defer, obs_equiv
-from .ledger import Chain, ValidationReport, append, classify, resolve_input, utxo, validate_chain
+from .equivalence import alpha_equiv, apart, canonicalize, check_commute, check_defer, obs_equiv
+from .ledger import Chain, ValidationReport, append, classify, utxo, validate_chain
 from .model import (
     ADA,
     Chip,
@@ -24,8 +24,8 @@ from .model import (
     positions_of,
     singleton,
 )
-from .policy import Policy, PolicyTable, check_policies, forged
-from .token_portal import TokenConfig, build_buy_tx, build_set_price_tx, init_portal, lookup_price, transition_check
+from .policy import Policy, PolicyTable, forged
+from .token_portal import TokenConfig, build_buy_tx, build_set_price_tx, init_portal, transition_check
 from .validators import ACCEPT_ALL, REJECT_ALL, KeyId, ValidatorRef, pay_to_pubkey, run_validator
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "Value",
     "alpha_equiv",
     "apart",
-    "apart_seq",
     "append",
     "build_buy_tx",
     "build_set_price_tx",
@@ -60,17 +59,14 @@ __all__ = [
     "canonicalize",
     "check_commute",
     "check_defer",
-    "check_policies",
     "classify",
     "context_at",
     "deploy_changing",
     "forged",
     "init_portal",
-    "lookup_price",
     "obs_equiv",
     "pay_to_pubkey",
     "positions_of",
-    "resolve_input",
     "run_validator",
     "singleton",
     "transition_check",

@@ -68,9 +68,6 @@ class ContractState:
                 return q
         return 0
 
-    def total_tokens(self) -> int:
-        return sum(q for _, q in self.balances)
-
     def with_balance(self, key: KeyId, qty: int) -> ContractState:
         rest = tuple((k, q) for k, q in self.balances if k != key)
         if qty:
@@ -117,7 +114,7 @@ class ContractAccount:
 @dataclass(frozen=True)
 class AccountChain:
     """Finite map from contract name to (balance, state), plus the executed
-    call log (every attempt, flagged ok or failed) for replay."""
+    call log (every attempt, flagged ok or failed)."""
 
     contracts: tuple[tuple[int, ContractAccount], ...] = ()
     calls: tuple[tuple[CallTx, bool], ...] = ()
@@ -201,20 +198,6 @@ def changing_buy_guarded(acct: ContractAccount, sender: KeyId, value: int, expec
     if acct.state.price != expected_price:
         return acct, CallResult(False, f"price is {acct.state.price}, expected {expected_price}")
     return changing_buy(acct, sender, value)
-
-
-def replay_calls(initial: AccountChain, log: tuple[tuple[CallTx, bool], ...]) -> AccountChain:
-    """Re-apply a recorded call log to an initial chain.
-
-    Every attempt must reproduce its recorded verdict; returns the final
-    chain, which matches the original run exactly.
-    """
-    chain = initial
-    for tx, expected_ok in log:
-        chain, result = call(chain, tx)
-        if result.ok != expected_ok:
-            raise ValueError(f"replay diverged: {tx} was {'ok' if expected_ok else 'failed'} in the log")
-    return chain
 
 
 def call(chain: AccountChain, tx: CallTx) -> tuple[AccountChain, CallResult]:

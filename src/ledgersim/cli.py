@@ -23,8 +23,11 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        message = str(exc)
+    except UnicodeDecodeError as exc:
+        message = f"{path}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _load_chain(path: str):
@@ -60,7 +63,7 @@ def cmd_utxo(args) -> int:
                 "position": o.position,
                 "validator": [o.validator.kind, list(o.validator.params)],
                 "datum": o.datum,
-                "value": {f"{c.symbol}:{c.token}": q for c, q in o.value},
+                "value": {formats.chip_to_text(c): q for c, q in o.value},
             }
             for o in outs
         ]

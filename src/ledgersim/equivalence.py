@@ -28,11 +28,6 @@ def apart(tx1: Transaction, tx2: Transaction) -> bool:
     return not (positions_of(tx1) & positions_of(tx2))
 
 
-def apart_seq(tx: Transaction, txs: Iterable[Transaction]) -> bool:
-    """True when ``tx`` is apart from every transaction in the sequence."""
-    return all(apart(tx, other) for other in txs)
-
-
 @dataclass(frozen=True)
 class PositionRenaming:
     """A finite injective renaming of positions that leaves a fixed set alone.
@@ -185,37 +180,9 @@ def check_commute(base: Chain | Sequence[Transaction], tx1: Transaction, tx2: Tr
 
 @dataclass(frozen=True)
 class DeferReport:
-    """Facts about deferring a transaction past an intervening batch."""
-
-    hyp: bool
-    valid_tx_first: bool
-    equiv: bool
-
-
-def check_defer(base: Chain | Sequence[Transaction], txs: Sequence[Transaction], tx: Transaction) -> DeferReport:
-    """Check that a transaction valid on the base stays valid and equivalent
-    when a batch of other transactions lands first.
-
-    ``hyp`` holds when both base;txs;tx and base;tx are valid; the conclusion
-    fields report validity of base;tx;txs and observational equivalence of the
-    two full orders.
-    """
-    prior = as_transactions(base)
-    batch = tuple(txs)
-    txs_then_tx = prior + batch + (tx,)
-    tx_then_txs = prior + (tx,) + batch
-    hyp = validate_chain(txs_then_tx).valid and validate_chain(prior + (tx,)).valid
-    return DeferReport(
-        hyp=hyp,
-        valid_tx_first=validate_chain(tx_then_txs).valid,
-        equiv=obs_equiv(tx_then_txs, txs_then_tx),
-    )
-
-
-@dataclass(frozen=True)
-class SlottedDeferReport:
-    """Defer facts on a slotted chain, where validity means a monotone slot
-    assignment inside every slot range exists."""
+    """Facts about deferring a transaction past an intervening batch: whether
+    B;txs;tx, B;tx and B;tx;txs can each be scheduled, and whether the two
+    full orders are observationally equivalent."""
 
     valid_txs_tx: bool
     valid_tx: bool
@@ -223,18 +190,19 @@ class SlottedDeferReport:
     equiv: bool
 
 
-def check_defer_slotted(base: Chain, txs: Sequence[Transaction], tx: Transaction) -> SlottedDeferReport:
-    """Slot-aware variant of :func:`check_defer`.
+def check_defer(base: Chain, txs: Sequence[Transaction], tx: Transaction) -> DeferReport:
+    """Check the deferral of ``tx`` past the batch ``txs`` on ``base``.
 
     Each ordering counts as valid when it can be scheduled: appended in order
-    with some monotone slot assignment lying inside every slot range.
+    with some monotone slot assignment lying inside every slot range.  On an
+    unslotted chain there are no slots to assign, so this is plain validity.
     Observational equivalence only looks at the transactions.
     """
     batch = tuple(txs)
     both = schedule_extension(base, batch + (tx,))
     alone = schedule_extension(base, (tx,))
     swapped = schedule_extension(base, (tx,) + batch)
-    return SlottedDeferReport(
+    return DeferReport(
         valid_txs_tx=both is not None,
         valid_tx=alone is not None,
         valid_tx_txs=swapped is not None,

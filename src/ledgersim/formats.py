@@ -48,8 +48,12 @@ def _nat(token: str, lineno: int | None, what: str) -> int:
 # Chain format
 
 
+def chip_to_text(chip: Chip) -> str:
+    return f"{chip.symbol}:{chip.token}"
+
+
 def value_to_text(value: Value) -> str:
-    return " ".join(f"{chip.symbol}:{chip.token}={qty}" for chip, qty in value)
+    return " ".join(f"{chip_to_text(chip)}={qty}" for chip, qty in value)
 
 
 def _parse_value_tokens(tokens: Sequence[str], lineno: int) -> Value:
@@ -310,6 +314,8 @@ def parse_scenario(text: str):
                 )
             except ValueError as exc:
                 _fail(lineno, str(exc))
+        elif keyword in ("CONTRACT", "DEPLOYER", "SUPPLY", "PRICE") and len(tokens) != 2:
+            _fail(lineno, f"{keyword} takes one argument")
         elif keyword == "CONTRACT":
             contract = _nat(tokens[1], lineno, "contract name")
         elif keyword == "DEPLOYER":
@@ -391,10 +397,8 @@ def scenario_to_text(scenario) -> str:
     lines = [f"LEDGER {scenario.ledger}"]
     if scenario.ledger == "eutxo":
         cfg = scenario.cfg
-        lines.append(
-            "CONFIG issuer=%d traded=%d:%d state=%d:%d"
-            % (cfg.issuer, *cfg.traded_chip, *cfg.state_chip)
-        )
+        traded, state = chip_to_text(cfg.traded_chip), chip_to_text(cfg.state_chip)
+        lines.append(f"CONFIG issuer={cfg.issuer} traded={traded} state={state}")
     else:
         lines.append(f"CONTRACT {scenario.contract}")
         lines.append(f"DEPLOYER {scenario.deployer}")

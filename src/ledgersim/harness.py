@@ -34,7 +34,6 @@ from .equivalence import (
     apart,
     check_commute,
     check_defer,
-    check_defer_slotted,
     freshen_spent_clashes,
     obs_equiv,
     rename_positions,
@@ -141,10 +140,6 @@ class Outcome:
         return "\n".join(self.to_lines()) + "\n"
 
 
-def _chip_label(chip) -> str:
-    return f"{chip.symbol}:{chip.token}"
-
-
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -198,7 +193,7 @@ def _eutxo_holdings(world: EutxoWorld, chain: Chain, paid: dict[str, int]) -> tu
         if out.validator.kind == PAY_TO_PUBKEY_KIND:
             facts = by_key.setdefault(out.validator.params[0], {})
             for chip, qty in out.value:
-                label = _chip_label(chip)
+                label = formats.chip_to_text(chip)
                 facts[label] = facts.get(label, 0) + qty
     holdings = []
     for name, key in sorted(world.actors):
@@ -547,16 +542,16 @@ def _defer_instance(rng: random.Random, slotted: bool) -> dict:
 def _judge_theorem17(instance: dict):
     """If B;txs;tx and B;tx are valid, then B;tx;txs is valid and equivalent."""
     report = check_defer(instance["base"], instance["txs"], instance["tx"])
-    if not report.hyp:
+    if not (report.valid_txs_tx and report.valid_tx):
         return None
-    if report.valid_tx_first and report.equiv:
+    if report.valid_tx_txs and report.equiv:
         return True
-    return "", f"hyp holds but valid_tx_first={report.valid_tx_first} equiv={report.equiv}", instance
+    return "", f"hyp holds but valid_tx_first={report.valid_tx_txs} equiv={report.equiv}", instance
 
 
 def _judge_prop19(instance: dict):
     """With slot ranges: if both orders can be scheduled, they are equivalent."""
-    report = check_defer_slotted(instance["base"], instance["txs"], instance["tx"])
+    report = check_defer(instance["base"], instance["txs"], instance["tx"])
     if not (report.valid_txs_tx and report.valid_tx_txs):
         return None
     if report.equiv:
@@ -598,7 +593,7 @@ def _sample_remark18(rng: random.Random) -> dict | None:
 def _judge_remark18(instance: dict):
     """Deferral read on slotted chains: if B;txs;tx and B;tx are valid, then
     B;tx;txs can be scheduled.  Slot ranges refute it."""
-    report = check_defer_slotted(instance["base"], instance["txs"], instance["tx"])
+    report = check_defer(instance["base"], instance["txs"], instance["tx"])
     if not (report.valid_txs_tx and report.valid_tx):
         return None
     if report.valid_tx_txs:
@@ -612,16 +607,12 @@ def _alpha_variant(rng: random.Random, base: Chain) -> Chain:
     edges = spent_edges(base)
     if not edges:
         return base
-    top = 0
-    for tx in base.transactions:
-        for p in positions_of(tx):
-            top = max(top, p)
-    mapping = []
-    next_fresh = top + 1
-    for out_index, out, _, _ in sorted(edges, key=lambda e: (e[0], e[1].position)):
-        if rng.random() < 0.5:
-            mapping.append((out.position, next_fresh))
-            next_fresh += 1
+    alloc = PositionAllocator.above(p for tx in base.transactions for p in positions_of(tx))
+    mapping = [
+        (out.position, alloc.fresh())
+        for _, out, _, _ in sorted(edges, key=lambda e: (e[0], e[1].position))
+        if rng.random() < 0.5
+    ]
     return rename_positions(base, dict(mapping))
 
 

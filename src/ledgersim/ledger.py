@@ -20,10 +20,10 @@ query that needs it, in O(n) for n transactions, and keeps it.  A successful
 index no longer summarizes, builds a fresh one if it is queried again, and so
 does any chain made another way (``prefix``, parsing, renaming).  Building the
 child still copies the transaction tuple, and on a slotted chain re-checks the
-slots.  ``utxo``, ``resolve_input``, ``classify`` and the policy, portal,
-generator and equivalence modules read the cached index; ``validate_chain``
-grows a fresh one as it walks, since it checks each transaction against the
-prefix before it, and leaves the result on the chain.
+slots.  ``utxo``, ``classify`` and the policy, portal, generator and
+equivalence modules read the cached index; ``validate_chain`` grows a fresh
+one as it walks, since it checks each transaction against the prefix before
+it, and leaves the result on the chain.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .model import Input, Output, Position, Transaction, context_at
+from .model import Output, Position, Transaction, context_at
 from .validators import ACCEPT_ALL, run_validator
 
 # Violation condition ids.
@@ -223,20 +223,6 @@ def index_of(chain: Chain | Sequence[Transaction] | LedgerIndex) -> LedgerIndex:
     return LedgerIndex.of(chain)
 
 
-def resolve_input(chain: Chain | Sequence[Transaction], inp: Input, upto: int) -> Output | None:
-    """The unique output at ``inp.position`` among transactions strictly before
-    index ``upto``, or None when no such output exists.
-
-    Raises MalformedChainError when more than one earlier output carries the
-    position (the chain breaks the distinct-positions condition).
-    """
-    txs = as_transactions(chain)
-    if upto < 0 or upto > len(txs):
-        raise ValueError(f"upto must lie in [0, {len(txs)}], got {upto}")
-    index = index_of(chain) if upto == len(txs) else LedgerIndex.of(txs[:upto])
-    return index.resolve(inp.position)
-
-
 def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, policies) -> list[Violation]:
     """All violations of appending ``tx`` (at ``slot``) to the chain
     summarized by ``index``.  ``policies``, when given, is a monetary policy
@@ -356,7 +342,7 @@ def classify(chain: Chain | Sequence[Transaction]) -> str:
     return CHUNK if validate_chain(Chain((supplier,) + chain.transactions, slots)).valid else NEITHER
 
 
-def schedule_extension(chain: Chain, txs: Iterable[Transaction], policies=None) -> Chain | None:
+def schedule_extension(chain: Chain, txs: Iterable[Transaction]) -> Chain | None:
     """Append ``txs`` in order, choosing for each the earliest admissible slot.
 
     Greedy earliest-slot assignment is complete: when any monotone assignment
@@ -375,7 +361,7 @@ def schedule_extension(chain: Chain, txs: Iterable[Transaction], policies=None) 
             slot = max(floor, tx.slot_range.lo) if tx.slot_range is not None else floor
             if tx.slot_range is not None and not tx.slot_range.contains(slot):
                 return None
-        result = append(current, tx, slot, policies)
+        result = append(current, tx, slot)
         if isinstance(result, ValidationReport):
             return None
         current = result

@@ -112,7 +112,3 @@ def policy_violation(
             return f"symbol {symbol} is affine and already circulates ({existing})"
     return None
 
-
-def check_policies(table: PolicyTable, chain: Chain | Sequence[Transaction], tx: Transaction) -> bool:
-    """True when every pertinent monetary policy admits the transaction."""
-    return policy_violation(table, chain, tx) is None

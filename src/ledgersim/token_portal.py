@@ -170,16 +170,6 @@ def find_portal(chain: Chain, cfg: TokenConfig) -> Output:
     return carriers.pop()
 
 
-def lookup_price(chain: Chain, cfg: TokenConfig) -> int:
-    """The official price: the datum of the portal output."""
-    return find_portal(chain, cfg).datum
-
-
-def portal_supply(chain: Chain, cfg: TokenConfig) -> int:
-    """Traded tokens still held at the portal."""
-    return find_portal(chain, cfg).value.get(cfg.traded_chip)
-
-
 def build_buy_tx(
     chain: Chain,
     cfg: TokenConfig,

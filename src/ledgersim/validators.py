@@ -80,7 +80,11 @@ def run_validator(ref: ValidatorRef, redeemer: Redeemer, datum: Datum, value: Va
     if ref.kind == STATE_MACHINE_KIND:
         from .token_portal import TokenConfig, transition_check
 
-        return transition_check(TokenConfig.from_params(ref.params), redeemer, datum, value, ctx)
+        try:
+            cfg = TokenConfig.from_params(ref.params)
+        except ValueError:  # the parameters name no portal: nothing unlocks it
+            return False
+        return transition_check(cfg, redeemer, datum, value, ctx)
     raise ValueError(f"unknown validator kind {ref.kind!r}")
 
 

@@ -7,7 +7,9 @@ the scanning ``resolve_input``, the two-pass ``classify``, the producer-map
 ``spent_edges`` and the policy check built on them.  ``test_ledger_index.py``
 compares the indexed versions against these on random sequences, valid or
 not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
-set, which ``test_harness.py`` compares with its one-pass grouping.
+set, which ``test_harness.py`` compares with its one-pass grouping, and
+``defer_by_validation`` is the deferral check by whole-sequence validation,
+which ``test_equivalence.py`` compares with ``check_defer``.
 """
 
 from ledgersim.ledger import (
@@ -253,3 +255,13 @@ def eutxo_holdings(world, chain, paid):
         facts["ada_paid"] = paid.get(name, 0)
         holdings.append((name, tuple(sorted(facts.items()))))
     return tuple(holdings)
+
+
+def defer_by_validation(base, txs, tx):
+    """Deferral by validating whole sequences, without slots: (hyp, valid
+    B;tx;txs, equivalence), where hyp is that B;txs;tx and B;tx are valid."""
+    prior, batch = tuple(base), tuple(txs)
+    txs_then_tx = prior + batch + (tx,)
+    tx_then_txs = prior + (tx,) + batch
+    hyp = validate(txs_then_tx).valid and validate(prior + (tx,)).valid
+    return hyp, validate(tx_then_txs).valid, utxo(tx_then_txs) == utxo(txs_then_tx)

@@ -40,6 +40,30 @@ def test_validate_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "scenario"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffTX 0\n")
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+# A StateMachine output whose parameters name no portal: traded chip equal
+# to the state chip, and a state chip that is ada.
+@pytest.mark.parametrize("params", ["1 1 1 1 1", "1 1 1 0 0"])
+def test_state_machine_without_portal_rejects_every_spend(capsys, tmp_path, params):
+    chain = tmp_path / "locked.chain"
+    chain.write_text(f"TX 0\nOUT 0 StateMachine {params} 0\nTX 1\nIN 0 2\n")
+    code, out, err = run_cli(capsys, "validate", str(chain))
+    assert code == 1
+    assert out == "tx 1: validator-rejected (validator StateMachine rejected input at 0)\n"
+    assert err == ""
+    assert run_cli(capsys, "classify", str(chain)) == (0, "neither\n", "")
+
+
 def test_classify_fixtures(capsys, corpus_dir):
     for name, expected in (
         ("figure-3-B.chain", "blockchain"),
@@ -165,6 +189,16 @@ def test_scenario_unknown_call_parameter_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}: line 7: setPrice unknown ['bogus']\n"
+
+
+@pytest.mark.parametrize("line", ["CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "SUPPLY 5 7"])
+def test_scenario_keyword_without_one_argument_exits_2(capsys, tmp_path, line):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(f"LEDGER account\n{line}\nSCHEDULE all\n")
+    code, out, err = run_cli(capsys, "scenario", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: line 2: {line.split()[0]} takes one argument\n"
 
 
 def test_scenario_all_on_nine_intents_exits_2(capsys, tmp_path):

@@ -5,16 +5,15 @@ import random
 
 import pytest
 
+import oracles
 from ledgersim.equivalence import (
     PositionRenaming,
     alpha_equiv,
     apart,
-    apart_seq,
     canonical_renaming,
     canonicalize,
     check_commute,
     check_defer,
-    check_defer_slotted,
     freshen_spent_clashes,
     obs_equiv,
     rename_positions,
@@ -70,13 +69,6 @@ def test_apart_shared_position():
     tx = Transaction(frozenset(), frozenset({ref_output(A)}))
     spender = Transaction(frozenset({Input(A, 0)}), frozenset())
     assert not apart(tx, spender)
-
-
-def test_apart_seq(figure_txs):
-    _, tx2, tx3, tx4 = figure_txs
-    assert apart_seq(tx3, [])
-    assert apart_seq(tx3, [tx2])
-    assert not apart_seq(tx4, [tx3])
 
 
 def test_apart_symmetry_random():
@@ -242,14 +234,15 @@ def test_check_defer_empty_batch(chain_b):
     alloc = PositionAllocator(100)
     tx = Transaction(frozenset({Input(C, 0)}), frozenset({Output(alloc.fresh(), ACCEPT_ALL)}))
     report = check_defer(chain_b, (), tx)
-    assert report.hyp and report.valid_tx_first and report.equiv
+    assert report.valid_txs_tx and report.valid_tx and report.valid_tx_txs and report.equiv
 
 
 def test_check_defer_consuming_batch_output_fails_hyp(chain_b):
     batch_tx = Transaction(frozenset(), frozenset({Output(200, ACCEPT_ALL)}))
     tx = Transaction(frozenset({Input(200, 0)}), frozenset())
     report = check_defer(chain_b, (batch_tx,), tx)
-    assert not report.hyp  # valid(B;tx) fails: dangling input
+    assert report.valid_txs_tx
+    assert not report.valid_tx  # valid(B;tx) fails: dangling input
 
 
 def test_check_defer_random_instances():
@@ -263,9 +256,9 @@ def test_check_defer_random_instances():
         pool = [o for o in spendable(extended) if o.position in pool_base]
         tx = gen.transaction(base, alloc, pool=pool)
         report = check_defer(base, batch, tx)
-        if report.hyp:
+        if report.valid_txs_tx and report.valid_tx:
             checked += 1
-            assert report.valid_tx_first and report.equiv
+            assert report.valid_tx_txs and report.equiv
     assert checked > 300
 
 
@@ -276,7 +269,26 @@ def test_check_defer_slotted_remark_shape():
 
     pinned = Transaction(frozenset({Input(A, 0)}), frozenset(), SlotRange(0, 0))
     late = Transaction(frozenset({Input(B, 0)}), frozenset(), SlotRange(5, None))
-    report = check_defer_slotted(base, (pinned,), late)
+    report = check_defer(base, (pinned,), late)
     assert report.valid_txs_tx and report.valid_tx
     assert not report.valid_tx_txs  # the deferral direction breaks
     assert report.equiv  # the equivalence half survives
+
+
+def test_check_defer_matches_validation_oracle():
+    """On unslotted chains, scheduling each order is validating it: the one
+    deferral check agrees with whole-sequence validation on every field."""
+    from ledgersim.harness import STATEMENTS
+
+    rng = random.Random(17)
+    sample = STATEMENTS["theorem17"].sample
+    hyp_held = 0
+    for _ in range(2000):
+        instance = sample(rng)
+        base, batch, tx = instance["base"], instance["txs"], instance["tx"]
+        report = check_defer(base, batch, tx)
+        hyp, valid_tx_first, equiv = oracles.defer_by_validation(base, batch, tx)
+        hyp_now = report.valid_txs_tx and report.valid_tx
+        assert (hyp_now, report.valid_tx_txs, report.equiv) == (hyp, valid_tx_first, equiv)
+        hyp_held += hyp
+    assert 1000 < hyp_held < 2000  # both kinds were drawn

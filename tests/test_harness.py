@@ -245,21 +245,6 @@ def test_rebuild_off_by_default_matches_plain_run():
     assert plain == explicit
 
 
-def test_account_replay_log():
-    from ledgersim.accounts import AccountChain, CallTx, call, deploy_changing, replay_calls
-
-    initial = deploy_changing(AccountChain(), name=1, sender=1, supply=100, price=2)
-    chain = initial
-    for tx in (
-        CallTx(1, "buy", sender=2, value=9),
-        CallTx(1, "setPrice", sender=3, args=(5,)),  # guard-failed, still logged
-        CallTx(1, "send", sender=2, args=(3, 1)),
-    ):
-        chain, _ = call(chain, tx)
-    assert len(chain.calls) == 3
-    assert replay_calls(initial, chain.calls) == chain
-
-
 def test_minimize_instance_shrinks():
     """The greedy shrinker drops transactions irrelevant to the failure."""
     from ledgersim.ledger import append
@@ -294,7 +279,7 @@ BROKEN_CHECKS = [
     ("lemma15_1", "check_commute", _without_equiv, "lemma15_1", ["base", "tx1", "tx2"]),
     ("lemma15_2", "apart", lambda real: lambda tx1, tx2: not real(tx1, tx2), "lemma15_2", ["base", "tx_prime", "tx"]),
     ("theorem17", "check_defer", _without_equiv, "theorem17", ["base", "txs", "tx"]),
-    ("prop19", "check_defer_slotted", _without_equiv, "prop19", ["base", "txs", "tx"]),
+    ("prop19", "check_defer", _without_equiv, "prop19", ["base", "txs", "tx"]),
     ("lemma21", "alpha_equiv", lambda real: lambda a, b: False, "lemma21_2", ["base", "variant"]),
     # part 1 compares transaction tuples, part 2 compares chains
     ("lemma21", "obs_equiv", lambda real: lambda a, b: isinstance(a, Chain) and real(a, b), "lemma21_1", ["base", "variant", "tx"]),
@@ -334,8 +319,8 @@ def test_remark18_with_conclusion_holding_exits_one(monkeypatch, capsys):
     from ledgersim import harness
     from ledgersim.cli import main
 
-    real = harness.check_defer_slotted
-    monkeypatch.setattr(harness, "check_defer_slotted", lambda *a: dataclasses.replace(real(*a), valid_tx_txs=True))
+    real = harness.check_defer
+    monkeypatch.setattr(harness, "check_defer", lambda *a: dataclasses.replace(real(*a), valid_tx_txs=True))
     assert main(["fuzz", "--theorem", "remark18", "--cases", "5", "--seed", "3"]) == 1
     assert "counterexamples=0" in capsys.readouterr().out
 
@@ -343,7 +328,7 @@ def test_remark18_with_conclusion_holding_exits_one(monkeypatch, capsys):
 def test_shrink_predicate_exceptions_propagate(monkeypatch):
     from ledgersim import harness
 
-    real_check, real_minimize = harness.check_defer_slotted, harness.minimize_instance
+    real_check, real_minimize = harness.check_defer, harness.minimize_instance
     shrinking = []
 
     def check(*args):
@@ -355,7 +340,7 @@ def test_shrink_predicate_exceptions_propagate(monkeypatch):
         shrinking.append(True)
         return real_minimize(instance, fails)
 
-    monkeypatch.setattr(harness, "check_defer_slotted", check)
+    monkeypatch.setattr(harness, "check_defer", check)
     monkeypatch.setattr(harness, "minimize_instance", minimize)
     with pytest.raises(RuntimeError, match="shrink candidate"):
         fuzz_theorem("remark18", seed=3, cases=1)

@@ -14,11 +14,11 @@ from ledgersim.ledger import (
     SLOT_OUT_OF_RANGE,
     VALIDATOR_REJECTED,
     Chain,
+    LedgerIndex,
     MalformedChainError,
     ValidationReport,
     append,
     classify,
-    resolve_input,
     schedule_extension,
     utxo,
     validate_chain,
@@ -46,23 +46,22 @@ def spent_scan_utxo(txs):
 
 def test_resolve_input_basics():
     tx1 = Transaction(frozenset(), frozenset({ref_output(A), ref_output(B)}))
-    chain = Chain((tx1,))
-    assert resolve_input(chain, Input(A, 0), 1) == ref_output(A)
-    assert resolve_input(chain, Input(99, 0), 1) is None
-    assert resolve_input(chain, Input(A, 0), 0) is None  # strictly earlier only
+    assert LedgerIndex.of((tx1,)).resolve(A) == ref_output(A)
+    assert LedgerIndex.of((tx1,)).resolve(99) is None
+    assert LedgerIndex.of(()).resolve(A) is None  # strictly earlier only
 
 
 def test_resolve_input_figure_chain(chain_b, figure_txs):
     _, tx2, _, _ = figure_txs
     inp = next(iter(tx2.inputs))
-    assert resolve_input(chain_b, inp, 1) == ref_output(B)
+    assert LedgerIndex.of(chain_b.transactions[:1]).resolve(inp.position) == ref_output(B)
 
 
 def test_resolve_input_duplicate_raises():
     tx1 = Transaction(frozenset(), frozenset({ref_output(A)}))
     tx2 = Transaction(frozenset(), frozenset({Output(A, ACCEPT_ALL, 5)}))
     with pytest.raises(MalformedChainError):
-        resolve_input((tx1, tx2), Input(A, 0), 2)
+        LedgerIndex.of((tx1, tx2)).resolve(A)
 
 
 def test_empty_chain_is_valid():

@@ -24,7 +24,6 @@ from ledgersim.ledger import (
     ValidationReport,
     append,
     classify,
-    resolve_input,
     utxo,
     validate_chain,
 )
@@ -102,7 +101,7 @@ def assert_index_queries_match(chain):
     assert utxo(chain) == oracles.utxo(txs)
     for position in range(POSITIONS):
         inp = Input(position, 0)
-        assert outcome(resolve_input, chain, inp, len(txs)) == outcome(oracles.resolve_input, txs, inp, len(txs))
+        assert outcome(chain.index().resolve, position) == outcome(oracles.resolve_input, txs, inp, len(txs))
     for symbol in (0, 1, 2, 5):
         assert circulating(chain, symbol) == oracles.circulating(txs, symbol)
     assert outcome(find_portal, chain, PORTAL) == outcome(oracle_find_portal, txs, PORTAL)
@@ -126,9 +125,10 @@ def test_queries_match_oracles_on_random_sequences():
         assert classify(txs) == oracles.classify(txs)
         assert classify(Chain(txs, slots)) == oracles.classify(txs, slots)
         for upto in range(len(txs) + 1):
+            prefix = LedgerIndex.of(txs[:upto])
             for position in range(POSITIONS):
                 inp = Input(position, 0)
-                assert outcome(resolve_input, txs, inp, upto) == outcome(oracles.resolve_input, txs, inp, upto)
+                assert outcome(prefix.resolve, position) == outcome(oracles.resolve_input, txs, inp, upto)
         tx = random_tx(rng, txs)
         for symbol in (0, 2, 5):
             assert outcome(forged, txs, tx, symbol) == outcome(oracles.forged, txs, tx, symbol)

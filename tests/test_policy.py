@@ -10,7 +10,6 @@ from ledgersim.policy import (
     FREE_FORGE,
     Policy,
     PolicyTable,
-    check_policies,
     circulating,
     forged,
     policy_violation,
@@ -49,19 +48,19 @@ def test_forged_unresolved_input_raises():
 def test_affine_once_rules():
     table = PolicyTable((Policy(5, AFFINE_ONCE),))
     mint_one = _genesis(singleton(STATE, 1))
-    assert check_policies(table, Chain(), mint_one)
+    assert policy_violation(table, Chain(), mint_one) is None
 
     chain = append(Chain(), mint_one, policies=table)
     assert isinstance(chain, Chain)
     second = _genesis(singleton(STATE, 1), position=2)
-    assert not check_policies(table, chain, second)
+    assert policy_violation(table, chain, second) is not None
 
     burn = Transaction(frozenset({Input(1, 0)}), frozenset())
-    assert not check_policies(table, chain, burn)
+    assert policy_violation(table, chain, burn) is not None
     assert "burn" in policy_violation(table, chain, burn)
 
     mint_two = _genesis(singleton(STATE, 2), position=3)
-    assert not check_policies(table, Chain(), mint_two)
+    assert policy_violation(table, Chain(), mint_two) is not None
 
 
 def test_affine_once_allows_carrying():
@@ -75,17 +74,17 @@ def test_affine_once_allows_carrying():
 
 def test_forbid_forge():
     table = PolicyTable((Policy(5, FORBID_FORGE),))
-    assert not check_policies(table, Chain(), _genesis(singleton(STATE, 1)))
+    assert policy_violation(table, Chain(), _genesis(singleton(STATE, 1))) is not None
     # moving existing quantity is not forging
     free = PolicyTable((Policy(5, FREE_FORGE),))
     chain = append(Chain(), _genesis(singleton(STATE, 4)), policies=free)
     carry = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 0, singleton(STATE, 4))}))
-    assert check_policies(table, chain, carry)
+    assert policy_violation(table, chain, carry) is None
 
 
 def test_default_rule_free_forge():
     table = PolicyTable()
-    assert check_policies(table, Chain(), _genesis(singleton(Chip(9, 9), 1000)))
+    assert policy_violation(table, Chain(), _genesis(singleton(Chip(9, 9), 1000))) is None
 
 
 def test_policy_table_unique_symbols():
@@ -117,9 +116,10 @@ def test_policy_check_invariant_under_canonical_rename():
     assert isinstance(chain, Chain)
     renamed = canonicalize(chain)
     probe = _genesis(singleton(STATE, 1), position=50)
-    assert check_policies(table, chain, probe) == check_policies(table, renamed, probe) == False
+    assert policy_violation(table, chain, probe) == policy_violation(table, renamed, probe) is not None
     free_probe = _genesis(singleton(Chip(6, 6), 5), position=51)
-    assert check_policies(table, chain, free_probe) == check_policies(table, renamed, free_probe) == True
+    assert policy_violation(table, chain, free_probe) is None
+    assert policy_violation(table, renamed, free_probe) is None
 
 
 def test_affine_apart_corpus_witness(corpus_dir):

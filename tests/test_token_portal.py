@@ -29,8 +29,6 @@ from ledgersim.token_portal import (
     encode_set_price,
     find_portal,
     init_portal,
-    lookup_price,
-    portal_supply,
     transition_check,
 )
 from ledgersim.validators import pay_to_pubkey
@@ -89,9 +87,9 @@ def test_second_init_rejected_by_policy():
 
 def test_lookup_price():
     chain, alloc = fresh_portal(price=7)
-    assert lookup_price(chain, CFG) == 7
+    assert find_portal(chain, CFG).datum == 7
     with pytest.raises(NoPortalError):
-        lookup_price(Chain(), CFG)
+        find_portal(Chain(), CFG)
 
 
 def test_lookup_price_rejects_two_portals():
@@ -101,7 +99,7 @@ def test_lookup_price_rejects_two_portals():
     chain = append(chain, init_portal(CFG, 10, 2, alloc))
     assert isinstance(chain, Chain)
     with pytest.raises(MalformedChainError):
-        lookup_price(chain, CFG)
+        find_portal(chain, CFG)
 
 
 def buy_oracle(chain, amount):
@@ -130,7 +128,7 @@ def test_build_buy_tx_matches_oracle():
 
     extended = append(chain, tx, policies=POLICIES)
     assert isinstance(extended, Chain)
-    assert portal_supply(extended, CFG) == 997
+    assert find_portal(extended, CFG).value.get(CFG.traded_chip) == 997
 
 
 def test_buy_underpayment_rejected():
@@ -202,8 +200,8 @@ def test_set_price_round_trip():
     tx = build_set_price_tx(chain, CFG, 9, alloc)
     extended = append(chain, tx, policies=POLICIES)
     assert isinstance(extended, Chain)
-    assert lookup_price(extended, CFG) == 9
-    assert portal_supply(extended, CFG) == 1000  # value untouched
+    assert find_portal(extended, CFG).datum == 9
+    assert find_portal(extended, CFG).value.get(CFG.traded_chip) == 1000  # value untouched
 
 
 def test_set_price_by_non_issuer_rejected():
@@ -226,7 +224,7 @@ def test_stale_set_price_rejected_after_portal_moves():
     report = append(chain2, stale, policies=POLICIES)
     assert isinstance(report, ValidationReport)
     assert report.first().condition == DANGLING_OR_FORWARD
-    assert lookup_price(chain2, CFG) == 5  # chain unchanged by the rejection
+    assert find_portal(chain2, CFG).datum == 5  # chain unchanged by the rejection
 
 
 def test_transition_check_rejects_malformed_redeemer():
