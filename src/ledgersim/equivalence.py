@@ -1,6 +1,6 @@
 """Equivalence notions on chains and the executable commute/defer checks.
 
-Two transaction sequences are observationally equivalent when they have the
+Two chains, valid or not, are observationally equivalent when they have the
 same unspent outputs.  Two valid chains are alpha-equivalent when they differ
 only in the position names of spent output-input pairs; positions of unspent
 outputs are observable and may not be renamed.  Alpha-equivalence is decided
@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ledger import Chain, InvalidChainError, as_transactions, index_of, schedule_extension, utxo, validate_chain
+from .ledger import Chain, InvalidChainError, schedule_extension, utxo, validate_chain
 from .model import Input, Output, Position, Transaction, positions_of
 
 
-def obs_equiv(a: Chain | Sequence[Transaction], b: Chain | Sequence[Transaction]) -> bool:
+def obs_equiv(a: Chain, b: Chain) -> bool:
     """Observational equivalence: equal unspent-output sets."""
     return utxo(a) == utxo(b)
 
@@ -55,27 +55,26 @@ class PositionRenaming:
         return dict(self.mapping)
 
 
-def rename_positions(chain: Chain | Sequence[Transaction], renaming: PositionRenaming | dict) -> Chain:
+def rename_positions(chain: Chain, renaming: PositionRenaming | dict) -> Chain:
     """Apply a position renaming uniformly to every input and output."""
     table = renaming.as_dict() if isinstance(renaming, PositionRenaming) else dict(renaming)
     txs = []
-    for tx in as_transactions(chain):
+    for tx in chain.transactions:
         inputs = frozenset(Input(table.get(i.position, i.position), i.redeemer) for i in tx.inputs)
         outputs = frozenset(
             Output(table.get(o.position, o.position), o.validator, o.datum, o.value) for o in tx.outputs
         )
         txs.append(Transaction(inputs, outputs, tx.slot_range))
-    slots = chain.slots if isinstance(chain, Chain) else None
-    return Chain(tuple(txs), slots)
+    return Chain(tuple(txs), chain.slots)
 
 
-def spent_edges(chain: Chain | Sequence[Transaction]) -> list[tuple[int, Output, int, Input]]:
+def spent_edges(chain: Chain) -> list[tuple[int, Output, int, Input]]:
     """Every bound output-input pair of a valid chain, as
     (producer index, output, spender index, input)."""
-    index = index_of(chain)
+    index = chain.index()
     return [
         (index.producer[inp.position], index.output[inp.position], spender, inp)
-        for spender, tx in enumerate(as_transactions(chain))
+        for spender, tx in enumerate(chain.transactions)
         for inp in tx.inputs
     ]
 
@@ -164,12 +163,11 @@ class CommuteReport:
     equiv: bool
 
 
-def check_commute(base: Chain | Sequence[Transaction], tx1: Transaction, tx2: Transaction) -> CommuteReport:
+def check_commute(base: Chain, tx1: Transaction, tx2: Transaction) -> CommuteReport:
     """Report apartness, validity of both append orders, and observational
-    equivalence of the two extended sequences."""
-    txs = as_transactions(base)
-    order_12 = txs + (tx1, tx2)
-    order_21 = txs + (tx2, tx1)
+    equivalence of the two extended chains (unslotted, valid or not)."""
+    order_12 = Chain(base.transactions + (tx1, tx2))
+    order_21 = Chain(base.transactions + (tx2, tx1))
     return CommuteReport(
         apart=apart(tx1, tx2),
         valid_12=validate_chain(order_12).valid,
@@ -196,7 +194,7 @@ def check_defer(base: Chain, txs: Sequence[Transaction], tx: Transaction) -> Def
     Each ordering counts as valid when it can be scheduled: appended in order
     with some monotone slot assignment lying inside every slot range.  On an
     unslotted chain there are no slots to assign, so this is plain validity.
-    Observational equivalence only looks at the transactions.
+    Observational equivalence looks only at the transactions, scheduled or not.
     """
     batch = tuple(txs)
     both = schedule_extension(base, batch + (tx,))
@@ -206,5 +204,7 @@ def check_defer(base: Chain, txs: Sequence[Transaction], tx: Transaction) -> Def
         valid_txs_tx=both is not None,
         valid_tx=alone is not None,
         valid_tx_txs=swapped is not None,
-        equiv=obs_equiv(base.transactions + batch + (tx,), base.transactions + (tx,) + batch),
+        equiv=obs_equiv(
+            both or Chain(base.transactions + batch + (tx,)), swapped or Chain(base.transactions + (tx,) + batch)
+        ),
     )

@@ -43,7 +43,7 @@ SPENDABLE_KINDS = (ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND)
 _position = attrgetter("position")
 
 
-def spendable(chain: Chain | tuple) -> list[Output]:
+def spendable(chain: Chain) -> list[Output]:
     """Unspent outputs the generic generator knows how to spend, in a
     deterministic order."""
     outs = [o for o in utxo(chain) if o.validator.kind in SPENDABLE_KINDS]

@@ -413,12 +413,14 @@ def _drop_tx(chain: Chain, index: int) -> Chain:
 
 
 def _smaller(instance: dict):
-    """The instance with one transaction dropped from the base chain, then
-    with one dropped from the batch."""
+    """The instance with one transaction dropped from the base chain, where
+    the base stays valid, then with one dropped from the batch."""
     base = instance.get("base")
     if isinstance(base, Chain):
         for index in range(len(base)):
-            yield {**instance, "base": _drop_tx(base, index)}
+            smaller = _drop_tx(base, index)
+            if validate_chain(smaller).valid:
+                yield {**instance, "base": smaller}
     batch = instance.get("txs") or ()
     for index in range(len(batch)):
         yield {**instance, "txs": batch[:index] + batch[index + 1 :]}
@@ -426,7 +428,7 @@ def _smaller(instance: dict):
 
 def minimize_instance(instance: dict, fails: Callable[[dict], bool]) -> dict:
     """Greedy shrink: repeatedly drop one transaction from the base chain or
-    the batch while the failure persists."""
+    the batch while the failure persists, keeping the base a valid chain."""
     while True:
         smaller = next((candidate for candidate in _smaller(instance) if fails(candidate)), None)
         if smaller is None:
@@ -510,9 +512,9 @@ def _sample_lemma15_2(rng: random.Random) -> dict:
 def _judge_lemma15_2(instance: dict):
     """If B;tx';tx is valid, then B;tx is valid exactly when tx is apart from tx'."""
     base, tx_prime, tx = instance["base"].transactions, instance["tx_prime"], instance["tx"]
-    if not validate_chain(base + (tx_prime, tx)).valid:
+    if not validate_chain(Chain(base + (tx_prime, tx))).valid:
         return None
-    lhs = validate_chain(base + (tx,)).valid
+    lhs = validate_chain(Chain(base + (tx,))).valid
     rhs = apart(tx, tx_prime)
     if lhs == rhs:
         return True
@@ -618,16 +620,17 @@ def _alpha_variant(rng: random.Random, base: Chain) -> Chain:
 
 def _swap_variant(rng: random.Random, base: Chain) -> Chain:
     """Random adjacent swaps of apart transactions (validity preserved)."""
-    txs = list(base.transactions)
+    chain = base
     for _ in range(3):
+        txs = chain.transactions
         if len(txs) < 2:
             break
         i = rng.randrange(len(txs) - 1)
         if apart(txs[i], txs[i + 1]):
-            candidate = txs[:i] + [txs[i + 1], txs[i]] + txs[i + 2 :]
+            candidate = Chain(txs[:i] + (txs[i + 1], txs[i]) + txs[i + 2 :])
             if validate_chain(candidate).valid:
-                txs = candidate
-    return Chain(tuple(txs))
+                chain = candidate
+    return chain
 
 
 def _sample_lemma21(rng: random.Random) -> dict:
@@ -652,12 +655,9 @@ def _judge_lemma21(instance: dict):
     if not alpha_equiv(base, alpha) or not obs_equiv(base, alpha):
         return "_2", "alpha variant not equivalent", {"base": base, "variant": alpha}
     # part 1: appending the same valid tx to observationally equivalent chains
-    extended, variant_extended = base.transactions + (tx,), variant.transactions + (tx,)
-    if (
-        validate_chain(extended).valid
-        and validate_chain(variant_extended).valid
-        and not obs_equiv(extended, variant_extended)
-    ):
+    extended, variant_extended = Chain(base.transactions + (tx,)), Chain(variant.transactions + (tx,))
+    valid = validate_chain(extended).valid
+    if valid and validate_chain(variant_extended).valid and not obs_equiv(extended, variant_extended):
         return "_1", "equivalent chains diverge after the same append", {"base": base, "variant": variant, "tx": tx}
     # parts 3 and 4: a name-clash between tx and the variant's spent pairs is
     # repaired by alpha-converting the variant, after which validity and
@@ -670,11 +670,14 @@ def _judge_lemma21(instance: dict):
         victim = sorted(tx.outputs, key=lambda o: o.position)[0]
         clash = Output(clash_candidates[0], victim.validator, victim.datum, victim.value)
         tx = Transaction(tx.inputs, (tx.outputs - {victim}) | {clash}, tx.slot_range)
-    if not validate_chain(base.transactions + (tx,)).valid:
+        extended = Chain(base.transactions + (tx,))
+        valid = validate_chain(extended).valid
+    if not valid:
         return None  # construction failed to keep tx valid on B
     fresh_variant = freshen_spent_clashes(variant, positions_of(tx))
-    ok3 = validate_chain(fresh_variant.transactions + (tx,)).valid
-    ok4 = obs_equiv(base.transactions + (tx,), fresh_variant.transactions + (tx,))
+    fresh_extended = Chain(fresh_variant.transactions + (tx,))
+    ok3 = validate_chain(fresh_extended).valid
+    ok4 = obs_equiv(extended, fresh_extended)
     ok_alpha = alpha_equiv(variant, fresh_variant)
     if ok3 and ok4 and ok_alpha:
         return True

@@ -1,15 +1,16 @@
 """Chains of transactions: validity, appending, unspent outputs, classification.
 
-A sequence of transactions is a valid chain when output positions are
-chain-wide distinct, every input points at a unique strictly-earlier unspent
-output whose validator accepts the spend, (when the chain carries slot
-assignments) every transaction's slot falls inside its slot range, and (when a
-monetary policy table is in force) every transaction's forging obeys it.
-``_check_transaction`` is the one place these conditions are stated; every
-other judgement derives from it.  A chunk is a sequence that is valid once one
-transaction put in front of it supplies an output any spend unlocks at every
-position its inputs name and none of its transactions outputs.  Failures are
-reported, not thrown; see :class:`ValidationReport`.
+Every query takes a :class:`Chain`, valid or not.  A chain is valid when
+output positions are chain-wide distinct, every input points at a
+strictly-earlier unspent output whose validator accepts the spend, (when the
+chain carries slot assignments) every transaction's slot falls inside its slot
+range, and (when a monetary policy table is in force) every transaction's
+forging obeys it.  An input resolves to the first earlier output at its
+position.  ``_check_transaction`` is the one place these conditions are
+stated; every other judgement derives from it.  A chunk is a sequence that is
+valid once one transaction put in front of it supplies an output any spend
+unlocks at every position its inputs name and none of its transactions
+outputs.  Failures are reported, not thrown; see :class:`ValidationReport`.
 
 Every query that asks what sits at a position, and whether it is spent, reads
 one :class:`LedgerIndex`.  Invariant: a chain's index summarizes exactly that
@@ -23,7 +24,7 @@ child still copies the transaction tuple, and on a slotted chain re-checks the
 slots.  ``utxo``, ``classify`` and the policy, portal, generator and
 equivalence modules read the cached index; ``validate_chain`` grows a fresh
 one as it walks, since it checks each transaction against the prefix before
-it, and leaves the result on the chain.
+it, and leaves the result on the chain for the queries that follow.
 """
 
 from __future__ import annotations
@@ -84,12 +85,11 @@ class LedgerIndex:
     (``producer``) and that output (``output``), and the first transaction
     with an input there (``spender``).  ``unspent`` holds the outputs no later
     input names, by position; ``shadowed`` holds more of them at a position
-    already in ``unspent`` and ``clashes`` every position output more than
-    once, both empty on a valid chain.  ``size`` counts the transactions
-    summarized and ``last_slot`` is the last slot among them.
+    already in ``unspent``, empty on a valid chain.  ``size`` counts the
+    transactions summarized and ``last_slot`` is the last slot among them.
     """
 
-    __slots__ = ("size", "last_slot", "producer", "output", "spender", "unspent", "shadowed", "clashes")
+    __slots__ = ("size", "last_slot", "producer", "output", "spender", "unspent", "shadowed")
 
     def __init__(self) -> None:
         self.size = 0
@@ -99,7 +99,6 @@ class LedgerIndex:
         self.spender: dict[Position, int] = {}
         self.unspent: dict[Position, Output] = {}
         self.shadowed: dict[Position, list[Output]] = {}
-        self.clashes: set[Position] = set()
 
     @classmethod
     def of(cls, txs: Iterable[Transaction], slots: Sequence[int] | None = None) -> LedgerIndex:
@@ -121,7 +120,6 @@ class LedgerIndex:
         for out in tx.outputs:
             p = out.position
             if p in self.output:
-                self.clashes.add(p)
                 if p in self.unspent:
                     self.shadowed.setdefault(p, []).append(out)
                     continue
@@ -132,15 +130,6 @@ class LedgerIndex:
         if slot is not None:
             self.last_slot = slot
         self.size = at + 1
-
-    def resolve(self, position: Position) -> Output | None:
-        """The unique output at ``position``, spent or not, or None.
-
-        Raises MalformedChainError when more than one output carries it.
-        """
-        if position in self.clashes:
-            raise MalformedChainError(f"two outputs share position {position}")
-        return self.output.get(position)
 
     def unspent_outputs(self) -> Iterator[Output]:
         """Every output no later input names; one per position on a valid
@@ -156,7 +145,8 @@ class LedgerIndex:
 @dataclass(frozen=True)
 class Chain:
     """An ordered sequence of transactions, optionally with one slot per
-    transaction (monotone nondecreasing)."""
+    transaction (monotone nondecreasing).  A chain may be invalid: validity
+    is what ``validate_chain`` judges, not what the type promises."""
 
     transactions: tuple[Transaction, ...] = ()
     slots: tuple[int, ...] | None = None
@@ -207,20 +197,9 @@ class Chain:
         return index
 
 
-def as_transactions(chain: Chain | Sequence[Transaction]) -> tuple[Transaction, ...]:
-    if isinstance(chain, Chain):
-        return chain.transactions
-    return tuple(chain)
-
-
-def index_of(chain: Chain | Sequence[Transaction] | LedgerIndex) -> LedgerIndex:
-    """The index of a chain (cached), of a bare sequence (built afresh), or
-    the given index itself."""
-    if isinstance(chain, LedgerIndex):
-        return chain
-    if isinstance(chain, Chain):
-        return chain.index()
-    return LedgerIndex.of(chain)
+def index_of(chain: Chain | LedgerIndex) -> LedgerIndex:
+    """The index of a chain (cached), or the given index itself."""
+    return chain if isinstance(chain, LedgerIndex) else chain.index()
 
 
 def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, policies) -> list[Violation]:
@@ -264,15 +243,13 @@ def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, po
     return violations
 
 
-def validate_chain(chain: Chain | Sequence[Transaction], policies=None) -> ValidationReport:
+def validate_chain(chain: Chain, policies=None) -> ValidationReport:
     """Check the whole chain; the report lists every violation found.
 
     ``policies``, when given, is a monetary policy table checked per
     transaction against its prefix (a configuration extension on top of the
-    base validity conditions).
+    base validity conditions).  The index grown on the way stays on the chain.
     """
-    if not isinstance(chain, Chain):
-        chain = Chain(tuple(chain))
     index = LedgerIndex()
     violations: list[Violation] = []
     for at, tx in enumerate(chain.transactions):
@@ -309,12 +286,12 @@ def append(chain: Chain, tx: Transaction, slot: int | None = None, policies=None
     return extended
 
 
-def utxo(chain: Chain | Sequence[Transaction]) -> frozenset[Output]:
+def utxo(chain: Chain) -> frozenset[Output]:
     """The set of unspent outputs: outputs no later input points to.
 
-    Defined for arbitrary transaction sequences, valid or not.
+    Defined for every chain, valid or not.
     """
-    return index_of(chain).utxo()
+    return chain.index().utxo()
 
 
 BLOCKCHAIN = "blockchain"
@@ -322,7 +299,7 @@ CHUNK = "chunk"
 NEITHER = "neither"
 
 
-def classify(chain: Chain | Sequence[Transaction]) -> str:
+def classify(chain: Chain) -> str:
     """Classify a transaction sequence as blockchain, chunk, or neither.
 
     A chunk satisfies every blockchain condition, slot ranges included,
@@ -331,8 +308,6 @@ def classify(chain: Chain | Sequence[Transaction]) -> str:
     ``ACCEPT_ALL`` output at every position its inputs name that none of its
     transactions outputs.
     """
-    if not isinstance(chain, Chain):
-        chain = Chain(tuple(chain))
     if validate_chain(chain).valid:
         return BLOCKCHAIN
     index = chain.index()

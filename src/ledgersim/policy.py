@@ -9,7 +9,7 @@ chip work: it can be minted once, never duplicated, never burned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .ledger import Chain, LedgerIndex, MalformedChainError, index_of
 from .model import Output, Transaction
@@ -58,17 +58,18 @@ class PolicyTable:
 
 
 def _consumed(index: LedgerIndex, tx: Transaction) -> list[Output]:
-    """The outputs the transaction's inputs resolve to; every one must."""
+    """The outputs the transaction's inputs resolve to, each the first
+    earlier output at its position; every input must resolve."""
     outs = []
     for inp in tx.inputs:
-        out = index.resolve(inp.position)
+        out = index.output.get(inp.position)
         if out is None:
             raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
         outs.append(out)
     return outs
 
 
-def forged(chain: Chain | Sequence[Transaction] | LedgerIndex, tx: Transaction, symbol: int) -> int:
+def forged(chain: Chain | LedgerIndex, tx: Transaction, symbol: int) -> int:
     """Net quantity of the symbol created by ``tx`` on top of ``chain``.
 
     Output quantities minus the quantities carried by the outputs its inputs
@@ -78,14 +79,12 @@ def forged(chain: Chain | Sequence[Transaction] | LedgerIndex, tx: Transaction, 
     return created - sum(out.value.symbol_total(symbol) for out in _consumed(index_of(chain), tx))
 
 
-def circulating(chain: Chain | Sequence[Transaction] | LedgerIndex, symbol: int) -> int:
+def circulating(chain: Chain | LedgerIndex, symbol: int) -> int:
     """Total quantity of the symbol over the chain's unspent outputs."""
     return sum(out.value.symbol_total(symbol) for out in index_of(chain).utxo())
 
 
-def policy_violation(
-    table: PolicyTable, chain: Chain | Sequence[Transaction] | LedgerIndex, tx: Transaction
-) -> str | None:
+def policy_violation(table: PolicyTable, chain: Chain | LedgerIndex, tx: Transaction) -> str | None:
     """First policy problem with appending ``tx``, or None when all pertinent
     policies are satisfied."""
     index = index_of(chain)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ledger import Chain, MalformedChainError, index_of
+from .ledger import Chain, MalformedChainError
 from .model import (
     ADA,
     Chip,
@@ -162,7 +162,7 @@ def init_portal(cfg: TokenConfig, supply: int, price: int, alloc: PositionAlloca
 
 def find_portal(chain: Chain, cfg: TokenConfig) -> Output:
     """The unique unspent output carrying the state chip."""
-    carriers = {out for out in index_of(chain).unspent_outputs() if out.value.get(cfg.state_chip) > 0}
+    carriers = {out for out in chain.index().unspent_outputs() if out.value.get(cfg.state_chip) > 0}
     if not carriers:
         raise NoPortalError("no unspent output carries the state chip")
     if len(carriers) > 1:

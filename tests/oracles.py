@@ -3,7 +3,7 @@
 Each one walks the transaction sequence from scratch on every call, the way
 the package answered these queries before ``LedgerIndex``: the from-scratch
 chain-state check behind validation and append, the reverse-scan ``utxo``,
-the scanning ``resolve_input``, the two-pass ``classify``, the producer-map
+the scanning ``first_output``, the two-pass ``classify``, the producer-map
 ``spent_edges`` and the policy check built on them.  ``test_ledger_index.py``
 compares the indexed versions against these on random sequences, valid or
 not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
@@ -124,18 +124,14 @@ def utxo(txs):
     return frozenset(unspent)
 
 
-def resolve_input(txs, inp, upto):
-    txs = tuple(txs)
-    if upto < 0 or upto > len(txs):
-        raise ValueError(f"upto must lie in [0, {len(txs)}], got {upto}")
-    found = None
-    for tx in txs[:upto]:
+def first_output(txs, position):
+    """The output an input at ``position`` resolves to on top of ``txs``:
+    the first one there, as in ``check_transaction``, or None."""
+    for tx in txs:
         for out in tx.outputs:
-            if out.position == inp.position:
-                if found is not None:
-                    raise MalformedChainError(f"two outputs share position {inp.position}")
-                found = out
-    return found
+            if out.position == position:
+                return out
+    return None
 
 
 def classify(txs, slots=None):
@@ -193,7 +189,7 @@ def forged(txs, tx, symbol):
     created = sum(out.value.symbol_total(symbol) for out in tx.outputs)
     consumed = 0
     for inp in tx.inputs:
-        out = resolve_input(txs, inp, len(txs))
+        out = first_output(txs, inp.position)
         if out is None:
             raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
         consumed += out.value.symbol_total(symbol)
@@ -210,7 +206,7 @@ def policy_violation(table, txs, tx):
     for out in tx.outputs:
         symbols |= out.value.symbols()
     for inp in tx.inputs:
-        out = resolve_input(txs, inp, len(txs))
+        out = first_output(txs, inp.position)
         if out is None:
             raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
         symbols |= out.value.symbols()

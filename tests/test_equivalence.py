@@ -20,7 +20,7 @@ from ledgersim.equivalence import (
     spent_edges,
 )
 from ledgersim.gen import ChainGen, GenConfig, spendable
-from ledgersim.ledger import Chain, InvalidChainError, append, utxo, validate_chain
+from ledgersim.ledger import Chain, InvalidChainError, LedgerIndex, append, utxo, validate_chain
 from ledgersim.model import Input, Output, PositionAllocator, Transaction, positions_of
 from ledgersim.validators import ACCEPT_ALL
 
@@ -55,7 +55,7 @@ def test_obs_equiv_figure_chains(chain_b, chain_b_prime):
 def test_obs_equiv_spending_changes_utxo():
     tx1 = Transaction(frozenset(), frozenset({ref_output(A)}))
     tx2 = Transaction(frozenset({Input(A, 0)}), frozenset())
-    assert not obs_equiv((tx1,), (tx1, tx2))
+    assert not obs_equiv(Chain((tx1,)), Chain((tx1, tx2)))
 
 
 def test_apart_figure_transactions(figure_txs):
@@ -218,16 +218,35 @@ def test_check_commute_matches_figure(figure_txs):
 
 
 def test_commute_conclusion_holds_on_raw_sequences(figure_txs):
-    """The swap conclusion is stated for sequences: even on a non-chain base,
+    """The swap conclusion is stated for sequences: even on an invalid base,
     apart extensions commute observationally (validity is false both ways)."""
     tx1, tx2, tx3, tx4 = figure_txs
-    dangling_base = (tx4,)  # not a blockchain: inputs have nothing to point at
+    dangling_base = Chain((tx4,))  # not a blockchain: inputs have nothing to point at
     extra1 = Transaction(frozenset(), frozenset({ref_output(20)}))
     extra2 = Transaction(frozenset(), frozenset({ref_output(21)}))
     report = check_commute(dangling_base, extra1, extra2)
     assert report.apart
     assert not report.valid_12 and not report.valid_21  # base alone sinks both
     assert report.equiv
+
+
+def test_check_commute_reads_the_indexes_validation_leaves(monkeypatch, figure_txs):
+    """Each extended chain is built once: validating it leaves its index on
+    it, and the equivalence check reads that index instead of building one."""
+    tx1, tx2, tx3, _ = figure_txs
+    base = Chain((tx1,))
+    base.index()
+    builds = []
+    build = LedgerIndex.of.__func__
+
+    def counting_build(cls, txs, slots=None):
+        builds.append(len(txs))
+        return build(cls, txs, slots)
+
+    monkeypatch.setattr(LedgerIndex, "of", classmethod(counting_build))
+    report = check_commute(base, tx2, tx3)
+    assert report.apart and report.valid_12 and report.valid_21 and report.equiv
+    assert builds == []
 
 
 def test_check_defer_empty_batch(chain_b):

@@ -14,9 +14,8 @@ from ledgersim.ledger import (
     SLOT_OUT_OF_RANGE,
     VALIDATOR_REJECTED,
     Chain,
-    LedgerIndex,
-    MalformedChainError,
     ValidationReport,
+    Violation,
     append,
     classify,
     schedule_extension,
@@ -45,23 +44,24 @@ def spent_scan_utxo(txs):
 
 
 def test_resolve_input_basics():
+    """An input resolves to an output of a strictly earlier transaction, or
+    validation reports it as dangling or forward."""
     tx1 = Transaction(frozenset(), frozenset({ref_output(A), ref_output(B)}))
-    assert LedgerIndex.of((tx1,)).resolve(A) == ref_output(A)
-    assert LedgerIndex.of((tx1,)).resolve(99) is None
-    assert LedgerIndex.of(()).resolve(A) is None  # strictly earlier only
+    assert validate_chain(Chain((tx1, Transaction(frozenset({Input(A, 0)}), frozenset())))).valid
+    report = validate_chain(Chain((tx1, Transaction(frozenset({Input(99, 0)}), frozenset()))))
+    assert report.violations == (Violation(1, DANGLING_OR_FORWARD, "input at 99 resolves to no earlier output"),)
+    same_tx = Transaction(frozenset({Input(A, 0)}), frozenset({ref_output(A)}))  # strictly earlier only
+    assert validate_chain(Chain((same_tx,))).first().condition == DANGLING_OR_FORWARD
 
 
 def test_resolve_input_figure_chain(chain_b, figure_txs):
-    _, tx2, _, _ = figure_txs
+    tx1, tx2, _, _ = figure_txs
     inp = next(iter(tx2.inputs))
-    assert LedgerIndex.of(chain_b.transactions[:1]).resolve(inp.position) == ref_output(B)
-
-
-def test_resolve_input_duplicate_raises():
-    tx1 = Transaction(frozenset(), frozenset({ref_output(A)}))
-    tx2 = Transaction(frozenset(), frozenset({Output(A, ACCEPT_ALL, 5)}))
-    with pytest.raises(MalformedChainError):
-        LedgerIndex.of((tx1, tx2)).resolve(A)
+    assert chain_b.prefix(1).index().output[inp.position] == ref_output(B)
+    assert validate_chain(Chain((tx1, tx2))).valid
+    assert validate_chain(Chain((tx2,))).first() == Violation(
+        0, DANGLING_OR_FORWARD, f"input at {inp.position} resolves to no earlier output"
+    )
 
 
 def test_empty_chain_is_valid():
@@ -75,7 +75,7 @@ def test_figure_chain_valid(chain_b, chain_b_prime):
 
 def test_swapped_is_invalid(figure_txs):
     tx1, tx2, _, _ = figure_txs
-    report = validate_chain((tx2, tx1))
+    report = validate_chain(Chain((tx2, tx1)))
     assert not report.valid
     assert report.first().index == 0
     assert report.first().condition == DANGLING_OR_FORWARD
@@ -86,22 +86,22 @@ def test_validator_rejection_reported():
     tx1 = Transaction(frozenset(), frozenset({Output(A, lock, 0, singleton(ADA, 1))}))
     bad = Transaction(frozenset({Input(A, 7)}), frozenset())
     good = Transaction(frozenset({Input(A, 9)}), frozenset())
-    assert validate_chain((tx1, good)).valid
-    report = validate_chain((tx1, bad))
+    assert validate_chain(Chain((tx1, good))).valid
+    report = validate_chain(Chain((tx1, bad)))
     assert report.first().condition == VALIDATOR_REJECTED
 
 
 def test_reject_all_locks_forever():
     tx1 = Transaction(frozenset(), frozenset({Output(A, REJECT_ALL)}))
     spend = Transaction(frozenset({Input(A, 0)}), frozenset())
-    assert validate_chain((tx1, spend)).first().condition == VALIDATOR_REJECTED
+    assert validate_chain(Chain((tx1, spend))).first().condition == VALIDATOR_REJECTED
 
 
 def test_double_spend_rejected():
     tx1 = Transaction(frozenset(), frozenset({ref_output(A)}))
     s1 = Transaction(frozenset({Input(A, 0)}), frozenset({ref_output(B)}))
     s2 = Transaction(frozenset({Input(A, 1)}), frozenset({ref_output(C)}))
-    report = validate_chain((tx1, s1, s2))
+    report = validate_chain(Chain((tx1, s1, s2)))
     assert not report.valid
     assert report.first().condition == DANGLING_OR_FORWARD
 
@@ -128,7 +128,7 @@ def test_utxo_empty_chain():
 def test_utxo_simple_spend():
     tx1 = Transaction(frozenset(), frozenset({ref_output(A), ref_output(B)}))
     tx2 = Transaction(frozenset({Input(A, 0)}), frozenset({ref_output(C)}))
-    assert utxo((tx1, tx2)) == {ref_output(B), ref_output(C)}
+    assert utxo(Chain((tx1, tx2))) == {ref_output(B), ref_output(C)}
 
 
 def test_utxo_figure_chain_matches_oracle(chain_b, chain_b_prime):
@@ -141,18 +141,18 @@ def test_utxo_figure_chain_matches_oracle(chain_b, chain_b_prime):
 def test_utxo_same_index_input_does_not_spend():
     # an input pointing at an output of the same transaction is not "later"
     tx = Transaction(frozenset({Input(A, 0)}), frozenset({ref_output(A)}))
-    assert utxo((tx,)) == {ref_output(A)}
+    assert utxo(Chain((tx,))) == {ref_output(A)}
 
 
 def test_classify_reference_chains(figure_txs):
     tx1, tx2, tx3, tx4 = figure_txs
-    assert classify((tx1, tx2, tx3, tx4)) == BLOCKCHAIN
-    assert classify((tx1, tx3, tx2, tx4)) == BLOCKCHAIN
-    assert classify((tx1, tx2)) == BLOCKCHAIN
-    assert classify((tx1, tx3)) == BLOCKCHAIN
-    assert classify((tx3, tx4)) == CHUNK
-    assert classify((tx2, tx4)) == CHUNK
-    assert classify((tx2, tx1)) == NEITHER
+    assert classify(Chain((tx1, tx2, tx3, tx4))) == BLOCKCHAIN
+    assert classify(Chain((tx1, tx3, tx2, tx4))) == BLOCKCHAIN
+    assert classify(Chain((tx1, tx2))) == BLOCKCHAIN
+    assert classify(Chain((tx1, tx3))) == BLOCKCHAIN
+    assert classify(Chain((tx3, tx4))) == CHUNK
+    assert classify(Chain((tx2, tx4))) == CHUNK
+    assert classify(Chain((tx2, tx1))) == NEITHER
 
 
 def test_classify_single_dangling_tx():
@@ -160,7 +160,7 @@ def test_classify_single_dangling_tx():
         frozenset({Input(1, 1), Input(2, 2), Input(3, 3)}),
         frozenset({ref_output(4), ref_output(5)}),
     )
-    assert classify((tx,)) == CHUNK
+    assert classify(Chain((tx,))) == CHUNK
 
 
 def test_classify_chunk_needs_validator_pass():
@@ -168,17 +168,17 @@ def test_classify_chunk_needs_validator_pass():
     tx1 = Transaction(frozenset({Input(99, 0)}), frozenset({Output(A, lock)}))
     bad = Transaction(frozenset({Input(A, 1)}), frozenset())
     good = Transaction(frozenset({Input(A, 8)}), frozenset())
-    assert classify((tx1, good)) == CHUNK
-    assert classify((tx1, bad)) == NEITHER
+    assert classify(Chain((tx1, good))) == CHUNK
+    assert classify(Chain((tx1, bad))) == NEITHER
 
 
 def test_classify_chunk_rejects_duplicate_positions():
     tx1 = Transaction(frozenset({Input(9, 0)}), frozenset({ref_output(A)}))
     tx2 = Transaction(frozenset({Input(8, 0)}), frozenset({Output(A, ACCEPT_ALL, 3)}))
-    assert classify((tx1, tx2)) == NEITHER
+    assert classify(Chain((tx1, tx2))) == NEITHER
     # two dangling inputs at the same position: also not a chunk
     tx3 = Transaction(frozenset({Input(9, 0)}), frozenset())
-    assert classify((tx1, tx3)) == NEITHER
+    assert classify(Chain((tx1, tx3))) == NEITHER
 
 
 def test_classify_applies_slot_ranges():

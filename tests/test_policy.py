@@ -104,6 +104,23 @@ def test_batch_validation_reports_dangling_before_policy():
     assert report.first().condition == DANGLING_OR_FORWARD
 
 
+def test_reused_position_then_spent_is_reported_under_policies():
+    """Two outputs at one position, then a spend of it: the reuse is
+    reported, with or without a policy table, and the spend resolves to the
+    first output, as validation resolves it."""
+    from ledgersim.ledger import validate_chain
+
+    free = Chip(6, 1)
+    first = _genesis(singleton(free, 1), position=5)
+    reuse = _genesis(singleton(free, 2), position=5)
+    spend = Transaction(frozenset({Input(5, 0)}), frozenset())
+    chain = Chain((first, reuse, spend))
+    expected = "tx 1: duplicate-position (output position 5 already used)"
+    for table in (None, PolicyTable(), PolicyTable((Policy(5, AFFINE_ONCE),))):
+        assert validate_chain(chain, table).describe() == expected
+    assert forged(chain.prefix(2), spend, 6) == -1
+
+
 def test_policy_check_invariant_under_canonical_rename():
     """Policy verdicts only look at unspent totals, so they agree on
     alpha-equivalent prefixes."""
