@@ -236,14 +236,20 @@ EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}}
 OPTIONAL_PARAMS = {"buy": {"max_price"}}
 
 
-def _parse_kv(tokens: Iterable[str], lineno: int) -> dict[str, int]:
-    out: dict[str, int] = {}
+def _split_kv(tokens: Iterable[str], lineno: int) -> dict[str, str]:
+    out: dict[str, str] = {}
     for token in tokens:
         key, eq, val = token.partition("=")
         if not eq:
             _fail(lineno, f"expected key=value, got {token!r}")
-        out[key] = _nat(val, lineno, key)
+        if key in out:
+            _fail(lineno, f"{key} given twice")
+        out[key] = val
     return out
+
+
+def _parse_kv(tokens: Iterable[str], lineno: int) -> dict[str, int]:
+    return {key: _nat(val, lineno, key) for key, val in _split_kv(tokens, lineno).items()}
 
 
 def _parse_chip_token(token: str, lineno: int) -> Chip:
@@ -284,6 +290,7 @@ def parse_scenario(text: str):
     policy_rules: dict[int, str] = {}
     actors: list[tuple[str, int]] = []
     intents: list[Intent] = []
+    intent_lines: list[int] = []
     schedules: list[tuple] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -297,12 +304,7 @@ def parse_scenario(text: str):
                 _fail(lineno, "LEDGER must be 'eutxo' or 'account'")
             ledger = tokens[1]
         elif keyword == "CONFIG":
-            kv = {}
-            for token in tokens[1:]:
-                key, eq, val = token.partition("=")
-                if not eq:
-                    _fail(lineno, f"expected key=value, got {token!r}")
-                kv[key] = val
+            kv = _split_kv(tokens[1:], lineno)
             missing = {"issuer", "traded", "state"} - set(kv)
             if missing:
                 _fail(lineno, f"CONFIG missing {sorted(missing)}")
@@ -327,7 +329,10 @@ def parse_scenario(text: str):
         elif keyword == "POLICY":
             if len(tokens) != 3 or tokens[2] not in RULES:
                 _fail(lineno, f"POLICY takes a symbol and one of {RULES}")
-            policy_rules[_nat(tokens[1], lineno, "symbol")] = tokens[2]
+            symbol = _nat(tokens[1], lineno, "symbol")
+            if symbol in policy_rules:
+                _fail(lineno, f"symbol {symbol} already has a policy")
+            policy_rules[symbol] = tokens[2]
         elif keyword == "ACTOR":
             if len(tokens) != 3:
                 _fail(lineno, "ACTOR takes a name and a key id")
@@ -361,6 +366,7 @@ def parse_scenario(text: str):
                 if missing or unknown:
                     _fail(lineno, f"{kind} parameters: missing {sorted(missing)}, unknown {sorted(unknown)}")
                 intents.append(Intent.of(actor, kind, **kv))
+            intent_lines.append(lineno)
         elif keyword == "SCHEDULE":
             schedules.append(parse_schedule(tokens[1:], lineno))
         else:
@@ -375,9 +381,11 @@ def parse_scenario(text: str):
     actor_names = [name for name, _ in actors]
     if len(set(actor_names)) != len(actor_names):
         raise ParseError("duplicate actor names")
-    for intent in intents:
+    for lineno, intent in zip(intent_lines, intents):
         if intent.actor not in actor_names:
             raise ParseError(f"intent references unknown actor {intent.actor!r}")
+        if (intent.kind == "call") != (ledger == ACCOUNT):
+            _fail(lineno, f"{intent.kind} intents need LEDGER {ACCOUNT if intent.kind == 'call' else EUTXO}")
     if ledger == EUTXO:
         if cfg is None:
             raise ParseError("eutxo scenario is missing a CONFIG line")

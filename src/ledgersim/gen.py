@@ -2,16 +2,17 @@
 
 Chains grow by appending transactions that spend uniformly chosen unspent
 outputs and create a few fresh ones, with genesis transactions (no inputs)
-mixed in at a configurable rate; empty input and output sets both occur.
-Everything is driven by a caller-supplied ``random.Random``, so campaigns are
-reproducible from a seed.
+mixed in at the fixed rate ``GENESIS_PROB``; empty input and output sets both
+occur.  The distribution is part of every fuzzed statement, so its fixed
+values are the module constants below; ``ChainGen`` takes only the four that
+some caller sets.  Everything is driven by a caller-supplied
+``random.Random``, so campaigns are reproducible from a seed.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .ledger import Chain, ValidationReport, append, utxo
@@ -19,25 +20,16 @@ from .model import ADA, Chip, Input, Output, PositionAllocator, SlotRange, Trans
 from .validators import ACCEPT_ALL, REJECT_ALL, PAY_TO_PUBKEY_KIND, ACCEPT_ALL_KIND, pay_to_pubkey
 
 
-@dataclass
-class GenConfig:
-    max_len: int = 8
-    max_inputs: int = 4
-    max_outputs: int = 4
-    genesis_prob: float = 0.3
-    empty_tx_prob: float = 0.04
-    no_output_prob: float = 0.08
-    reject_all_prob: float = 0.06
-    p2pk_prob: float = 0.4
-    key_count: int = 4
-    max_datum: int = 9
-    slotted: bool = False
-    range_prob: float = 0.6
-    max_slot_step: int = 3
-
-    def chips(self) -> tuple[Chip, ...]:
-        return (ADA, Chip(1, 1), Chip(2, 5), Chip(3, 1))
-
+MAX_LEN = 8  # chain() draws a length in 0..MAX_LEN
+GENESIS_PROB = 0.3
+EMPTY_TX_PROB = 0.04
+NO_OUTPUT_PROB = 0.08
+P2PK_PROB = 0.4
+KEY_COUNT = 4
+MAX_DATUM = 9
+RANGE_PROB = 0.6
+MAX_SLOT_STEP = 3
+CHIPS = (ADA, Chip(1, 1), Chip(2, 5), Chip(3, 1))
 
 SPENDABLE_KINDS = (ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND)
 _position = attrgetter("position")
@@ -72,32 +64,42 @@ def spend(out: Output, rng: random.Random) -> Input:
 class ChainGen:
     """Random chain builder over a shared RNG."""
 
-    def __init__(self, rng: random.Random, cfg: GenConfig | None = None) -> None:
+    def __init__(
+        self,
+        rng: random.Random,
+        *,
+        slotted: bool = False,
+        reject_all_prob: float = 0.06,
+        max_inputs: int = 4,
+        max_outputs: int = 4,
+    ) -> None:
         self.rng = rng
-        self.cfg = cfg or GenConfig()
+        self.slotted = slotted
+        self.reject_all_prob = reject_all_prob
+        self.max_inputs = max_inputs
+        self.max_outputs = max_outputs
 
     def random_validator(self):
         roll = self.rng.random()
-        if roll < self.cfg.reject_all_prob:
+        if roll < self.reject_all_prob:
             return REJECT_ALL
-        if roll < self.cfg.reject_all_prob + self.cfg.p2pk_prob:
-            return pay_to_pubkey(1 + self.rng.randrange(self.cfg.key_count))
+        if roll < self.reject_all_prob + P2PK_PROB:
+            return pay_to_pubkey(1 + self.rng.randrange(KEY_COUNT))
         return ACCEPT_ALL
 
     def random_value(self) -> Value:
-        chips = self.cfg.chips()
         picks = self.rng.randrange(3)
         entries = {}
         for _ in range(picks):
-            chip = chips[self.rng.randrange(len(chips))]
+            chip = CHIPS[self.rng.randrange(len(CHIPS))]
             entries[chip] = entries.get(chip, 0) + 1 + self.rng.randrange(4)
         return Value.of(entries)
 
     def random_output(self, alloc: PositionAllocator) -> Output:
-        return Output(alloc.fresh(), self.random_validator(), self.rng.randrange(self.cfg.max_datum + 1), self.random_value())
+        return Output(alloc.fresh(), self.random_validator(), self.rng.randrange(MAX_DATUM + 1), self.random_value())
 
     def random_range(self, slot: int) -> SlotRange | None:
-        if self.rng.random() >= self.cfg.range_prob:
+        if self.rng.random() >= RANGE_PROB:
             return None
         lo = max(0, slot - self.rng.randrange(3))
         hi = None if self.rng.random() < 0.3 else slot + self.rng.randrange(4)
@@ -113,26 +115,26 @@ class ChainGen:
         """A transaction valid to append to ``chain``, spending from ``pool``
         (default: every spendable unspent output)."""
         rng = self.rng
-        if rng.random() < self.cfg.empty_tx_prob:
+        if rng.random() < EMPTY_TX_PROB:
             return Transaction(frozenset(), frozenset(), self.random_range(slot) if slot is not None else None)
         if pool is None:
             pool = spendable(chain)
-        genesis = not pool or rng.random() < self.cfg.genesis_prob
+        genesis = not pool or rng.random() < GENESIS_PROB
         inputs: frozenset[Input] = frozenset()
         if not genesis:
-            k = 1 + rng.randrange(min(self.cfg.max_inputs, len(pool)))
+            k = 1 + rng.randrange(min(self.max_inputs, len(pool)))
             inputs = frozenset(spend(out, rng) for out in rng.sample(pool, k))
-        if rng.random() < self.cfg.no_output_prob and inputs:
+        if rng.random() < NO_OUTPUT_PROB and inputs:
             n_out = 0
         else:
-            n_out = (1 if genesis else 0) + rng.randrange(self.cfg.max_outputs + (0 if genesis else 1))
+            n_out = (1 if genesis else 0) + rng.randrange(self.max_outputs + (0 if genesis else 1))
         outputs = frozenset(self.random_output(alloc) for _ in range(n_out))
         slot_range = self.random_range(slot) if slot is not None else None
         return Transaction(inputs, outputs, slot_range)
 
     def next_slot(self, chain: Chain) -> int:
         last = chain.last_slot()
-        return (0 if last is None else last) + self.rng.randrange(self.cfg.max_slot_step + 1)
+        return (0 if last is None else last) + self.rng.randrange(MAX_SLOT_STEP + 1)
 
     def grow(self, chain: Chain, steps: int, alloc: PositionAllocator) -> tuple[Chain, list[Transaction]]:
         """Append ``steps`` random valid transactions; returns the extended
@@ -140,7 +142,7 @@ class ChainGen:
         added = []
         pool = spendable(chain)
         for _ in range(steps):
-            slot = self.next_slot(chain) if self.cfg.slotted else None
+            slot = self.next_slot(chain) if self.slotted else None
             tx = self.transaction(chain, alloc, pool, slot)
             result = append(chain, tx, slot)
             if isinstance(result, ValidationReport):  # generator bug guard
@@ -152,10 +154,9 @@ class ChainGen:
 
     def chain(self, length: int | None = None) -> tuple[Chain, PositionAllocator]:
         """A fresh random valid chain and the allocator that continues it."""
-        length = self.rng.randrange(self.cfg.max_len + 1) if length is None else length
+        length = self.rng.randrange(MAX_LEN + 1) if length is None else length
         alloc = PositionAllocator()
-        start = Chain((), () if self.cfg.slotted else None)
-        grown, _ = self.grow(start, length, alloc)
+        grown, _ = self.grow(Chain(), length, alloc)
         return grown, alloc
 
     def apart_pair(self, chain: Chain, alloc: PositionAllocator) -> tuple[Transaction, Transaction]:

@@ -39,7 +39,7 @@ from .equivalence import (
     rename_positions,
     spent_edges,
 )
-from .gen import ChainGen, GenConfig, spend, spendable
+from .gen import ChainGen, spend, spendable
 from .ledger import Chain, ValidationReport, append, utxo, validate_chain
 from .model import ADA, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of
 from .policy import PolicyTable
@@ -135,9 +135,6 @@ class Outcome:
         lines.append("STATE " + " ".join(f"{k}={v}" for k, v in self.state))
         lines.append(f"DIGEST {self.digest}")
         return lines
-
-    def to_text(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
 
 
 def _digest(text: str) -> str:
@@ -371,9 +368,9 @@ class Statement:
     """One fuzzable statement of the paper.
 
     ``sample(rng)`` draws an instance: named chains and transactions, in the
-    order a counterexample reports them, or None when the draw failed.
-    ``judge(instance)`` runs the statement's check once and returns None when
-    the hypothesis is unmet, True when the conclusion holds, and otherwise
+    order a counterexample reports them.  ``judge(instance)`` runs the
+    statement's check once and returns None when the hypothesis is unmet,
+    True when the conclusion holds, and otherwise
     ``(part, detail, parts)``: the counterexample's kind is the statement's
     name followed by ``part``, and ``parts`` is what it reports.  ``expect``
     is "holds" for a proved statement, where a counterexample is a bug, and
@@ -382,7 +379,7 @@ class Statement:
     transaction from one would leave the others stale.
     """
 
-    sample: Callable[[random.Random], dict | None]
+    sample: Callable[[random.Random], dict]
     judge: Callable[[dict], tuple | bool | None]
     expect: str = "holds"
     shrink: bool = True
@@ -456,7 +453,7 @@ def fuzz_theorem(which: str, seed: int = 0, cases: int = 1000) -> FuzzReport:
     while done < cases and attempts < cases * 20:
         attempts += 1
         instance = statement.sample(rng)
-        verdict = None if instance is None else statement.judge(instance)
+        verdict = statement.judge(instance)
         if verdict is None:  # hypothesis not satisfied; resample
             continue
         done += 1
@@ -479,11 +476,7 @@ def _sample_lemma15_1(rng: random.Random) -> dict:
         # break apartness: tx2 spends one of tx1's outputs
         victims = sorted(tx1.outputs, key=lambda o: o.position)
         if victims:
-            extra = spend(victims[0], rng)
-            try:
-                tx2 = Transaction(tx2.inputs | {extra}, tx2.outputs)
-            except ValueError:
-                pass
+            tx2 = Transaction(tx2.inputs | {spend(victims[0], rng)}, tx2.outputs)
     elif variant < 0.3:
         # tx2 gets a dangling input at a never-used position
         tx2 = Transaction(tx2.inputs | {Input(alloc.fresh() + 1000, 0)}, tx2.outputs)
@@ -522,8 +515,7 @@ def _judge_lemma15_2(instance: dict):
 
 
 def _defer_instance(rng: random.Random, slotted: bool) -> dict:
-    cfg = GenConfig(slotted=slotted)
-    gen = ChainGen(rng, cfg)
+    gen = ChainGen(rng, slotted=slotted)
     base, alloc = gen.chain()
     extended, batch = gen.grow(base, rng.randrange(4), alloc)
     pool_base = {out.position for out in spendable(base)}
@@ -534,10 +526,7 @@ def _defer_instance(rng: random.Random, slotted: bool) -> dict:
         # adversarial: spend something created inside the batch so valid(B;tx) fails
         fresh = [out for out in spendable(extended) if out.position not in pool_base]
         if fresh:
-            try:
-                tx = Transaction(tx.inputs | {spend(fresh[0], rng)}, tx.outputs, tx.slot_range)
-            except ValueError:
-                pass
+            tx = Transaction(tx.inputs | {spend(fresh[0], rng)}, tx.outputs, tx.slot_range)
     return {"base": base, "txs": tuple(batch), "tx": tx}
 
 
@@ -561,23 +550,19 @@ def _judge_prop19(instance: dict):
     return "", "both orders schedule but are not observationally equivalent", instance
 
 
-def _sample_remark18(rng: random.Random) -> dict | None:
+def _sample_remark18(rng: random.Random) -> dict:
     """A pinned transaction valid only at the tip slot, then a late one whose
     range opens after the pin closes."""
-    cfg = GenConfig(slotted=True, reject_all_prob=0.0)
-    gen = ChainGen(rng, cfg)
+    gen = ChainGen(rng, slotted=True, reject_all_prob=0.0)
     base, alloc = gen.chain(length=rng.randrange(1, 4))
     pool = spendable(base)
     if len(pool) < 2:
+        # a genesis of two fresh outputs always appends, and with no
+        # RejectAll draws both are spendable
         out1 = gen.random_output(alloc)
         out2 = gen.random_output(alloc)
-        seeded = append(base, Transaction(frozenset(), frozenset({out1, out2})), gen.next_slot(base))
-        if isinstance(seeded, ValidationReport):
-            return None
-        base = seeded
+        base = append(base, Transaction(frozenset(), frozenset({out1, out2})), gen.next_slot(base))
         pool = spendable(base)
-        if len(pool) < 2:
-            return None
     tip = base.last_slot() or 0
     pinned = Transaction(
         frozenset({spend(pool[0], rng)}),
@@ -604,12 +589,12 @@ def _judge_remark18(instance: dict):
     return "", detail, instance
 
 
-def _alpha_variant(rng: random.Random, base: Chain) -> Chain:
-    """A random alpha-rename of some spent pairs to fresh positions."""
+def _alpha_variant(rng: random.Random, base: Chain, alloc: PositionAllocator) -> Chain:
+    """A random alpha-rename of some spent pairs to positions fresh from
+    ``alloc``, the allocator that continues ``base``."""
     edges = spent_edges(base)
     if not edges:
         return base
-    alloc = PositionAllocator.above(p for tx in base.transactions for p in positions_of(tx))
     mapping = [
         (out.position, alloc.fresh())
         for _, out, _, _ in sorted(edges, key=lambda e: (e[0], e[1].position))
@@ -636,14 +621,11 @@ def _swap_variant(rng: random.Random, base: Chain) -> Chain:
 def _sample_lemma21(rng: random.Random) -> dict:
     """A chain, an alpha-variant of it, that variant with some apart
     transactions swapped, and a transaction valid on the chain."""
-    gen = ChainGen(rng, GenConfig(slotted=False))
+    gen = ChainGen(rng)
     base, alloc = gen.chain()
-    alpha = _alpha_variant(rng, base)
+    alpha = _alpha_variant(rng, base, alloc)
     variant = _swap_variant(rng, alpha)
-    alloc2 = PositionAllocator.above(
-        {p for tx in variant.transactions for p in positions_of(tx)} | {alloc.peek()}
-    )
-    tx = gen.transaction(base, alloc2, pool=spendable(base))
+    tx = gen.transaction(base, alloc, pool=spendable(base))
     return {"base": base, "alpha": alpha, "variant": variant, "tx": tx}
 
 

@@ -197,11 +197,6 @@ class Chain:
         return index
 
 
-def index_of(chain: Chain | LedgerIndex) -> LedgerIndex:
-    """The index of a chain (cached), or the given index itself."""
-    return chain if isinstance(chain, LedgerIndex) else chain.index()
-
-
 def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, policies) -> list[Violation]:
     """All violations of appending ``tx`` (at ``slot``) to the chain
     summarized by ``index``.  ``policies``, when given, is a monetary policy

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .ledger import Chain, LedgerIndex, MalformedChainError, index_of
+from .ledger import LedgerIndex, MalformedChainError
 from .model import Output, Transaction
 
 FREE_FORGE = "FreeForge"
@@ -69,25 +69,25 @@ def _consumed(index: LedgerIndex, tx: Transaction) -> list[Output]:
     return outs
 
 
-def forged(chain: Chain | LedgerIndex, tx: Transaction, symbol: int) -> int:
-    """Net quantity of the symbol created by ``tx`` on top of ``chain``.
+def forged(index: LedgerIndex, tx: Transaction, symbol: int) -> int:
+    """Net quantity of the symbol created by ``tx`` on top of the chain
+    ``index`` summarizes.
 
     Output quantities minus the quantities carried by the outputs its inputs
     resolve to; negative means burning.  Every input must resolve.
     """
     created = sum(out.value.symbol_total(symbol) for out in tx.outputs)
-    return created - sum(out.value.symbol_total(symbol) for out in _consumed(index_of(chain), tx))
+    return created - sum(out.value.symbol_total(symbol) for out in _consumed(index, tx))
 
 
-def circulating(chain: Chain | LedgerIndex, symbol: int) -> int:
-    """Total quantity of the symbol over the chain's unspent outputs."""
-    return sum(out.value.symbol_total(symbol) for out in index_of(chain).utxo())
+def circulating(index: LedgerIndex, symbol: int) -> int:
+    """Total quantity of the symbol over the indexed chain's unspent outputs."""
+    return sum(out.value.symbol_total(symbol) for out in index.utxo())
 
 
-def policy_violation(table: PolicyTable, chain: Chain | LedgerIndex, tx: Transaction) -> str | None:
-    """First policy problem with appending ``tx``, or None when all pertinent
-    policies are satisfied."""
-    index = index_of(chain)
+def policy_violation(table: PolicyTable, index: LedgerIndex, tx: Transaction) -> str | None:
+    """First policy problem with appending ``tx`` to the indexed chain, or
+    None when all pertinent policies are satisfied."""
     symbols: set[int] = set()
     for out in tx.outputs:
         symbols |= out.value.symbols()

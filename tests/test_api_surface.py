@@ -2,15 +2,21 @@
 
 A public name that nothing in ``src/`` or ``bench/`` refers to, apart from
 its own definition and the re-exports in ``__init__.py``, is API only tests
-call; it is deleted rather than kept.  Names are matched, not resolved: a
-reference to any object of the same name counts.
+call; it is deleted rather than kept.  Names are matched, not resolved, but a
+reference counts only in a file that can reach the defining module: the
+module itself, a module of the package importing from it directly or through
+other modules, or a ``bench/`` file naming it as a layer (``m.ledger``) or
+naming a layer that reaches it.  So ``Path.resolve`` in a file that never
+touches the ledger does not keep an uncalled ``LedgerIndex.resolve``.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ledgersim"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
 # Kept without a caller, each for a stated reason.
 EXCEPTIONS = {
@@ -19,42 +25,85 @@ EXCEPTIONS = {
 }
 
 
-def _public_definitions():
-    """(module.qualname, name) of every public top-level function and class,
-    and every public method of a top-level class."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+def _trees(replace: dict[Path, str] | None = None) -> dict[Path, ast.Module]:
+    """Every file of ``src/`` and ``bench/`` outside ``__init__.py``, parsed,
+    with the text of the files in ``replace`` swapped in."""
+    replace = replace or {}
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    return {
+        path: ast.parse(replace.get(path) or path.read_text()) for path in paths if path.name != "__init__.py"
+    }
+
+
+def _public_definitions(trees):
+    """(module.qualname, (module, name)) of every public top-level function
+    and class, and every public method of a top-level class."""
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
             continue
         module = path.stem
-        for node in ast.parse(path.read_text()).body:
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", (module, node.name)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.name
+                        yield f"{module}.{node.name}.{item.name}", (module, item.name)
 
 
-def _referenced_names():
-    """Every identifier used in ``src/`` or ``bench/`` outside ``__init__.py``:
-    names, attributes and imported names."""
-    names = set()
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
+def _imported(tree: ast.Module) -> set[str]:
+    """The package modules a module of the package imports from."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def _referenced_names(trees):
+    """For each package module, every identifier used in a file that can
+    reach it: names, attributes and imported names."""
+    imports = {path.stem: _imported(tree) for path, tree in trees.items() if path.parent == PACKAGE}
+    names = defaultdict(set)
+    for path, tree in trees.items():
+        if path.parent == PACKAGE:
+            todo = [path.stem]
+        else:  # a bench/ file reaches the layers it names: m.ledger
+            todo = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in MODULES]
+        reached = set()
+        while todo:
+            module = todo.pop()
+            if module not in reached:
+                reached.add(module)
+                todo.extend(imports[module])
+        used = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                used.add(node.attr)
             elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
+                used.add(node.name.rsplit(".", 1)[-1])
+        for module in reached:
+            names[module] |= used
     return names
 
 
+def _unused(trees) -> list[str]:
+    used = _referenced_names(trees)
+    return sorted(qual for qual, (module, name) in _public_definitions(trees) if name not in used[module])
+
+
 def test_every_public_definition_is_used_outside_tests():
-    definitions = dict(_public_definitions())
-    used = _referenced_names()
-    unused = sorted(qual for qual, name in definitions.items() if name not in used)
-    assert unused == sorted(EXCEPTIONS)  # an exception that gains a caller leaves the list
+    assert _unused(_trees()) == sorted(EXCEPTIONS)  # an exception that gains a caller leaves the list
+
+
+def test_a_same_named_call_out_of_reach_keeps_nothing():
+    """``bench/run.py`` calls ``Path(__file__).resolve()`` and names no
+    layer, so an uncalled ``LedgerIndex.resolve`` is still reported."""
+    ledger = PACKAGE / "ledger.py"
+    text = ledger.read_text().replace(
+        "class LedgerIndex:\n", "class LedgerIndex:\n    def resolve(self, position):\n        return None\n\n", 1
+    )
+    assert "ledger.LedgerIndex.resolve" in _unused(_trees({ledger: text}))

@@ -140,6 +140,48 @@ def test_equiv_json_output(capsys, corpus_dir):
     assert payload["equivalent"] is False and payload["first_mismatch"] is not None
 
 
+def test_validate_json_output(capsys, corpus_dir):
+    code, out, _ = run_cli(capsys, "validate", str(corpus_dir / "swapped.chain"), "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "valid": False,
+        "violations": [
+            {"index": 0, "condition": "dangling-or-forward-input", "detail": "input at 2 resolves to no earlier output"}
+        ],
+    }
+
+
+def test_utxo_json_output(capsys, corpus_dir):
+    code, out, _ = run_cli(capsys, "utxo", str(corpus_dir / "figure-3-B.chain"), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [entry["position"] for entry in payload] == [3, 7, 8, 9, 10, 11]
+    assert payload[0] == {"position": 3, "validator": ["AcceptAll", []], "datum": 0, "value": {"0:0": 1}}
+
+
+def test_classify_json_output(capsys, corpus_dir):
+    code, out, _ = run_cli(capsys, "classify", str(corpus_dir / "figure-4-chunk.chain"), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"classification": "chunk"}
+
+
+def test_equiv_obs_json_output(capsys, corpus_dir):
+    figure_3 = str(corpus_dir / "figure-3-B.chain")
+    code, out, _ = run_cli(
+        capsys, "equiv", figure_3, str(corpus_dir / "figure-6-Bprime.chain"), "--mode", "obs", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {"mode": "obs", "equivalent": True, "only_in_a": [], "only_in_b": []}
+    code, out, _ = run_cli(
+        capsys, "equiv", figure_3, str(corpus_dir / "figure-4-prefix.chain"), "--mode", "obs", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equivalent"] is False
+    assert payload["only_in_a"] == [f"OUT {p} AcceptAll 0 0:0=1" for p in (7, 8, 9, 10, 11)]
+    assert payload["only_in_b"] == [f"OUT {p} AcceptAll 0 0:0=1" for p in (1, 4)]
+
+
 def test_demo_race_json(capsys):
     code, out, _ = run_cli(capsys, "demo-race", "--format", "json")
     assert code == 0
@@ -199,6 +241,28 @@ def test_scenario_keyword_without_one_argument_exits_2(capsys, tmp_path, line):
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}: line 2: {line.split()[0]} takes one argument\n"
+
+
+EUTXO_HEAD = "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"
+ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (EUTXO_HEAD + "POLICY 2 AffineOnce\nPOLICY 2 FreeForge\n", "line 7: symbol 2 already has a policy"),
+        (EUTXO_HEAD + "INTENT buyer buy n=5 n=7\n", "line 6: n given twice"),
+        (ACCOUNT_HEAD + "INTENT buyer buy n=5\n", "line 7: buy intents need LEDGER eutxo"),
+    ],
+    ids=["second-policy", "repeated-intent-key", "eutxo-intent-on-account"],
+)
+def test_scenario_contradictory_lines_exit_2(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(text + "SCHEDULE all\n")
+    code, out, err = run_cli(capsys, "scenario", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_scenario_all_on_nine_intents_exits_2(capsys, tmp_path):

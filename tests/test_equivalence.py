@@ -19,7 +19,7 @@ from ledgersim.equivalence import (
     rename_positions,
     spent_edges,
 )
-from ledgersim.gen import ChainGen, GenConfig, spendable
+from ledgersim.gen import ChainGen, spendable
 from ledgersim.ledger import Chain, InvalidChainError, LedgerIndex, append, utxo, validate_chain
 from ledgersim.model import Input, Output, PositionAllocator, Transaction, positions_of
 from ledgersim.validators import ACCEPT_ALL

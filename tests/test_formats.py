@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ledgersim import formats
-from ledgersim.gen import ChainGen, GenConfig
+from ledgersim.gen import ChainGen
 from ledgersim.harness import bundled_race_scenario
 from ledgersim.ledger import classify, validate_chain
 
@@ -27,7 +27,7 @@ CORPUS_EXPECTATIONS = {
 def test_chain_round_trip_random():
     rng = random.Random(41)
     for slotted in (False, True):
-        gen = ChainGen(rng, GenConfig(slotted=slotted))
+        gen = ChainGen(rng, slotted=slotted)
         for _ in range(100):
             chain, _ = gen.chain()
             text = formats.chain_to_text(chain)
@@ -135,6 +135,40 @@ def test_scenario_parse_errors():
     for text in cases:
         with pytest.raises(formats.ParseError):
             formats.parse_scenario(text)
+
+
+EUTXO_HEAD = "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"
+ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (EUTXO_HEAD + "POLICY 2 AffineOnce\nPOLICY 2 FreeForge\n", "line 7: symbol 2 already has a policy"),
+        (EUTXO_HEAD + "POLICY 2 AffineOnce\nPOLICY 2 AffineOnce\n", "line 7: symbol 2 already has a policy"),
+        (EUTXO_HEAD + "INTENT buyer buy n=5 n=7\n", "line 6: n given twice"),
+        (ACCOUNT_HEAD + "INTENT buyer call setPrice p=3 p=4\n", "line 7: p given twice"),
+        ("LEDGER eutxo\nCONFIG issuer=1 issuer=2 traded=1:1 state=2:1\n", "line 2: issuer given twice"),
+        (ACCOUNT_HEAD + "INTENT buyer buy n=5\n", "line 7: buy intents need LEDGER eutxo"),
+        (EUTXO_HEAD + "INTENT buyer call setPrice p=3\n", "line 6: call intents need LEDGER account"),
+        # the ledger is known only at the end of the file
+        ("INTENT buyer set_price p=3\n" + ACCOUNT_HEAD, "line 1: set_price intents need LEDGER eutxo"),
+    ],
+    ids=[
+        "second-policy",
+        "same-policy-twice",
+        "repeated-intent-key",
+        "repeated-call-key",
+        "repeated-config-key",
+        "eutxo-intent-on-account",
+        "call-intent-on-eutxo",
+        "intent-before-ledger",
+    ],
+)
+def test_scenario_contradictory_lines(text, message):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_scenario(text + "SCHEDULE all\n")
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,7 @@ def test_run_schedule_deterministic():
     world = build_world(scenario)
     a = run_schedule(world, scenario.intents, (1, 0))
     b = run_schedule(build_world(scenario), scenario.intents, (1, 0))
-    assert a.to_text() == b.to_text()
+    assert a.to_lines() == b.to_lines()
 
 
 def test_empty_intents():
@@ -161,6 +161,24 @@ def test_run_scenario_distinct_outcomes():
     assert len(report.distinct()) == 2
     report2 = run_scenario(bundled_race_scenario("account"))
     assert len(report2.distinct()) == 2
+
+
+def test_identical_outcomes_merge_into_one_distinct():
+    """A buy refused at build (its limit is below the price) cannot race the
+    price update, so both orders give one outcome, counted twice."""
+    scenario = formats.parse_scenario(
+        "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nPOLICY 2 AffineOnce\n"
+        "ACTOR buyer 7\nACTOR issuer 1\nINTENT buyer buy n=5 max_price=0\nINTENT issuer set_price p=3\nSCHEDULE all\n"
+    )
+    report = run_scenario(scenario)
+    [(outcome, count)] = report.distinct()
+    assert count == 2 and outcome.order == (0, 1)
+    assert outcome.statuses == (
+        ("rejected", "refused-at-build: current price 1 exceeds limit 0"),
+        ("accepted", ""),
+    )
+    summary = report.to_text().splitlines()[-2:]
+    assert summary == ["SUMMARY distinct=1", f"DISTINCT count=2 order=0,1 digest={outcome.digest}"]
 
 
 def test_fuzz_reports_deterministic():
@@ -428,7 +446,7 @@ def _random_eutxo_race(seed: int, max_n: int = 1200):
     return dataclasses.replace(scenario, actors=scenario.actors + (("b2", 9),), intents=tuple(intents))
 
 
-# sha256 of every outcome's to_text(), for seeds 0-2, all 720 orders, rebuild off then on.
+# sha256 of every outcome's lines, newline-terminated, for seeds 0-2, all 720 orders, rebuild off then on.
 SCHEDULE_PIN = "51eb1d7e71f5249d9ee21ef04236872e4fe47045069ad9ab97cb85f781f0f8ff"
 
 
@@ -444,7 +462,8 @@ def test_eutxo_race_outcomes_pinned():
         world = build_world(scenario)
         for rebuild in (False, True):
             for order in itertools.permutations(range(6)):
-                digest.update(run_schedule(world, scenario.intents, order, rebuild).to_text().encode())
+                lines = run_schedule(world, scenario.intents, order, rebuild).to_lines()
+                digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == SCHEDULE_PIN
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ledgersim.gen import ChainGen, GenConfig
+from ledgersim.gen import ChainGen
 from ledgersim.ledger import (
     BLOCKCHAIN,
     CHUNK,
@@ -245,9 +245,9 @@ def test_schedule_extension_greedy():
 def test_incremental_append_agrees_with_batch():
     """append-then-done equals whole-chain revalidation, on random traffic."""
     rng = random.Random(21)
-    gen = ChainGen(rng, GenConfig(max_len=6))
+    gen = ChainGen(rng)
     for _ in range(300):
-        chain, alloc = gen.chain()
+        chain, alloc = gen.chain(rng.randrange(7))
         tx = gen.transaction(chain, alloc)
         if rng.random() < 0.4:
             # sabotage: random mutation so some appends fail

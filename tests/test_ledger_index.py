@@ -14,7 +14,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, multi
 
 import oracles
 from ledgersim.equivalence import spent_edges
-from ledgersim.gen import ChainGen, GenConfig, spendable
+from ledgersim.gen import ChainGen, spendable
 from ledgersim.ledger import (
     POLICY_VIOLATION,
     VALIDATOR_REJECTED,
@@ -100,7 +100,7 @@ def assert_index_queries_match(chain):
     txs = chain.transactions
     assert utxo(chain) == oracles.utxo(txs)
     for symbol in (0, 1, 2, 5):
-        assert circulating(chain, symbol) == oracles.circulating(txs, symbol)
+        assert circulating(chain.index(), symbol) == oracles.circulating(txs, symbol)
     assert outcome(find_portal, chain, PORTAL) == outcome(oracle_find_portal, txs, PORTAL)
     if oracles.validate(txs, chain.slots).valid:
         assert spent_edges(chain) == oracles.spent_edges(txs)
@@ -123,7 +123,7 @@ def test_queries_match_oracles_on_random_sequences():
         assert classify(Chain(txs, slots)) == oracles.classify(txs, slots)
         tx = random_tx(rng, txs)
         for symbol in (0, 2, 5):
-            assert outcome(forged, Chain(txs), tx, symbol) == outcome(oracles.forged, txs, tx, symbol)
+            assert outcome(forged, Chain(txs).index(), tx, symbol) == outcome(oracles.forged, txs, tx, symbol)
     assert 0 < valid < 600  # both kinds were drawn
 
 
@@ -151,7 +151,7 @@ def test_tip_appends_match_from_scratch_check():
 
 def test_branching_histories():
     rng = random.Random(43)
-    gen = ChainGen(rng, GenConfig(reject_all_prob=0.3))
+    gen = ChainGen(rng, reject_all_prob=0.3)
     for _ in range(80):
         parent, alloc = gen.chain(length=4 + rng.randrange(8))
         assert_index_queries_match(parent)
@@ -203,15 +203,15 @@ def test_grow_matches_stepwise_spendable():
     """grow keeps its spendable pool incrementally; drawing from a pool
     recomputed at every step must give the same transactions."""
     for seed in range(40):
-        cfg = GenConfig(slotted=seed % 2 == 1)
-        base, alloc = ChainGen(random.Random(seed), cfg).chain(length=seed % 7)
-        grown, added = ChainGen(random.Random(1000 + seed), cfg).grow(base, 12, PositionAllocator(alloc.peek()))
+        slotted = seed % 2 == 1
+        base, alloc = ChainGen(random.Random(seed), slotted=slotted).chain(length=seed % 7)
+        grown, added = ChainGen(random.Random(1000 + seed), slotted=slotted).grow(base, 12, PositionAllocator(alloc.peek()))
 
-        gen = ChainGen(random.Random(1000 + seed), cfg)
+        gen = ChainGen(random.Random(1000 + seed), slotted=slotted)
         stepwise_alloc = PositionAllocator(alloc.peek())
         chain = base
         for _ in range(12):
-            slot = gen.next_slot(chain) if cfg.slotted else None
+            slot = gen.next_slot(chain) if slotted else None
             tx = gen.transaction(chain, stepwise_alloc, oracles.spendable(chain.transactions), slot)
             chain = append(chain, tx, slot)
         assert chain == grown

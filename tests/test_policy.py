@@ -25,42 +25,42 @@ def _genesis(value: Value, position: int = 1) -> Transaction:
 
 def test_forged_genesis_mint():
     tx = _genesis(singleton(STATE, 100))
-    assert forged(Chain(), tx, 5) == 100
+    assert forged(Chain().index(), tx, 5) == 100
 
 
 def test_forged_conservation():
     chain = Chain((_genesis(singleton(STATE, 3)),))
     carry = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 0, singleton(STATE, 3))}))
-    assert forged(chain, carry, 5) == 0
+    assert forged(chain.index(), carry, 5) == 0
 
 
 def test_forged_burn():
     chain = Chain((_genesis(singleton(STATE, 3)),))
     burn = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 0, singleton(STATE, 1))}))
-    assert forged(chain, burn, 5) == -2
+    assert forged(chain.index(), burn, 5) == -2
 
 
 def test_forged_unresolved_input_raises():
     with pytest.raises(MalformedChainError):
-        forged(Chain(), Transaction(frozenset({Input(9, 0)}), frozenset()), 5)
+        forged(Chain().index(), Transaction(frozenset({Input(9, 0)}), frozenset()), 5)
 
 
 def test_affine_once_rules():
     table = PolicyTable((Policy(5, AFFINE_ONCE),))
     mint_one = _genesis(singleton(STATE, 1))
-    assert policy_violation(table, Chain(), mint_one) is None
+    assert policy_violation(table, Chain().index(), mint_one) is None
 
     chain = append(Chain(), mint_one, policies=table)
     assert isinstance(chain, Chain)
     second = _genesis(singleton(STATE, 1), position=2)
-    assert policy_violation(table, chain, second) is not None
+    assert policy_violation(table, chain.index(), second) is not None
 
     burn = Transaction(frozenset({Input(1, 0)}), frozenset())
-    assert policy_violation(table, chain, burn) is not None
-    assert "burn" in policy_violation(table, chain, burn)
+    assert policy_violation(table, chain.index(), burn) is not None
+    assert "burn" in policy_violation(table, chain.index(), burn)
 
     mint_two = _genesis(singleton(STATE, 2), position=3)
-    assert policy_violation(table, Chain(), mint_two) is not None
+    assert policy_violation(table, Chain().index(), mint_two) is not None
 
 
 def test_affine_once_allows_carrying():
@@ -69,22 +69,22 @@ def test_affine_once_allows_carrying():
     carry = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 7, singleton(STATE, 1))}))
     extended = append(chain, carry, policies=table)
     assert isinstance(extended, Chain)
-    assert circulating(extended, 5) == 1
+    assert circulating(extended.index(), 5) == 1
 
 
 def test_forbid_forge():
     table = PolicyTable((Policy(5, FORBID_FORGE),))
-    assert policy_violation(table, Chain(), _genesis(singleton(STATE, 1))) is not None
+    assert policy_violation(table, Chain().index(), _genesis(singleton(STATE, 1))) is not None
     # moving existing quantity is not forging
     free = PolicyTable((Policy(5, FREE_FORGE),))
     chain = append(Chain(), _genesis(singleton(STATE, 4)), policies=free)
     carry = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 0, singleton(STATE, 4))}))
-    assert policy_violation(table, chain, carry) is None
+    assert policy_violation(table, chain.index(), carry) is None
 
 
 def test_default_rule_free_forge():
     table = PolicyTable()
-    assert policy_violation(table, Chain(), _genesis(singleton(Chip(9, 9), 1000))) is None
+    assert policy_violation(table, Chain().index(), _genesis(singleton(Chip(9, 9), 1000))) is None
 
 
 def test_policy_table_unique_symbols():
@@ -118,7 +118,7 @@ def test_reused_position_then_spent_is_reported_under_policies():
     expected = "tx 1: duplicate-position (output position 5 already used)"
     for table in (None, PolicyTable(), PolicyTable((Policy(5, AFFINE_ONCE),))):
         assert validate_chain(chain, table).describe() == expected
-    assert forged(chain.prefix(2), spend, 6) == -1
+    assert forged(chain.prefix(2).index(), spend, 6) == -1
 
 
 def test_policy_check_invariant_under_canonical_rename():
@@ -133,10 +133,10 @@ def test_policy_check_invariant_under_canonical_rename():
     assert isinstance(chain, Chain)
     renamed = canonicalize(chain)
     probe = _genesis(singleton(STATE, 1), position=50)
-    assert policy_violation(table, chain, probe) == policy_violation(table, renamed, probe) is not None
+    assert policy_violation(table, chain.index(), probe) == policy_violation(table, renamed.index(), probe) is not None
     free_probe = _genesis(singleton(Chip(6, 6), 5), position=51)
-    assert policy_violation(table, chain, free_probe) is None
-    assert policy_violation(table, renamed, free_probe) is None
+    assert policy_violation(table, chain.index(), free_probe) is None
+    assert policy_violation(table, renamed.index(), free_probe) is None
 
 
 def test_affine_apart_corpus_witness(corpus_dir):

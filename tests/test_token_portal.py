@@ -31,7 +31,7 @@ from ledgersim.token_portal import (
     init_portal,
     transition_check,
 )
-from ledgersim.validators import pay_to_pubkey
+from ledgersim.validators import ACCEPT_ALL, pay_to_pubkey
 
 CFG = TokenConfig(issuer=1, traded_chip=Chip(1, 1), state_chip=Chip(2, 1))
 POLICIES = PolicyTable((Policy(2, AFFINE_ONCE),))
@@ -168,6 +168,47 @@ def test_buy_must_reproduce_state_chip():
     assert report.first().condition == VALIDATOR_REJECTED
 
 
+def _spend_of_chipless_portal():
+    """A portal-guarded output without the state chip, spent as a buy of 1."""
+    alloc = PositionAllocator()
+    chipless = Output(alloc.fresh(), CFG.validator(), 5, singleton(CFG.traded_chip, 10))
+    chain = append(Chain(), Transaction(frozenset(), frozenset({chipless})))
+    successor = Output(alloc.fresh(), CFG.validator(), 5, singleton(CFG.traded_chip, 9))
+    payment = Output(alloc.fresh(), pay_to_pubkey(CFG.issuer), 0, singleton(ADA, 5))
+    return chain, Transaction(frozenset({Input(chipless.position, encode_buy(1))}), frozenset({successor, payment}))
+
+
+def _tampered_buy(redeemer=None, validator=None, extra=Value()):
+    """A buy of 2 of the 3 tokens of a price-5 portal, with its redeemer or
+    its successor's validator replaced, or ``extra`` added to the successor."""
+    chain, alloc = fresh_portal(supply=3, price=5)
+    tx = build_buy_tx(chain, CFG, buyer=7, amount=2, alloc=alloc)
+    successor = next(o for o in tx.outputs if o.validator == CFG.validator())
+    replaced = Output(successor.position, validator or successor.validator, successor.datum, successor.value + extra)
+    (spent,) = tx.inputs
+    inputs = frozenset({Input(spent.position, spent.redeemer if redeemer is None else redeemer)})
+    return chain, Transaction(inputs, (tx.outputs - {successor}) | {replaced})
+
+
+@pytest.mark.parametrize(
+    "spend",
+    [
+        _spend_of_chipless_portal,
+        lambda: _tampered_buy(extra=singleton(CFG.state_chip, 1)),
+        lambda: _tampered_buy(validator=ACCEPT_ALL),
+        lambda: _tampered_buy(redeemer=encode_buy(4)),
+        lambda: _tampered_buy(extra=singleton(CFG.traded_chip, 1)),
+    ],
+    ids=["spent-without-state-chip", "two-state-chips", "other-validator", "more-than-held", "wrong-successor-value"],
+)
+def test_portal_spend_rejected(spend):
+    assert isinstance(append(*_tampered_buy()), Chain)  # untampered, the buy attaches
+    chain, tx = spend()
+    report = append(chain, tx)
+    assert isinstance(report, ValidationReport)
+    assert report.first().condition == VALIDATOR_REJECTED
+
+
 def test_buy_refusal_without_transaction():
     chain, alloc = fresh_portal(price=6)
     with pytest.raises(PriceRefused):
@@ -254,7 +295,6 @@ def test_buyer_determinism_under_interleaving():
     buyer and payment outputs, and the two orders are observationally
     equivalent."""
     from ledgersim.equivalence import obs_equiv
-    from ledgersim.validators import ACCEPT_ALL
 
     chain, alloc = fresh_portal(supply=50, price=3)
     buy = build_buy_tx(chain, CFG, buyer=7, amount=4, alloc=alloc)
