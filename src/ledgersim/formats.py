@@ -230,8 +230,10 @@ def parse_chain(text: str) -> Chain:
 #     INTENT <actor> set_price p=<p>                             (eutxo)
 #     INTENT <actor> call <function> [k=v ...]                   (account)
 #     SCHEDULE all | sample <n> @<seed> | <i,j,...>
+#
+# A keyword of SINGLE_VALUED, or an ACTOR name, given twice is an error.
 
-
+SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE")
 EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}}
 OPTIONAL_PARAMS = {"buy": {"max_price"}}
 
@@ -292,6 +294,7 @@ def parse_scenario(text: str):
     intents: list[Intent] = []
     intent_lines: list[int] = []
     schedules: list[tuple] = []
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -299,6 +302,9 @@ def parse_scenario(text: str):
             continue
         tokens = line.split()
         keyword = tokens[0]
+        if keyword in SINGLE_VALUED and keyword in seen:
+            _fail(lineno, f"{keyword} given twice")
+        seen.add(keyword)
         if keyword == "LEDGER":
             if len(tokens) != 2 or tokens[1] not in (EUTXO, ACCOUNT):
                 _fail(lineno, "LEDGER must be 'eutxo' or 'account'")
@@ -336,6 +342,8 @@ def parse_scenario(text: str):
         elif keyword == "ACTOR":
             if len(tokens) != 3:
                 _fail(lineno, "ACTOR takes a name and a key id")
+            if any(name == tokens[1] for name, _ in actors):
+                _fail(lineno, f"actor {tokens[1]!r} given twice")
             actors.append((tokens[1], _nat(tokens[2], lineno, "key id")))
         elif keyword == "INTENT":
             if len(tokens) < 3:
@@ -379,11 +387,9 @@ def parse_scenario(text: str):
     if not schedules:
         raise ParseError("scenario has no SCHEDULE lines")
     actor_names = [name for name, _ in actors]
-    if len(set(actor_names)) != len(actor_names):
-        raise ParseError("duplicate actor names")
     for lineno, intent in zip(intent_lines, intents):
         if intent.actor not in actor_names:
-            raise ParseError(f"intent references unknown actor {intent.actor!r}")
+            _fail(lineno, f"intent references unknown actor {intent.actor!r}")
         if (intent.kind == "call") != (ledger == ACCOUNT):
             _fail(lineno, f"{intent.kind} intents need LEDGER {ACCOUNT if intent.kind == 'call' else EUTXO}")
     if ledger == EUTXO:

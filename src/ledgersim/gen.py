@@ -7,6 +7,14 @@ occur.  The distribution is part of every fuzzed statement, so its fixed
 values are the module constants below; ``ChainGen`` takes only the four that
 some caller sets.  Everything is driven by a caller-supplied
 ``random.Random``, so campaigns are reproducible from a seed.
+
+Outputs share their immutable parts instead of rebuilding them per draw: the
+pay-to-key validators are the ``KEY_VALIDATORS`` tuple, and ``VALUE_TABLE``
+maps the tuple of draws behind a value (the pick count, then chip index and
+quantity per pick) to the ``Value`` built from them.  The table lives for the
+process, shared by every ``ChainGen``, and is bounded by the draw space, not
+by any input: 1 + 16 + 16**2 = 273 keys for two picks over the four ``CHIPS``
+and four quantities.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ MAX_DATUM = 9
 RANGE_PROB = 0.6
 MAX_SLOT_STEP = 3
 CHIPS = (ADA, Chip(1, 1), Chip(2, 5), Chip(3, 1))
+KEY_VALIDATORS = tuple(pay_to_pubkey(1 + k) for k in range(KEY_COUNT))
+VALUE_TABLE: dict[tuple[int, ...], Value] = {}
 
 SPENDABLE_KINDS = (ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND)
 _position = attrgetter("position")
@@ -84,16 +94,19 @@ class ChainGen:
         if roll < self.reject_all_prob:
             return REJECT_ALL
         if roll < self.reject_all_prob + P2PK_PROB:
-            return pay_to_pubkey(1 + self.rng.randrange(KEY_COUNT))
+            return KEY_VALIDATORS[self.rng.randrange(KEY_COUNT)]
         return ACCEPT_ALL
 
     def random_value(self) -> Value:
-        picks = self.rng.randrange(3)
-        entries = {}
-        for _ in range(picks):
-            chip = CHIPS[self.rng.randrange(len(CHIPS))]
-            entries[chip] = entries.get(chip, 0) + 1 + self.rng.randrange(4)
-        return Value.of(entries)
+        rng = self.rng
+        draws = [rng.randrange(3)]
+        for _ in range(draws[0]):
+            draws += (rng.randrange(len(CHIPS)), rng.randrange(4))
+        key = tuple(draws)
+        value = VALUE_TABLE.get(key)
+        if value is None:  # Value.of merges a chip picked twice
+            value = VALUE_TABLE[key] = Value.of((CHIPS[c], 1 + q) for c, q in zip(key[1::2], key[2::2]))
+        return value
 
     def random_output(self, alloc: PositionAllocator) -> Output:
         return Output(alloc.fresh(), self.random_validator(), self.rng.randrange(MAX_DATUM + 1), self.random_value())

@@ -10,6 +10,9 @@ not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
 set, which ``test_harness.py`` compares with its one-pass grouping, and
 ``defer_by_validation`` is the deferral check by whole-sequence validation,
 which ``test_equivalence.py`` compares with ``check_defer``.
+``random_value`` is the generator's value draw built afresh with
+``Value.of`` on every call, which ``test_gen.py`` compares with the value
+table of ``ChainGen.random_value``.
 """
 
 from ledgersim.ledger import (
@@ -25,7 +28,8 @@ from ledgersim.ledger import (
     ValidationReport,
     Violation,
 )
-from ledgersim.model import context_at
+from ledgersim.gen import CHIPS
+from ledgersim.model import Value, context_at
 from ledgersim.policy import AFFINE_ONCE, FORBID_FORGE, FREE_FORGE
 from ledgersim.validators import ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND, pay_to_pubkey, run_validator
 
@@ -261,3 +265,14 @@ def defer_by_validation(base, txs, tx):
     tx_then_txs = prior + (tx,) + batch
     hyp = validate(txs_then_tx).valid and validate(prior + (tx,)).valid
     return hyp, validate(tx_then_txs).valid, utxo(tx_then_txs) == utxo(txs_then_tx)
+
+
+def random_value(rng):
+    """A random value drawn as ``ChainGen.random_value`` draws it: up to two
+    picks of a chip and a quantity of 1 to 4, merged."""
+    picks = rng.randrange(3)
+    entries = {}
+    for _ in range(picks):
+        chip = CHIPS[rng.randrange(len(CHIPS))]
+        entries[chip] = entries.get(chip, 0) + 1 + rng.randrange(4)
+    return Value.of(entries)

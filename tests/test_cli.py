@@ -253,8 +253,18 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (EUTXO_HEAD + "POLICY 2 AffineOnce\nPOLICY 2 FreeForge\n", "line 7: symbol 2 already has a policy"),
         (EUTXO_HEAD + "INTENT buyer buy n=5 n=7\n", "line 6: n given twice"),
         (ACCOUNT_HEAD + "INTENT buyer buy n=5\n", "line 7: buy intents need LEDGER eutxo"),
+        (ACCOUNT_HEAD + "SUPPLY 5\n", "line 7: SUPPLY given twice"),
+        (EUTXO_HEAD + "ACTOR buyer 8\n", "line 6: actor 'buyer' given twice"),
+        (EUTXO_HEAD + "INTENT ghost buy n=1\n", "line 6: intent references unknown actor 'ghost'"),
     ],
-    ids=["second-policy", "repeated-intent-key", "eutxo-intent-on-account"],
+    ids=[
+        "second-policy",
+        "repeated-intent-key",
+        "eutxo-intent-on-account",
+        "second-supply",
+        "second-actor",
+        "unknown-actor",
+    ],
 )
 def test_scenario_contradictory_lines_exit_2(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.scenario"

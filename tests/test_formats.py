@@ -153,6 +153,13 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (EUTXO_HEAD + "INTENT buyer call setPrice p=3\n", "line 6: call intents need LEDGER account"),
         # the ledger is known only at the end of the file
         ("INTENT buyer set_price p=3\n" + ACCOUNT_HEAD, "line 1: set_price intents need LEDGER eutxo"),
+        # a second single-valued line is refused rather than replacing the first
+        (ACCOUNT_HEAD + "LEDGER eutxo\n", "line 7: LEDGER given twice"),
+        (EUTXO_HEAD + "CONFIG issuer=2 traded=1:1 state=2:1\n", "line 6: CONFIG given twice"),
+        (ACCOUNT_HEAD + "CONTRACT 2\n", "line 7: CONTRACT given twice"),
+        (ACCOUNT_HEAD + "DEPLOYER buyer\n", "line 7: DEPLOYER given twice"),
+        (ACCOUNT_HEAD + "SUPPLY 5\n", "line 7: SUPPLY given twice"),
+        (EUTXO_HEAD + "PRICE 2\n", "line 6: PRICE given twice"),
     ],
     ids=[
         "second-policy",
@@ -163,6 +170,12 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "eutxo-intent-on-account",
         "call-intent-on-eutxo",
         "intent-before-ledger",
+        "second-ledger",
+        "second-config",
+        "second-contract",
+        "second-deployer",
+        "second-supply",
+        "second-price",
     ],
 )
 def test_scenario_contradictory_lines(text, message):
