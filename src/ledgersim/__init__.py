@@ -8,7 +8,7 @@ deterministic harness races the two under arbitrary interleavings.
 """
 
 from .accounts import AccountChain, CallTx, ContractState, call, deploy_changing
-from .equivalence import alpha_equiv, apart, canonicalize, check_commute, check_defer, obs_equiv
+from .equivalence import alpha_equiv, apart, canonicalize, check_defer, obs_equiv
 from .ledger import Chain, ValidationReport, append, classify, utxo, validate_chain
 from .model import (
     ADA,
@@ -57,7 +57,6 @@ __all__ = [
     "build_set_price_tx",
     "call",
     "canonicalize",
-    "check_commute",
     "check_defer",
     "classify",
     "context_at",

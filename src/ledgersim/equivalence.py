@@ -1,4 +1,4 @@
-"""Equivalence notions on chains and the executable commute/defer checks.
+"""Equivalence notions on chains and the reorder check.
 
 Two chains, valid or not, are observationally equivalent when they have the
 same unspent outputs.  Two valid chains are alpha-equivalent when they differ
@@ -154,29 +154,6 @@ def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:
 
 
 @dataclass(frozen=True)
-class CommuteReport:
-    """Facts about swapping two extension transactions on a common base."""
-
-    apart: bool
-    valid_12: bool
-    valid_21: bool
-    equiv: bool
-
-
-def check_commute(base: Chain, tx1: Transaction, tx2: Transaction) -> CommuteReport:
-    """Report apartness, validity of both append orders, and observational
-    equivalence of the two extended chains (unslotted, valid or not)."""
-    order_12 = Chain(base.transactions + (tx1, tx2))
-    order_21 = Chain(base.transactions + (tx2, tx1))
-    return CommuteReport(
-        apart=apart(tx1, tx2),
-        valid_12=validate_chain(order_12).valid,
-        valid_21=validate_chain(order_21).valid,
-        equiv=obs_equiv(order_12, order_21),
-    )
-
-
-@dataclass(frozen=True)
 class DeferReport:
     """Facts about deferring a transaction past an intervening batch: whether
     B;txs;tx, B;tx and B;tx;txs can each be scheduled, and whether the two
@@ -191,10 +168,14 @@ class DeferReport:
 def check_defer(base: Chain, txs: Sequence[Transaction], tx: Transaction) -> DeferReport:
     """Check the deferral of ``tx`` past the batch ``txs`` on ``base``.
 
-    Each ordering counts as valid when it can be scheduled: appended in order
-    with some monotone slot assignment lying inside every slot range.  On an
-    unslotted chain there are no slots to assign, so this is plain validity.
-    Observational equivalence looks only at the transactions, scheduled or not.
+    With a one-transaction batch this is the swap of two transactions, the
+    case of Lemmas 15.1 and 15.2.  Each ordering counts as valid when it can
+    be scheduled: appended in order with some monotone slot assignment lying
+    inside every slot range.  On an unslotted chain there are no slots to
+    assign, so on a valid base this is plain validity.  Only the appended
+    transactions are judged: on an invalid base an ordering is valid when
+    they append, though the whole sequence is not.  Observational
+    equivalence looks only at the transactions, scheduled or not.
     """
     batch = tuple(txs)
     both = schedule_extension(base, batch + (tx,))

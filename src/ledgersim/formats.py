@@ -287,6 +287,7 @@ def parse_scenario(text: str):
     cfg: TokenConfig | None = None
     contract: int | None = None
     deployer: str | None = None
+    deployer_line = 0
     supply: int | None = None
     price: int | None = None
     policy_rules: dict[int, str] = {}
@@ -327,7 +328,7 @@ def parse_scenario(text: str):
         elif keyword == "CONTRACT":
             contract = _nat(tokens[1], lineno, "contract name")
         elif keyword == "DEPLOYER":
-            deployer = tokens[1]
+            deployer, deployer_line = tokens[1], lineno
         elif keyword == "SUPPLY":
             supply = _nat(tokens[1], lineno, "supply")
         elif keyword == "PRICE":
@@ -400,7 +401,7 @@ def parse_scenario(text: str):
     if contract is None or deployer is None:
         raise ParseError("account scenario is missing CONTRACT or DEPLOYER")
     if deployer not in actor_names:
-        raise ParseError(f"deployer {deployer!r} is not an actor")
+        _fail(deployer_line, f"deployer {deployer!r} is not an actor")
     return Scenario(
         ledger, tuple(actors), tuple(intents), tuple(schedules), supply, price, contract=contract, deployer=deployer
     )

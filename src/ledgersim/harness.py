@@ -32,7 +32,6 @@ from .accounts import FUNCTIONS, PAYABLE, AccountChain, CallTx, call, deploy_cha
 from .equivalence import (
     alpha_equiv,
     apart,
-    check_commute,
     check_defer,
     freshen_spent_clashes,
     obs_equiv,
@@ -486,12 +485,14 @@ def _sample_lemma15_1(rng: random.Random) -> dict:
 def _judge_lemma15_1(instance: dict):
     """Apart transactions commute: both orders are valid or neither, and
     they are observationally equivalent."""
-    report = check_commute(instance["base"], instance["tx1"], instance["tx2"])
-    if not report.apart:
+    tx1, tx2 = instance["tx1"], instance["tx2"]
+    if not apart(tx1, tx2):
         return None
-    if report.valid_12 == report.valid_21 and report.equiv:
+    report = check_defer(instance["base"], (tx1,), tx2)
+    if report.valid_txs_tx == report.valid_tx_txs and report.equiv:
         return True
-    return "", f"apart pair: valid_12={report.valid_12} valid_21={report.valid_21} equiv={report.equiv}", instance
+    detail = f"apart pair: valid_12={report.valid_txs_tx} valid_21={report.valid_tx_txs} equiv={report.equiv}"
+    return "", detail, instance
 
 
 def _sample_lemma15_2(rng: random.Random) -> dict:
@@ -504,14 +505,14 @@ def _sample_lemma15_2(rng: random.Random) -> dict:
 
 def _judge_lemma15_2(instance: dict):
     """If B;tx';tx is valid, then B;tx is valid exactly when tx is apart from tx'."""
-    base, tx_prime, tx = instance["base"].transactions, instance["tx_prime"], instance["tx"]
-    if not validate_chain(Chain(base + (tx_prime, tx))).valid:
+    tx_prime, tx = instance["tx_prime"], instance["tx"]
+    report = check_defer(instance["base"], (tx_prime,), tx)
+    if not report.valid_txs_tx:
         return None
-    lhs = validate_chain(Chain(base + (tx,))).valid
     rhs = apart(tx, tx_prime)
-    if lhs == rhs:
+    if report.valid_tx == rhs:
         return True
-    return "", f"valid(B;tx)={lhs} but apart={rhs}", instance
+    return "", f"valid(B;tx)={report.valid_tx} but apart={rhs}", instance
 
 
 def _defer_instance(rng: random.Random, slotted: bool) -> dict:

@@ -258,13 +258,18 @@ def eutxo_holdings(world, chain, paid):
 
 
 def defer_by_validation(base, txs, tx):
-    """Deferral by validating whole sequences, without slots: (hyp, valid
-    B;tx;txs, equivalence), where hyp is that B;txs;tx and B;tx are valid."""
+    """Deferral by validating whole sequences, without slots: the four
+    fields of ``DeferReport``, that is valid B;txs;tx, valid B;tx, valid
+    B;tx;txs, and equivalence of the two full orders."""
     prior, batch = tuple(base), tuple(txs)
     txs_then_tx = prior + batch + (tx,)
     tx_then_txs = prior + (tx,) + batch
-    hyp = validate(txs_then_tx).valid and validate(prior + (tx,)).valid
-    return hyp, validate(tx_then_txs).valid, utxo(tx_then_txs) == utxo(txs_then_tx)
+    return (
+        validate(txs_then_tx).valid,
+        validate(prior + (tx,)).valid,
+        validate(tx_then_txs).valid,
+        utxo(tx_then_txs) == utxo(txs_then_tx),
+    )
 
 
 def random_value(rng):

@@ -8,9 +8,12 @@ module itself, a module of the package importing from it directly or through
 other modules, or a ``bench/`` file naming it as a layer (``m.ledger``) or
 naming a layer that reaches it.  So ``Path.resolve`` in a file that never
 touches the ledger does not keep an uncalled ``LedgerIndex.resolve``.
+Every name of ``ledgersim.__all__`` must also be defined, so a deleted
+function cannot linger as a re-export that breaks ``import *``.
 """
 
 import ast
+import types
 from collections import defaultdict
 from pathlib import Path
 
@@ -107,3 +110,23 @@ def test_a_same_named_call_out_of_reach_keeps_nothing():
         "class LedgerIndex:\n", "class LedgerIndex:\n    def resolve(self, position):\n        return None\n\n", 1
     )
     assert "ledger.LedgerIndex.resolve" in _unused(_trees({ledger: text}))
+
+
+def _missing_exports(package) -> list[str]:
+    """The names of ``package.__all__`` the package does not define."""
+    return [name for name in package.__all__ if not hasattr(package, name)]
+
+
+def test_every_export_is_defined():
+    """``from ledgersim import *`` fails on a name of ``__all__`` the package
+    does not define, so a deleted function leaves ``__all__`` too."""
+    import ledgersim
+
+    assert _missing_exports(ledgersim) == []
+
+
+def test_a_stale_export_is_reported():
+    stale = types.ModuleType("stale")
+    stale.kept = object()
+    stale.__all__ = ["kept", "deleted"]
+    assert _missing_exports(stale) == ["deleted"]

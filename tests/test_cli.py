@@ -256,6 +256,7 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (ACCOUNT_HEAD + "SUPPLY 5\n", "line 7: SUPPLY given twice"),
         (EUTXO_HEAD + "ACTOR buyer 8\n", "line 6: actor 'buyer' given twice"),
         (EUTXO_HEAD + "INTENT ghost buy n=1\n", "line 6: intent references unknown actor 'ghost'"),
+        (ACCOUNT_HEAD.replace("DEPLOYER buyer", "DEPLOYER ghost"), "line 3: deployer 'ghost' is not an actor"),
     ],
     ids=[
         "second-policy",
@@ -264,6 +265,7 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "second-supply",
         "second-actor",
         "unknown-actor",
+        "unknown-deployer",
     ],
 )
 def test_scenario_contradictory_lines_exit_2(capsys, tmp_path, text, message):
@@ -273,6 +275,18 @@ def test_scenario_contradictory_lines_exit_2(capsys, tmp_path, text, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}: {message}\n"
+
+
+def test_scenario_whose_genesis_breaks_a_policy_exits_2(capsys, tmp_path):
+    """ForbidForge on the traded symbol forbids the genesis mint of the
+    supply, so the portal cannot be set up."""
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(EUTXO_HEAD + "POLICY 1 ForbidForge\nINTENT buyer buy n=1\nSCHEDULE all\n")
+    code, out, err = run_cli(capsys, "scenario", str(bad))
+    assert code == 2
+    assert out == ""
+    detail = "symbol 1 may not be forged or burned (delta +1000)"
+    assert err == f"error: portal initialization rejected: tx 0: policy-violation ({detail})\n"
 
 
 def test_scenario_all_on_nine_intents_exits_2(capsys, tmp_path):

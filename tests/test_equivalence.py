@@ -1,4 +1,4 @@
-"""Observational equivalence, apartness, canonical renaming, commute/defer."""
+"""Observational equivalence, apartness, canonical renaming, the reorder check."""
 
 import itertools
 import random
@@ -12,7 +12,6 @@ from ledgersim.equivalence import (
     apart,
     canonical_renaming,
     canonicalize,
-    check_commute,
     check_defer,
     freshen_spent_clashes,
     obs_equiv,
@@ -198,41 +197,46 @@ def test_freshen_spent_clashes(chain_b):
 def test_check_commute_apart_pair(chain_b_prime, figure_txs):
     tx1, tx2, tx3, tx4 = figure_txs
     base = Chain((tx1,))
-    report = check_commute(base, tx2, tx3)
-    assert report.apart and report.valid_12 and report.valid_21 and report.equiv
+    assert apart(tx2, tx3)
+    report = check_defer(base, (tx2,), tx3)
+    assert report.valid_txs_tx and report.valid_tx_txs and report.equiv
 
 
 def test_check_commute_forward_dependency(figure_txs):
     tx1, _, tx3, _ = figure_txs
     consumer = Transaction(frozenset({Input(E, 0)}), frozenset())  # spends tx3's output
-    report = check_commute(Chain((tx1,)), tx3, consumer)
-    assert not report.apart
-    assert report.valid_12 and not report.valid_21
+    assert not apart(tx3, consumer)
+    report = check_defer(Chain((tx1,)), (tx3,), consumer)
+    assert report.valid_txs_tx and not report.valid_tx_txs
 
 
 def test_check_commute_matches_figure(figure_txs):
     tx1, tx2, tx3, tx4 = figure_txs
-    report = check_commute(Chain((tx1, tx2)), tx3, tx4)
-    assert not report.apart  # tx4 consumes tx3's outputs
-    assert report.valid_12 and not report.valid_21
+    assert not apart(tx3, tx4)  # tx4 consumes tx3's outputs
+    report = check_defer(Chain((tx1, tx2)), (tx3,), tx4)
+    assert report.valid_txs_tx and not report.valid_tx_txs
 
 
 def test_commute_conclusion_holds_on_raw_sequences(figure_txs):
     """The swap conclusion is stated for sequences: even on an invalid base,
-    apart extensions commute observationally (validity is false both ways)."""
+    apart extensions commute observationally and are equally valid both
+    ways.  Only the appended transactions are judged, so both orders count
+    as valid on top of the faulty base."""
     tx1, tx2, tx3, tx4 = figure_txs
     dangling_base = Chain((tx4,))  # not a blockchain: inputs have nothing to point at
     extra1 = Transaction(frozenset(), frozenset({ref_output(20)}))
     extra2 = Transaction(frozenset(), frozenset({ref_output(21)}))
-    report = check_commute(dangling_base, extra1, extra2)
-    assert report.apart
-    assert not report.valid_12 and not report.valid_21  # base alone sinks both
+    assert apart(extra1, extra2)
+    report = check_defer(dangling_base, (extra1,), extra2)
+    assert report.valid_txs_tx == report.valid_tx_txs
+    assert report.valid_txs_tx  # the base's own fault is not judged
     assert report.equiv
 
 
-def test_check_commute_reads_the_indexes_validation_leaves(monkeypatch, figure_txs):
-    """Each extended chain is built once: validating it leaves its index on
-    it, and the equivalence check reads that index instead of building one."""
+def test_check_commute_rebuilds_only_the_base_index(monkeypatch, figure_txs):
+    """Each extended chain is built once, by appends that hand the parent's
+    index to the child, so no extended chain builds an index.  The first
+    order takes the base's index; the second and third rebuild it."""
     tx1, tx2, tx3, _ = figure_txs
     base = Chain((tx1,))
     base.index()
@@ -244,9 +248,9 @@ def test_check_commute_reads_the_indexes_validation_leaves(monkeypatch, figure_t
         return build(cls, txs, slots)
 
     monkeypatch.setattr(LedgerIndex, "of", classmethod(counting_build))
-    report = check_commute(base, tx2, tx3)
-    assert report.apart and report.valid_12 and report.valid_21 and report.equiv
-    assert builds == []
+    report = check_defer(base, (tx2,), tx3)
+    assert report.valid_txs_tx and report.valid_tx_txs and report.equiv
+    assert builds == [len(base)] * 2
 
 
 def test_check_defer_empty_batch(chain_b):
@@ -294,20 +298,32 @@ def test_check_defer_slotted_remark_shape():
     assert report.equiv  # the equivalence half survives
 
 
-def test_check_defer_matches_validation_oracle():
+# sampler -> (the batch and the transaction its instance defers, a
+# predicate on the report, and bounds on how many of 2,000 instances meet it)
+ORACLE_SAMPLERS = {
+    "theorem17": (lambda i: (i["txs"], i["tx"]), lambda r: r.valid_txs_tx and r.valid_tx, (1000, 2000)),
+    "lemma15_1": (lambda i: ((i["tx1"],), i["tx2"]), lambda r: r.valid_txs_tx and r.valid_tx_txs, (1000, 2000)),
+    "lemma15_2": (lambda i: ((i["tx_prime"],), i["tx"]), lambda r: r.valid_tx, (500, 1500)),
+}
+
+
+@pytest.mark.parametrize("which", ORACLE_SAMPLERS)
+def test_check_defer_matches_validation_oracle(which):
     """On unslotted chains, scheduling each order is validating it: the one
-    deferral check agrees with whole-sequence validation on every field."""
+    reorder check agrees with whole-sequence validation on every field, for
+    the deferrals of Theorem 17 and the swaps of Lemmas 15.1 and 15.2."""
     from ledgersim.harness import STATEMENTS
 
+    parts, kind, (low, high) = ORACLE_SAMPLERS[which]
     rng = random.Random(17)
-    sample = STATEMENTS["theorem17"].sample
-    hyp_held = 0
+    sample = STATEMENTS[which].sample
+    drawn = 0
     for _ in range(2000):
         instance = sample(rng)
-        base, batch, tx = instance["base"], instance["txs"], instance["tx"]
+        base = instance["base"]
+        batch, tx = parts(instance)
         report = check_defer(base, batch, tx)
-        hyp, valid_tx_first, equiv = oracles.defer_by_validation(base, batch, tx)
-        hyp_now = report.valid_txs_tx and report.valid_tx
-        assert (hyp_now, report.valid_tx_txs, report.equiv) == (hyp, valid_tx_first, equiv)
-        hyp_held += hyp
-    assert 1000 < hyp_held < 2000  # both kinds were drawn
+        fields = (report.valid_txs_tx, report.valid_tx, report.valid_tx_txs, report.equiv)
+        assert fields == oracles.defer_by_validation(base, batch, tx)
+        drawn += kind(report)
+    assert low < drawn < high  # both kinds were drawn

@@ -1,5 +1,6 @@
 """Text codecs: chain files, scenario files, corpus fixtures."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from ledgersim import formats
 from ledgersim.gen import ChainGen
 from ledgersim.harness import bundled_race_scenario
 from ledgersim.ledger import classify, validate_chain
+from ledgersim.policy import PolicyTable
 
 # What each corpus chain fixture must classify as, by file name.
 CORPUS_EXPECTATIONS = {
@@ -105,8 +107,13 @@ def test_corpus_round_trip(corpus_dir):
 
 
 def test_scenario_round_trip_bundled():
+    schedules = (("sample", 3, 9), ("explicit", (1, 0)), ("all",))
+    scenarios = []
     for ledger in ("eutxo", "account"):
         scenario = bundled_race_scenario(ledger)
+        scenarios += [scenario, dataclasses.replace(scenario, schedules=schedules)]
+    scenarios.append(dataclasses.replace(bundled_race_scenario("eutxo"), policies=PolicyTable()))
+    for scenario in scenarios:
         text = formats.scenario_to_text(scenario)
         assert formats.parse_scenario(text) == scenario
         assert formats.scenario_to_text(formats.parse_scenario(text)) == text
