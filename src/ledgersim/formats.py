@@ -225,16 +225,20 @@ def parse_chain(text: str) -> Chain:
 #     SUPPLY <n>
 #     PRICE <n>
 #     POLICY <symbol> <rule>                                     (eutxo, repeatable)
+#     REBUILD                                                    (eutxo)
 #     ACTOR <name> <key>
 #     INTENT <actor> buy n=<n> [max_price=<p>]                   (eutxo)
 #     INTENT <actor> set_price p=<p>                             (eutxo)
+#     INTENT <actor> mint sym=<s> tok=<t> qty=<q>                (eutxo)
 #     INTENT <actor> call <function> [k=v ...]                   (account)
 #     SCHEDULE all | sample <n> @<seed> | <i,j,...>
 #
 # A keyword of SINGLE_VALUED, or an ACTOR name, given twice is an error.
+# REBUILD rebuilds an intent whose submit-time transaction no longer attaches
+# against the chain at its turn; a mint is a genesis paying the actor's key.
 
-SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE")
-EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}}
+SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "REBUILD")
+EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}, "mint": {"sym", "tok", "qty"}}
 OPTIONAL_PARAMS = {"buy": {"max_price"}}
 
 
@@ -269,7 +273,10 @@ def parse_schedule(tokens: list[str], lineno: int | None = None) -> tuple:
     if tokens and tokens[0] == "sample":
         if len(tokens) != 3 or not tokens[2].startswith("@"):
             _fail(lineno, "sample schedule looks like: sample <n> @<seed>")
-        return ("sample", _nat(tokens[1], lineno, "sample count"), _nat(tokens[2][1:], lineno, "seed"))
+        count = _nat(tokens[1], lineno, "sample count")
+        if count < 1:
+            _fail(lineno, "sample count must be at least 1")
+        return ("sample", count, _nat(tokens[2][1:], lineno, "seed"))
     if len(tokens) == 1:
         try:
             return ("explicit", tuple(int(piece) for piece in tokens[0].split(",")))
@@ -288,6 +295,7 @@ def parse_scenario(text: str):
     contract: int | None = None
     deployer: str | None = None
     deployer_line = 0
+    rebuild_line = 0
     supply: int | None = None
     price: int | None = None
     policy_rules: dict[int, str] = {}
@@ -295,6 +303,7 @@ def parse_scenario(text: str):
     intents: list[Intent] = []
     intent_lines: list[int] = []
     schedules: list[tuple] = []
+    schedule_lines: list[int] = []
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -333,6 +342,10 @@ def parse_scenario(text: str):
             supply = _nat(tokens[1], lineno, "supply")
         elif keyword == "PRICE":
             price = _nat(tokens[1], lineno, "price")
+        elif keyword == "REBUILD":
+            if len(tokens) != 1:
+                _fail(lineno, "REBUILD takes no arguments")
+            rebuild_line = lineno
         elif keyword == "POLICY":
             if len(tokens) != 3 or tokens[2] not in RULES:
                 _fail(lineno, f"POLICY takes a symbol and one of {RULES}")
@@ -378,6 +391,7 @@ def parse_scenario(text: str):
             intent_lines.append(lineno)
         elif keyword == "SCHEDULE":
             schedules.append(parse_schedule(tokens[1:], lineno))
+            schedule_lines.append(lineno)
         else:
             _fail(lineno, f"unknown keyword {keyword!r}")
 
@@ -393,18 +407,21 @@ def parse_scenario(text: str):
             _fail(lineno, f"intent references unknown actor {intent.actor!r}")
         if (intent.kind == "call") != (ledger == ACCOUNT):
             _fail(lineno, f"{intent.kind} intents need LEDGER {ACCOUNT if intent.kind == 'call' else EUTXO}")
+    for lineno, clause in zip(schedule_lines, schedules):
+        if clause[0] == "explicit" and sorted(clause[1]) != list(range(len(intents))):
+            _fail(lineno, f"schedule {clause[1]} is not a permutation of 0..{len(intents) - 1}")
+    if rebuild_line and ledger != EUTXO:
+        _fail(rebuild_line, f"REBUILD needs LEDGER {EUTXO}")
+    head = (ledger, tuple(actors), tuple(intents), tuple(schedules), supply, price)
     if ledger == EUTXO:
         if cfg is None:
             raise ParseError("eutxo scenario is missing a CONFIG line")
-        policies = PolicyTable.of(policy_rules)
-        return Scenario(ledger, tuple(actors), tuple(intents), tuple(schedules), supply, price, cfg=cfg, policies=policies)
+        return Scenario(*head, cfg=cfg, policies=PolicyTable.of(policy_rules), rebuild=bool(rebuild_line))
     if contract is None or deployer is None:
         raise ParseError("account scenario is missing CONTRACT or DEPLOYER")
     if deployer not in actor_names:
         _fail(deployer_line, f"deployer {deployer!r} is not an actor")
-    return Scenario(
-        ledger, tuple(actors), tuple(intents), tuple(schedules), supply, price, contract=contract, deployer=deployer
-    )
+    return Scenario(*head, contract=contract, deployer=deployer)
 
 
 def scenario_to_text(scenario) -> str:
@@ -422,6 +439,8 @@ def scenario_to_text(scenario) -> str:
     if scenario.ledger == "eutxo" and scenario.policies is not None:
         for policy in scenario.policies.policies:
             lines.append(f"POLICY {policy.symbol} {policy.rule}")
+    if scenario.rebuild:
+        lines.append("REBUILD")
     for name, key in sorted(scenario.actors):
         lines.append(f"ACTOR {name} {key}")
     for intent in scenario.intents:

@@ -11,7 +11,8 @@ runs are byte-identical.
 
 The UTxO submit phase is therefore the same in every order: each intent is
 built against the world's snapshot, never against the chain an order has
-grown, and is built again only under ``rebuild=True``, at its execution turn.
+grown, and is built again only in a scenario with a ``REBUILD`` line (the
+``rebuild`` argument of ``run_schedule``), at its execution turn.
 So an ``EutxoWorld`` keeps the submit phase of the last intent tuple it ran
 (each built transaction or refusal, and the allocator position after the
 builds), and every further order of the same intents starts from that entry.
@@ -40,7 +41,7 @@ from .equivalence import (
 )
 from .gen import ChainGen, spend, spendable
 from .ledger import Chain, ValidationReport, append, utxo, validate_chain
-from .model import ADA, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of
+from .model import ADA, Chip, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of, singleton
 from .policy import PolicyTable
 from .token_portal import (
     InsufficientSupply,
@@ -59,13 +60,12 @@ ACCOUNT = "account"
 
 @dataclass(frozen=True)
 class Intent:
-    """One actor action: a token-portal builder or a prebuilt transaction on
-    the UTxO ledger, or a contract call on the account ledger."""
+    """One actor action: a token-portal builder or a genesis mint to the
+    actor's key on the UTxO ledger, or a contract call on the account ledger."""
 
     actor: str
-    kind: str  # "buy" | "set_price" | "tx" (eutxo) | "call" (account)
+    kind: str  # "buy" | "set_price" | "mint" (eutxo) | "call" (account)
     params: tuple[tuple[str, int | str], ...] = ()
-    prebuilt: Transaction | None = None  # for kind "tx" only
 
     def get(self, key: str, default=None):
         for k, v in self.params:
@@ -74,8 +74,8 @@ class Intent:
         return default
 
     @classmethod
-    def of(cls, actor: str, kind: str, prebuilt: Transaction | None = None, **params) -> Intent:
-        return cls(actor, kind, tuple(sorted(params.items())), prebuilt)
+    def of(cls, actor: str, kind: str, **params) -> Intent:
+        return cls(actor, kind, tuple(sorted(params.items())))
 
 
 def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
@@ -146,11 +146,7 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
     Returns (transaction, planned ada payment) or (None, refusal reason).
     """
     key = _key_of(world.actors, intent.actor)
-    if intent.kind == "tx":
-        if intent.prebuilt is None:
-            raise ValueError("tx intent needs a prebuilt transaction")
-        tx = intent.prebuilt
-    elif intent.kind == "buy":
+    if intent.kind == "buy":
         amount = intent.get("n")
         max_price = intent.get("max_price")
         try:
@@ -162,6 +158,9 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
             tx = build_set_price_tx(chain, world.cfg, intent.get("p"), alloc)
         except NoPortalError as exc:
             return None, str(exc)
+    elif intent.kind == "mint":
+        minted = singleton(Chip(intent.get("sym"), intent.get("tok")), intent.get("qty"))
+        tx = Transaction(frozenset(), frozenset({Output(alloc.fresh(), pay_to_pubkey(key), 0, minted)}))
     else:
         raise ValueError(f"unknown eutxo intent kind {intent.kind!r}")
     issuer_lock = pay_to_pubkey(world.cfg.issuer)
@@ -214,7 +213,7 @@ def run_schedule(
     """
     order = tuple(order)
     if sorted(order) != list(range(len(intents))):
-        raise ValueError("order must be a permutation of the intent indices")
+        raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
     if isinstance(world, EutxoWorld):
         return _run_eutxo(world, intents, order, rebuild)
     return _run_account(world, intents, order)
@@ -244,7 +243,7 @@ def _run_eutxo(world: EutxoWorld, intents: Sequence[Intent], order: tuple[int, .
         else:
             result, reason = _attach(chain, entry[0], world.policies)
         accepted_how = ""
-        if result is None and rebuild and intent.kind != "tx":
+        if result is None and rebuild:
             entry, refusal = _build_eutxo_intent(world, intent, chain, alloc)
             if entry is None:
                 reason = f"refused-at-rebuild: {refusal}"
@@ -686,7 +685,8 @@ THEOREMS = tuple(STATEMENTS)
 @dataclass(frozen=True)
 class Scenario:
     """A parsed scenario file: initial ledger configuration, actors, the
-    intent list, and which schedules to run."""
+    intent list, which schedules to run, and whether a stale UTxO intent is
+    rebuilt at its turn."""
 
     ledger: str
     actors: tuple[tuple[str, int], ...]
@@ -698,6 +698,7 @@ class Scenario:
     policies: PolicyTable | None = None
     contract: int = 1
     deployer: str = ""
+    rebuild: bool = False
 
 
 def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
@@ -754,10 +755,7 @@ def expand_schedules(scenario: Scenario, override: Sequence[tuple] | None = None
                 rng.shuffle(order)
                 orders.append(tuple(order))
         elif clause[0] == "explicit":
-            order = tuple(clause[1])
-            if sorted(order) != list(range(count)):
-                raise ValueError(f"schedule {order} is not a permutation of 0..{count - 1}")
-            orders.append(order)
+            orders.append(tuple(clause[1]))
         else:
             raise ValueError(f"unknown schedule clause {clause!r}")
     return orders
@@ -814,49 +812,22 @@ def run_scenario(scenario: Scenario, override: Sequence[tuple] | None = None) ->
     """Run every schedule of the scenario against a fresh world."""
     world = build_world(scenario)
     orders = expand_schedules(scenario, override)
-    outcomes = tuple(run_schedule(world, scenario.intents, order) for order in orders)
+    outcomes = tuple(run_schedule(world, scenario.intents, order, scenario.rebuild) for order in orders)
     return ScenarioReport(scenario.ledger, outcomes)
 
 
+#: The two-actor race, as the text of ``corpus/race_<ledger>.scenario``: a buy
+#: built when the price is 1 versus the issuer pushing the price to 100.
+RACE_SCENARIOS = {
+    EUTXO: "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nPOLICY 2 AffineOnce\n"
+    "ACTOR buyer 7\nACTOR issuer 1\nINTENT buyer buy max_price=1 n=100\nINTENT issuer set_price p=100\nSCHEDULE all\n",
+    ACCOUNT: "LEDGER account\nCONTRACT 1\nDEPLOYER issuer\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\nACTOR issuer 1\n"
+    "INTENT buyer call buy value=100\nINTENT issuer call setPrice p=100\nSCHEDULE all\n",
+}
+
+
 def bundled_race_scenario(ledger: str) -> Scenario:
-    """The two-actor race: a buy built when the price is 1 versus the issuer
-    pushing the price to 100.
-
-    On the UTxO ledger whichever lands second goes stale and is rejected; on
-    the account ledger both always land and the buyer's haul depends on the
-    order.  Same shape as the corpus scenario files.
-    """
-    from .model import Chip
-    from .policy import AFFINE_ONCE, Policy
-
-    actors = (("buyer", 7), ("issuer", 1))
-    if ledger == EUTXO:
-        cfg = TokenConfig(issuer=1, traded_chip=Chip(1, 1), state_chip=Chip(2, 1))
-        return Scenario(
-            ledger=EUTXO,
-            actors=actors,
-            intents=(
-                Intent.of("buyer", "buy", n=100, max_price=1),
-                Intent.of("issuer", "set_price", p=100),
-            ),
-            schedules=(("all",),),
-            supply=1000,
-            price=1,
-            cfg=cfg,
-            policies=PolicyTable((Policy(2, AFFINE_ONCE),)),
-        )
-    if ledger == ACCOUNT:
-        return Scenario(
-            ledger=ACCOUNT,
-            actors=actors,
-            intents=(
-                Intent.of("buyer", "call", function="buy", value=100),
-                Intent.of("issuer", "call", function="setPrice", p=100),
-            ),
-            schedules=(("all",),),
-            supply=1000,
-            price=1,
-            contract=1,
-            deployer="issuer",
-        )
-    raise ValueError(f"unknown ledger kind {ledger!r}")
+    """The bundled race.  On the UTxO ledger whichever intent lands second
+    goes stale and is rejected; on the account ledger both always land and
+    the buyer's haul depends on the order."""
+    return formats.parse_scenario(RACE_SCENARIOS[ledger])

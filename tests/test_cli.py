@@ -191,15 +191,25 @@ def test_demo_race_json(capsys):
 
 
 def test_scenario_text_matches_golden(capsys, corpus_dir):
-    code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"))
-    assert code == 0
-    assert out == (corpus_dir / "race_eutxo.golden.txt").read_text()
+    for name in ("race_eutxo", "race_account", "race_rebuild"):
+        code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / f"{name}.scenario"))
+        assert code == 0, name
+        assert out == (corpus_dir / f"{name}.golden.txt").read_text(), name
 
 
-def test_scenario_account_golden(capsys, corpus_dir):
-    code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / "race_account.scenario"))
+def test_rebuild_witness_pays_by_order(capsys, corpus_dir):
+    """Under REBUILD both intents land in both orders, and the buyer pays 100
+    when the buy lands first and 300 when it is rebuilt after the price
+    change: a landed intent no longer does what it was built to do."""
+    code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / "race_rebuild.scenario"), "--format", "json")
     assert code == 0
-    assert out == (corpus_dir / "race_account.golden.txt").read_text()
+    outcomes = json.loads(out)["outcomes"]
+    assert [o["statuses"] for o in outcomes] == [
+        [["accepted", ""], ["accepted", "rebuilt-at-execute"]],
+        [["accepted", "rebuilt-at-execute"], ["accepted", ""]],
+    ]
+    paid = {tuple(o["order"]): o["holdings"]["buyer"]["ada_paid"] for o in outcomes}
+    assert paid == {(0, 1): 100, (1, 0): 300}
 
 
 def test_scenario_schedule_override(capsys, corpus_dir):
@@ -212,13 +222,20 @@ def test_scenario_schedule_override(capsys, corpus_dir):
     assert len(payload["outcomes"]) == 1
 
 
-@pytest.mark.parametrize("clause", ["sample -1 @5", "sample 2 @-1", "1,,0"])
+@pytest.mark.parametrize("clause", ["sample -1 @5", "sample 2 @-1", "1,,0", "sample 0 @1"])
 def test_scenario_bad_schedule_flag_exits_2(capsys, corpus_dir, clause):
     code, out, err = run_cli(capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"), "--schedule", clause)
     assert code == 2
     assert out == ""
     assert err.startswith("error: --schedule: ") and len(err.strip().splitlines()) == 1
     assert "line" not in err
+
+
+def test_scenario_non_permutation_flag_exits_2(capsys, corpus_dir):
+    code, out, err = run_cli(capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"), "--schedule", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order (1, 1) is not a permutation of 0..1\n"
 
 
 def test_scenario_unknown_call_parameter_exits_2(capsys, tmp_path):
@@ -257,6 +274,9 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (EUTXO_HEAD + "ACTOR buyer 8\n", "line 6: actor 'buyer' given twice"),
         (EUTXO_HEAD + "INTENT ghost buy n=1\n", "line 6: intent references unknown actor 'ghost'"),
         (ACCOUNT_HEAD.replace("DEPLOYER buyer", "DEPLOYER ghost"), "line 3: deployer 'ghost' is not an actor"),
+        (ACCOUNT_HEAD + "REBUILD\n", "line 7: REBUILD needs LEDGER eutxo"),
+        (EUTXO_HEAD + "INTENT buyer buy n=1\nSCHEDULE 0,0\n", "line 7: schedule (0, 0) is not a permutation of 0..0"),
+        (EUTXO_HEAD + "SCHEDULE sample 0 @1\n", "line 6: sample count must be at least 1"),
     ],
     ids=[
         "second-policy",
@@ -266,6 +286,9 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "second-actor",
         "unknown-actor",
         "unknown-deployer",
+        "rebuild-on-account",
+        "explicit-not-permutation",
+        "sample-zero",
     ],
 )
 def test_scenario_contradictory_lines_exit_2(capsys, tmp_path, text, message):

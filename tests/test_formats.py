@@ -7,7 +7,7 @@ import pytest
 
 from ledgersim import formats
 from ledgersim.gen import ChainGen
-from ledgersim.harness import bundled_race_scenario
+from ledgersim.harness import RACE_SCENARIOS, Intent, bundled_race_scenario
 from ledgersim.ledger import classify, validate_chain
 from ledgersim.policy import PolicyTable
 
@@ -112,7 +112,12 @@ def test_scenario_round_trip_bundled():
     for ledger in ("eutxo", "account"):
         scenario = bundled_race_scenario(ledger)
         scenarios += [scenario, dataclasses.replace(scenario, schedules=schedules)]
-    scenarios.append(dataclasses.replace(bundled_race_scenario("eutxo"), policies=PolicyTable()))
+    eutxo = bundled_race_scenario("eutxo")
+    mint = Intent.of("buyer", "mint", sym=5, tok=1, qty=2)
+    scenarios += [
+        dataclasses.replace(eutxo, policies=PolicyTable()),
+        dataclasses.replace(eutxo, rebuild=True, intents=eutxo.intents + (mint,)),
+    ]
     for scenario in scenarios:
         text = formats.scenario_to_text(scenario)
         assert formats.parse_scenario(text) == scenario
@@ -122,7 +127,7 @@ def test_scenario_round_trip_bundled():
 def test_scenario_files_match_bundled(corpus_dir):
     for ledger in ("eutxo", "account"):
         on_disk = (corpus_dir / f"race_{ledger}.scenario").read_text()
-        assert formats.parse_scenario(on_disk) == bundled_race_scenario(ledger)
+        assert RACE_SCENARIOS[ledger] == on_disk  # bundled_race_scenario parses this text
 
 
 def test_scenario_parse_errors():
@@ -167,6 +172,15 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (ACCOUNT_HEAD + "DEPLOYER buyer\n", "line 7: DEPLOYER given twice"),
         (ACCOUNT_HEAD + "SUPPLY 5\n", "line 7: SUPPLY given twice"),
         (EUTXO_HEAD + "PRICE 2\n", "line 6: PRICE given twice"),
+        (ACCOUNT_HEAD + "REBUILD\n", "line 7: REBUILD needs LEDGER eutxo"),
+        (EUTXO_HEAD + "REBUILD\nREBUILD\n", "line 7: REBUILD given twice"),
+        (EUTXO_HEAD + "REBUILD x\n", "line 6: REBUILD takes no arguments"),
+        (EUTXO_HEAD + "INTENT buyer mint sym=5 tok=1\n", "line 6: mint parameters: missing ['qty'], unknown []"),
+        (
+            EUTXO_HEAD + "INTENT buyer buy n=1\nINTENT buyer buy n=2\nSCHEDULE 0,2\n",
+            "line 8: schedule (0, 2) is not a permutation of 0..1",
+        ),
+        (EUTXO_HEAD + "SCHEDULE sample 0 @1\n", "line 6: sample count must be at least 1"),
     ],
     ids=[
         "second-policy",
@@ -183,6 +197,12 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "second-deployer",
         "second-supply",
         "second-price",
+        "rebuild-on-account",
+        "second-rebuild",
+        "rebuild-with-argument",
+        "mint-missing-qty",
+        "explicit-not-permutation",
+        "sample-zero",
     ],
 )
 def test_scenario_contradictory_lines(text, message):
