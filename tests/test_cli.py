@@ -191,10 +191,16 @@ def test_demo_race_json(capsys):
 
 
 def test_scenario_text_matches_golden(capsys, corpus_dir):
-    for name in ("race_eutxo", "race_account", "race_rebuild"):
+    for name in ("race_eutxo", "race_rebuild"):
         code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / f"{name}.scenario"))
         assert code == 0, name
         assert out == (corpus_dir / f"{name}.golden.txt").read_text(), name
+
+
+def test_scenario_account_golden(capsys, corpus_dir):
+    code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / "race_account.scenario"))
+    assert code == 0
+    assert out == (corpus_dir / "race_account.golden.txt").read_text()
 
 
 def test_rebuild_witness_pays_by_order(capsys, corpus_dir):
