@@ -240,6 +240,8 @@ def parse_chain(text: str) -> Chain:
 SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "REBUILD")
 EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}, "mint": {"sym", "tok", "qty"}}
 OPTIONAL_PARAMS = {"buy": {"max_price"}}
+#: The parameter that sizes each token-moving intent; it must be at least 1.
+SIZE_PARAMS = {"buy": "n", "mint": "qty"}
 
 
 def _split_kv(tokens: Iterable[str], lineno: int) -> dict[str, str]:
@@ -387,6 +389,9 @@ def parse_scenario(text: str):
                 unknown = set(kv) - allowed
                 if missing or unknown:
                     _fail(lineno, f"{kind} parameters: missing {sorted(missing)}, unknown {sorted(unknown)}")
+                size = SIZE_PARAMS.get(kind)
+                if size and kv[size] < 1:
+                    _fail(lineno, f"{kind} {size} must be at least 1, got {kv[size]}")
                 intents.append(Intent.of(actor, kind, **kv))
             intent_lines.append(lineno)
         elif keyword == "SCHEDULE":

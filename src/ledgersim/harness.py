@@ -13,9 +13,16 @@ The UTxO submit phase is therefore the same in every order: each intent is
 built against the world's snapshot, never against the chain an order has
 grown, and is built again only in a scenario with a ``REBUILD`` line (the
 ``rebuild`` argument of ``run_schedule``), at its execution turn.
-So an ``EutxoWorld`` keeps the submit phase of the last intent tuple it ran
-(each built transaction or refusal, and the allocator position after the
-builds), and every further order of the same intents starts from that entry.
+
+Each world keeps one record of its last run (``_LastRun``): the intent tuple,
+on the UTxO ledger the submit phase and the ``rebuild`` flag, and one step per
+executed intent, holding the ledger state after it.  An order keeps the steps
+it shares with the last order and executes only the rest, so an order costs
+the steps after its shared prefix, and the record holds at most
+``len(intents)`` states.  On the UTxO ledger the chain at the fork point has
+handed its index to its first child, so the resumed append rebuilds it, in
+O(len(world.chain) + depth); persistent chains (ROADMAP item 5) would remove
+that.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import formats
@@ -86,6 +93,22 @@ def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
     raise KeyError(f"unknown actor {actor!r}")
 
 
+@dataclass(eq=False)
+class _LastRun:
+    """The last run against one world: its intent tuple; on the UTxO ledger
+    its submit phase (each intent's built entry or refusal, and the next
+    free position after the builds) and its ``rebuild`` flag; and one step
+    per executed intent, ``(index, state after it, (status, reason), ada
+    paid)``.  The state is ``(chain, next free position)`` on the UTxO
+    ledger and the ``AccountChain`` on the account ledger."""
+
+    intents: tuple[Intent, ...]
+    built: tuple = ()
+    next_position: int = 0
+    rebuild: bool = False
+    steps: list[tuple] = field(default_factory=list)
+
+
 @dataclass(frozen=True)
 class EutxoWorld:
     chain: Chain
@@ -93,10 +116,9 @@ class EutxoWorld:
     policies: PolicyTable
     actors: tuple[tuple[str, int], ...]
 
-    # (intents, built, next free position) of the last submit phase run
-    # against this world.  Not a field, so equality, hashing and repr ignore
-    # it.
-    _submitted = None
+    # The world's ``_LastRun``.  Not a field, so equality, hashing and repr
+    # ignore it.
+    _last_run = None
 
 
 @dataclass(frozen=True)
@@ -104,6 +126,8 @@ class AccountWorld:
     chain: AccountChain
     contract: int
     actors: tuple[tuple[str, int], ...]
+
+    _last_run = None  # as on ``EutxoWorld``
 
 
 @dataclass(frozen=True)
@@ -168,17 +192,55 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
     return (tx, paid), ""
 
 
-def _submit(world: EutxoWorld, intents: tuple[Intent, ...]) -> tuple[tuple, int]:
-    """The submit phase: every intent built against the world's snapshot, as
-    one (entry, refusal) pair per intent, and the next free position after
-    the builds.  Kept on the world for the last intent tuple."""
-    cached = world._submitted
-    if cached is not None and cached[0] == intents:
-        return cached[1], cached[2]
-    alloc = PositionAllocator.above(p for tx in world.chain.transactions for p in positions_of(tx))
-    built = tuple(_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents)
-    object.__setattr__(world, "_submitted", (intents, built, alloc.peek()))
-    return built, alloc.peek()
+def _last_run(world: EutxoWorld | AccountWorld, intents: tuple[Intent, ...], rebuild: bool = False) -> _LastRun:
+    """The world's record of its last run, made anew for another intent
+    tuple.  On the UTxO ledger a new record runs the submit phase: every
+    intent built against the world's snapshot.  A change of ``rebuild``
+    alone keeps the submit phase and drops the steps."""
+    run = world._last_run
+    if run is None or run.intents != intents:
+        run = _LastRun(intents, rebuild=rebuild)
+        if isinstance(world, EutxoWorld):
+            alloc = PositionAllocator.above(p for tx in world.chain.transactions for p in positions_of(tx))
+            run.built = tuple(_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents)
+            run.next_position = alloc.peek()
+        object.__setattr__(world, "_last_run", run)
+    elif run.rebuild != rebuild:
+        run.rebuild = rebuild
+        run.steps.clear()
+    return run
+
+
+def _resume(run: _LastRun, order: tuple[int, ...], start, execute: Callable):
+    """Make ``run.steps`` the steps of ``order`` and return the state after
+    the last one.  The steps ``order`` shares with the last order run are
+    kept, and only the rest are executed, each by ``execute(state, index)``
+    from the state the step before left (``start`` before the first).  A
+    run that raises part-way leaves the steps before the failing one."""
+    steps = run.steps
+    shared = 0
+    for step, index in zip(steps, order):
+        if step[0] != index:
+            break
+        shared += 1
+    del steps[shared:]
+    state = steps[-1][1] if steps else start
+    for index in order[shared:]:
+        state, status, paid = execute(state, index)
+        steps.append((index, state, status, paid))
+    return state
+
+
+def _tally(intents: Sequence[Intent], steps: list[tuple]) -> tuple[tuple, dict[str, int]]:
+    """Every intent's (status, reason), by intent index, and each actor's ada
+    paid."""
+    statuses = [("", "")] * len(intents)
+    paid: dict[str, int] = {}
+    for index, _, status, ada in steps:
+        statuses[index] = status
+        actor = intents[index].actor
+        paid[actor] = paid.get(actor, 0) + ada
+    return tuple(statuses), paid
 
 
 def _eutxo_holdings(world: EutxoWorld, chain: Chain, paid: dict[str, int]) -> tuple:
@@ -215,8 +277,8 @@ def run_schedule(
     if sorted(order) != list(range(len(intents))):
         raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
     if isinstance(world, EutxoWorld):
-        return _run_eutxo(world, intents, order, rebuild)
-    return _run_account(world, intents, order)
+        return _run_eutxo(world, tuple(intents), order, rebuild)
+    return _run_account(world, tuple(intents), order)
 
 
 def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain | None, str]:
@@ -229,34 +291,40 @@ def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain
     return result, ""
 
 
-def _run_eutxo(world: EutxoWorld, intents: Sequence[Intent], order: tuple[int, ...], rebuild: bool) -> Outcome:
-    built, next_position = _submit(world, tuple(intents))
-    alloc = PositionAllocator(next_position)  # rebuilds take positions from here
-    chain = world.chain
-    statuses: list[tuple[str, str]] = [("", "")] * len(intents)
-    paid: dict[str, int] = {}
-    for index in order:
-        intent = intents[index]
-        entry, refusal = built[index]
+def _execute_eutxo(world: EutxoWorld, intent: Intent, built: tuple, rebuild: bool, state: tuple):
+    """One intent's turn: its submit-time transaction appended to the chain,
+    or with ``rebuild`` on and that failing, one built against the chain as
+    it stands.  Returns the next state, the (status, reason) and ada paid."""
+    chain, next_position = state
+    entry, refusal = built
+    if entry is None:
+        result, reason = None, f"refused-at-build: {refusal}"
+    else:
+        result, reason = _attach(chain, entry[0], world.policies)
+    accepted_how = ""
+    if result is None and rebuild:
+        alloc = PositionAllocator(next_position)  # rebuilds take positions from here
+        entry, refusal = _build_eutxo_intent(world, intent, chain, alloc)
+        next_position = alloc.peek()
         if entry is None:
-            result, reason = None, f"refused-at-build: {refusal}"
+            reason = f"refused-at-rebuild: {refusal}"
         else:
             result, reason = _attach(chain, entry[0], world.policies)
-        accepted_how = ""
-        if result is None and rebuild:
-            entry, refusal = _build_eutxo_intent(world, intent, chain, alloc)
-            if entry is None:
-                reason = f"refused-at-rebuild: {refusal}"
-            else:
-                result, reason = _attach(chain, entry[0], world.policies)
-                accepted_how = "rebuilt-at-execute"
-        if result is None:
-            statuses[index] = ("rejected", reason)
-            continue
-        chain = result
-        statuses[index] = ("accepted", accepted_how)
-        if intent.kind == "buy":
-            paid[intent.actor] = paid.get(intent.actor, 0) + entry[1]
+            accepted_how = "rebuilt-at-execute"
+    if result is None:
+        return (chain, next_position), ("rejected", reason), 0
+    return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0
+
+
+def _run_eutxo(world: EutxoWorld, intents: tuple[Intent, ...], order: tuple[int, ...], rebuild: bool) -> Outcome:
+    run = _last_run(world, intents, rebuild)
+    chain, _ = _resume(
+        run,
+        order,
+        (world.chain, run.next_position),
+        lambda state, index: _execute_eutxo(world, intents[index], run.built[index], rebuild, state),
+    )
+    statuses, paid = _tally(intents, run.steps)
     try:
         portal = find_portal(chain, world.cfg)
         state = (
@@ -266,26 +334,25 @@ def _run_eutxo(world: EutxoWorld, intents: Sequence[Intent], order: tuple[int, .
     except NoPortalError:
         state = (("portal_price", -1), ("portal_supply", -1))
     text = formats.chain_to_text(chain)
-    return Outcome(order, tuple(statuses), _eutxo_holdings(world, chain, paid), state, _digest(text))
+    return Outcome(order, statuses, _eutxo_holdings(world, chain, paid), state, _digest(text))
 
 
-def _run_account(world: AccountWorld, intents: Sequence[Intent], order: tuple[int, ...]) -> Outcome:
-    chain = world.chain
-    statuses: list[tuple[str, str]] = [("", "")] * len(intents)
-    paid: dict[str, int] = {}
-    for index in order:
-        intent = intents[index]
-        if intent.kind != "call":
-            raise ValueError(f"unknown account intent kind {intent.kind!r}")
-        function = intent.get("function")
-        sender = _key_of(world.actors, intent.actor)
-        value = intent.get("value", 0)
-        args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
-        tx = CallTx(world.contract, function, sender, value, args)
-        chain, result = call(chain, tx)
-        statuses[index] = (result.status, result.reason)
-        if result.ok and function in PAYABLE:
-            paid[intent.actor] = paid.get(intent.actor, 0) + value
+def _execute_account(world: AccountWorld, intent: Intent, chain: AccountChain):
+    """One call against the chain as it stands: the next chain, the
+    (status, reason) and the ada paid."""
+    if intent.kind != "call":
+        raise ValueError(f"unknown account intent kind {intent.kind!r}")
+    function = intent.get("function")
+    value = intent.get("value", 0)
+    args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
+    chain, result = call(chain, CallTx(world.contract, function, _key_of(world.actors, intent.actor), value, args))
+    return chain, (result.status, result.reason), value if result.ok and function in PAYABLE else 0
+
+
+def _run_account(world: AccountWorld, intents: tuple[Intent, ...], order: tuple[int, ...]) -> Outcome:
+    run = _last_run(world, intents)
+    chain = _resume(run, order, world.chain, lambda chain, index: _execute_account(world, intents[index], chain))
+    statuses, paid = _tally(intents, run.steps)
     acct = chain.get(world.contract)
     holdings = []
     for name, key in sorted(world.actors):
@@ -308,7 +375,7 @@ def _run_account(world: AccountWorld, intents: Sequence[Intent], order: tuple[in
         },
         sort_keys=True,
     )
-    return Outcome(order, tuple(statuses), tuple(holdings), state, _digest(digest_src))
+    return Outcome(order, statuses, tuple(holdings), state, _digest(digest_src))
 
 
 # ---------------------------------------------------------------------------
@@ -729,11 +796,14 @@ MAX_ORDERS = math.factorial(8)
 
 def expand_schedules(scenario: Scenario, override: Sequence[tuple] | None = None) -> list[tuple[int, ...]]:
     """Concrete permutations for every schedule clause; a ValueError, before
-    any is built, when the clauses ask for more than ``MAX_ORDERS``."""
+    any is built, when the clauses ask for more than ``MAX_ORDERS`` or an
+    explicit clause is not a permutation of the intent indices."""
     count = len(scenario.intents)
     clauses = override if override is not None else scenario.schedules
     asked = 0
     for clause in clauses:
+        if clause[0] == "explicit" and sorted(clause[1]) != list(range(count)):
+            raise ValueError(f"order {tuple(clause[1])} is not a permutation of 0..{count - 1}")
         if clause[0] == "all":
             asked += math.factorial(min(count, 9))  # 9! alone is past the bound
         else:

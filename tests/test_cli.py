@@ -191,7 +191,7 @@ def test_demo_race_json(capsys):
 
 
 def test_scenario_text_matches_golden(capsys, corpus_dir):
-    for name in ("race_eutxo", "race_rebuild"):
+    for name in ("race_eutxo", "race_rebuild", "race_four"):
         code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / f"{name}.scenario"))
         assert code == 0, name
         assert out == (corpus_dir / f"{name}.golden.txt").read_text(), name
@@ -242,6 +242,26 @@ def test_scenario_non_permutation_flag_exits_2(capsys, corpus_dir):
     assert code == 2
     assert out == ""
     assert err == "error: order (1, 1) is not a permutation of 0..1\n"
+
+
+def test_scenario_non_permutation_flag_refused_before_any_order(capsys, tmp_path, monkeypatch):
+    """A bad override clause is refused up front, not after the orders of
+    the clauses before it have run."""
+    from ledgersim import harness
+
+    runs = []
+    monkeypatch.setattr(harness, "run_schedule", lambda *args: runs.append(args))
+    eight = tmp_path / "eight.scenario"
+    eight.write_text(
+        "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"
+        + "INTENT buyer buy n=1\n" * 8
+        + "SCHEDULE all\n"
+    )
+    code, out, err = run_cli(capsys, "scenario", str(eight), "--schedule", "sample 20000 @1", "--schedule", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order (1, 1) is not a permutation of 0..7\n"
+    assert runs == []
 
 
 def test_scenario_unknown_call_parameter_exits_2(capsys, tmp_path):

@@ -176,6 +176,8 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (EUTXO_HEAD + "REBUILD\nREBUILD\n", "line 7: REBUILD given twice"),
         (EUTXO_HEAD + "REBUILD x\n", "line 6: REBUILD takes no arguments"),
         (EUTXO_HEAD + "INTENT buyer mint sym=5 tok=1\n", "line 6: mint parameters: missing ['qty'], unknown []"),
+        (EUTXO_HEAD + "INTENT buyer buy n=0\n", "line 6: buy n must be at least 1, got 0"),
+        (EUTXO_HEAD + "INTENT buyer mint sym=1 tok=1 qty=0\n", "line 6: mint qty must be at least 1, got 0"),
         (
             EUTXO_HEAD + "INTENT buyer buy n=1\nINTENT buyer buy n=2\nSCHEDULE 0,2\n",
             "line 8: schedule (0, 2) is not a permutation of 0..1",
@@ -201,6 +203,8 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "second-rebuild",
         "rebuild-with-argument",
         "mint-missing-qty",
+        "buy-zero",
+        "mint-zero",
         "explicit-not-permutation",
         "sample-zero",
     ],

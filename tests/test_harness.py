@@ -442,8 +442,35 @@ def _random_eutxo_race(seed: int, max_n: int = 1200):
     return dataclasses.replace(scenario, actors=scenario.actors + (("b2", 9),), intents=tuple(intents))
 
 
+def _random_account_race(seed: int):
+    """A seeded 6-intent race on the bundled contract: ``buy`` and
+    ``buyGuarded`` calls by ``buyer`` and ``b2``, token sends between the
+    three keys, and price changes, some to 0."""
+    import random
+
+    rng = random.Random(seed)
+    intents = []
+    for _ in range(6):
+        draw = rng.random()
+        actor = rng.choice(("buyer", "b2"))
+        if draw < 0.3:
+            intents.append(Intent.of(actor, "call", function="buy", value=rng.randrange(0, 300)))
+        elif draw < 0.55:
+            value = rng.randrange(0, 300)
+            intents.append(Intent.of(actor, "call", function="buyGuarded", value=value, expected=rng.randrange(0, 4)))
+        elif draw < 0.8:
+            intents.append(Intent.of(actor, "call", function="send", to=rng.choice((1, 7, 9)), amount=rng.randrange(0, 150)))
+        else:
+            intents.append(Intent.of("issuer", "call", function="setPrice", p=rng.randrange(0, 4)))
+    scenario = bundled_race_scenario("account")
+    return dataclasses.replace(scenario, actors=scenario.actors + (("b2", 9),), intents=tuple(intents))
+
+
 # sha256 of every outcome's lines, newline-terminated, for seeds 0-2, all 720 orders, rebuild off then on.
 SCHEDULE_PIN = "7a969da1bff055ce3ebf3cb4cb1010e27459121e0815228774c69d9211830bad"
+# The same over ``_random_account_race`` at seeds 0-2, computed when every
+# order still ran from the world.
+ACCOUNT_SCHEDULE_PIN = "cfef666cb6ec9dd30b574b8c58fe1a04716a95b0b85f359c20e5f283405cab5b"
 
 
 def test_eutxo_race_outcomes_pinned():
@@ -461,6 +488,22 @@ def test_eutxo_race_outcomes_pinned():
                 lines = run_schedule(world, scenario.intents, order, rebuild).to_lines()
                 digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == SCHEDULE_PIN
+
+
+def test_account_race_outcomes_pinned():
+    """Every order of three seeded account races, run on one world per
+    race, gives the outcomes pinned before orders shared their prefixes."""
+    import hashlib
+    import itertools
+
+    digest = hashlib.sha256()
+    for seed in range(3):
+        scenario = _random_account_race(seed)
+        world = build_world(scenario)
+        for order in itertools.permutations(range(6)):
+            lines = run_schedule(world, scenario.intents, order).to_lines()
+            digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == ACCOUNT_SCHEDULE_PIN
 
 
 def _counting_builders(monkeypatch) -> dict:
@@ -494,16 +537,40 @@ def test_submit_phase_built_once_per_world(monkeypatch, seed):
     kinds = Counter(intent.kind for intent in scenario.intents)
     assert kinds["buy"] and kinds["set_price"]
     assert calls == {"buy": kinds["buy"], "set_price": kinds["set_price"]}
-    # with rebuild on, every intent whose submit-time transaction did not
-    # attach is rebuilt exactly once at its turn
-    rebuilds = Counter()
+    # with rebuild on, an intent whose submit-time transaction did not attach
+    # is rebuilt at its turn, once for each distinct order prefix ending there
+    rebuilt = {kind: set() for kind in calls}
     for order in orders:
         outcome = run_schedule(world, scenario.intents, order, rebuild=True)
-        for intent, status in zip(scenario.intents, outcome.statuses):
-            if status != ("accepted", ""):
-                rebuilds[intent.kind] += 1
-    assert rebuilds["buy"] and rebuilds["set_price"]
-    assert calls == {kind: kinds[kind] + rebuilds[kind] for kind in calls}
+        for depth, index in enumerate(order):
+            kind = scenario.intents[index].kind
+            if outcome.statuses[index] != ("accepted", "") and kind in rebuilt:
+                rebuilt[kind].add(order[: depth + 1])
+    assert rebuilt["buy"] and rebuilt["set_price"]
+    assert calls == {kind: kinds[kind] + len(rebuilt[kind]) for kind in calls}
+
+
+def test_account_orders_share_their_prefixes(monkeypatch):
+    """All 720 orders of a 6-intent account race on one world make one call
+    per distinct order prefix: the sum over k of 6!/(6-k)!, not 720 x 6."""
+    import itertools
+
+    from ledgersim import harness
+
+    calls = 0
+    real = harness.call
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(harness, "call", counted)
+    scenario = _random_account_race(0)
+    world = build_world(scenario)
+    for order in itertools.permutations(range(6)):
+        run_schedule(world, scenario.intents, order)
+    assert calls == sum(math.perm(6, k) for k in range(1, 7)) == 1956
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
@@ -529,6 +596,64 @@ def test_shared_world_matches_fresh_worlds(rebuild):
     # the kept submit phase is not part of the world's value
     untouched = build_world(b)
     assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
+
+
+def _orders_out_of_sequence() -> list[tuple[int, ...]]:
+    """Orders of 6 intents in no lexicographic sequence: all of them
+    reversed, a seeded shuffle, and shuffled orders each run twice in a row."""
+    import itertools
+    import random
+
+    orders = list(itertools.permutations(range(6)))
+    shuffled = orders[:]
+    random.Random(5).shuffle(shuffled)
+    return orders[::-1] + shuffled[:200] + [order for order in shuffled[200:260] for _ in range(2)]
+
+
+@pytest.mark.parametrize("ledger", ["eutxo", "account"])
+def test_resumed_runs_match_fresh_worlds(ledger):
+    """Orders out of sequence on one world equal a fresh world per order,
+    also when the world runs intent tuple A, then B, then A again, with
+    ``rebuild`` toggled between (it is a no-op on the account ledger)."""
+    race = _random_eutxo_race if ledger == "eutxo" else _random_account_race
+    a, b = race(0), race(2)
+    orders = _orders_out_of_sequence()
+    world = build_world(a)
+    for scenario, rebuild in ((a, False), (a, True), (b, True), (a, False)):
+        for order in orders:
+            fresh = run_schedule(build_world(scenario), scenario.intents, order, rebuild)
+            assert run_schedule(world, scenario.intents, order, rebuild) == fresh
+    # the kept record is not part of the world's value
+    untouched = build_world(a)
+    assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
+
+
+def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
+    """An order that raises at an unknown intent kind, and one whose call
+    fails once part-way, leave a record later orders resume from correctly."""
+    from ledgersim import harness
+
+    scenario = _random_account_race(1)
+    world = build_world(scenario)
+    bogus = scenario.intents[:5] + (Intent.of("buyer", "transfer"),)
+    with pytest.raises(ValueError, match="unknown account intent kind 'transfer'"):
+        run_schedule(world, bogus, (0, 1, 2, 5, 3, 4))
+    with pytest.raises(ValueError, match="unknown account intent kind 'transfer'"):
+        run_schedule(world, bogus, (0, 1, 2, 3, 4, 5))  # resumes after 0, 1, 2
+    real, calls = harness.call, []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise RuntimeError("call failed")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "call", flaky)
+    with pytest.raises(RuntimeError):
+        run_schedule(world, scenario.intents, (0, 1, 2, 3, 4, 5))
+    for order in [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)] + _orders_out_of_sequence()[:50]:
+        fresh = run_schedule(build_world(scenario), scenario.intents, order)
+        assert run_schedule(world, scenario.intents, order) == fresh
 
 
 def test_holdings_match_per_actor_scan(monkeypatch):
