@@ -299,6 +299,7 @@ def parse_scenario(text: str):
     deployer_line = 0
     rebuild_line = 0
     supply: int | None = None
+    supply_line = 0
     price: int | None = None
     policy_rules: dict[int, str] = {}
     actors: list[tuple[str, int]] = []
@@ -341,7 +342,7 @@ def parse_scenario(text: str):
         elif keyword == "DEPLOYER":
             deployer, deployer_line = tokens[1], lineno
         elif keyword == "SUPPLY":
-            supply = _nat(tokens[1], lineno, "supply")
+            supply, supply_line = _nat(tokens[1], lineno, "supply"), lineno
         elif keyword == "PRICE":
             price = _nat(tokens[1], lineno, "price")
         elif keyword == "REBUILD":
@@ -417,6 +418,8 @@ def parse_scenario(text: str):
             _fail(lineno, f"schedule {clause[1]} is not a permutation of 0..{len(intents) - 1}")
     if rebuild_line and ledger != EUTXO:
         _fail(rebuild_line, f"REBUILD needs LEDGER {EUTXO}")
+    if supply == 0 and ledger == EUTXO:  # the portal holds the supply; a contract may start empty
+        _fail(supply_line, f"SUPPLY must be at least 1 on LEDGER {EUTXO}")
     head = (ledger, tuple(actors), tuple(intents), tuple(schedules), supply, price)
     if ledger == EUTXO:
         if cfg is None:

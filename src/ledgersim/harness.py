@@ -47,7 +47,7 @@ from .equivalence import (
     spent_edges,
 )
 from .gen import ChainGen, spend, spendable
-from .ledger import Chain, ValidationReport, append, utxo, validate_chain
+from .ledger import Chain, MalformedChainError, ValidationReport, append, utxo, validate_chain
 from .model import ADA, Chip, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of, singleton
 from .policy import PolicyTable
 from .token_portal import (
@@ -134,7 +134,9 @@ class AccountWorld:
 class Outcome:
     """Everything observable about one scheduled run.
 
-    ``statuses`` is indexed by intent (not by order position).  ``key()``
+    ``statuses`` is indexed by intent (not by order position).  On the UTxO
+    ledger ``state`` reads ``portal_price=-1 portal_supply=-1`` when no
+    unspent output, or more than one, carries the state chip.  ``key()``
     drops the order so permutations with identical effects collapse when
     counting distinct outcomes.
     """
@@ -168,23 +170,21 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
     """Materialize one intent against the given chain snapshot.
 
     Returns (transaction, planned ada payment) or (None, refusal reason).
+    A portal builder refuses when no unspent output, or more than one,
+    carries the state chip.
     """
     key = _key_of(world.actors, intent.actor)
-    if intent.kind == "buy":
-        amount = intent.get("n")
-        max_price = intent.get("max_price")
-        try:
-            tx = build_buy_tx(chain, world.cfg, key, amount, alloc, max_price)
-        except (PriceRefused, InsufficientSupply, NoPortalError) as exc:
-            return None, str(exc)
-    elif intent.kind == "set_price":
-        try:
-            tx = build_set_price_tx(chain, world.cfg, intent.get("p"), alloc)
-        except NoPortalError as exc:
-            return None, str(exc)
-    elif intent.kind == "mint":
+    if intent.kind == "mint":
         minted = singleton(Chip(intent.get("sym"), intent.get("tok")), intent.get("qty"))
         tx = Transaction(frozenset(), frozenset({Output(alloc.fresh(), pay_to_pubkey(key), 0, minted)}))
+    elif intent.kind in ("buy", "set_price"):
+        try:
+            if intent.kind == "buy":
+                tx = build_buy_tx(chain, world.cfg, key, intent.get("n"), alloc, intent.get("max_price"))
+            else:
+                tx = build_set_price_tx(chain, world.cfg, intent.get("p"), alloc)
+        except (PriceRefused, InsufficientSupply, NoPortalError, MalformedChainError) as exc:
+            return None, str(exc)
     else:
         raise ValueError(f"unknown eutxo intent kind {intent.kind!r}")
     issuer_lock = pay_to_pubkey(world.cfg.issuer)
@@ -331,7 +331,7 @@ def _run_eutxo(world: EutxoWorld, intents: tuple[Intent, ...], order: tuple[int,
             ("portal_price", portal.datum),
             ("portal_supply", portal.value.get(world.cfg.traded_chip)),
         )
-    except NoPortalError:
+    except (NoPortalError, MalformedChainError):  # no portal, or not a unique one
         state = (("portal_price", -1), ("portal_supply", -1))
     text = formats.chain_to_text(chain)
     return Outcome(order, statuses, _eutxo_holdings(world, chain, paid), state, _digest(text))

@@ -66,9 +66,8 @@ class Value:
                 raise ValueError(f"quantity for {chip} must not be negative")
         return cls(tuple(sorted((c, q) for c, q in merged.items() if q > 0)))
 
-    def get(self, chip: Chip | tuple[int, int]) -> int:
+    def get(self, chip: Chip) -> int:
         """Quantity of ``chip`` in this value; 0 when absent."""
-        chip = Chip(*chip)
         for c, q in self.entries:
             if c == chip:
                 return q

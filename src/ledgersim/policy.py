@@ -2,8 +2,10 @@
 
 The table is an optional configuration extension to chain validity: the base
 model stays untouched and callers pass a table into ``append``/``validate``
-when they want forging constrained.  The affine rule is what makes a state
-chip work: it can be minted once, never duplicated, never burned.
+when they want forging constrained.  A transaction's forge is one map from
+currency symbol to net quantity created (``forged``), and the rules judge its
+entries.  The affine rule is what makes a state chip work: it can be minted
+once, never duplicated, never burned.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .ledger import LedgerIndex, MalformedChainError
-from .model import Output, Transaction
+from .model import Transaction
 
 FREE_FORGE = "FreeForge"
 FORBID_FORGE = "ForbidForge"
@@ -57,27 +59,22 @@ class PolicyTable:
         return FREE_FORGE
 
 
-def _consumed(index: LedgerIndex, tx: Transaction) -> list[Output]:
-    """The outputs the transaction's inputs resolve to, each the first
-    earlier output at its position; every input must resolve."""
-    outs = []
+def forged(index: LedgerIndex, tx: Transaction) -> dict[int, int]:
+    """The forge of ``tx`` on top of the indexed chain, ``{symbol: net
+    quantity}``: its outputs minus the outputs its inputs resolve to, so
+    negative means burning.  Zero entries are dropped; every input must
+    resolve."""
+    net: dict[int, int] = {}
+    for out in tx.outputs:
+        for chip, qty in out.value:
+            net[chip.symbol] = net.get(chip.symbol, 0) + qty
     for inp in tx.inputs:
         out = index.output.get(inp.position)
         if out is None:
             raise MalformedChainError(f"input at {inp.position} does not resolve in the chain")
-        outs.append(out)
-    return outs
-
-
-def forged(index: LedgerIndex, tx: Transaction, symbol: int) -> int:
-    """Net quantity of the symbol created by ``tx`` on top of the chain
-    ``index`` summarizes.
-
-    Output quantities minus the quantities carried by the outputs its inputs
-    resolve to; negative means burning.  Every input must resolve.
-    """
-    created = sum(out.value.symbol_total(symbol) for out in tx.outputs)
-    return created - sum(out.value.symbol_total(symbol) for out in _consumed(index, tx))
+        for chip, qty in out.value:
+            net[chip.symbol] = net.get(chip.symbol, 0) - qty
+    return {symbol: delta for symbol, delta in net.items() if delta}
 
 
 def circulating(index: LedgerIndex, symbol: int) -> int:
@@ -88,15 +85,7 @@ def circulating(index: LedgerIndex, symbol: int) -> int:
 def policy_violation(table: PolicyTable, index: LedgerIndex, tx: Transaction) -> str | None:
     """First policy problem with appending ``tx`` to the indexed chain, or
     None when all pertinent policies are satisfied."""
-    symbols: set[int] = set()
-    for out in tx.outputs:
-        symbols |= out.value.symbols()
-    for out in _consumed(index, tx):
-        symbols |= out.value.symbols()
-    for symbol in sorted(symbols):
-        delta = forged(index, tx, symbol)
-        if delta == 0:
-            continue
+    for symbol, delta in sorted(forged(index, tx).items()):
         rule = table.rule_for(symbol)
         if rule == FREE_FORGE:
             continue

@@ -191,7 +191,7 @@ def test_demo_race_json(capsys):
 
 
 def test_scenario_text_matches_golden(capsys, corpus_dir):
-    for name in ("race_eutxo", "race_rebuild", "race_four"):
+    for name in ("race_eutxo", "race_rebuild", "race_four", "race_unguarded_state"):
         code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / f"{name}.scenario"))
         assert code == 0, name
         assert out == (corpus_dir / f"{name}.golden.txt").read_text(), name
@@ -303,6 +303,7 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (ACCOUNT_HEAD + "REBUILD\n", "line 7: REBUILD needs LEDGER eutxo"),
         (EUTXO_HEAD + "INTENT buyer buy n=1\nSCHEDULE 0,0\n", "line 7: schedule (0, 0) is not a permutation of 0..0"),
         (EUTXO_HEAD + "SCHEDULE sample 0 @1\n", "line 6: sample count must be at least 1"),
+        (EUTXO_HEAD.replace("SUPPLY 1000", "SUPPLY 0"), "line 3: SUPPLY must be at least 1 on LEDGER eutxo"),
     ],
     ids=[
         "second-policy",
@@ -315,6 +316,7 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "rebuild-on-account",
         "explicit-not-permutation",
         "sample-zero",
+        "eutxo-supply-zero",
     ],
 )
 def test_scenario_contradictory_lines_exit_2(capsys, tmp_path, text, message):

@@ -183,6 +183,7 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
             "line 8: schedule (0, 2) is not a permutation of 0..1",
         ),
         (EUTXO_HEAD + "SCHEDULE sample 0 @1\n", "line 6: sample count must be at least 1"),
+        (EUTXO_HEAD.replace("SUPPLY 1000", "SUPPLY 0"), "line 3: SUPPLY must be at least 1 on LEDGER eutxo"),
     ],
     ids=[
         "second-policy",
@@ -207,12 +208,20 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "mint-zero",
         "explicit-not-permutation",
         "sample-zero",
+        "eutxo-supply-zero",
     ],
 )
 def test_scenario_contradictory_lines(text, message):
     with pytest.raises(formats.ParseError) as err:
         formats.parse_scenario(text + "SCHEDULE all\n")
     assert str(err.value) == message
+
+
+def test_account_scenario_may_start_with_no_supply():
+    """``SUPPLY 0`` is refused only on eutxo, where the portal must hold the
+    supply; an account contract may be deployed empty."""
+    scenario = formats.parse_scenario(ACCOUNT_HEAD.replace("SUPPLY 1000", "SUPPLY 0") + "SCHEDULE all\n")
+    assert scenario.supply == 0
 
 
 @pytest.mark.parametrize(

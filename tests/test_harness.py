@@ -264,6 +264,25 @@ def test_rebuild_off_by_default_matches_plain_run():
     assert plain == explicit
 
 
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_duplicated_state_chip_is_recorded_not_raised(corpus_dir, rebuild):
+    """With no policy on the state chip a mint duplicates it.  Every order
+    still reaches an outcome: a portal builder refuses at rebuild, and an
+    order that ends with two state chips reads the portal as missing."""
+    import itertools
+
+    scenario = formats.parse_scenario((corpus_dir / "race_unguarded_state.scenario").read_text())
+    world = build_world(scenario)
+    reasons = set()
+    for order in itertools.permutations(range(len(scenario.intents))):
+        outcome = run_schedule(world, scenario.intents, order, rebuild)
+        assert outcome.statuses[0] == ("accepted", "")  # the mint always lands
+        assert outcome.state == (("portal_price", -1), ("portal_supply", -1))
+        reasons |= {reason for _, reason in outcome.statuses}
+    duplicated = "refused-at-rebuild: state chip appears in more than one unspent output"
+    assert (duplicated in reasons) == rebuild
+
+
 def test_minimize_instance_shrinks():
     """The greedy shrinker drops transactions irrelevant to the failure."""
     from ledgersim.ledger import append

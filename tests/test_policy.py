@@ -25,24 +25,51 @@ def _genesis(value: Value, position: int = 1) -> Transaction:
 
 def test_forged_genesis_mint():
     tx = _genesis(singleton(STATE, 100))
-    assert forged(Chain().index(), tx, 5) == 100
+    assert forged(Chain().index(), tx) == {5: 100}
 
 
 def test_forged_conservation():
     chain = Chain((_genesis(singleton(STATE, 3)),))
     carry = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 0, singleton(STATE, 3))}))
-    assert forged(chain.index(), carry, 5) == 0
+    assert forged(chain.index(), carry) == {}
 
 
 def test_forged_burn():
     chain = Chain((_genesis(singleton(STATE, 3)),))
     burn = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 0, singleton(STATE, 1))}))
-    assert forged(chain.index(), burn, 5) == -2
+    assert forged(chain.index(), burn) == {5: -2}
 
 
 def test_forged_unresolved_input_raises():
     with pytest.raises(MalformedChainError):
-        forged(Chain().index(), Transaction(frozenset({Input(9, 0)}), frozenset()), 5)
+        forged(Chain().index(), Transaction(frozenset({Input(9, 0)}), frozenset()))
+
+
+def _mint_burn_carry() -> tuple[Chain, Transaction]:
+    """A chain holding 3 of chip 6:1 and 2 of 7:1 at position 1, and a
+    transaction spending them that mints one state chip, burns one 6:1 and
+    carries the two 7:1 over."""
+    chain = Chain((_genesis(Value.of({Chip(6, 1): 3, Chip(7, 1): 2})),))
+    out = Output(2, ACCEPT_ALL, 0, Value.of({STATE: 1, Chip(6, 1): 2, Chip(7, 1): 2}))
+    return chain, Transaction(frozenset({Input(1, 0)}), frozenset({out}))
+
+
+def test_forged_maps_only_the_symbols_forged_or_burned():
+    chain, tx = _mint_burn_carry()
+    assert forged(chain.index(), tx) == {5: 1, 6: -1}
+
+
+def test_policy_check_reads_the_forge_once(monkeypatch):
+    """One policy-checked append computes the transaction's forge once,
+    however many symbols it touches."""
+    from ledgersim import policy
+
+    calls = []
+    monkeypatch.setattr(policy, "forged", lambda *args: calls.append(args) or forged(*args))
+    chain, tx = _mint_burn_carry()
+    table = PolicyTable.of({5: AFFINE_ONCE, 7: FORBID_FORGE})
+    assert isinstance(append(chain, tx, policies=table), Chain)
+    assert len(calls) == 1
 
 
 def test_affine_once_rules():
@@ -118,7 +145,7 @@ def test_reused_position_then_spent_is_reported_under_policies():
     expected = "tx 1: duplicate-position (output position 5 already used)"
     for table in (None, PolicyTable(), PolicyTable((Policy(5, AFFINE_ONCE),))):
         assert validate_chain(chain, table).describe() == expected
-    assert forged(chain.prefix(2).index(), spend, 6) == -1
+    assert forged(chain.prefix(2).index(), spend) == {6: -1}
 
 
 def test_policy_check_invariant_under_canonical_rename():
