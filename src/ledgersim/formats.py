@@ -8,9 +8,9 @@ Chain files are diff-friendly and hand-editable:
 
 Validator kinds have fixed arities (AcceptAll/RejectAll none, PayToPubKey one
 key, StateMachine five naturals), so lines parse without separators.  Either
-every transaction carries a SLOT or none does.  Printing is canonical (inputs
-and outputs sorted by position), and parse/print round-trips are identities on
-canonical text.
+every transaction carries a SLOT or none does, and slots never decrease.
+Printing is canonical (inputs and outputs sorted by position), and parse/print
+round-trips are identities on canonical text.
 
 Scenario files describe one race or schedule experiment; see parse_scenario.
 """
@@ -173,6 +173,8 @@ def parse_transactions(text: str) -> tuple[tuple[Transaction, ...], tuple[int, .
             elif slotted != (slot is not None):
                 _fail(lineno, "either every transaction has a SLOT or none does")
             if slot is not None:
+                if slots and slot < slots[-1]:
+                    _fail(lineno, f"slot {slot} below the previous slot {slots[-1]}")
                 slots.append(slot)
             current_inputs = []
             current_range = slot_range
@@ -233,11 +235,14 @@ def parse_chain(text: str) -> Chain:
 #     INTENT <actor> call <function> [k=v ...]                   (account)
 #     SCHEDULE all | sample <n> @<seed> | <i,j,...>
 #
-# A keyword of SINGLE_VALUED, or an ACTOR name, given twice is an error.
-# REBUILD rebuilds an intent whose submit-time transaction no longer attaches
-# against the chain at its turn; a mint is a genesis paying the actor's key.
+# A keyword of SINGLE_VALUED, or an ACTOR name, given twice is an error, and
+# so is a keyword of LEDGER_ONLY under the other ledger.  REBUILD rebuilds an
+# intent whose submit-time transaction no longer attaches against the chain at
+# its turn; a mint is a genesis paying the actor's key.
 
 SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "REBUILD")
+LEDGER_ONLY = {"CONFIG": "eutxo", "POLICY": "eutxo", "REBUILD": "eutxo", "CONTRACT": "account", "DEPLOYER": "account"}
+CONFIG_KEYS = {"issuer", "traded", "state"}
 EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}, "mint": {"sym", "tok", "qty"}}
 OPTIONAL_PARAMS = {"buy": {"max_price"}}
 #: The parameter that sizes each token-moving intent; it must be at least 1.
@@ -296,10 +301,7 @@ def parse_scenario(text: str):
     cfg: TokenConfig | None = None
     contract: int | None = None
     deployer: str | None = None
-    deployer_line = 0
-    rebuild_line = 0
     supply: int | None = None
-    supply_line = 0
     price: int | None = None
     policy_rules: dict[int, str] = {}
     actors: list[tuple[str, int]] = []
@@ -307,7 +309,7 @@ def parse_scenario(text: str):
     intent_lines: list[int] = []
     schedules: list[tuple] = []
     schedule_lines: list[int] = []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # each keyword's first line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -317,16 +319,18 @@ def parse_scenario(text: str):
         keyword = tokens[0]
         if keyword in SINGLE_VALUED and keyword in seen:
             _fail(lineno, f"{keyword} given twice")
-        seen.add(keyword)
+        seen.setdefault(keyword, lineno)
         if keyword == "LEDGER":
             if len(tokens) != 2 or tokens[1] not in (EUTXO, ACCOUNT):
                 _fail(lineno, "LEDGER must be 'eutxo' or 'account'")
             ledger = tokens[1]
         elif keyword == "CONFIG":
             kv = _split_kv(tokens[1:], lineno)
-            missing = {"issuer", "traded", "state"} - set(kv)
+            missing, unknown = CONFIG_KEYS - set(kv), set(kv) - CONFIG_KEYS
             if missing:
                 _fail(lineno, f"CONFIG missing {sorted(missing)}")
+            if unknown:
+                _fail(lineno, f"CONFIG unknown {sorted(unknown)}")
             try:
                 cfg = TokenConfig(
                     _nat(kv["issuer"], lineno, "issuer"),
@@ -340,15 +344,14 @@ def parse_scenario(text: str):
         elif keyword == "CONTRACT":
             contract = _nat(tokens[1], lineno, "contract name")
         elif keyword == "DEPLOYER":
-            deployer, deployer_line = tokens[1], lineno
+            deployer = tokens[1]
         elif keyword == "SUPPLY":
-            supply, supply_line = _nat(tokens[1], lineno, "supply"), lineno
+            supply = _nat(tokens[1], lineno, "supply")
         elif keyword == "PRICE":
             price = _nat(tokens[1], lineno, "price")
         elif keyword == "REBUILD":
             if len(tokens) != 1:
                 _fail(lineno, "REBUILD takes no arguments")
-            rebuild_line = lineno
         elif keyword == "POLICY":
             if len(tokens) != 3 or tokens[2] not in RULES:
                 _fail(lineno, f"POLICY takes a symbol and one of {RULES}")
@@ -416,19 +419,20 @@ def parse_scenario(text: str):
     for lineno, clause in zip(schedule_lines, schedules):
         if clause[0] == "explicit" and sorted(clause[1]) != list(range(len(intents))):
             _fail(lineno, f"schedule {clause[1]} is not a permutation of 0..{len(intents) - 1}")
-    if rebuild_line and ledger != EUTXO:
-        _fail(rebuild_line, f"REBUILD needs LEDGER {EUTXO}")
+    for keyword, lineno in seen.items():
+        if LEDGER_ONLY.get(keyword, ledger) != ledger:
+            _fail(lineno, f"{keyword} needs LEDGER {LEDGER_ONLY[keyword]}")
     if supply == 0 and ledger == EUTXO:  # the portal holds the supply; a contract may start empty
-        _fail(supply_line, f"SUPPLY must be at least 1 on LEDGER {EUTXO}")
+        _fail(seen["SUPPLY"], f"SUPPLY must be at least 1 on LEDGER {EUTXO}")
     head = (ledger, tuple(actors), tuple(intents), tuple(schedules), supply, price)
     if ledger == EUTXO:
         if cfg is None:
             raise ParseError("eutxo scenario is missing a CONFIG line")
-        return Scenario(*head, cfg=cfg, policies=PolicyTable.of(policy_rules), rebuild=bool(rebuild_line))
+        return Scenario(*head, cfg=cfg, policies=PolicyTable.of(policy_rules), rebuild="REBUILD" in seen)
     if contract is None or deployer is None:
         raise ParseError("account scenario is missing CONTRACT or DEPLOYER")
     if deployer not in actor_names:
-        _fail(deployer_line, f"deployer {deployer!r} is not an actor")
+        _fail(seen["DEPLOYER"], f"deployer {deployer!r} is not an actor")
     return Scenario(*head, contract=contract, deployer=deployer)
 
 

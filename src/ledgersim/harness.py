@@ -14,8 +14,12 @@ built against the world's snapshot, never against the chain an order has
 grown, and is built again only in a scenario with a ``REBUILD`` line (the
 ``rebuild`` argument of ``run_schedule``), at its execution turn.
 
-Each world keeps one record of its last run (``_LastRun``): the intent tuple,
-on the UTxO ledger the submit phase and the ``rebuild`` flag, and one step per
+``run_schedule`` is one loop for both ledgers; each world class supplies what
+differs between them: ``submit`` (the UTxO submit phase, and the state a run
+starts from), ``execute`` (one intent's turn) and ``observe`` (each key's
+holdings, the ledger's state pairs and the digest of a final state).  Each
+world keeps one record of its last run (``_LastRun``): the intent tuple, the
+``rebuild`` flag, on the UTxO ledger the submit phase, and one step per
 executed intent, holding the ledger state after it.  An order keeps the steps
 it shares with the last order and executes only the rest, so an order costs
 the steps after its shared prefix, and the record holds at most
@@ -95,17 +99,17 @@ def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
 
 @dataclass(eq=False)
 class _LastRun:
-    """The last run against one world: its intent tuple; on the UTxO ledger
-    its submit phase (each intent's built entry or refusal, and the next
-    free position after the builds) and its ``rebuild`` flag; and one step
-    per executed intent, ``(index, state after it, (status, reason), ada
-    paid)``.  The state is ``(chain, next free position)`` on the UTxO
-    ledger and the ``AccountChain`` on the account ledger."""
+    """The last run against one world: its intent tuple and ``rebuild``
+    flag; on the UTxO ledger its submit phase, each intent's built entry or
+    refusal; the state the run starts from; and one step per executed
+    intent, ``(index, state after it, (status, reason), ada paid)``.  The
+    state is ``(chain, next free position)`` on the UTxO ledger and the
+    ``AccountChain`` on the account ledger."""
 
     intents: tuple[Intent, ...]
-    built: tuple = ()
-    next_position: int = 0
     rebuild: bool = False
+    built: tuple = ()
+    start: object = None
     steps: list[tuple] = field(default_factory=list)
 
 
@@ -120,6 +124,58 @@ class EutxoWorld:
     # ignore it.
     _last_run = None
 
+    def submit(self, run: _LastRun) -> None:
+        """The submit phase: every intent built against the world's
+        snapshot.  The run starts from the snapshot and the next free
+        position after the builds."""
+        alloc = PositionAllocator.above(p for tx in self.chain.transactions for p in positions_of(tx))
+        run.built = tuple(_build_eutxo_intent(self, intent, self.chain, alloc) for intent in run.intents)
+        run.start = (self.chain, alloc.peek())
+
+    def execute(self, run: _LastRun, state: tuple, index: int):
+        """One intent's turn: its submit-time transaction appended to the
+        chain, or with ``rebuild`` on and that failing, one built against the
+        chain as it stands.  Returns the next state, the (status, reason) and
+        ada paid."""
+        chain, next_position = state
+        intent = run.intents[index]
+        entry, refusal = run.built[index]
+        if entry is None:
+            result, reason = None, f"refused-at-build: {refusal}"
+        else:
+            result, reason = _attach(chain, entry[0], self.policies)
+        accepted_how = ""
+        if result is None and run.rebuild:
+            alloc = PositionAllocator(next_position)  # rebuilds take positions from here
+            entry, refusal = _build_eutxo_intent(self, intent, chain, alloc)
+            next_position = alloc.peek()
+            if entry is None:
+                reason = f"refused-at-rebuild: {refusal}"
+            else:
+                result, reason = _attach(chain, entry[0], self.policies)
+                accepted_how = "rebuilt-at-execute"
+        if result is None:
+            return (chain, next_position), ("rejected", reason), 0
+        return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0
+
+    def observe(self, state: tuple):
+        """Each key's pay-to-key holdings, from one pass over the unspent
+        set; the portal's price and supply; and the digest of the chain."""
+        chain, _ = state
+        by_key: dict[int, dict[str, int]] = {}
+        for out in utxo(chain):
+            if out.validator.kind == PAY_TO_PUBKEY_KIND:
+                facts = by_key.setdefault(out.validator.params[0], {})
+                for chip, qty in out.value:
+                    label = formats.chip_to_text(chip)
+                    facts[label] = facts.get(label, 0) + qty
+        try:
+            portal = find_portal(chain, self.cfg)
+            pairs = (("portal_price", portal.datum), ("portal_supply", portal.value.get(self.cfg.traded_chip)))
+        except (NoPortalError, MalformedChainError):  # no portal, or not a unique one
+            pairs = (("portal_price", -1), ("portal_supply", -1))
+        return by_key, pairs, _digest(formats.chain_to_text(chain))
+
 
 @dataclass(frozen=True)
 class AccountWorld:
@@ -128,6 +184,40 @@ class AccountWorld:
     actors: tuple[tuple[str, int], ...]
 
     _last_run = None  # as on ``EutxoWorld``
+
+    def submit(self, run: _LastRun) -> None:
+        """Calls are not built ahead: the run starts from the world's chain."""
+        run.start = self.chain
+
+    def execute(self, run: _LastRun, chain: AccountChain, index: int):
+        """One call against the chain as it stands: the next chain, the
+        (status, reason) and the ada paid."""
+        intent = run.intents[index]
+        if intent.kind != "call":
+            raise ValueError(f"unknown account intent kind {intent.kind!r}")
+        function = intent.get("function")
+        value = intent.get("value", 0)
+        args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
+        chain, result = call(chain, CallTx(self.contract, function, _key_of(self.actors, intent.actor), value, args))
+        return chain, (result.status, result.reason), value if result.ok and function in PAYABLE else 0
+
+    def observe(self, chain: AccountChain):
+        """Each key's token balance; the contract's balance and price; and
+        the digest of every contract and call."""
+        acct = chain.get(self.contract)
+        by_key = {key: {"tokens": acct.state.balance_of(key)} for _, key in self.actors}
+        pairs = (("contract_balance", acct.balance), ("price", acct.state.price))
+        digest_src = json.dumps(
+            {
+                "contracts": [
+                    [name, a.balance, a.state.issuer, a.state.price, list(a.state.balances)]
+                    for name, a in chain.contracts
+                ],
+                "calls": [[c.contract, c.function, c.sender, c.value, list(c.args), ok] for c, ok in chain.calls],
+            },
+            sort_keys=True,
+        )
+        return by_key, pairs, _digest(digest_src)
 
 
 @dataclass(frozen=True)
@@ -171,12 +261,15 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
 
     Returns (transaction, planned ada payment) or (None, refusal reason).
     A portal builder refuses when no unspent output, or more than one,
-    carries the state chip.
+    carries the state chip, and a price change refuses an actor whose key
+    is not the issuer's.
     """
     key = _key_of(world.actors, intent.actor)
     if intent.kind == "mint":
         minted = singleton(Chip(intent.get("sym"), intent.get("tok")), intent.get("qty"))
         tx = Transaction(frozenset(), frozenset({Output(alloc.fresh(), pay_to_pubkey(key), 0, minted)}))
+    elif intent.kind == "set_price" and key != world.cfg.issuer:
+        return None, "only the issuer may set the price"
     elif intent.kind in ("buy", "set_price"):
         try:
             if intent.kind == "buy":
@@ -192,71 +285,14 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
     return (tx, paid), ""
 
 
-def _last_run(world: EutxoWorld | AccountWorld, intents: tuple[Intent, ...], rebuild: bool = False) -> _LastRun:
-    """The world's record of its last run, made anew for another intent
-    tuple.  On the UTxO ledger a new record runs the submit phase: every
-    intent built against the world's snapshot.  A change of ``rebuild``
-    alone keeps the submit phase and drops the steps."""
-    run = world._last_run
-    if run is None or run.intents != intents:
-        run = _LastRun(intents, rebuild=rebuild)
-        if isinstance(world, EutxoWorld):
-            alloc = PositionAllocator.above(p for tx in world.chain.transactions for p in positions_of(tx))
-            run.built = tuple(_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents)
-            run.next_position = alloc.peek()
-        object.__setattr__(world, "_last_run", run)
-    elif run.rebuild != rebuild:
-        run.rebuild = rebuild
-        run.steps.clear()
-    return run
-
-
-def _resume(run: _LastRun, order: tuple[int, ...], start, execute: Callable):
-    """Make ``run.steps`` the steps of ``order`` and return the state after
-    the last one.  The steps ``order`` shares with the last order run are
-    kept, and only the rest are executed, each by ``execute(state, index)``
-    from the state the step before left (``start`` before the first).  A
-    run that raises part-way leaves the steps before the failing one."""
-    steps = run.steps
-    shared = 0
-    for step, index in zip(steps, order):
-        if step[0] != index:
-            break
-        shared += 1
-    del steps[shared:]
-    state = steps[-1][1] if steps else start
-    for index in order[shared:]:
-        state, status, paid = execute(state, index)
-        steps.append((index, state, status, paid))
-    return state
-
-
-def _tally(intents: Sequence[Intent], steps: list[tuple]) -> tuple[tuple, dict[str, int]]:
-    """Every intent's (status, reason), by intent index, and each actor's ada
-    paid."""
-    statuses = [("", "")] * len(intents)
-    paid: dict[str, int] = {}
-    for index, _, status, ada in steps:
-        statuses[index] = status
-        actor = intents[index].actor
-        paid[actor] = paid.get(actor, 0) + ada
-    return tuple(statuses), paid
-
-
-def _eutxo_holdings(world: EutxoWorld, chain: Chain, paid: dict[str, int]) -> tuple:
-    """Each actor's pay-to-key holdings, from one pass over the unspent set."""
-    by_key: dict[int, dict[str, int]] = {}
-    for out in utxo(chain):
-        if out.validator.kind == PAY_TO_PUBKEY_KIND:
-            facts = by_key.setdefault(out.validator.params[0], {})
-            for chip, qty in out.value:
-                label = formats.chip_to_text(chip)
-                facts[label] = facts.get(label, 0) + qty
-    holdings = []
-    for name, key in sorted(world.actors):
-        facts = {**by_key.get(key, {}), "ada_paid": paid.get(name, 0)}
-        holdings.append((name, tuple(sorted(facts.items()))))
-    return tuple(holdings)
+def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain | None, str]:
+    """Append one built intent: the extended chain and no reason, or None and
+    the first violation."""
+    result = append(chain, tx, None, policies)
+    if isinstance(result, ValidationReport):
+        first = result.first()
+        return None, f"{first.condition}: {first.detail}"
+    return result, ""
 
 
 def run_schedule(
@@ -272,110 +308,48 @@ def run_schedule(
     default retry mode on the UTxO ledger: an intent whose submit-time
     transaction no longer attaches is rebuilt once against the chain as it
     stands at its execution turn (builder guards still apply).
+
+    The world's ``_LastRun`` is made anew, running the world's ``submit``,
+    for another intent tuple; a change of ``rebuild`` alone keeps the submit
+    phase and drops the steps.  The steps ``order`` shares with the last
+    order run are kept, and only the rest are executed, each by the world's
+    ``execute`` from the state the step before left.  A run that raises
+    part-way leaves the steps before the failing one.
     """
-    order = tuple(order)
+    order, intents = tuple(order), tuple(intents)
     if sorted(order) != list(range(len(intents))):
         raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
-    if isinstance(world, EutxoWorld):
-        return _run_eutxo(world, tuple(intents), order, rebuild)
-    return _run_account(world, tuple(intents), order)
-
-
-def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain | None, str]:
-    """Append one built intent: the extended chain and no reason, or None and
-    the first violation."""
-    result = append(chain, tx, None, policies)
-    if isinstance(result, ValidationReport):
-        first = result.first()
-        return None, f"{first.condition}: {first.detail}"
-    return result, ""
-
-
-def _execute_eutxo(world: EutxoWorld, intent: Intent, built: tuple, rebuild: bool, state: tuple):
-    """One intent's turn: its submit-time transaction appended to the chain,
-    or with ``rebuild`` on and that failing, one built against the chain as
-    it stands.  Returns the next state, the (status, reason) and ada paid."""
-    chain, next_position = state
-    entry, refusal = built
-    if entry is None:
-        result, reason = None, f"refused-at-build: {refusal}"
-    else:
-        result, reason = _attach(chain, entry[0], world.policies)
-    accepted_how = ""
-    if result is None and rebuild:
-        alloc = PositionAllocator(next_position)  # rebuilds take positions from here
-        entry, refusal = _build_eutxo_intent(world, intent, chain, alloc)
-        next_position = alloc.peek()
-        if entry is None:
-            reason = f"refused-at-rebuild: {refusal}"
-        else:
-            result, reason = _attach(chain, entry[0], world.policies)
-            accepted_how = "rebuilt-at-execute"
-    if result is None:
-        return (chain, next_position), ("rejected", reason), 0
-    return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0
-
-
-def _run_eutxo(world: EutxoWorld, intents: tuple[Intent, ...], order: tuple[int, ...], rebuild: bool) -> Outcome:
-    run = _last_run(world, intents, rebuild)
-    chain, _ = _resume(
-        run,
-        order,
-        (world.chain, run.next_position),
-        lambda state, index: _execute_eutxo(world, intents[index], run.built[index], rebuild, state),
+    run = world._last_run
+    if run is None or run.intents != intents:
+        run = _LastRun(intents, rebuild)
+        world.submit(run)
+        object.__setattr__(world, "_last_run", run)
+    elif run.rebuild != rebuild:
+        run.rebuild = rebuild
+        run.steps.clear()
+    steps = run.steps
+    shared = 0
+    for step, index in zip(steps, order):
+        if step[0] != index:
+            break
+        shared += 1
+    del steps[shared:]
+    state = steps[-1][1] if steps else run.start
+    for index in order[shared:]:
+        state, status, ada = world.execute(run, state, index)
+        steps.append((index, state, status, ada))
+    statuses = [("", "")] * len(intents)
+    paid: dict[str, int] = {}
+    for index, _, status, ada in steps:
+        statuses[index] = status
+        actor = intents[index].actor
+        paid[actor] = paid.get(actor, 0) + ada
+    by_key, observed, digest = world.observe(state)
+    holdings = tuple(
+        (name, tuple(sorted({**by_key.get(key, {}), "ada_paid": paid.get(name, 0)}.items())))
+        for name, key in sorted(world.actors)
     )
-    statuses, paid = _tally(intents, run.steps)
-    try:
-        portal = find_portal(chain, world.cfg)
-        state = (
-            ("portal_price", portal.datum),
-            ("portal_supply", portal.value.get(world.cfg.traded_chip)),
-        )
-    except (NoPortalError, MalformedChainError):  # no portal, or not a unique one
-        state = (("portal_price", -1), ("portal_supply", -1))
-    text = formats.chain_to_text(chain)
-    return Outcome(order, statuses, _eutxo_holdings(world, chain, paid), state, _digest(text))
-
-
-def _execute_account(world: AccountWorld, intent: Intent, chain: AccountChain):
-    """One call against the chain as it stands: the next chain, the
-    (status, reason) and the ada paid."""
-    if intent.kind != "call":
-        raise ValueError(f"unknown account intent kind {intent.kind!r}")
-    function = intent.get("function")
-    value = intent.get("value", 0)
-    args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
-    chain, result = call(chain, CallTx(world.contract, function, _key_of(world.actors, intent.actor), value, args))
-    return chain, (result.status, result.reason), value if result.ok and function in PAYABLE else 0
-
-
-def _run_account(world: AccountWorld, intents: tuple[Intent, ...], order: tuple[int, ...]) -> Outcome:
-    run = _last_run(world, intents)
-    chain = _resume(run, order, world.chain, lambda chain, index: _execute_account(world, intents[index], chain))
-    statuses, paid = _tally(intents, run.steps)
-    acct = chain.get(world.contract)
-    holdings = []
-    for name, key in sorted(world.actors):
-        facts = {
-            "tokens": acct.state.balance_of(key),
-            "ada_paid": paid.get(name, 0),
-        }
-        holdings.append((name, tuple(sorted(facts.items()))))
-    state = (
-        ("contract_balance", acct.balance),
-        ("price", acct.state.price),
-    )
-    digest_src = json.dumps(
-        {
-            "contracts": [
-                [name, a.balance, a.state.issuer, a.state.price, list(a.state.balances)]
-                for name, a in chain.contracts
-            ],
-            "calls": [[c.contract, c.function, c.sender, c.value, list(c.args), ok] for c, ok in chain.calls],
-        },
-        sort_keys=True,
-    )
-    return Outcome(order, statuses, tuple(holdings), state, _digest(digest_src))
+    return Outcome(order, tuple(statuses), holdings, observed, digest)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+def test_validate_slots_out_of_order_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.chain"
+    bad.write_text("TX 0 SLOT 5\nTX 1 SLOT 3\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 2: slot 3 below the previous slot 5\n"
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.chain"))
     assert code == 2
@@ -191,7 +199,7 @@ def test_demo_race_json(capsys):
 
 
 def test_scenario_text_matches_golden(capsys, corpus_dir):
-    for name in ("race_eutxo", "race_rebuild", "race_four", "race_unguarded_state"):
+    for name in ("race_eutxo", "race_rebuild", "race_four", "race_unguarded_state", "race_rogue_price"):
         code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / f"{name}.scenario"))
         assert code == 0, name
         assert out == (corpus_dir / f"{name}.golden.txt").read_text(), name
@@ -301,6 +309,9 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (EUTXO_HEAD + "INTENT ghost buy n=1\n", "line 6: intent references unknown actor 'ghost'"),
         (ACCOUNT_HEAD.replace("DEPLOYER buyer", "DEPLOYER ghost"), "line 3: deployer 'ghost' is not an actor"),
         (ACCOUNT_HEAD + "REBUILD\n", "line 7: REBUILD needs LEDGER eutxo"),
+        (ACCOUNT_HEAD + "POLICY 2 AffineOnce\n", "line 7: POLICY needs LEDGER eutxo"),
+        (EUTXO_HEAD + "DEPLOYER nobody\n", "line 6: DEPLOYER needs LEDGER account"),
+        (EUTXO_HEAD.replace("state=2:1", "state=2:1 isuer=5"), "line 2: CONFIG unknown ['isuer']"),
         (EUTXO_HEAD + "INTENT buyer buy n=1\nSCHEDULE 0,0\n", "line 7: schedule (0, 0) is not a permutation of 0..0"),
         (EUTXO_HEAD + "SCHEDULE sample 0 @1\n", "line 6: sample count must be at least 1"),
         (EUTXO_HEAD.replace("SUPPLY 1000", "SUPPLY 0"), "line 3: SUPPLY must be at least 1 on LEDGER eutxo"),
@@ -314,6 +325,9 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "unknown-actor",
         "unknown-deployer",
         "rebuild-on-account",
+        "policy-on-account",
+        "deployer-on-eutxo",
+        "config-unknown-key",
         "explicit-not-permutation",
         "sample-zero",
         "eutxo-supply-zero",

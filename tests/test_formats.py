@@ -69,8 +69,9 @@ def test_parse_chain_errors():
 
 
 def test_parse_chain_slot_monotonicity():
-    with pytest.raises(formats.ParseError):
+    with pytest.raises(formats.ParseError) as err:
         formats.parse_chain("TX 0 SLOT 5\nTX 1 SLOT 3\n")
+    assert str(err.value) == "line 2: slot 3 below the previous slot 5"
 
 
 def test_range_serialization():
@@ -173,6 +174,11 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (ACCOUNT_HEAD + "SUPPLY 5\n", "line 7: SUPPLY given twice"),
         (EUTXO_HEAD + "PRICE 2\n", "line 6: PRICE given twice"),
         (ACCOUNT_HEAD + "REBUILD\n", "line 7: REBUILD needs LEDGER eutxo"),
+        (ACCOUNT_HEAD + "CONFIG issuer=1 traded=1:1 state=2:1\n", "line 7: CONFIG needs LEDGER eutxo"),
+        (ACCOUNT_HEAD + "POLICY 2 AffineOnce\n", "line 7: POLICY needs LEDGER eutxo"),
+        (EUTXO_HEAD + "CONTRACT 1\n", "line 6: CONTRACT needs LEDGER account"),
+        (EUTXO_HEAD + "DEPLOYER nobody\n", "line 6: DEPLOYER needs LEDGER account"),
+        (EUTXO_HEAD.replace("state=2:1", "state=2:1 isuer=5"), "line 2: CONFIG unknown ['isuer']"),
         (EUTXO_HEAD + "REBUILD\nREBUILD\n", "line 7: REBUILD given twice"),
         (EUTXO_HEAD + "REBUILD x\n", "line 6: REBUILD takes no arguments"),
         (EUTXO_HEAD + "INTENT buyer mint sym=5 tok=1\n", "line 6: mint parameters: missing ['qty'], unknown []"),
@@ -201,6 +207,11 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "second-supply",
         "second-price",
         "rebuild-on-account",
+        "config-on-account",
+        "policy-on-account",
+        "contract-on-eutxo",
+        "deployer-on-eutxo",
+        "config-unknown-key",
         "second-rebuild",
         "rebuild-with-argument",
         "mint-missing-qty",

@@ -257,6 +257,30 @@ def test_rebuild_mode_retries_against_current_chain():
     assert _holding(outcome, "buyer")["ada_paid"] == 0
 
 
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_only_the_issuer_key_may_set_the_price(rebuild):
+    """A price change by a key other than the issuer's is refused in every
+    order, before it takes a position, as the account contract refuses it;
+    an actor of another name holding the issuer's key may set the price."""
+    import itertools
+
+    scenario = bundled_race_scenario("eutxo")
+    scenario = dataclasses.replace(scenario, actors=scenario.actors + (("treasurer", 1),))
+    world = build_world(scenario)
+    rogue = (Intent.of("buyer", "set_price", p=0), Intent.of("buyer", "buy", n=100))
+    buy_alone = run_schedule(build_world(scenario), rogue[1:], (0,), rebuild)
+    refused = "refused-at-rebuild" if rebuild else "refused-at-build"
+    for order in itertools.permutations(range(2)):
+        outcome = run_schedule(world, rogue, order, rebuild)
+        assert outcome.statuses == (("rejected", f"{refused}: only the issuer may set the price"), ("accepted", ""))
+        assert _holding(outcome, "buyer") == {"1:1": 100, "ada_paid": 100}
+        assert outcome.state == (("portal_price", 1), ("portal_supply", 900))
+        assert outcome.digest == buy_alone.digest  # the refusal took no position
+    outcome = run_schedule(world, (Intent.of("treasurer", "set_price", p=0),), (0,), rebuild)
+    assert outcome.statuses == (("accepted", ""),)
+    assert outcome.state == (("portal_price", 0), ("portal_supply", 1000))
+
+
 def test_rebuild_off_by_default_matches_plain_run():
     scenario = bundled_race_scenario("eutxo")
     plain = run_schedule(build_world(scenario), scenario.intents, (1, 0))
@@ -683,24 +707,26 @@ def test_holdings_match_per_actor_scan(monkeypatch):
     import oracles
     from ledgersim import harness
 
-    real = harness._eutxo_holdings
+    real = harness.EutxoWorld.observe
+    chains = []
+
+    def observed(world, state):
+        chains.append(state[0])
+        return real(world, state)
+
+    monkeypatch.setattr(harness.EutxoWorld, "observe", observed)
     seen = []
-
-    def checked(world, chain, paid):
-        holdings = real(world, chain, paid)
-        assert holdings == oracles.eutxo_holdings(world, chain, paid)
-        seen.append(dict(holdings))
-        return holdings
-
-    monkeypatch.setattr(harness, "_eutxo_holdings", checked)
     for seed in (0, 3, 6):
         scenario = _random_eutxo_race(seed, max_n=300)  # rebuilt buys can all land
         actors = scenario.actors + (("b3", 9), ("idle", 42))  # b3 shares b2's key
         world = build_world(dataclasses.replace(scenario, actors=actors))
         for rebuild in (False, True):
             for order in itertools.permutations(range(6)):
-                run_schedule(world, scenario.intents, order, rebuild)
-    assert len(seen) == 3 * 2 * 720
+                holdings = run_schedule(world, scenario.intents, order, rebuild).holdings
+                paid = {name: dict(facts)["ada_paid"] for name, facts in holdings}
+                assert holdings == oracles.eutxo_holdings(world, chains[-1], paid)
+                seen.append(dict(holdings))
+    assert len(seen) == len(chains) == 3 * 2 * 720
     assert all(facts["idle"] == (("ada_paid", 0),) for facts in seen)
     # b3 holds b2's tokens, on some chains from two buys of fewer than 300
     assert any(dict(facts["b3"]).get("1:1", 0) >= 300 for facts in seen)
