@@ -1,16 +1,22 @@
 """Line-oriented text formats for chains and scenarios.
 
+One line reader serves both: ``#`` starts a comment, blank lines are skipped,
+and every other line is a keyword and its arguments.  Errors name their line.
+
 Chain files are diff-friendly and hand-editable:
 
     TX <index> [SLOT <n>] [RANGE <lo> <hi|*>]
     IN <position> <redeemer>
     OUT <position> <kind> <params...> <datum> [<sym>:<tok>=<qty> ...]
 
-Validator kinds have fixed arities (AcceptAll/RejectAll none, PayToPubKey one
-key, StateMachine five naturals), so lines parse without separators.  Either
-every transaction carries a SLOT or none does, and slots never decrease.
-Printing is canonical (inputs and outputs sorted by position), and parse/print
-round-trips are identities on canonical text.
+A TX header takes SLOT and RANGE at most once each.  Validator kinds have fixed
+arities (AcceptAll/RejectAll none, PayToPubKey one key, StateMachine five
+naturals), so lines parse without separators.  The parse is one streaming pass
+that builds each transaction when its block ends, so an error of the
+transaction itself, such as an input position given twice, is reported at its
+TX line.  Either every transaction carries a SLOT or none does, and slots
+never decrease.  Printing is canonical (inputs and outputs sorted by position),
+and parse/print round-trips are identities on canonical text.
 
 Scenario files describe one race or schedule experiment; see parse_scenario.
 """
@@ -23,6 +29,7 @@ from .accounts import FUNCTIONS, PAYABLE
 from .ledger import Chain
 from .model import Chip, Input, Output, SlotRange, Transaction, Value
 from .policy import RULES, PolicyTable
+from .token_portal import TokenConfig
 from .validators import KIND_ARITY, ValidatorRef
 
 
@@ -42,6 +49,15 @@ def _nat(token: str, lineno: int | None, what: str) -> int:
     if n < 0:
         _fail(lineno, f"{what} must be a natural number, got {token!r}")
     return n
+
+
+def _lines(text: str):
+    """(line number, keyword, arguments) of every line that holds more than
+    blanks and a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield lineno, words[0], words[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +127,26 @@ def chain_to_text(chain: Chain) -> str:
     return transactions_to_text(chain.transactions, chain.slots)
 
 
-def _parse_tx_header(tokens: list[str], lineno: int, expected_index: int) -> tuple[int | None, SlotRange | None]:
-    index = _nat(tokens[1], lineno, "transaction index")
+def _parse_tx_header(args: list[str], lineno: int, expected_index: int) -> tuple[int | None, SlotRange | None]:
+    """The slot and slot range of a ``TX`` line, each given at most once."""
+    if not args:
+        _fail(lineno, "TX line needs an index")
+    index = _nat(args[0], lineno, "transaction index")
     if index != expected_index:
         _fail(lineno, f"transaction index {index} out of order (expected {expected_index})")
     slot: int | None = None
     slot_range: SlotRange | None = None
-    rest = tokens[2:]
+    rest = args[1:]
     while rest:
-        if rest[0] == "SLOT" and len(rest) >= 2:
+        word = rest[0]
+        if word == "SLOT" and len(rest) >= 2:
+            if slot is not None:
+                _fail(lineno, "SLOT given twice")
             slot = _nat(rest[1], lineno, "slot")
             rest = rest[2:]
-        elif rest[0] == "RANGE" and len(rest) >= 3:
+        elif word == "RANGE" and len(rest) >= 3:
+            if slot_range is not None:
+                _fail(lineno, "RANGE given twice")
             lo = _nat(rest[1], lineno, "range lower bound")
             hi = None if rest[2] == "*" else _nat(rest[2], lineno, "range upper bound")
             try:
@@ -131,8 +155,36 @@ def _parse_tx_header(tokens: list[str], lineno: int, expected_index: int) -> tup
                 _fail(lineno, str(exc))
             rest = rest[3:]
         else:
-            _fail(lineno, f"unexpected token {rest[0]!r} in TX header")
+            _fail(lineno, f"unexpected token {word!r} in TX header")
     return slot, slot_range
+
+
+def _output(args: list[str], lineno: int) -> Output:
+    """One ``OUT`` line: a position, a validator kind, its parameters, a datum and a value."""
+    if len(args) < 2:
+        _fail(lineno, "OUT takes a position, a validator kind, parameters, and a datum")
+    position = _nat(args[0], lineno, "position")
+    kind = args[1]
+    arity = KIND_ARITY.get(kind)
+    if arity is None:
+        _fail(lineno, f"unknown validator kind {kind!r}")
+    if len(args) < arity + 3:
+        _fail(lineno, f"{kind} needs {arity} parameters and a datum")
+    params = tuple(_nat(word, lineno, f"{kind} parameter") for word in args[2 : 2 + arity])
+    datum = _nat(args[2 + arity], lineno, "datum")
+    value = _parse_value_tokens(args[3 + arity :], lineno)
+    try:
+        return Output(position, ValidatorRef(kind, params), datum, value)
+    except ValueError as exc:
+        _fail(lineno, str(exc))
+
+
+def _transaction(lineno: int, slot_range: SlotRange | None, inputs: list[Input], outputs: list[Output]) -> Transaction:
+    """One block's transaction; its own errors are reported at its ``TX`` line."""
+    try:
+        return Transaction(frozenset(inputs), frozenset(outputs), slot_range)
+    except ValueError as exc:
+        _fail(lineno, str(exc))
 
 
 def parse_transactions(text: str) -> tuple[tuple[Transaction, ...], tuple[int, ...] | None]:
@@ -140,74 +192,32 @@ def parse_transactions(text: str) -> tuple[tuple[Transaction, ...], tuple[int, .
     transaction carries a SLOT)."""
     txs: list[Transaction] = []
     slots: list[int] = []
-    current_inputs: list[Input] | None = None
-    current_outputs: list[Output] = []
-    current_range: SlotRange | None = None
-    slotted: bool | None = None
-
-    def flush(lineno: int) -> None:
-        nonlocal current_inputs, current_outputs, current_range
-        if current_inputs is None:
-            return
-        try:
-            txs.append(Transaction(frozenset(current_inputs), frozenset(current_outputs), current_range))
-        except ValueError as exc:
-            _fail(lineno, str(exc))
-        current_inputs = None
-        current_outputs = []
-        current_range = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        keyword = tokens[0]
+    block = None  # the TX line, slot range, inputs and outputs of the transaction being read
+    for lineno, keyword, args in _lines(text):
         if keyword == "TX":
-            if len(tokens) < 2:
-                _fail(lineno, "TX line needs an index")
-            flush(lineno)
-            slot, slot_range = _parse_tx_header(tokens, lineno, len(txs))
-            if slotted is None:
-                slotted = slot is not None
-            elif slotted != (slot is not None):
+            if block is not None:
+                txs.append(_transaction(*block))
+            slot, slot_range = _parse_tx_header(args, lineno, len(txs))
+            if block is not None and (slot is not None) != bool(slots):  # the first TX decides
                 _fail(lineno, "either every transaction has a SLOT or none does")
             if slot is not None:
                 if slots and slot < slots[-1]:
                     _fail(lineno, f"slot {slot} below the previous slot {slots[-1]}")
                 slots.append(slot)
-            current_inputs = []
-            current_range = slot_range
-        elif keyword == "IN":
-            if current_inputs is None:
-                _fail(lineno, "IN before any TX line")
-            if len(tokens) != 3:
-                _fail(lineno, "IN takes a position and a redeemer")
-            current_inputs.append(Input(_nat(tokens[1], lineno, "position"), _nat(tokens[2], lineno, "redeemer")))
-        elif keyword == "OUT":
-            if current_inputs is None:
-                _fail(lineno, "OUT before any TX line")
-            if len(tokens) < 3:
-                _fail(lineno, "OUT takes a position, a validator kind, parameters, and a datum")
-            position = _nat(tokens[1], lineno, "position")
-            kind = tokens[2]
-            arity = KIND_ARITY.get(kind)
-            if arity is None:
-                _fail(lineno, f"unknown validator kind {kind!r}")
-            if len(tokens) < 3 + arity + 1:
-                _fail(lineno, f"{kind} needs {arity} parameters and a datum")
-            params = tuple(_nat(t, lineno, f"{kind} parameter") for t in tokens[3 : 3 + arity])
-            datum = _nat(tokens[3 + arity], lineno, "datum")
-            value = _parse_value_tokens(tokens[3 + arity + 1 :], lineno)
-            try:
-                ref = ValidatorRef(kind, params)
-            except ValueError as exc:
-                _fail(lineno, str(exc))
-            current_outputs.append(Output(position, ref, datum, value))
-        else:
+            block = (lineno, slot_range, [], [])
+        elif keyword not in ("IN", "OUT"):
             _fail(lineno, f"unknown keyword {keyword!r}")
-    flush(len(text.splitlines()) + 1)
-    return tuple(txs), (tuple(slots) if slotted else None)
+        elif block is None:
+            _fail(lineno, f"{keyword} before any TX line")
+        elif keyword == "OUT":
+            block[3].append(_output(args, lineno))
+        elif len(args) != 2:
+            _fail(lineno, "IN takes a position and a redeemer")
+        else:
+            block[2].append(Input(_nat(args[0], lineno, "position"), _nat(args[1], lineno, "redeemer")))
+    if block is not None:
+        txs.append(_transaction(*block))
+    return tuple(txs), (tuple(slots) if slots else None)
 
 
 def parse_chain(text: str) -> Chain:
@@ -229,10 +239,8 @@ def parse_chain(text: str) -> Chain:
 #     POLICY <symbol> <rule>                                     (eutxo, repeatable)
 #     REBUILD                                                    (eutxo)
 #     ACTOR <name> <key>
-#     INTENT <actor> buy n=<n> [max_price=<p>]                   (eutxo)
-#     INTENT <actor> set_price p=<p>                             (eutxo)
-#     INTENT <actor> mint sym=<s> tok=<t> qty=<q>                (eutxo)
-#     INTENT <actor> call <function> [k=v ...]                   (account)
+#     INTENT <actor> <kind> [k=v ...]                            (eutxo; see INTENTS)
+#     INTENT <actor> call <function> [k=v ...]                   (account; see INTENTS)
 #     SCHEDULE all | sample <n> @<seed> | <i,j,...>
 #
 # A keyword of SINGLE_VALUED, or an ACTOR name, given twice is an error, and
@@ -243,10 +251,19 @@ def parse_chain(text: str) -> Chain:
 SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "REBUILD")
 LEDGER_ONLY = {"CONFIG": "eutxo", "POLICY": "eutxo", "REBUILD": "eutxo", "CONTRACT": "account", "DEPLOYER": "account"}
 CONFIG_KEYS = {"issuer", "traded", "state"}
-EUTXO_INTENTS = {"buy": {"n"}, "set_price": {"p"}, "mint": {"sym", "tok", "qty"}}
-OPTIONAL_PARAMS = {"buy": {"max_price"}}
-#: The parameter that sizes each token-moving intent; it must be at least 1.
-SIZE_PARAMS = {"buy": "n", "mint": "qty"}
+#: Every intent, keyed by its UTxO kind or by ``("call", function)``: its
+#: required parameters, its optional ones, and the parameter that sizes it,
+#: which must be at least 1.  A call's ``value`` is the payment a ``PAYABLE``
+#: function consumes.
+INTENTS = {
+    "buy": ({"n"}, {"max_price"}, "n"),
+    "set_price": ({"p"}, set(), None),
+    "mint": ({"sym", "tok", "qty"}, set(), "qty"),
+    **{
+        ("call", function): (set(args) | ({"value"} if function in PAYABLE else set()), set(), None)
+        for function, args in FUNCTIONS.items()
+    },
+}
 
 
 def _split_kv(tokens: Iterable[str], lineno: int) -> dict[str, str]:
@@ -263,6 +280,16 @@ def _split_kv(tokens: Iterable[str], lineno: int) -> dict[str, str]:
 
 def _parse_kv(tokens: Iterable[str], lineno: int) -> dict[str, int]:
     return {key: _nat(val, lineno, key) for key, val in _split_kv(tokens, lineno).items()}
+
+
+def _check_keys(name: str, given: dict, required: set[str], optional: set[str], lineno: int) -> None:
+    """Refuse missing keys, then keys neither required nor optional."""
+    missing = required - set(given)
+    if missing:
+        _fail(lineno, f"{name} missing {sorted(missing)}")
+    unknown = set(given) - required - optional
+    if unknown:
+        _fail(lineno, f"{name} unknown {sorted(unknown)}")
 
 
 def _parse_chip_token(token: str, lineno: int) -> Chip:
@@ -292,148 +319,122 @@ def parse_schedule(tokens: list[str], lineno: int | None = None) -> tuple:
     _fail(lineno, "schedule must be 'all', 'sample <n> @<seed>' or '<i,j,...>'")
 
 
+def _single_value(keyword: str, args: list[str], lineno: int):
+    """The value of one line of a SINGLE_VALUED keyword."""
+    if keyword == "LEDGER":
+        if args not in (["eutxo"], ["account"]):
+            _fail(lineno, "LEDGER must be 'eutxo' or 'account'")
+        return args[0]
+    if keyword == "REBUILD":
+        if args:
+            _fail(lineno, "REBUILD takes no arguments")
+        return True
+    if keyword == "CONFIG":
+        kv = _split_kv(args, lineno)
+        _check_keys("CONFIG", kv, CONFIG_KEYS, set(), lineno)
+        issuer = _nat(kv["issuer"], lineno, "issuer")
+        traded, state = _parse_chip_token(kv["traded"], lineno), _parse_chip_token(kv["state"], lineno)
+        try:
+            return TokenConfig(issuer, traded, state)
+        except ValueError as exc:
+            _fail(lineno, str(exc))
+    if len(args) != 1:
+        _fail(lineno, f"{keyword} takes one argument")
+    if keyword == "DEPLOYER":
+        return args[0]
+    return _nat(args[0], lineno, "contract name" if keyword == "CONTRACT" else keyword.lower())
+
+
+def _parse_intent(args: list[str], lineno: int) -> tuple[str, str, dict]:
+    """The actor, kind and parameters of one INTENT line, checked against its INTENTS row."""
+    if len(args) < 2:
+        _fail(lineno, "INTENT takes an actor and a kind")
+    actor, kind, words = args[0], args[1], args[2:]
+    key = name = kind
+    fixed = {}
+    if kind == "call":
+        if not words:
+            _fail(lineno, "call intent needs a function name")
+        name, words = words[0], words[1:]
+        key, fixed = (kind, name), {"function": name}
+    if key not in INTENTS:
+        _fail(lineno, f"unknown function {name!r}" if fixed else f"unknown intent kind {kind!r}")
+    required, optional, size = INTENTS[key]
+    params = _parse_kv(words, lineno)
+    _check_keys(name, params, required, optional, lineno)
+    if size and params[size] < 1:
+        _fail(lineno, f"{name} {size} must be at least 1, got {params[size]}")
+    return actor, kind, {**fixed, **params}
+
+
 def parse_scenario(text: str):
     """Parse a scenario file into a harness Scenario."""
     from .harness import ACCOUNT, EUTXO, Intent, Scenario
-    from .token_portal import TokenConfig
 
-    ledger: str | None = None
-    cfg: TokenConfig | None = None
-    contract: int | None = None
-    deployer: str | None = None
-    supply: int | None = None
-    price: int | None = None
+    value: dict[str, object] = {}  # each SINGLE_VALUED keyword's value
+    seen: dict[str, int] = {}  # each keyword's first line
     policy_rules: dict[int, str] = {}
     actors: list[tuple[str, int]] = []
-    intents: list[Intent] = []
-    intent_lines: list[int] = []
-    schedules: list[tuple] = []
-    schedule_lines: list[int] = []
-    seen: dict[str, int] = {}  # each keyword's first line
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        keyword = tokens[0]
-        if keyword in SINGLE_VALUED and keyword in seen:
-            _fail(lineno, f"{keyword} given twice")
-        seen.setdefault(keyword, lineno)
-        if keyword == "LEDGER":
-            if len(tokens) != 2 or tokens[1] not in (EUTXO, ACCOUNT):
-                _fail(lineno, "LEDGER must be 'eutxo' or 'account'")
-            ledger = tokens[1]
-        elif keyword == "CONFIG":
-            kv = _split_kv(tokens[1:], lineno)
-            missing, unknown = CONFIG_KEYS - set(kv), set(kv) - CONFIG_KEYS
-            if missing:
-                _fail(lineno, f"CONFIG missing {sorted(missing)}")
-            if unknown:
-                _fail(lineno, f"CONFIG unknown {sorted(unknown)}")
-            try:
-                cfg = TokenConfig(
-                    _nat(kv["issuer"], lineno, "issuer"),
-                    _parse_chip_token(kv["traded"], lineno),
-                    _parse_chip_token(kv["state"], lineno),
-                )
-            except ValueError as exc:
-                _fail(lineno, str(exc))
-        elif keyword in ("CONTRACT", "DEPLOYER", "SUPPLY", "PRICE") and len(tokens) != 2:
-            _fail(lineno, f"{keyword} takes one argument")
-        elif keyword == "CONTRACT":
-            contract = _nat(tokens[1], lineno, "contract name")
-        elif keyword == "DEPLOYER":
-            deployer = tokens[1]
-        elif keyword == "SUPPLY":
-            supply = _nat(tokens[1], lineno, "supply")
-        elif keyword == "PRICE":
-            price = _nat(tokens[1], lineno, "price")
-        elif keyword == "REBUILD":
-            if len(tokens) != 1:
-                _fail(lineno, "REBUILD takes no arguments")
+    intents: dict[int, Intent] = {}  # by line
+    schedules: dict[int, tuple] = {}  # by line
+    for lineno, keyword, args in _lines(text):
+        if keyword in SINGLE_VALUED:
+            if keyword in value:
+                _fail(lineno, f"{keyword} given twice")
+            value[keyword] = _single_value(keyword, args, lineno)
         elif keyword == "POLICY":
-            if len(tokens) != 3 or tokens[2] not in RULES:
+            if len(args) != 2 or args[1] not in RULES:
                 _fail(lineno, f"POLICY takes a symbol and one of {RULES}")
-            symbol = _nat(tokens[1], lineno, "symbol")
+            symbol = _nat(args[0], lineno, "symbol")
             if symbol in policy_rules:
                 _fail(lineno, f"symbol {symbol} already has a policy")
-            policy_rules[symbol] = tokens[2]
+            policy_rules[symbol] = args[1]
         elif keyword == "ACTOR":
-            if len(tokens) != 3:
+            if len(args) != 2:
                 _fail(lineno, "ACTOR takes a name and a key id")
-            if any(name == tokens[1] for name, _ in actors):
-                _fail(lineno, f"actor {tokens[1]!r} given twice")
-            actors.append((tokens[1], _nat(tokens[2], lineno, "key id")))
+            if any(name == args[0] for name, _ in actors):
+                _fail(lineno, f"actor {args[0]!r} given twice")
+            actors.append((args[0], _nat(args[1], lineno, "key id")))
         elif keyword == "INTENT":
-            if len(tokens) < 3:
-                _fail(lineno, "INTENT takes an actor and a kind")
-            actor, kind = tokens[1], tokens[2]
-            if kind == "call":
-                if len(tokens) < 4:
-                    _fail(lineno, "call intent needs a function name")
-                function = tokens[3]
-                if function not in FUNCTIONS:
-                    _fail(lineno, f"unknown function {function!r}")
-                kv = _parse_kv(tokens[4:], lineno)
-                required = set(FUNCTIONS[function]) | ({"value"} if function in PAYABLE else set())
-                missing = required - set(kv)
-                if missing:
-                    _fail(lineno, f"{function} missing {sorted(missing)}")
-                unknown = set(kv) - required
-                if unknown:
-                    _fail(lineno, f"{function} unknown {sorted(unknown)}")
-                intents.append(Intent.of(actor, "call", function=function, **kv))
-            else:
-                if kind not in EUTXO_INTENTS:
-                    _fail(lineno, f"unknown intent kind {kind!r}")
-                kv = _parse_kv(tokens[3:], lineno)
-                allowed = EUTXO_INTENTS[kind] | OPTIONAL_PARAMS.get(kind, set())
-                missing = EUTXO_INTENTS[kind] - set(kv)
-                unknown = set(kv) - allowed
-                if missing or unknown:
-                    _fail(lineno, f"{kind} parameters: missing {sorted(missing)}, unknown {sorted(unknown)}")
-                size = SIZE_PARAMS.get(kind)
-                if size and kv[size] < 1:
-                    _fail(lineno, f"{kind} {size} must be at least 1, got {kv[size]}")
-                intents.append(Intent.of(actor, kind, **kv))
-            intent_lines.append(lineno)
+            actor, kind, params = _parse_intent(args, lineno)
+            intents[lineno] = Intent.of(actor, kind, **params)
         elif keyword == "SCHEDULE":
-            schedules.append(parse_schedule(tokens[1:], lineno))
-            schedule_lines.append(lineno)
+            schedules[lineno] = parse_schedule(args, lineno)
         else:
             _fail(lineno, f"unknown keyword {keyword!r}")
+        seen.setdefault(keyword, lineno)
 
+    ledger = value.get("LEDGER")
     if ledger is None:
         raise ParseError("scenario is missing a LEDGER line")
-    if supply is None or price is None:
+    if "SUPPLY" not in value or "PRICE" not in value:
         raise ParseError("scenario is missing SUPPLY or PRICE")
     if not schedules:
         raise ParseError("scenario has no SCHEDULE lines")
     actor_names = [name for name, _ in actors]
-    for lineno, intent in zip(intent_lines, intents):
+    for lineno, intent in intents.items():
         if intent.actor not in actor_names:
             _fail(lineno, f"intent references unknown actor {intent.actor!r}")
         if (intent.kind == "call") != (ledger == ACCOUNT):
             _fail(lineno, f"{intent.kind} intents need LEDGER {ACCOUNT if intent.kind == 'call' else EUTXO}")
-    for lineno, clause in zip(schedule_lines, schedules):
+    for lineno, clause in schedules.items():
         if clause[0] == "explicit" and sorted(clause[1]) != list(range(len(intents))):
             _fail(lineno, f"schedule {clause[1]} is not a permutation of 0..{len(intents) - 1}")
     for keyword, lineno in seen.items():
         if LEDGER_ONLY.get(keyword, ledger) != ledger:
             _fail(lineno, f"{keyword} needs LEDGER {LEDGER_ONLY[keyword]}")
-    if supply == 0 and ledger == EUTXO:  # the portal holds the supply; a contract may start empty
+    if value["SUPPLY"] == 0 and ledger == EUTXO:  # the portal holds the supply; a contract may start empty
         _fail(seen["SUPPLY"], f"SUPPLY must be at least 1 on LEDGER {EUTXO}")
-    head = (ledger, tuple(actors), tuple(intents), tuple(schedules), supply, price)
+    head = (ledger, tuple(actors), tuple(intents.values()), tuple(schedules.values()), value["SUPPLY"], value["PRICE"])
     if ledger == EUTXO:
-        if cfg is None:
+        if "CONFIG" not in value:
             raise ParseError("eutxo scenario is missing a CONFIG line")
-        return Scenario(*head, cfg=cfg, policies=PolicyTable.of(policy_rules), rebuild="REBUILD" in seen)
-    if contract is None or deployer is None:
+        return Scenario(*head, cfg=value["CONFIG"], policies=PolicyTable.of(policy_rules), rebuild="REBUILD" in value)
+    if "CONTRACT" not in value or "DEPLOYER" not in value:
         raise ParseError("account scenario is missing CONTRACT or DEPLOYER")
-    if deployer not in actor_names:
-        _fail(seen["DEPLOYER"], f"deployer {deployer!r} is not an actor")
-    return Scenario(*head, contract=contract, deployer=deployer)
+    if value["DEPLOYER"] not in actor_names:
+        _fail(seen["DEPLOYER"], f"deployer {value['DEPLOYER']!r} is not an actor")
+    return Scenario(*head, contract=value["CONTRACT"], deployer=value["DEPLOYER"])
 
 
 def scenario_to_text(scenario) -> str:
@@ -453,16 +454,14 @@ def scenario_to_text(scenario) -> str:
             lines.append(f"POLICY {policy.symbol} {policy.rule}")
     if scenario.rebuild:
         lines.append("REBUILD")
-    for name, key in sorted(scenario.actors):
+    for name, key in scenario.actors:
         lines.append(f"ACTOR {name} {key}")
     for intent in scenario.intents:
+        words = [intent.actor, intent.kind]
         if intent.kind == "call":
-            function = intent.get("function")
-            rest = " ".join(f"{k}={v}" for k, v in sorted(intent.params) if k != "function")
-            lines.append(f"INTENT {intent.actor} call {function} {rest}".rstrip())
-        else:
-            rest = " ".join(f"{k}={v}" for k, v in sorted(intent.params))
-            lines.append(f"INTENT {intent.actor} {intent.kind} {rest}".rstrip())
+            words.append(intent.get("function"))
+        words.extend(f"{k}={v}" for k, v in sorted(intent.params) if k != "function")
+        lines.append("INTENT " + " ".join(words))
     for clause in scenario.schedules:
         if clause[0] == "all":
             lines.append("SCHEDULE all")

@@ -11,22 +11,21 @@ runs are byte-identical.
 
 The UTxO submit phase is therefore the same in every order: each intent is
 built against the world's snapshot, never against the chain an order has
-grown, and is built again only in a scenario with a ``REBUILD`` line (the
-``rebuild`` argument of ``run_schedule``), at its execution turn.
+grown, and is built again only in a world built from a scenario with a
+``REBUILD`` line (``EutxoWorld.rebuild``), at its execution turn.
 
 ``run_schedule`` is one loop for both ledgers; each world class supplies what
 differs between them: ``submit`` (the UTxO submit phase, and the state a run
 starts from), ``execute`` (one intent's turn) and ``observe`` (each key's
 holdings, the ledger's state pairs and the digest of a final state).  Each
-world keeps one record of its last run (``_LastRun``): the intent tuple, the
-``rebuild`` flag, on the UTxO ledger the submit phase, and one step per
-executed intent, holding the ledger state after it.  An order keeps the steps
-it shares with the last order and executes only the rest, so an order costs
-the steps after its shared prefix, and the record holds at most
-``len(intents)`` states.  On the UTxO ledger the chain at the fork point has
-handed its index to its first child, so the resumed append rebuilds it, in
-O(len(world.chain) + depth); persistent chains (ROADMAP item 5) would remove
-that.
+world keeps one record of its last run (``_LastRun``): the intent tuple, on
+the UTxO ledger the submit phase, and one step per executed intent, holding
+the ledger state after it.  An order keeps the steps it shares with the last
+order and executes only the rest, so an order costs the steps after its
+shared prefix, and the record holds at most ``len(intents)`` states.  On the
+UTxO ledger the chain at the fork point has handed its index to its first
+child, so the resumed append rebuilds it, in O(len(world.chain) + depth);
+persistent chains (ROADMAP item 5) would remove that.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from .token_portal import (
     build_buy_tx,
     build_set_price_tx,
     find_portal,
+    init_portal,
 )
 from .validators import PAY_TO_PUBKEY_KIND, pay_to_pubkey
 
@@ -99,15 +99,14 @@ def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
 
 @dataclass(eq=False)
 class _LastRun:
-    """The last run against one world: its intent tuple and ``rebuild``
-    flag; on the UTxO ledger its submit phase, each intent's built entry or
-    refusal; the state the run starts from; and one step per executed
-    intent, ``(index, state after it, (status, reason), ada paid)``.  The
-    state is ``(chain, next free position)`` on the UTxO ledger and the
-    ``AccountChain`` on the account ledger."""
+    """The last run against one world: its intent tuple; on the UTxO ledger
+    its submit phase, each intent's built entry or refusal; the state the
+    run starts from; and one step per executed intent, ``(index, state after
+    it, (status, reason), ada paid)``.  The state is ``(chain, next free
+    position)`` on the UTxO ledger and the ``AccountChain`` on the account
+    ledger."""
 
     intents: tuple[Intent, ...]
-    rebuild: bool = False
     built: tuple = ()
     start: object = None
     steps: list[tuple] = field(default_factory=list)
@@ -115,10 +114,16 @@ class _LastRun:
 
 @dataclass(frozen=True)
 class EutxoWorld:
+    """The UTxO ledger a scenario runs against.  ``rebuild`` turns on the
+    off-by-default retry mode: an intent whose submit-time transaction no
+    longer attaches is rebuilt once against the chain as it stands at its
+    execution turn (builder guards still apply)."""
+
     chain: Chain
     cfg: TokenConfig
     policies: PolicyTable
     actors: tuple[tuple[str, int], ...]
+    rebuild: bool = False
 
     # The world's ``_LastRun``.  Not a field, so equality, hashing and repr
     # ignore it.
@@ -145,7 +150,7 @@ class EutxoWorld:
         else:
             result, reason = _attach(chain, entry[0], self.policies)
         accepted_how = ""
-        if result is None and run.rebuild:
+        if result is None and self.rebuild:
             alloc = PositionAllocator(next_position)  # rebuilds take positions from here
             entry, refusal = _build_eutxo_intent(self, intent, chain, alloc)
             next_position = alloc.peek()
@@ -295,23 +300,14 @@ def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain
     return result, ""
 
 
-def run_schedule(
-    world: EutxoWorld | AccountWorld,
-    intents: Sequence[Intent],
-    order: Sequence[int],
-    rebuild: bool = False,
-) -> Outcome:
+def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], order: Sequence[int]) -> Outcome:
     """Execute the intents in the given order and report every status.
 
     The order must be a permutation of the intent indices.  All failures are
-    recorded in the outcome, never raised.  ``rebuild`` enables the off-by-
-    default retry mode on the UTxO ledger: an intent whose submit-time
-    transaction no longer attaches is rebuilt once against the chain as it
-    stands at its execution turn (builder guards still apply).
+    recorded in the outcome, never raised.
 
     The world's ``_LastRun`` is made anew, running the world's ``submit``,
-    for another intent tuple; a change of ``rebuild`` alone keeps the submit
-    phase and drops the steps.  The steps ``order`` shares with the last
+    for another intent tuple.  The steps ``order`` shares with the last
     order run are kept, and only the rest are executed, each by the world's
     ``execute`` from the state the step before left.  A run that raises
     part-way leaves the steps before the failing one.
@@ -321,12 +317,9 @@ def run_schedule(
         raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
     run = world._last_run
     if run is None or run.intents != intents:
-        run = _LastRun(intents, rebuild)
+        run = _LastRun(intents)
         world.submit(run)
         object.__setattr__(world, "_last_run", run)
-    elif run.rebuild != rebuild:
-        run.rebuild = rebuild
-        run.steps.clear()
     steps = run.steps
     shared = 0
     for step, index in zip(steps, order):
@@ -749,13 +742,11 @@ def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
             raise ValueError("eutxo scenario needs a token config")
         policies = scenario.policies or PolicyTable()
         alloc = PositionAllocator()
-        from .token_portal import init_portal
-
         genesis = init_portal(scenario.cfg, scenario.supply, scenario.price, alloc)
         chain = append(Chain(), genesis, None, policies)
         if isinstance(chain, ValidationReport):
             raise ValueError(f"portal initialization rejected: {chain.describe()}")
-        return EutxoWorld(chain, scenario.cfg, policies, scenario.actors)
+        return EutxoWorld(chain, scenario.cfg, policies, scenario.actors, scenario.rebuild)
     if scenario.ledger == ACCOUNT:
         deployer = _key_of(scenario.actors, scenario.deployer)
         chain = deploy_changing(AccountChain(), scenario.contract, deployer, scenario.supply, scenario.price)
@@ -856,7 +847,7 @@ def run_scenario(scenario: Scenario, override: Sequence[tuple] | None = None) ->
     """Run every schedule of the scenario against a fresh world."""
     world = build_world(scenario)
     orders = expand_schedules(scenario, override)
-    outcomes = tuple(run_schedule(world, scenario.intents, order, scenario.rebuild) for order in orders)
+    outcomes = tuple(run_schedule(world, scenario.intents, order) for order in orders)
     return ScenarioReport(scenario.ledger, outcomes)
 
 

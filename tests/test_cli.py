@@ -43,6 +43,27 @@ def test_validate_slots_out_of_order_exits_2(capsys, tmp_path):
     assert err == f"error: {bad}: line 2: slot 3 below the previous slot 5\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("TX 0 SLOT 1 SLOT 7\n", "line 1: SLOT given twice"),
+        ("TX 0 SLOT 2 RANGE 0 5 RANGE 9 *\n", "line 1: RANGE given twice"),
+        # a transaction's own error names its TX line, not the next one
+        (
+            "TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 0\nIN 1 3\nTX 2\nOUT 2 AcceptAll 0\n",
+            "line 3: duplicate input positions within one transaction",
+        ),
+    ],
+    ids=["second-slot", "second-range", "duplicate-input-mid-file"],
+)
+def test_validate_refused_chain_exits_2(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.chain"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: {message}\n"
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.chain"))
     assert code == 2
@@ -199,10 +220,16 @@ def test_demo_race_json(capsys):
 
 
 def test_scenario_text_matches_golden(capsys, corpus_dir):
-    for name in ("race_eutxo", "race_rebuild", "race_four", "race_unguarded_state", "race_rogue_price"):
-        code, out, _ = run_cli(capsys, "scenario", str(corpus_dir / f"{name}.scenario"))
-        assert code == 0, name
-        assert out == (corpus_dir / f"{name}.golden.txt").read_text(), name
+    """Every corpus scenario prints its golden file; race_account has its
+    own test below."""
+    paths = sorted(path for path in corpus_dir.glob("*.scenario") if path.stem != "race_account")
+    assert paths
+    for path in paths:
+        golden = path.with_name(f"{path.stem}.golden.txt")
+        assert golden.exists(), f"{path.name} has no golden file"
+        code, out, _ = run_cli(capsys, "scenario", str(path))
+        assert code == 0, path.name
+        assert out == golden.read_text(), path.name
 
 
 def test_scenario_account_golden(capsys, corpus_dir):

@@ -74,6 +74,25 @@ def test_parse_chain_slot_monotonicity():
     assert str(err.value) == "line 2: slot 3 below the previous slot 5"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("TX 0 SLOT 1 SLOT 7\n", "line 1: SLOT given twice"),
+        ("TX 0 SLOT 2 RANGE 0 5 RANGE 9 *\n", "line 1: RANGE given twice"),
+        # the last transaction, at line 6 of 8, spends position 1 twice
+        (
+            "TX 0\nOUT 1 AcceptAll 0\nOUT 2 AcceptAll 0\nTX 1\nOUT 3 AcceptAll 0\nTX 2\nIN 1 0\nIN 1 3\n",
+            "line 6: duplicate input positions within one transaction",
+        ),
+    ],
+    ids=["second-slot", "second-range", "duplicate-input-at-its-tx-line"],
+)
+def test_parse_chain_error_messages(text, message):
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_chain(text)
+    assert str(err.value) == message
+
+
 def test_range_serialization():
     text = "TX 0 RANGE 2 *\nOUT 1 AcceptAll 0\nTX 1 SLOT 0\n"
     with pytest.raises(formats.ParseError):
@@ -123,6 +142,16 @@ def test_scenario_round_trip_bundled():
         text = formats.scenario_to_text(scenario)
         assert formats.parse_scenario(text) == scenario
         assert formats.scenario_to_text(formats.parse_scenario(text)) == text
+
+
+def test_corpus_scenarios_round_trip(corpus_dir):
+    """The printer is the parser's inverse on every stored scenario, actor
+    order included."""
+    paths = sorted(corpus_dir.glob("*.scenario"))
+    assert paths
+    for path in paths:
+        scenario = formats.parse_scenario(path.read_text())
+        assert formats.parse_scenario(formats.scenario_to_text(scenario)) == scenario, path.name
 
 
 def test_scenario_files_match_bundled(corpus_dir):
@@ -181,7 +210,7 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (EUTXO_HEAD.replace("state=2:1", "state=2:1 isuer=5"), "line 2: CONFIG unknown ['isuer']"),
         (EUTXO_HEAD + "REBUILD\nREBUILD\n", "line 7: REBUILD given twice"),
         (EUTXO_HEAD + "REBUILD x\n", "line 6: REBUILD takes no arguments"),
-        (EUTXO_HEAD + "INTENT buyer mint sym=5 tok=1\n", "line 6: mint parameters: missing ['qty'], unknown []"),
+        (EUTXO_HEAD + "INTENT buyer mint sym=5 tok=1\n", "line 6: mint missing ['qty']"),
         (EUTXO_HEAD + "INTENT buyer buy n=0\n", "line 6: buy n must be at least 1, got 0"),
         (EUTXO_HEAD + "INTENT buyer mint sym=1 tok=1 qty=0\n", "line 6: mint qty must be at least 1, got 0"),
         (

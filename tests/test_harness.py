@@ -236,13 +236,13 @@ def test_mint_intent_from_scenario_text():
 def test_rebuild_mode_retries_against_current_chain():
     """With rebuild on, a stale unguarded buy re-reads the new price; a
     guarded one still refuses."""
-    scenario = bundled_race_scenario("eutxo")
+    scenario = dataclasses.replace(bundled_race_scenario("eutxo"), rebuild=True)
     world = build_world(scenario)
     unguarded = (
         Intent.of("buyer", "buy", n=2),  # no max_price: willing to pay whatever
         Intent.of("issuer", "set_price", p=100),
     )
-    outcome = run_schedule(world, unguarded, (1, 0), rebuild=True)
+    outcome = run_schedule(world, unguarded, (1, 0))
     assert outcome.statuses[0] == ("accepted", "rebuilt-at-execute")
     buyer = _holding(outcome, "buyer")
     assert buyer["1:1"] == 2 and buyer["ada_paid"] == 200  # price 100 at rebuild
@@ -251,7 +251,7 @@ def test_rebuild_mode_retries_against_current_chain():
         Intent.of("buyer", "buy", n=2, max_price=1),
         Intent.of("issuer", "set_price", p=100),
     )
-    outcome = run_schedule(build_world(scenario), guarded, (1, 0), rebuild=True)
+    outcome = run_schedule(build_world(scenario), guarded, (1, 0))
     status, reason = outcome.statuses[0]
     assert status == "rejected" and reason.startswith("refused-at-rebuild")
     assert _holding(outcome, "buyer")["ada_paid"] == 0
@@ -265,27 +265,33 @@ def test_only_the_issuer_key_may_set_the_price(rebuild):
     import itertools
 
     scenario = bundled_race_scenario("eutxo")
-    scenario = dataclasses.replace(scenario, actors=scenario.actors + (("treasurer", 1),))
+    scenario = dataclasses.replace(scenario, actors=scenario.actors + (("treasurer", 1),), rebuild=rebuild)
     world = build_world(scenario)
     rogue = (Intent.of("buyer", "set_price", p=0), Intent.of("buyer", "buy", n=100))
-    buy_alone = run_schedule(build_world(scenario), rogue[1:], (0,), rebuild)
+    buy_alone = run_schedule(build_world(scenario), rogue[1:], (0,))
     refused = "refused-at-rebuild" if rebuild else "refused-at-build"
     for order in itertools.permutations(range(2)):
-        outcome = run_schedule(world, rogue, order, rebuild)
+        outcome = run_schedule(world, rogue, order)
         assert outcome.statuses == (("rejected", f"{refused}: only the issuer may set the price"), ("accepted", ""))
         assert _holding(outcome, "buyer") == {"1:1": 100, "ada_paid": 100}
         assert outcome.state == (("portal_price", 1), ("portal_supply", 900))
         assert outcome.digest == buy_alone.digest  # the refusal took no position
-    outcome = run_schedule(world, (Intent.of("treasurer", "set_price", p=0),), (0,), rebuild)
+    outcome = run_schedule(world, (Intent.of("treasurer", "set_price", p=0),), (0,))
     assert outcome.statuses == (("accepted", ""),)
     assert outcome.state == (("portal_price", 0), ("portal_supply", 1000))
 
 
 def test_rebuild_off_by_default_matches_plain_run():
+    """A scenario without a REBUILD line builds a world that does not
+    rebuild, as does a world made without the flag."""
+    from ledgersim.harness import EutxoWorld
+
     scenario = bundled_race_scenario("eutxo")
-    plain = run_schedule(build_world(scenario), scenario.intents, (1, 0))
-    explicit = run_schedule(build_world(scenario), scenario.intents, (1, 0), rebuild=False)
-    assert plain == explicit
+    world = build_world(scenario)
+    assert not scenario.rebuild and not world.rebuild
+    plain = run_schedule(world, scenario.intents, (1, 0))
+    unflagged = EutxoWorld(world.chain, world.cfg, world.policies, world.actors)
+    assert run_schedule(unflagged, scenario.intents, (1, 0)) == plain
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
@@ -296,10 +302,10 @@ def test_duplicated_state_chip_is_recorded_not_raised(corpus_dir, rebuild):
     import itertools
 
     scenario = formats.parse_scenario((corpus_dir / "race_unguarded_state.scenario").read_text())
-    world = build_world(scenario)
+    world = build_world(dataclasses.replace(scenario, rebuild=rebuild))
     reasons = set()
     for order in itertools.permutations(range(len(scenario.intents))):
-        outcome = run_schedule(world, scenario.intents, order, rebuild)
+        outcome = run_schedule(world, scenario.intents, order)
         assert outcome.statuses[0] == ("accepted", "")  # the mint always lands
         assert outcome.state == (("portal_price", -1), ("portal_supply", -1))
         reasons |= {reason for _, reason in outcome.statuses}
@@ -525,10 +531,10 @@ def test_eutxo_race_outcomes_pinned():
     digest = hashlib.sha256()
     for seed in range(3):
         scenario = _random_eutxo_race(seed)
-        world = build_world(scenario)
         for rebuild in (False, True):
+            world = build_world(dataclasses.replace(scenario, rebuild=rebuild))
             for order in itertools.permutations(range(6)):
-                lines = run_schedule(world, scenario.intents, order, rebuild).to_lines()
+                lines = run_schedule(world, scenario.intents, order).to_lines()
                 digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == SCHEDULE_PIN
 
@@ -566,8 +572,8 @@ def _counting_builders(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("seed", [0, 6])
 def test_submit_phase_built_once_per_world(monkeypatch, seed):
-    """All 720 orders on one world build each intent once; with rebuild on,
-    only the rebuilds add builder calls."""
+    """All 720 orders on one world build each intent once; on a world with
+    rebuild on, only the rebuilds add builder calls."""
     import itertools
     from collections import Counter
 
@@ -582,9 +588,11 @@ def test_submit_phase_built_once_per_world(monkeypatch, seed):
     assert calls == {"buy": kinds["buy"], "set_price": kinds["set_price"]}
     # with rebuild on, an intent whose submit-time transaction did not attach
     # is rebuilt at its turn, once for each distinct order prefix ending there
+    calls.update(buy=0, set_price=0)
+    world = build_world(dataclasses.replace(scenario, rebuild=True))
     rebuilt = {kind: set() for kind in calls}
     for order in orders:
-        outcome = run_schedule(world, scenario.intents, order, rebuild=True)
+        outcome = run_schedule(world, scenario.intents, order)
         for depth, index in enumerate(order):
             kind = scenario.intents[index].kind
             if outcome.statuses[index] != ("accepted", "") and kind in rebuilt:
@@ -622,10 +630,10 @@ def test_shared_world_matches_fresh_worlds(rebuild):
     when the world runs intent tuple A, then B, then A again."""
     import itertools
 
-    a, b = _random_eutxo_race(0), _random_eutxo_race(6)
+    a, b = (dataclasses.replace(_random_eutxo_race(seed), rebuild=rebuild) for seed in (0, 6))
     orders = list(itertools.permutations(range(6)))
     fresh = {
-        scenario.intents: [run_schedule(build_world(scenario), scenario.intents, order, rebuild) for order in orders]
+        scenario.intents: [run_schedule(build_world(scenario), scenario.intents, order) for order in orders]
         for scenario in (a, b)
     }
     # both races hold a mint the policy rejects and a buy refused at build
@@ -635,7 +643,7 @@ def test_shared_world_matches_fresh_worlds(rebuild):
         assert {refused, "policy-violation"} <= reasons
     world = build_world(a)
     for scenario in (a, b, a):
-        assert [run_schedule(world, scenario.intents, order, rebuild) for order in orders] == fresh[scenario.intents]
+        assert [run_schedule(world, scenario.intents, order) for order in orders] == fresh[scenario.intents]
     # the kept submit phase is not part of the world's value
     untouched = build_world(b)
     assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
@@ -656,19 +664,20 @@ def _orders_out_of_sequence() -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("ledger", ["eutxo", "account"])
 def test_resumed_runs_match_fresh_worlds(ledger):
     """Orders out of sequence on one world equal a fresh world per order,
-    also when the world runs intent tuple A, then B, then A again, with
-    ``rebuild`` toggled between (it is a no-op on the account ledger)."""
+    also when the world runs intent tuple A, then B, then A again; on the
+    UTxO ledger with rebuild off and on."""
     race = _random_eutxo_race if ledger == "eutxo" else _random_account_race
-    a, b = race(0), race(2)
     orders = _orders_out_of_sequence()
-    world = build_world(a)
-    for scenario, rebuild in ((a, False), (a, True), (b, True), (a, False)):
-        for order in orders:
-            fresh = run_schedule(build_world(scenario), scenario.intents, order, rebuild)
-            assert run_schedule(world, scenario.intents, order, rebuild) == fresh
-    # the kept record is not part of the world's value
-    untouched = build_world(a)
-    assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
+    for rebuild in (False, True) if ledger == "eutxo" else (False,):
+        a, b = (dataclasses.replace(race(seed), rebuild=rebuild) for seed in (0, 2))
+        world = build_world(a)
+        for scenario in (a, b, a):
+            for order in orders:
+                fresh = run_schedule(build_world(scenario), scenario.intents, order)
+                assert run_schedule(world, scenario.intents, order) == fresh
+        # the kept record is not part of the world's value
+        untouched = build_world(a)
+        assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
 
 
 def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
@@ -719,10 +728,10 @@ def test_holdings_match_per_actor_scan(monkeypatch):
     for seed in (0, 3, 6):
         scenario = _random_eutxo_race(seed, max_n=300)  # rebuilt buys can all land
         actors = scenario.actors + (("b3", 9), ("idle", 42))  # b3 shares b2's key
-        world = build_world(dataclasses.replace(scenario, actors=actors))
         for rebuild in (False, True):
+            world = build_world(dataclasses.replace(scenario, actors=actors, rebuild=rebuild))
             for order in itertools.permutations(range(6)):
-                holdings = run_schedule(world, scenario.intents, order, rebuild).holdings
+                holdings = run_schedule(world, scenario.intents, order).holdings
                 paid = {name: dict(facts)["ada_paid"] for name, facts in holdings}
                 assert holdings == oracles.eutxo_holdings(world, chains[-1], paid)
                 seen.append(dict(holdings))
