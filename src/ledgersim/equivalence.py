@@ -176,11 +176,19 @@ def check_defer(base: Chain, txs: Sequence[Transaction], tx: Transaction) -> Def
     transactions are judged: on an invalid base an ordering is valid when
     they append, though the whole sequence is not.  Observational
     equivalence looks only at the transactions, scheduled or not.
+
+    B;tx;txs starts with B;tx, so it extends that chain by the batch, except
+    on an empty base where ``tx`` has no slot range but some batch
+    transaction has one: there the whole sequence decides whether the chain
+    is slotted.
     """
     batch = tuple(txs)
     both = schedule_extension(base, batch + (tx,))
     alone = schedule_extension(base, (tx,))
-    swapped = schedule_extension(base, (tx,) + batch)
+    if not base.transactions and tx.slot_range is None and any(t.slot_range is not None for t in batch):
+        swapped = schedule_extension(base, (tx,) + batch)
+    else:
+        swapped = None if alone is None else schedule_extension(alone, batch)
     return DeferReport(
         valid_txs_tx=both is not None,
         valid_tx=alone is not None,

@@ -26,10 +26,18 @@ shared prefix, and the record holds at most ``len(intents)`` states.  On the
 UTxO ledger the chain at the fork point has handed its index to its first
 child, so the resumed append rebuilds it, in O(len(world.chain) + depth);
 persistent chains (ROADMAP item 5) would remove that.
+
+Each state in the record carries the observation of it, once an order has
+ended there: ``observe`` runs once per distinct state an order ends on, not
+once per order.  A step that leaves the state it was given (on the UTxO
+ledger a rejected intent that took no position) shares the observation of
+the state before it; on the account ledger every call makes a new state.
+What an order adds is its own: each actor's ada paid.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -101,14 +109,18 @@ def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
 class _LastRun:
     """The last run against one world: its intent tuple; on the UTxO ledger
     its submit phase, each intent's built entry or refusal; the state the
-    run starts from; and one step per executed intent, ``(index, state after
-    it, (status, reason), ada paid)``.  The state is ``(chain, next free
-    position)`` on the UTxO ledger and the ``AccountChain`` on the account
-    ledger."""
+    run starts from and its observation cell; and one step per executed
+    intent, ``(index, state after it, (status, reason), ada paid, observation
+    cell)``.  The state is ``(chain, next free position)`` on the UTxO ledger
+    and the ``AccountChain`` on the account ledger.  An observation cell is a
+    one-item list, holding None until an order ends on its state and then
+    ``_observation`` of it; a step whose state is the one before it shares
+    the cell before it."""
 
     intents: tuple[Intent, ...]
     built: tuple = ()
     start: object = None
+    start_cell: list = field(default_factory=lambda: [None])
     steps: list[tuple] = field(default_factory=list)
 
 
@@ -141,7 +153,8 @@ class EutxoWorld:
         """One intent's turn: its submit-time transaction appended to the
         chain, or with ``rebuild`` on and that failing, one built against the
         chain as it stands.  Returns the next state, the (status, reason) and
-        ada paid."""
+        ada paid; the next state is ``state`` itself when nothing attached
+        and no position was taken."""
         chain, next_position = state
         intent = run.intents[index]
         entry, refusal = run.built[index]
@@ -159,9 +172,11 @@ class EutxoWorld:
             else:
                 result, reason = _attach(chain, entry[0], self.policies)
                 accepted_how = "rebuilt-at-execute"
-        if result is None:
-            return (chain, next_position), ("rejected", reason), 0
-        return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0
+        if result is not None:
+            return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0
+        if next_position != state[1]:  # a rebuild took positions
+            state = (chain, next_position)
+        return state, ("rejected", reason), 0
 
     def observe(self, state: tuple):
         """Each key's pay-to-key holdings, from one pass over the unspent
@@ -300,6 +315,19 @@ def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain
     return result, ""
 
 
+def _observation(world: EutxoWorld | AccountWorld, state) -> tuple:
+    """What every order ending on ``state`` reads of it: per actor, in name
+    order, the name and the sorted holdings facts split where ``ada_paid``
+    sorts in; the ledger's state pairs; and the digest."""
+    by_key, pairs, digest = world.observe(state)
+    facts = []
+    for name, key in sorted(world.actors):
+        held = tuple(sorted(by_key.get(key, {}).items()))
+        at = bisect.bisect_left(held, ("ada_paid",))
+        facts.append((name, held[:at], held[at:]))
+    return tuple(facts), pairs, digest
+
+
 def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], order: Sequence[int]) -> Outcome:
     """Execute the intents in the given order and report every status.
 
@@ -309,8 +337,10 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     The world's ``_LastRun`` is made anew, running the world's ``submit``,
     for another intent tuple.  The steps ``order`` shares with the last
     order run are kept, and only the rest are executed, each by the world's
-    ``execute`` from the state the step before left.  A run that raises
-    part-way leaves the steps before the failing one.
+    ``execute`` from the state the step before left.  The final state is
+    observed only when no earlier order has ended on it.  A run that raises
+    part-way leaves the steps before the failing one, and an ``observe``
+    that raises leaves the final state unobserved.
     """
     order, intents = tuple(order), tuple(intents)
     if sorted(order) != list(range(len(intents))):
@@ -327,21 +357,22 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
             break
         shared += 1
     del steps[shared:]
-    state = steps[-1][1] if steps else run.start
+    state, cell = (steps[-1][1], steps[-1][4]) if steps else (run.start, run.start_cell)
     for index in order[shared:]:
-        state, status, ada = world.execute(run, state, index)
-        steps.append((index, state, status, ada))
+        result, status, ada = world.execute(run, state, index)
+        if result is not state:
+            state, cell = result, [None]
+        steps.append((index, state, status, ada, cell))
+    if cell[0] is None:
+        cell[0] = _observation(world, state)
+    facts, observed, digest = cell[0]
     statuses = [("", "")] * len(intents)
     paid: dict[str, int] = {}
-    for index, _, status, ada in steps:
+    for index, _, status, ada, _ in steps:
         statuses[index] = status
         actor = intents[index].actor
         paid[actor] = paid.get(actor, 0) + ada
-    by_key, observed, digest = world.observe(state)
-    holdings = tuple(
-        (name, tuple(sorted({**by_key.get(key, {}), "ada_paid": paid.get(name, 0)}.items())))
-        for name, key in sorted(world.actors)
-    )
+    holdings = tuple([(name, before + (("ada_paid", paid.get(name, 0)),) + after) for name, before, after in facts])
     return Outcome(order, tuple(statuses), holdings, observed, digest)
 
 

@@ -236,7 +236,8 @@ def test_commute_conclusion_holds_on_raw_sequences(figure_txs):
 def test_check_commute_rebuilds_only_the_base_index(monkeypatch, figure_txs):
     """Each extended chain is built once, by appends that hand the parent's
     index to the child, so no extended chain builds an index.  The first
-    order takes the base's index; the second and third rebuild it."""
+    order takes the base's index; B;tx rebuilds it once, and B;tx;txs
+    extends B;tx."""
     tx1, tx2, tx3, _ = figure_txs
     base = Chain((tx1,))
     base.index()
@@ -250,7 +251,7 @@ def test_check_commute_rebuilds_only_the_base_index(monkeypatch, figure_txs):
     monkeypatch.setattr(LedgerIndex, "of", classmethod(counting_build))
     report = check_defer(base, (tx2,), tx3)
     assert report.valid_txs_tx and report.valid_tx_txs and report.equiv
-    assert builds == [len(base)] * 2
+    assert builds == [len(base)]
 
 
 def test_check_defer_empty_batch(chain_b):
@@ -296,6 +297,25 @@ def test_check_defer_slotted_remark_shape():
     assert report.valid_txs_tx and report.valid_tx
     assert not report.valid_tx_txs  # the deferral direction breaks
     assert report.equiv  # the equivalence half survives
+
+
+def test_check_defer_empty_base_ranged_batch():
+    """On an empty base, a ``tx`` without a slot range and a batch with
+    ranges make B;tx unslotted but B;tx;txs slotted, so the batch's ranges
+    bind only in the full orders: here no slot fits the second batch
+    transaction after the first, in either order."""
+    from ledgersim.ledger import schedule_extension
+    from ledgersim.model import SlotRange
+
+    tx = Transaction(frozenset(), frozenset({ref_output(A)}))
+    batch = (
+        Transaction(frozenset(), frozenset({ref_output(B)}), SlotRange(5, None)),
+        Transaction(frozenset(), frozenset({ref_output(C)}), SlotRange(0, 3)),
+    )
+    alone = schedule_extension(Chain(), (tx,))
+    assert not alone.slotted and schedule_extension(alone, batch) is not None
+    report = check_defer(Chain(), batch, tx)
+    assert (report.valid_txs_tx, report.valid_tx, report.valid_tx_txs, report.equiv) == (False, True, False, True)
 
 
 # sampler -> (the batch and the transaction its instance defers, a

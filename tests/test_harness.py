@@ -709,33 +709,74 @@ def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
 
 
 def test_holdings_match_per_actor_scan(monkeypatch):
-    """The one-pass holdings equal the per-actor scan on every chain the
-    scheduler reaches, with two actors on one key and one holding nothing."""
+    """The one-pass holdings equal the per-actor scan on every order's final
+    chain, read from the world's record, with two actors on one key and one
+    holding nothing.  ``observe`` runs once per distinct state an order ends
+    on: with rebuild off a rejected intent leaves the state it found, so
+    most orders end on a state an earlier order was observed on; with
+    rebuild on a rebuilt intent takes fresh positions, so every order of
+    these races ends on a state of its own."""
     import itertools
 
     import oracles
     from ledgersim import harness
 
     real = harness.EutxoWorld.observe
-    chains = []
+    states = []
 
     def observed(world, state):
-        chains.append(state[0])
+        states.append(state)
         return real(world, state)
 
     monkeypatch.setattr(harness.EutxoWorld, "observe", observed)
     seen = []
+    calls = {}
     for seed in (0, 3, 6):
         scenario = _random_eutxo_race(seed, max_n=300)  # rebuilt buys can all land
         actors = scenario.actors + (("b3", 9), ("idle", 42))  # b3 shares b2's key
         for rebuild in (False, True):
             world = build_world(dataclasses.replace(scenario, actors=actors, rebuild=rebuild))
+            before = len(states)
             for order in itertools.permutations(range(6)):
                 holdings = run_schedule(world, scenario.intents, order).holdings
+                chain, _ = world._last_run.steps[-1][1]
                 paid = {name: dict(facts)["ada_paid"] for name, facts in holdings}
-                assert holdings == oracles.eutxo_holdings(world, chains[-1], paid)
+                assert holdings == oracles.eutxo_holdings(world, chain, paid)
                 seen.append(dict(holdings))
-    assert len(seen) == len(chains) == 3 * 2 * 720
+            calls[seed, rebuild] = len(states) - before
+    assert len(seen) == 3 * 2 * 720
+    assert len({id(state) for state in states}) == len(states)  # no state is observed twice
+    assert calls == {(0, False): 10, (0, True): 720, (3, False): 6, (3, True): 720, (6, False): 10, (6, True): 720}
     assert all(facts["idle"] == (("ada_paid", 0),) for facts in seen)
     # b3 holds b2's tokens, on some chains from two buys of fewer than 300
     assert any(dict(facts["b3"]).get("1:1", 0) >= 300 for facts in seen)
+
+
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_observe_that_raises_leaves_nothing_behind(monkeypatch, rebuild):
+    """An ``observe`` that raises once, part-way through all 720 orders,
+    leaves its state unobserved: the order it failed in, run again, and
+    every later order equal a fresh world's."""
+    import itertools
+
+    from ledgersim import harness
+
+    scenario = dataclasses.replace(_random_eutxo_race(0), rebuild=rebuild)
+    real, calls = harness.EutxoWorld.observe, []
+
+    def flaky(world, state):
+        calls.append(state)
+        if len(calls) == 4:
+            raise RuntimeError("observe failed")
+        return real(world, state)
+
+    monkeypatch.setattr(harness.EutxoWorld, "observe", flaky)
+    world = build_world(scenario)
+    orders = list(itertools.permutations(range(6)))
+    with pytest.raises(RuntimeError, match="observe failed"):
+        for at, order in enumerate(orders):
+            run_schedule(world, scenario.intents, order)
+    assert 0 < at < len(orders) - 1
+    for order in orders[at:]:
+        fresh = run_schedule(build_world(scenario), scenario.intents, order)
+        assert run_schedule(world, scenario.intents, order) == fresh
