@@ -28,11 +28,13 @@ child, so the resumed append rebuilds it, in O(len(world.chain) + depth);
 persistent chains (ROADMAP item 5) would remove that.
 
 Each state in the record carries the observation of it, once an order has
-ended there: ``observe`` runs once per distinct state an order ends on, not
-once per order.  A step that leaves the state it was given (on the UTxO
-ledger a rejected intent that took no position) shares the observation of
-the state before it; on the account ledger every call makes a new state.
-What an order adds is its own: each actor's ada paid.
+ended there: ``observe`` runs once per distinct chain an order ends on, not
+once per order.  What ``observe`` reads of a state is its chain
+(``chain_of``): on the UTxO ledger the chain without the next free position.
+A step that leaves the chain as it found it (on the UTxO ledger a rejected
+intent, even one whose rebuild took positions) shares the observation of the
+state before it; on the account ledger every call makes a new chain.  What
+an order adds is its own: each actor's ada paid.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class _LastRun:
     cell)``.  The state is ``(chain, next free position)`` on the UTxO ledger
     and the ``AccountChain`` on the account ledger.  An observation cell is a
     one-item list, holding None until an order ends on its state and then
-    ``_observation`` of it; a step whose state is the one before it shares
-    the cell before it."""
+    ``_observation`` of it; a step that leaves the chain of the state before
+    it shares the cell before it."""
 
     intents: tuple[Intent, ...]
     built: tuple = ()
@@ -154,7 +156,8 @@ class EutxoWorld:
         chain, or with ``rebuild`` on and that failing, one built against the
         chain as it stands.  Returns the next state, the (status, reason) and
         ada paid; the next state is ``state`` itself when nothing attached
-        and no position was taken."""
+        and no position was taken, and holds the same chain when a rebuild
+        took positions but nothing attached."""
         chain, next_position = state
         intent = run.intents[index]
         entry, refusal = run.built[index]
@@ -178,10 +181,15 @@ class EutxoWorld:
             state = (chain, next_position)
         return state, ("rejected", reason), 0
 
-    def observe(self, state: tuple):
+    @staticmethod
+    def chain_of(state: tuple) -> Chain:
+        """The part of a state ``observe`` reads: the chain, not the next
+        free position."""
+        return state[0]
+
+    def observe(self, chain: Chain):
         """Each key's pay-to-key holdings, from one pass over the unspent
         set; the portal's price and supply; and the digest of the chain."""
-        chain, _ = state
         by_key: dict[int, dict[str, int]] = {}
         for out in utxo(chain):
             if out.validator.kind == PAY_TO_PUBKEY_KIND:
@@ -220,6 +228,11 @@ class AccountWorld:
         args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
         chain, result = call(chain, CallTx(self.contract, function, _key_of(self.actors, intent.actor), value, args))
         return chain, (result.status, result.reason), value if result.ok and function in PAYABLE else 0
+
+    @staticmethod
+    def chain_of(chain: AccountChain) -> AccountChain:
+        """The part of a state ``observe`` reads: all of it."""
+        return chain
 
     def observe(self, chain: AccountChain):
         """Each key's token balance; the contract's balance and price; and
@@ -319,7 +332,7 @@ def _observation(world: EutxoWorld | AccountWorld, state) -> tuple:
     """What every order ending on ``state`` reads of it: per actor, in name
     order, the name and the sorted holdings facts split where ``ada_paid``
     sorts in; the ledger's state pairs; and the digest."""
-    by_key, pairs, digest = world.observe(state)
+    by_key, pairs, digest = world.observe(world.chain_of(state))
     facts = []
     for name, key in sorted(world.actors):
         held = tuple(sorted(by_key.get(key, {}).items()))
@@ -338,9 +351,9 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     for another intent tuple.  The steps ``order`` shares with the last
     order run are kept, and only the rest are executed, each by the world's
     ``execute`` from the state the step before left.  The final state is
-    observed only when no earlier order has ended on it.  A run that raises
-    part-way leaves the steps before the failing one, and an ``observe``
-    that raises leaves the final state unobserved.
+    observed only when no earlier order has ended on its chain.  A run that
+    raises part-way leaves the steps before the failing one, and an
+    ``observe`` that raises leaves the final state unobserved.
     """
     order, intents = tuple(order), tuple(intents)
     if sorted(order) != list(range(len(intents))):
@@ -361,7 +374,9 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     for index in order[shared:]:
         result, status, ada = world.execute(run, state, index)
         if result is not state:
-            state, cell = result, [None]
+            if world.chain_of(result) is not world.chain_of(state):
+                cell = [None]
+            state = result
         steps.append((index, state, status, ada, cell))
     if cell[0] is None:
         cell[0] = _observation(world, state)

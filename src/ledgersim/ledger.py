@@ -25,6 +25,17 @@ slots.  ``utxo``, ``classify`` and the policy, portal, generator and
 equivalence modules read the cached index; ``validate_chain`` grows a fresh
 one as it walks, since it checks each transaction against the prefix before
 it, and leaves the result on the chain for the queries that follow.
+
+The index also keeps the unspent outputs by currency symbol, for the symbols
+some query has asked for (``LedgerIndex.carriers``): the portal lookup and
+the affine policy check read only the outputs carrying the symbol they judge.
+A symbol's table is built by its first query, in one scan of the unspent
+outputs, and ``absorb`` keeps it current from then on; an index no one has
+asked by symbol holds no table, so building, validating and appending pay
+one falsy check per transaction for it.  Invariant: a symbol's table plus
+the ``shadowed`` outputs carrying it are exactly the outputs
+``unspent_outputs()`` yields that carry it, so invalid chains keep their
+meaning.
 """
 
 from __future__ import annotations
@@ -87,9 +98,15 @@ class LedgerIndex:
     input names, by position; ``shadowed`` holds more of them at a position
     already in ``unspent``, empty on a valid chain.  ``size`` counts the
     transactions summarized and ``last_slot`` is the last slot among them.
+    ``by_symbol`` maps each currency symbol asked for by ``carriers`` to the
+    outputs in ``unspent`` that carry it, by position; a symbol gets its
+    table on its first query, and ``absorb`` keeps every table built so
+    far.  ``shadowed`` outputs stay out of the tables and are filtered by
+    ``carriers`` itself, so a table's carriers plus the shadowed ones carrying
+    the symbol are exactly what ``unspent_outputs()`` yields that carry it.
     """
 
-    __slots__ = ("size", "last_slot", "producer", "output", "spender", "unspent", "shadowed")
+    __slots__ = ("size", "last_slot", "producer", "output", "spender", "unspent", "shadowed", "by_symbol")
 
     def __init__(self) -> None:
         self.size = 0
@@ -99,6 +116,7 @@ class LedgerIndex:
         self.spender: dict[Position, int] = {}
         self.unspent: dict[Position, Output] = {}
         self.shadowed: dict[Position, list[Output]] = {}
+        self.by_symbol: dict[int, dict[Position, Output]] = {}
 
     @classmethod
     def of(cls, txs: Iterable[Transaction], slots: Sequence[int] | None = None) -> LedgerIndex:
@@ -110,7 +128,8 @@ class LedgerIndex:
 
     def absorb(self, tx: Transaction, slot: int | None = None) -> None:
         """Summarize one more transaction, at index ``size``.  Its inputs
-        spend only earlier outputs, so they are taken first."""
+        spend only earlier outputs, so they are taken first; then every
+        per-symbol table built so far takes the change."""
         at = self.size
         for inp in tx.inputs:
             self.spender.setdefault(inp.position, at)
@@ -130,6 +149,17 @@ class LedgerIndex:
         if slot is not None:
             self.last_slot = slot
         self.size = at + 1
+        tables = self.by_symbol
+        if tables:  # only the symbols already asked for
+            for inp in tx.inputs:
+                for table in tables.values():
+                    table.pop(inp.position, None)
+            for out in tx.outputs:
+                if self.unspent.get(out.position) is out:
+                    for chip, _ in out.value:
+                        table = tables.get(chip.symbol)
+                        if table is not None:
+                            table[out.position] = out
 
     def unspent_outputs(self) -> Iterator[Output]:
         """Every output no later input names; one per position on a valid
@@ -137,6 +167,22 @@ class LedgerIndex:
         if not self.shadowed:
             return iter(self.unspent.values())
         return itertools.chain(self.unspent.values(), *self.shadowed.values())
+
+    def carriers(self, symbol: int) -> Iterator[Output]:
+        """The outputs of ``unspent_outputs()`` whose value holds some chip
+        of the currency symbol, shadowed ones included.  The first query for
+        a symbol builds its table in one scan of ``unspent``; ``absorb``
+        keeps it from then on."""
+
+        def holds(out: Output) -> bool:
+            return any(chip.symbol == symbol for chip, _ in out.value)
+
+        table = self.by_symbol.get(symbol)
+        if table is None:
+            table = self.by_symbol[symbol] = {p: out for p, out in self.unspent.items() if holds(out)}
+        if not self.shadowed:
+            return iter(table.values())
+        return itertools.chain(table.values(), filter(holds, itertools.chain.from_iterable(self.shadowed.values())))
 
     def utxo(self) -> frozenset[Output]:
         return frozenset(self.unspent_outputs())

@@ -78,8 +78,10 @@ def forged(index: LedgerIndex, tx: Transaction) -> dict[int, int]:
 
 
 def circulating(index: LedgerIndex, symbol: int) -> int:
-    """Total quantity of the symbol over the indexed chain's unspent outputs."""
-    return sum(out.value.symbol_total(symbol) for out in index.utxo())
+    """Total quantity of the symbol over the indexed chain's unspent outputs,
+    each distinct output counted once.  Only the outputs that carry the
+    symbol are read (``LedgerIndex.carriers``)."""
+    return sum(out.value.symbol_total(symbol) for out in frozenset(index.carriers(symbol)))
 
 
 def policy_violation(table: PolicyTable, index: LedgerIndex, tx: Transaction) -> str | None:

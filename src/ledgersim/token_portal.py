@@ -161,8 +161,10 @@ def init_portal(cfg: TokenConfig, supply: int, price: int, alloc: PositionAlloca
 
 
 def find_portal(chain: Chain, cfg: TokenConfig) -> Output:
-    """The unique unspent output carrying the state chip."""
-    carriers = {out for out in chain.index().unspent_outputs() if out.value.get(cfg.state_chip) > 0}
+    """The unique unspent output carrying the state chip, found among the
+    unspent outputs that carry the state chip's currency symbol
+    (``LedgerIndex.carriers``), not by a scan of the whole unspent set."""
+    carriers = {out for out in chain.index().carriers(cfg.state_chip.symbol) if out.value.get(cfg.state_chip) > 0}
     if not carriers:
         raise NoPortalError("no unspent output carries the state chip")
     if len(carriers) > 1:

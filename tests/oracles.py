@@ -2,8 +2,9 @@
 
 Each one walks the transaction sequence from scratch on every call, the way
 the package answered these queries before ``LedgerIndex``: the from-scratch
-chain-state check behind validation and append, the reverse-scan ``utxo``,
-the scanning ``first_output``, the two-pass ``classify``, the producer-map
+chain-state check behind validation and append, the reverse-scan ``utxo``
+and its per-symbol filter ``symbol_carriers``, the scanning
+``first_output``, the two-pass ``classify``, the producer-map
 ``spent_edges`` and the policy check built on them.  ``test_ledger_index.py``
 compares the indexed versions against these on random sequences, valid or
 not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
@@ -116,7 +117,9 @@ def append_report(txs, slots, tx, slot, policies=None):
     return ValidationReport(tuple(violations))
 
 
-def utxo(txs):
+def unspent_scan(txs):
+    """Every output no later input names, once per output, shadowed ones
+    included: the multiset ``LedgerIndex.unspent_outputs`` yields."""
     later_inputs = set()
     unspent = []
     for tx in reversed(tuple(txs)):
@@ -125,7 +128,11 @@ def utxo(txs):
                 unspent.append(out)
         for inp in tx.inputs:
             later_inputs.add(inp.position)
-    return frozenset(unspent)
+    return unspent
+
+
+def utxo(txs):
+    return frozenset(unspent_scan(txs))
 
 
 def first_output(txs, position):
@@ -232,6 +239,12 @@ def policy_violation(table, txs, tx):
         if existing != 0:
             return f"symbol {symbol} is affine and already circulates ({existing})"
     return None
+
+
+def symbol_carriers(txs, symbol):
+    """The unspent outputs holding some chip of ``symbol``, shadowed ones
+    included, scanned from scratch (``LedgerIndex.carriers``)."""
+    return [out for out in unspent_scan(txs) if out.value.symbol_total(symbol)]
 
 
 def find_carriers(txs, chip):

@@ -711,11 +711,10 @@ def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
 def test_holdings_match_per_actor_scan(monkeypatch):
     """The one-pass holdings equal the per-actor scan on every order's final
     chain, read from the world's record, with two actors on one key and one
-    holding nothing.  ``observe`` runs once per distinct state an order ends
-    on: with rebuild off a rejected intent leaves the state it found, so
-    most orders end on a state an earlier order was observed on; with
-    rebuild on a rebuilt intent takes fresh positions, so every order of
-    these races ends on a state of its own."""
+    holding nothing.  ``observe`` runs once per distinct chain an order ends
+    on: a rejected intent leaves the chain it found, even when its rebuild
+    took fresh positions, so most orders end on a chain an earlier order
+    was observed on."""
     import itertools
 
     import oracles
@@ -724,13 +723,13 @@ def test_holdings_match_per_actor_scan(monkeypatch):
     real = harness.EutxoWorld.observe
     states = []
 
-    def observed(world, state):
-        states.append(state)
-        return real(world, state)
+    def observed(world, chain):
+        states.append(chain)
+        return real(world, chain)
 
     monkeypatch.setattr(harness.EutxoWorld, "observe", observed)
     seen = []
-    calls = {}
+    calls, finals = {}, {}
     for seed in (0, 3, 6):
         scenario = _random_eutxo_race(seed, max_n=300)  # rebuilt buys can all land
         actors = scenario.actors + (("b3", 9), ("idle", 42))  # b3 shares b2's key
@@ -740,13 +739,15 @@ def test_holdings_match_per_actor_scan(monkeypatch):
             for order in itertools.permutations(range(6)):
                 holdings = run_schedule(world, scenario.intents, order).holdings
                 chain, _ = world._last_run.steps[-1][1]
+                finals.setdefault((seed, rebuild), []).append(chain)
                 paid = {name: dict(facts)["ada_paid"] for name, facts in holdings}
                 assert holdings == oracles.eutxo_holdings(world, chain, paid)
                 seen.append(dict(holdings))
             calls[seed, rebuild] = len(states) - before
     assert len(seen) == 3 * 2 * 720
-    assert len({id(state) for state in states}) == len(states)  # no state is observed twice
-    assert calls == {(0, False): 10, (0, True): 720, (3, False): 6, (3, True): 720, (6, False): 10, (6, True): 720}
+    assert len({id(chain) for chain in states}) == len(states)  # no chain is observed twice
+    assert calls == {run: len({id(chain) for chain in chains}) for run, chains in finals.items()}
+    assert calls == {(0, False): 10, (0, True): 696, (3, False): 6, (3, True): 720, (6, False): 10, (6, True): 704}
     assert all(facts["idle"] == (("ada_paid", 0),) for facts in seen)
     # b3 holds b2's tokens, on some chains from two buys of fewer than 300
     assert any(dict(facts["b3"]).get("1:1", 0) >= 300 for facts in seen)

@@ -7,6 +7,7 @@ them, on chains built whole, grown at the tip, and branched.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -139,6 +140,47 @@ def test_queries_match_oracles_on_random_sequences():
         tx = random_tx(rng, txs)
         assert outcome(forged, Chain(txs).index(), tx) == outcome(oracle_forge, txs, tx)
     assert 0 < valid < 600  # both kinds were drawn
+
+
+def test_symbol_tables_match_oracles_as_the_index_grows():
+    """Per-symbol tables first asked for at a random prefix of a valid or
+    invalid sequence, then kept by ``absorb``: after every later transaction
+    each table's carriers, shadowed outputs included, and ``circulating``
+    equal the naive scans.  Before the first query the index holds no
+    table."""
+    rng = random.Random(44)
+    valid = shadowed = 0
+    for _ in range(600):
+        txs, slots = random_sequence(rng)
+        asked = rng.randrange(len(txs) + 1)
+        index = LedgerIndex()
+        for at in range(len(txs) + 1):
+            if at < asked:
+                assert not index.by_symbol
+            else:
+                for symbol in (0, 1, 2, 5):
+                    assert Counter(index.carriers(symbol)) == Counter(oracles.symbol_carriers(txs[:at], symbol))
+                    assert circulating(index, symbol) == oracles.circulating(txs[:at], symbol)
+                assert Counter(index.unspent_outputs()) == Counter(oracles.unspent_scan(txs[:at]))
+                shadowed += bool(index.shadowed)
+            if at < len(txs):
+                index.absorb(txs[at], None if slots is None else slots[at])
+        valid += oracles.validate(txs, slots).valid
+    assert 0 < valid < 600  # both kinds were drawn
+    assert shadowed  # and some tables were read with shadowed outputs
+
+
+def test_unqueried_chains_hold_no_symbol_table():
+    """Building, validating and appending never build a per-symbol table, so
+    an index nobody asks by symbol pays one falsy check per transaction."""
+    gen = ChainGen(random.Random(45))
+    chain, alloc = gen.chain(length=12)
+    assert not LedgerIndex.of(chain.transactions).by_symbol
+    assert validate_chain(chain).valid and not chain.index().by_symbol
+    grown = append(chain, gen.transaction(chain, alloc))
+    assert isinstance(grown, Chain) and not grown.index().by_symbol
+    utxo(grown)
+    assert not grown.index().by_symbol
 
 
 def test_tip_appends_match_from_scratch_check():

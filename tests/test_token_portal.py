@@ -1,12 +1,16 @@
 """Portal lifecycle: initialization, transitions, builders, guard behaviour."""
 
+import random
+
 import pytest
 
+import oracles
 from ledgersim.ledger import (
     DANGLING_OR_FORWARD,
     POLICY_VIOLATION,
     VALIDATOR_REJECTED,
     Chain,
+    LedgerIndex,
     MalformedChainError,
     ValidationReport,
     append,
@@ -14,7 +18,7 @@ from ledgersim.ledger import (
     validate_chain,
 )
 from ledgersim.model import ADA, Chip, Input, Output, PositionAllocator, Transaction, Value, context_at, singleton
-from ledgersim.policy import AFFINE_ONCE, Policy, PolicyTable
+from ledgersim.policy import AFFINE_ONCE, Policy, PolicyTable, policy_violation
 from ledgersim.token_portal import (
     Buy,
     InsufficientSupply,
@@ -330,3 +334,73 @@ def test_buyer_determinism_under_interleaving():
     report = append(moved, buy, policies=POLICIES)
     assert isinstance(report, ValidationReport)
     assert report.first().condition == DANGLING_OR_FORWARD
+
+
+class _NoScan(dict):
+    """An unspent map that serves lookups and updates but refuses to be
+    walked."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the whole unspent set was scanned")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_portal_queries_stop_scanning_after_a_long_walk(monkeypatch):
+    """After a 1,000-step walk with the benchmark's step mix (buys with and
+    without a limit, price changes, token transfers, rogue state-chip
+    mints), the portal builders and the affine policy check answer from the
+    state symbol's table: neither ``unspent_outputs`` nor a walk over the
+    unspent map is needed, not even while the tip grows."""
+    rng = random.Random(46)
+    chain, alloc = fresh_portal(supply=4_000, price=2)
+    buyers = (7, 8, 9)
+
+    def rogue_mint():
+        chip = singleton(CFG.state_chip, 1)
+        return Transaction(frozenset(), frozenset({Output(alloc.fresh(), ACCEPT_ALL, 0, chip)}))
+
+    for _ in range(1_000):
+        roll = rng.random()
+        try:
+            if roll < 0.40:
+                limit = rng.randrange(12) if rng.random() < 0.3 else None
+                tx = build_buy_tx(chain, CFG, rng.choice(buyers), rng.randrange(1, 6), alloc, max_price=limit)
+            elif roll < 0.65:
+                tx = build_set_price_tx(chain, CFG, rng.randrange(0, 12), alloc)
+            elif roll < 0.85:
+                tokens = (out for out in utxo(chain) if out.value.get(CFG.traded_chip))
+                held = sorted((out for out in tokens if out.validator.kind == "PayToPubKey"), key=lambda o: o.position)
+                if not held:
+                    continue
+                victim = rng.choice(held)
+                lock = pay_to_pubkey(rng.choice(buyers))
+                tx = Transaction(
+                    frozenset({Input(victim.position, victim.validator.params[0])}),
+                    frozenset({Output(alloc.fresh(), lock, 0, victim.value)}),
+                )
+            else:
+                tx = rogue_mint()
+        except PriceRefused:
+            continue
+        result = append(chain, tx, policies=POLICIES)
+        assert isinstance(result, Chain) == (roll < 0.85)
+        chain = result if roll < 0.85 else chain
+    assert len(utxo(chain)) > 500
+    (expected,) = oracles.find_carriers(chain.transactions, CFG.state_chip)
+
+    def refuse(index):
+        raise AssertionError("unspent_outputs was called")
+
+    monkeypatch.setattr(LedgerIndex, "unspent_outputs", refuse)
+    index = chain.index()
+    index.unspent = _NoScan(index.unspent)
+    rogue = rogue_mint()
+    assert find_portal(chain, CFG) == expected
+    assert policy_violation(POLICIES, index, rogue) == "symbol 2 is affine and already circulates (1)"
+    bought = append(chain, build_buy_tx(chain, CFG, 7, 1, alloc), policies=POLICIES)
+    assert isinstance(bought, Chain) and bought.index() is index
+    repriced = append(bought, build_set_price_tx(bought, CFG, 5, alloc), policies=POLICIES)
+    assert isinstance(repriced, Chain) and repriced.index() is index
+    assert find_portal(repriced, CFG).datum == 5
+    assert append(repriced, rogue, policies=POLICIES).first().condition == POLICY_VIOLATION
