@@ -113,11 +113,11 @@ class ContractAccount:
 
 @dataclass(frozen=True)
 class AccountChain:
-    """Finite map from contract name to (balance, state), plus the executed
-    call log (every attempt, flagged ok or failed)."""
+    """Finite map from contract name to (balance, state): the whole ledger
+    state, so two chains are equal exactly when every contract's balance and
+    state are."""
 
     contracts: tuple[tuple[int, ContractAccount], ...] = ()
-    calls: tuple[tuple[CallTx, bool], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "contracts", tuple(sorted(self.contracts, key=lambda kv: kv[0])))
@@ -134,10 +134,8 @@ class AccountChain:
     def has(self, name: int) -> bool:
         return any(n == name for n, _ in self.contracts)
 
-    def _with(self, name: int, acct: ContractAccount, call: tuple[CallTx, bool] | None = None) -> AccountChain:
-        rest = tuple((n, a) for n, a in self.contracts if n != name) + ((name, acct),)
-        log = self.calls + (call,) if call else self.calls
-        return AccountChain(rest, log)
+    def _with(self, name: int, acct: ContractAccount) -> AccountChain:
+        return AccountChain(tuple((n, a) for n, a in self.contracts if n != name) + ((name, acct),))
 
 
 def deploy_changing(chain: AccountChain, name: int, sender: KeyId, supply: int, price: int) -> AccountChain:
@@ -203,10 +201,10 @@ def changing_buy_guarded(acct: ContractAccount, sender: KeyId, value: int, expec
 def call(chain: AccountChain, tx: CallTx) -> tuple[AccountChain, CallResult]:
     """Apply one call to the chain.
 
-    Guard failures leave the chain's contracts untouched (the attempt is still
-    logged); unknown contracts or functions raise, and so does a call with
-    the wrong number of arguments (ValueError).  Attached value is consumed
-    only by the ``PAYABLE`` functions; the others ignore it.
+    A guard failure returns the very chain it was given; unknown contracts
+    or functions raise, and so does a call with the wrong number of
+    arguments (ValueError).  Attached value is consumed only by the
+    ``PAYABLE`` functions; the others ignore it.
     """
     acct = chain.get(tx.contract)
     names = FUNCTIONS.get(tx.function)
@@ -222,4 +220,4 @@ def call(chain: AccountChain, tx: CallTx) -> tuple[AccountChain, CallResult]:
         new_acct, result = changing_set_price(acct, tx.sender, *tx.args)
     else:
         new_acct, result = changing_buy_guarded(acct, tx.sender, tx.value, *tx.args)
-    return chain._with(tx.contract, new_acct, (tx, result.ok)), result
+    return (chain._with(tx.contract, new_acct) if result.ok else chain), result

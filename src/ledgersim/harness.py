@@ -22,19 +22,26 @@ world keeps one record of its last run (``_LastRun``): the intent tuple, on
 the UTxO ledger the submit phase, and one step per executed intent, holding
 the ledger state after it.  An order keeps the steps it shares with the last
 order and executes only the rest, so an order costs the steps after its
-shared prefix, and the record holds at most ``len(intents)`` states.  On the
-UTxO ledger the chain at the fork point has handed its index to its first
-child, so the resumed append rebuilds it, in O(len(world.chain) + depth);
-persistent chains (ROADMAP item 5) would remove that.
+shared prefix.  On the UTxO ledger the record holds at most
+``len(intents)`` states; the chain at the fork point has handed its index
+to its first child, so the resumed append rebuilds it, in
+O(len(world.chain) + depth); persistent chains (ROADMAP item 5) would remove
+that.  On the account ledger a chain is its contracts' balances and states
+and nothing else, so the record also keeps a table of turns: each distinct
+(chain, intent) turn calls the contract once per run, and each distinct
+chain is kept as one object.  The table is bounded by the distinct turns,
+at most the sum over k of n!/(n-k)!.
 
-Each state in the record carries the observation of it, once an order has
-ended there: ``observe`` runs once per distinct chain an order ends on, not
-once per order.  What ``observe`` reads of a state is its chain
+Each state in the record carries an observation cell, filled once an order
+has ended there: ``observe`` runs once per distinct chain an order ends on,
+not once per order.  What ``observe`` reads of a state is its chain
 (``chain_of``): on the UTxO ledger the chain without the next free position.
-A step that leaves the chain as it found it (on the UTxO ledger a rejected
-intent, even one whose rebuild took positions) shares the observation of the
-state before it; on the account ledger every call makes a new chain.  What
-an order adds is its own: each actor's ada paid.
+On the UTxO ledger a rejected intent, even one whose rebuild took positions,
+leaves the chain as it found it and shares the cell of the state before it;
+on the account ledger each distinct chain has one cell.  The digest hashes
+the paper's observation of the final state: the unspent outputs in position
+order, or the contracts' balances and states.  What an order adds is its
+own: each actor's ada paid.
 """
 
 from __future__ import annotations
@@ -116,14 +123,17 @@ class _LastRun:
     cell)``.  The state is ``(chain, next free position)`` on the UTxO ledger
     and the ``AccountChain`` on the account ledger.  An observation cell is a
     one-item list, holding None until an order ends on its state and then
-    ``_observation`` of it; a step that leaves the chain of the state before
-    it shares the cell before it."""
+    ``_observation`` of it.  On the account ledger only, ``states`` maps each
+    chain reached to (the one object kept for it, its cell), and ``turns``
+    maps (chain, intent index) to the step's state, status, ada and cell."""
 
     intents: tuple[Intent, ...]
     built: tuple = ()
     start: object = None
     start_cell: list = field(default_factory=lambda: [None])
     steps: list[tuple] = field(default_factory=list)
+    turns: dict = field(default_factory=dict)
+    states: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -151,13 +161,14 @@ class EutxoWorld:
         run.built = tuple(_build_eutxo_intent(self, intent, self.chain, alloc) for intent in run.intents)
         run.start = (self.chain, alloc.peek())
 
-    def execute(self, run: _LastRun, state: tuple, index: int):
+    def execute(self, run: _LastRun, state: tuple, cell: list, index: int):
         """One intent's turn: its submit-time transaction appended to the
         chain, or with ``rebuild`` on and that failing, one built against the
-        chain as it stands.  Returns the next state, the (status, reason) and
-        ada paid; the next state is ``state`` itself when nothing attached
-        and no position was taken, and holds the same chain when a rebuild
-        took positions but nothing attached."""
+        chain as it stands.  Returns the next state, the (status, reason),
+        ada paid and the next state's observation cell: a new one when an
+        intent attached, otherwise ``cell``.  The next state is ``state``
+        itself when nothing attached and no position was taken, and holds the
+        same chain when a rebuild took positions but nothing attached."""
         chain, next_position = state
         intent = run.intents[index]
         entry, refusal = run.built[index]
@@ -176,10 +187,10 @@ class EutxoWorld:
                 result, reason = _attach(chain, entry[0], self.policies)
                 accepted_how = "rebuilt-at-execute"
         if result is not None:
-            return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0
+            return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0, [None]
         if next_position != state[1]:  # a rebuild took positions
             state = (chain, next_position)
-        return state, ("rejected", reason), 0
+        return state, ("rejected", reason), 0, cell
 
     @staticmethod
     def chain_of(state: tuple) -> Chain:
@@ -189,9 +200,11 @@ class EutxoWorld:
 
     def observe(self, chain: Chain):
         """Each key's pay-to-key holdings, from one pass over the unspent
-        set; the portal's price and supply; and the digest of the chain."""
+        set; the portal's price and supply; and the digest of the unspent
+        outputs, rendered one a line in position order."""
         by_key: dict[int, dict[str, int]] = {}
-        for out in utxo(chain):
+        unspent = sorted(utxo(chain), key=lambda out: out.position)
+        for out in unspent:
             if out.validator.kind == PAY_TO_PUBKEY_KIND:
                 facts = by_key.setdefault(out.validator.params[0], {})
                 for chip, qty in out.value:
@@ -202,7 +215,7 @@ class EutxoWorld:
             pairs = (("portal_price", portal.datum), ("portal_supply", portal.value.get(self.cfg.traded_chip)))
         except (NoPortalError, MalformedChainError):  # no portal, or not a unique one
             pairs = (("portal_price", -1), ("portal_supply", -1))
-        return by_key, pairs, _digest(formats.chain_to_text(chain))
+        return by_key, pairs, _digest("".join(formats.output_to_text(out) + "\n" for out in unspent))
 
 
 @dataclass(frozen=True)
@@ -216,18 +229,26 @@ class AccountWorld:
     def submit(self, run: _LastRun) -> None:
         """Calls are not built ahead: the run starts from the world's chain."""
         run.start = self.chain
+        run.states[self.chain] = (self.chain, run.start_cell)
 
-    def execute(self, run: _LastRun, chain: AccountChain, index: int):
+    def execute(self, run: _LastRun, chain: AccountChain, cell: list, index: int):
         """One call against the chain as it stands: the next chain, the
-        (status, reason) and the ada paid."""
-        intent = run.intents[index]
-        if intent.kind != "call":
-            raise ValueError(f"unknown account intent kind {intent.kind!r}")
-        function = intent.get("function")
-        value = intent.get("value", 0)
-        args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
-        chain, result = call(chain, CallTx(self.contract, function, _key_of(self.actors, intent.actor), value, args))
-        return chain, (result.status, result.reason), value if result.ok and function in PAYABLE else 0
+        (status, reason), the ada paid and the next chain's cell.  A turn
+        already taken from this chain in the run is looked up, not called
+        again, and an equal next chain is the one object kept for it."""
+        turn = run.turns.get((chain, index))
+        if turn is None:
+            intent = run.intents[index]
+            if intent.kind != "call":
+                raise ValueError(f"unknown account intent kind {intent.kind!r}")
+            function = intent.get("function")
+            value = intent.get("value", 0)
+            args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
+            after, result = call(chain, CallTx(self.contract, function, _key_of(self.actors, intent.actor), value, args))
+            after, cell = run.states.setdefault(after, (after, [None]))
+            paid = value if result.ok and function in PAYABLE else 0
+            turn = run.turns[chain, index] = (after, (result.status, result.reason), paid, cell)
+        return turn
 
     @staticmethod
     def chain_of(chain: AccountChain) -> AccountChain:
@@ -236,21 +257,12 @@ class AccountWorld:
 
     def observe(self, chain: AccountChain):
         """Each key's token balance; the contract's balance and price; and
-        the digest of every contract and call."""
+        the digest of every contract's balance and state."""
         acct = chain.get(self.contract)
         by_key = {key: {"tokens": acct.state.balance_of(key)} for _, key in self.actors}
         pairs = (("contract_balance", acct.balance), ("price", acct.state.price))
-        digest_src = json.dumps(
-            {
-                "contracts": [
-                    [name, a.balance, a.state.issuer, a.state.price, list(a.state.balances)]
-                    for name, a in chain.contracts
-                ],
-                "calls": [[c.contract, c.function, c.sender, c.value, list(c.args), ok] for c, ok in chain.calls],
-            },
-            sort_keys=True,
-        )
-        return by_key, pairs, _digest(digest_src)
+        contracts = [[n, a.balance, a.state.issuer, a.state.price, list(a.state.balances)] for n, a in chain.contracts]
+        return by_key, pairs, _digest(json.dumps(contracts))
 
 
 @dataclass(frozen=True)
@@ -350,9 +362,10 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     The world's ``_LastRun`` is made anew, running the world's ``submit``,
     for another intent tuple.  The steps ``order`` shares with the last
     order run are kept, and only the rest are executed, each by the world's
-    ``execute`` from the state the step before left.  The final state is
-    observed only when no earlier order has ended on its chain.  A run that
-    raises part-way leaves the steps before the failing one, and an
+    ``execute`` from the state the step before left, which also hands over
+    the next state's observation cell.  The final state is observed only
+    when its cell is empty: no earlier order has ended on its chain.  A run
+    that raises part-way leaves the steps before the failing one, and an
     ``observe`` that raises leaves the final state unobserved.
     """
     order, intents = tuple(order), tuple(intents)
@@ -372,11 +385,7 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     del steps[shared:]
     state, cell = (steps[-1][1], steps[-1][4]) if steps else (run.start, run.start_cell)
     for index in order[shared:]:
-        result, status, ada = world.execute(run, state, index)
-        if result is not state:
-            if world.chain_of(result) is not world.chain_of(state):
-                cell = [None]
-            state = result
+        state, status, ada, cell = world.execute(run, state, cell, index)
         steps.append((index, state, status, ada, cell))
     if cell[0] is None:
         cell[0] = _observation(world, state)

@@ -8,14 +8,21 @@ and its per-symbol filter ``symbol_carriers``, the scanning
 ``spent_edges`` and the policy check built on them.  ``test_ledger_index.py``
 compares the indexed versions against these on random sequences, valid or
 not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
-set, which ``test_harness.py`` compares with its one-pass grouping, and
-``defer_by_validation`` is the deferral check by whole-sequence validation,
+set, which ``test_harness.py`` compares with its one-pass grouping;
+``eutxo_digest`` and ``account_digest`` are the scheduler's digests of a
+final state, and ``account_fold`` runs an account order by folding
+``accounts.call`` over it with no scheduler; ``defer_by_validation`` is the deferral check by whole-sequence validation,
 which ``test_equivalence.py`` compares with ``check_defer``.
 ``random_value`` is the generator's value draw built afresh with
 ``Value.of`` on every call, which ``test_gen.py`` compares with the value
 table of ``ChainGen.random_value``.
 """
 
+import hashlib
+import json
+
+from ledgersim.accounts import FUNCTIONS, PAYABLE, CallTx, call
+from ledgersim.formats import output_to_text
 from ledgersim.ledger import (
     BLOCKCHAIN,
     CHUNK,
@@ -268,6 +275,45 @@ def eutxo_holdings(world, chain, paid):
         facts["ada_paid"] = paid.get(name, 0)
         holdings.append((name, tuple(sorted(facts.items()))))
     return tuple(holdings)
+
+
+def eutxo_digest(chain):
+    """sha256 of the unspent outputs, scanned from scratch, rendered one a
+    line in position order."""
+    unspent = sorted(utxo(chain.transactions), key=lambda out: out.position)
+    return hashlib.sha256("".join(output_to_text(out) + "\n" for out in unspent).encode()).hexdigest()
+
+
+def account_digest(chain):
+    """sha256 of the contract states as JSON, in contract-name order."""
+    contracts = sorted(
+        [name, acct.balance, acct.state.issuer, acct.state.price, sorted(map(list, acct.state.balances))]
+        for name, acct in chain.contracts
+    )
+    return hashlib.sha256(json.dumps(contracts).encode()).hexdigest()
+
+
+def account_fold(world, intents, order):
+    """One account order, each call applied to the chain the call before
+    left, starting at ``world.chain``: the statuses by intent, each actor's
+    holdings, the state pairs and the final chain, as ``run_schedule``
+    reports them."""
+    keys = dict(world.actors)
+    chain, statuses, paid = world.chain, [None] * len(intents), {}
+    for index in order:
+        intent = intents[index]
+        function, value = intent.get("function"), intent.get("value", 0)
+        args = tuple(intent.get(name) for name in FUNCTIONS[function])
+        chain, result = call(chain, CallTx(world.contract, function, keys[intent.actor], value, args))
+        statuses[index] = (result.status, result.reason)
+        if result.ok and function in PAYABLE:
+            paid[intent.actor] = paid.get(intent.actor, 0) + value
+    acct = chain.get(world.contract)
+    holdings = tuple(
+        (name, (("ada_paid", paid.get(name, 0)), ("tokens", acct.state.balance_of(key))))
+        for name, key in sorted(world.actors)
+    )
+    return tuple(statuses), holdings, (("contract_balance", acct.balance), ("price", acct.state.price)), chain
 
 
 def defer_by_validation(base, txs, tx):

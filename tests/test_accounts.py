@@ -132,12 +132,20 @@ def test_buy_guarded_blocks_stale_price():
 
 
 def test_failed_calls_are_exact_noops():
+    """Every guard failure returns the very chain the call was given."""
     chain = fresh(price=0)
     before = chain.get(1)
     after_chain, result = call(chain, CallTx(1, "buy", sender=2, value=7))
     assert not result.ok
-    assert after_chain.get(1) == before  # only the log grew
-    assert len(after_chain.calls) == len(chain.calls) + 1
+    assert after_chain is chain and after_chain.get(1) is before
+    for tx in (
+        CallTx(1, "send", sender=2, args=(3, 1)),
+        CallTx(1, "send", sender=1, args=(3, -1)),
+        CallTx(1, "setPrice", sender=2, args=(5,)),
+        CallTx(1, "buyGuarded", sender=2, value=7, args=(3,)),
+    ):
+        after_chain, result = call(chain, tx)
+        assert not result.ok and after_chain is chain
 
 
 def test_token_conservation_random_walk():

@@ -20,6 +20,8 @@ from ledgersim.harness import (
 from ledgersim import formats
 from ledgersim.ledger import Chain, validate_chain
 
+import oracles
+
 
 def _holding(outcome: Outcome, actor: str) -> dict:
     for name, facts in outcome.holdings:
@@ -515,11 +517,13 @@ def _random_account_race(seed: int):
     return dataclasses.replace(scenario, actors=scenario.actors + (("b2", 9),), intents=tuple(intents))
 
 
-# sha256 of every outcome's lines, newline-terminated, for seeds 0-2, all 720 orders, rebuild off then on.
-SCHEDULE_PIN = "7a969da1bff055ce3ebf3cb4cb1010e27459121e0815228774c69d9211830bad"
-# The same over ``_random_account_race`` at seeds 0-2, computed when every
-# order still ran from the world.
-ACCOUNT_SCHEDULE_PIN = "cfef666cb6ec9dd30b574b8c58fe1a04716a95b0b85f359c20e5f283405cab5b"
+# sha256 of every outcome's lines, newline-terminated, for seeds 0-2, all 720
+# orders, rebuild off then on; re-pinned when the digest became the unspent
+# set's (OBSERVATION_PIN holds the rest of each outcome).
+SCHEDULE_PIN = "2bf62512ab637f199b6d2f9f718b86261d7249776eefc8345d3329e5f4274bc7"
+# The same over ``_random_account_race`` at seeds 0-2; re-pinned when the
+# digest stopped hashing the call log.
+ACCOUNT_SCHEDULE_PIN = "0625f4eff6a1c961ce8294fa688ce16a76aeb8be268f0cc270df4a3e506992da"
 
 
 def test_eutxo_race_outcomes_pinned():
@@ -541,7 +545,7 @@ def test_eutxo_race_outcomes_pinned():
 
 def test_account_race_outcomes_pinned():
     """Every order of three seeded account races, run on one world per
-    race, gives the outcomes pinned before orders shared their prefixes."""
+    race, gives the pinned outcomes."""
     import hashlib
     import itertools
 
@@ -553,6 +557,31 @@ def test_account_race_outcomes_pinned():
             lines = run_schedule(world, scenario.intents, order).to_lines()
             digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == ACCOUNT_SCHEDULE_PIN
+
+
+# sha256 of ``repr((order, statuses, holdings, state))`` of every order of
+# ``_random_eutxo_race`` at seeds 0-2 (rebuild off, then on), then of
+# ``_random_account_race`` at seeds 0-2: everything an outcome says but its
+# digest, so it holds across a change of what the digest hashes.
+OBSERVATION_PIN = "3a7dc669a133f5ca62eede910b472bff18c2c82bf870248324fd7a17b0c18514"
+
+
+def test_race_observations_pinned():
+    """Statuses, holdings and state of every order of the seeded races are
+    fixed across versions, whatever the digest hashes."""
+    import hashlib
+    import itertools
+
+    digest = hashlib.sha256()
+    races = [
+        dataclasses.replace(_random_eutxo_race(seed), rebuild=rebuild) for seed in range(3) for rebuild in (False, True)
+    ]
+    for scenario in races + [_random_account_race(seed) for seed in range(3)]:
+        world = build_world(scenario)
+        for order in itertools.permutations(range(6)):
+            outcome = run_schedule(world, scenario.intents, order)
+            digest.update(repr((outcome.order, outcome.statuses, outcome.holdings, outcome.state)).encode())
+    assert digest.hexdigest() == OBSERVATION_PIN
 
 
 def _counting_builders(monkeypatch) -> dict:
@@ -603,10 +632,19 @@ def test_submit_phase_built_once_per_world(monkeypatch, seed):
 
 def test_account_orders_share_their_prefixes(monkeypatch):
     """All 720 orders of a 6-intent account race on one world make one call
-    per distinct order prefix: the sum over k of 6!/(6-k)!, not 720 x 6."""
+    per distinct (contract state, intent) turn, counted by replaying every
+    order from the world's chain: fewer than one per distinct order prefix,
+    the sum over k of 6!/(6-k)!, let alone 720 x 6."""
     import itertools
 
     from ledgersim import harness
+
+    scenario = _random_account_race(0)
+    world = build_world(scenario)
+    turns = set()
+    for order in itertools.permutations(range(6)):
+        for depth, index in enumerate(order):
+            turns.add((oracles.account_fold(world, scenario.intents, order[:depth])[3], index))
 
     calls = 0
     real = harness.call
@@ -617,11 +655,10 @@ def test_account_orders_share_their_prefixes(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(harness, "call", counted)
-    scenario = _random_account_race(0)
-    world = build_world(scenario)
     for order in itertools.permutations(range(6)):
         run_schedule(world, scenario.intents, order)
-    assert calls == sum(math.perm(6, k) for k in range(1, 7)) == 1956
+    assert calls == len(turns) == 268
+    assert calls < sum(math.perm(6, k) for k in range(1, 7)) == 1956
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
@@ -703,6 +740,7 @@ def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
     monkeypatch.setattr(harness, "call", flaky)
     with pytest.raises(RuntimeError):
         run_schedule(world, scenario.intents, (0, 1, 2, 3, 4, 5))
+    assert len(world._last_run.turns) == 3  # the call that raised left no turn
     for order in [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)] + _orders_out_of_sequence()[:50]:
         fresh = run_schedule(build_world(scenario), scenario.intents, order)
         assert run_schedule(world, scenario.intents, order) == fresh
@@ -717,7 +755,6 @@ def test_holdings_match_per_actor_scan(monkeypatch):
     was observed on."""
     import itertools
 
-    import oracles
     from ledgersim import harness
 
     real = harness.EutxoWorld.observe
@@ -744,6 +781,7 @@ def test_holdings_match_per_actor_scan(monkeypatch):
                 assert holdings == oracles.eutxo_holdings(world, chain, paid)
                 seen.append(dict(holdings))
             calls[seed, rebuild] = len(states) - before
+            assert not world._last_run.turns and not world._last_run.states  # the account ledger's tables only
     assert len(seen) == 3 * 2 * 720
     assert len({id(chain) for chain in states}) == len(states)  # no chain is observed twice
     assert calls == {run: len({id(chain) for chain in chains}) for run, chains in finals.items()}
@@ -781,3 +819,69 @@ def test_observe_that_raises_leaves_nothing_behind(monkeypatch, rebuild):
     for order in orders[at:]:
         fresh = run_schedule(build_world(scenario), scenario.intents, order)
         assert run_schedule(world, scenario.intents, order) == fresh
+
+
+def test_account_observes_each_final_state_once(monkeypatch):
+    """On the account ledger ``observe`` runs once per distinct final
+    contract state over all 720 orders, however many orders reach it."""
+    import itertools
+
+    from ledgersim import harness
+
+    real = harness.AccountWorld.observe
+    observed = []
+
+    def counted(world, chain):
+        observed.append(chain)
+        return real(world, chain)
+
+    monkeypatch.setattr(harness.AccountWorld, "observe", counted)
+    calls = {}
+    for seed in range(3):
+        scenario = _random_account_race(seed)
+        world = build_world(scenario)
+        before = len(observed)
+        finals = set()
+        for order in itertools.permutations(range(6)):
+            run_schedule(world, scenario.intents, order)
+            finals.add(oracles.account_fold(world, scenario.intents, order)[3])
+        calls[seed] = len(observed) - before
+        assert set(observed[before:]) == finals and calls[seed] == len(finals)  # none observed twice
+    assert calls == {0: 96, 1: 3, 2: 18}
+
+
+def test_digests_match_naive_oracles():
+    """Every outcome's digest is the sha256 of its final unspent set, or of
+    its final contract states, computed from scratch."""
+    import itertools
+
+    for seed in range(3):
+        for rebuild in (False, True):
+            scenario = dataclasses.replace(_random_eutxo_race(seed), rebuild=rebuild)
+            world = build_world(scenario)
+            for order in itertools.permutations(range(6)):
+                outcome = run_schedule(world, scenario.intents, order)
+                chain, _ = world._last_run.steps[-1][1]
+                assert outcome.digest == oracles.eutxo_digest(chain)
+        scenario = _random_account_race(seed)
+        world = build_world(scenario)
+        for order in itertools.permutations(range(6)):
+            outcome = run_schedule(world, scenario.intents, order)
+            assert outcome.digest == oracles.account_digest(oracles.account_fold(world, scenario.intents, order)[3])
+
+
+def test_account_orders_match_a_plain_fold():
+    """Statuses, holdings and state of every order of the seeded account
+    races equal a fold of ``accounts.call`` over the order from the world's
+    chain, with orders run in and out of lexicographic sequence on one
+    world."""
+    import itertools
+
+    orders = list(itertools.permutations(range(6))) + _orders_out_of_sequence()
+    for seed in range(3):
+        scenario = _random_account_race(seed)
+        world = build_world(scenario)
+        for order in orders:
+            outcome = run_schedule(world, scenario.intents, order)
+            statuses, holdings, state, _ = oracles.account_fold(world, scenario.intents, order)
+            assert (outcome.statuses, outcome.holdings, outcome.state) == (statuses, holdings, state)
