@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import formats
-from .equivalence import canonicalize, obs_equiv
+from .equivalence import alpha_mismatch, canonicalize, obs_equiv
 from .harness import STATEMENTS, THEOREMS, bundled_race_scenario, fuzz_theorem, run_scenario
 from .ledger import classify, utxo, validate_chain
 
@@ -114,15 +114,8 @@ def cmd_equiv(args) -> int:
         for out in only_right:
             print("> " + formats.output_to_text(out))
         return 1
-    canon_left = canonicalize(left)
-    canon_right = canonicalize(right)
-    equivalent = canon_left == canon_right
-    mismatch_index = None
-    if not equivalent:
-        for index in range(max(len(canon_left), len(canon_right))):
-            if canon_left.transactions[index : index + 1] != canon_right.transactions[index : index + 1]:
-                mismatch_index = index
-                break
+    mismatch_index = alpha_mismatch(left, right)
+    equivalent = mismatch_index is None
     if args.format == "json":
         payload = {"mode": "alpha", "equivalent": equivalent, "first_mismatch": mismatch_index}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -131,11 +124,11 @@ def cmd_equiv(args) -> int:
         print("alpha-equivalent")
         return 0
     print("not alpha-equivalent")
-    a = canon_left.transactions[mismatch_index : mismatch_index + 1]
-    b = canon_right.transactions[mismatch_index : mismatch_index + 1]
     print(f"first canonical mismatch at transaction {mismatch_index}:")
-    print("< " + (formats.transactions_to_text(a).strip() or "(missing)").replace("\n", "\n< "))
-    print("> " + (formats.transactions_to_text(b).strip() or "(missing)").replace("\n", "\n> "))
+    at = slice(mismatch_index, mismatch_index + 1)
+    for mark, chain in (("<", canonicalize(left)), (">", canonicalize(right))):
+        text = formats.transactions_to_text(chain.transactions[at], None if chain.slots is None else chain.slots[at])
+        print(f"{mark} " + (text.strip() or "(missing)").replace("\n", f"\n{mark} "))
     return 1
 
 

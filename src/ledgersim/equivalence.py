@@ -3,10 +3,13 @@
 Two chains, valid or not, are observationally equivalent when they have the
 same unspent outputs.  Two valid chains are alpha-equivalent when they differ
 only in the position names of spent output-input pairs; positions of unspent
-outputs are observable and may not be renamed.  Alpha-equivalence is decided
+outputs are observable and may not be renamed.  Alpha-equivalence is defined
 by canonical form: every spent pair is renamed to an index determined by
 traversal order, so equal canonical forms mean the chains were equal up to
-renaming spent pairs.
+renaming spent pairs.  ``canonicalize`` builds that form and is the
+reference; ``alpha_mismatch`` decides the same question without building a
+canonical chain, by reading both chains through their canonical renamings one
+transaction at a time.
 """
 
 from __future__ import annotations
@@ -122,9 +125,44 @@ def canonicalize(chain: Chain) -> Chain:
     return rename_positions(chain, canonical_renaming(chain))
 
 
+def _renamed(tx: Transaction, table: dict[Position, Position]) -> tuple:
+    """``tx`` under a position renaming, as plain tuples: its inputs as
+    (position, redeemer) and its outputs as (position, validator, datum,
+    value), each sorted by position, then its slot range."""
+    return (
+        sorted((table.get(i.position, i.position), i.redeemer) for i in tx.inputs),
+        sorted((table.get(o.position, o.position), o.validator, o.datum, o.value) for o in tx.outputs),
+        tx.slot_range,
+    )
+
+
+def alpha_mismatch(a: Chain, b: Chain) -> int | None:
+    """The first index at which the canonical forms of two valid chains
+    differ, in transaction or slot, or None when they are alpha-equivalent.
+
+    When one chain is a prefix of the other up to renaming, the mismatch is
+    at the shorter length.  No canonical chain is built: each transaction is
+    read through its chain's canonical renaming, so the answer is the one
+    ``canonicalize`` would give at a fraction of the allocation.  Raises
+    InvalidChainError when either chain is invalid.
+    """
+    table_a = canonical_renaming(a).as_dict()
+    table_b = canonical_renaming(b).as_dict()
+    slots_a, slots_b = a.slots, b.slots
+    for index, (tx_a, tx_b) in enumerate(zip(a.transactions, b.transactions)):
+        slot_a = None if slots_a is None else slots_a[index]
+        slot_b = None if slots_b is None else slots_b[index]
+        if slot_a != slot_b or _renamed(tx_a, table_a) != _renamed(tx_b, table_b):
+            return index
+    if len(a) != len(b):
+        return min(len(a), len(b))
+    return None
+
+
 def alpha_equiv(a: Chain, b: Chain) -> bool:
-    """Decide alpha-equivalence of two valid chains via canonical forms."""
-    return canonicalize(a) == canonicalize(b)
+    """Decide alpha-equivalence of two valid chains: equal canonical forms,
+    compared transaction by transaction without building either one."""
+    return alpha_mismatch(a, b) is None
 
 
 def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:

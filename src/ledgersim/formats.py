@@ -15,8 +15,11 @@ naturals), so lines parse without separators.  The parse is one streaming pass
 that builds each transaction when its block ends, so an error of the
 transaction itself, such as an input position given twice, is reported at its
 TX line.  Either every transaction carries a SLOT or none does, and slots
-never decrease.  Printing is canonical (inputs and outputs sorted by position),
-and parse/print round-trips are identities on canonical text.
+never decrease.  Within one parse, equal validator words and equal value
+words on OUT lines yield one shared ValidatorRef and one shared Value; the
+two tables live only as long as the call, so memory stays bounded by the
+input.  Printing is canonical (inputs and outputs sorted by position), and
+parse/print round-trips are identities on canonical text.
 
 Scenario files describe one race or schedule experiment; see parse_scenario.
 """
@@ -159,8 +162,17 @@ def _parse_tx_header(args: list[str], lineno: int, expected_index: int) -> tuple
     return slot, slot_range
 
 
-def _output(args: list[str], lineno: int) -> Output:
-    """One ``OUT`` line: a position, a validator kind, its parameters, a datum and a value."""
+def _output(
+    args: list[str], lineno: int, validators: dict[tuple, ValidatorRef], values: dict[tuple, Value]
+) -> Output:
+    """One ``OUT`` line: a position, a validator kind, its parameters, a datum and a value.
+
+    ``validators`` and ``values`` map the validator words and the value words
+    of earlier lines of the same parse to what they parsed to; a line whose
+    words are there reuses that object, and one whose words are new adds
+    them once they have parsed.  The words are read in line order, so the
+    first bad word of a line names the error, cached or not.
+    """
     if len(args) < 2:
         _fail(lineno, "OUT takes a position, a validator kind, parameters, and a datum")
     position = _nat(args[0], lineno, "position")
@@ -170,11 +182,19 @@ def _output(args: list[str], lineno: int) -> Output:
         _fail(lineno, f"unknown validator kind {kind!r}")
     if len(args) < arity + 3:
         _fail(lineno, f"{kind} needs {arity} parameters and a datum")
-    params = tuple(_nat(word, lineno, f"{kind} parameter") for word in args[2 : 2 + arity])
+    validator_words = tuple(args[1 : 2 + arity])
+    validator = validators.get(validator_words)
+    if validator is None:
+        params = tuple(_nat(word, lineno, f"{kind} parameter") for word in validator_words[1:])
     datum = _nat(args[2 + arity], lineno, "datum")
-    value = _parse_value_tokens(args[3 + arity :], lineno)
+    value_words = tuple(args[3 + arity :])
+    value = values.get(value_words)
+    if value is None:
+        value = values[value_words] = _parse_value_tokens(value_words, lineno)
     try:
-        return Output(position, ValidatorRef(kind, params), datum, value)
+        if validator is None:
+            validator = validators[validator_words] = ValidatorRef(kind, params)
+        return Output(position, validator, datum, value)
     except ValueError as exc:
         _fail(lineno, str(exc))
 
@@ -193,6 +213,8 @@ def parse_transactions(text: str) -> tuple[tuple[Transaction, ...], tuple[int, .
     txs: list[Transaction] = []
     slots: list[int] = []
     block = None  # the TX line, slot range, inputs and outputs of the transaction being read
+    validators: dict[tuple, ValidatorRef] = {}  # validator words -> the one object they parse to
+    values: dict[tuple, Value] = {}  # value words -> the one object they parse to
     for lineno, keyword, args in _lines(text):
         if keyword == "TX":
             if block is not None:
@@ -210,7 +232,7 @@ def parse_transactions(text: str) -> tuple[tuple[Transaction, ...], tuple[int, .
         elif block is None:
             _fail(lineno, f"{keyword} before any TX line")
         elif keyword == "OUT":
-            block[3].append(_output(args, lineno))
+            block[3].append(_output(args, lineno, validators, values))
         elif len(args) != 2:
             _fail(lineno, "IN takes a position and a redeemer")
         else:

@@ -5,6 +5,10 @@ carrying it.  Values are finite multisets of chips (asset kinds), transactions
 are sets of inputs and outputs, and a context is a transaction viewed from one
 of its inputs.  Everything here is an immutable value; uniqueness constraints
 between transactions live at the chain level.
+
+The dataclasses here, and ``ValidatorRef``, are frozen and slotted: an
+instance holds its fields and no ``__dict__``, which keeps the inputs,
+outputs and values of a long chain small and cheap for the collector.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class Chip(NamedTuple):
 ADA = Chip(0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A finite multiset of chips.
 
@@ -55,8 +59,12 @@ class Value:
 
     @classmethod
     def of(cls, source: Mapping | Iterable[tuple] = ()) -> Value:
-        """Build a Value, merging duplicate chips and dropping zero quantities."""
-        items = source.items() if isinstance(source, Mapping) else source
+        """Build a Value, merging duplicate chips and dropping zero quantities.
+
+        ``source`` is a mapping or anything with ``items()`` (a dict, a
+        Counter), or an iterable of (chip, quantity) pairs.
+        """
+        items = source.items() if hasattr(source, "items") else source
         merged: dict[Chip, int] = {}
         for chip, qty in items:
             chip = Chip(*chip)
@@ -117,7 +125,7 @@ def singleton(chip: Chip | tuple[int, int], qty: int) -> Value:
 EMPTY_VALUE = Value()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Input:
     """Points at the output sharing its position; the redeemer is the key
     presented to that output's validator."""
@@ -130,7 +138,7 @@ class Input:
             raise ValueError("positions and redeemers are naturals")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Output:
     position: Position
     validator: "ValidatorRef"
@@ -142,7 +150,7 @@ class Output:
             raise ValueError("positions and datums are naturals")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotRange:
     """Inclusive slot interval; ``hi=None`` means unbounded above."""
 
@@ -159,7 +167,7 @@ class SlotRange:
         return self.lo <= slot and (self.hi is None or slot <= self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A set of inputs and a set of outputs, either possibly empty.
 
@@ -187,7 +195,7 @@ class Transaction:
         return sorted(self.outputs, key=lambda o: o.position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Context:
     """A transaction pointed at one of its inputs (the focus)."""
 

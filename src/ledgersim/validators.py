@@ -30,7 +30,7 @@ KIND_ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidatorRef:
     """Serializable reference to a validator: a kind plus natural parameters.
 

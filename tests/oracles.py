@@ -15,13 +15,18 @@ final state, and ``account_fold`` runs an account order by folding
 which ``test_equivalence.py`` compares with ``check_defer``.
 ``random_value`` is the generator's value draw built afresh with
 ``Value.of`` on every call, which ``test_gen.py`` compares with the value
-table of ``ChainGen.random_value``.
+table of ``ChainGen.random_value``.  ``alpha_equiv`` is alpha-equivalence by
+its definition, equal canonical chains, and ``alpha_mismatch`` the first
+index at which the two canonical chains differ; ``test_equivalence.py``
+compares ``equivalence.alpha_equiv`` and ``equivalence.alpha_mismatch``,
+which build no canonical chain, with them.
 """
 
 import hashlib
 import json
 
 from ledgersim.accounts import FUNCTIONS, PAYABLE, CallTx, call
+from ledgersim.equivalence import canonicalize
 from ledgersim.formats import output_to_text
 from ledgersim.ledger import (
     BLOCKCHAIN,
@@ -340,3 +345,22 @@ def random_value(rng):
         chip = CHIPS[rng.randrange(len(CHIPS))]
         entries[chip] = entries.get(chip, 0) + 1 + rng.randrange(4)
     return Value.of(entries)
+
+
+def alpha_equiv(a, b):
+    """Alpha-equivalence as defined: the two canonical chains are equal."""
+    return canonicalize(a) == canonicalize(b)
+
+
+def alpha_mismatch(a, b):
+    """The first index at which the canonical chains' (transaction, slot)
+    pairs differ, a missing pair counting as different; None when none do."""
+    pairs = []
+    for chain in (canonicalize(a), canonicalize(b)):
+        slots = chain.slots if chain.slots is not None else (None,) * len(chain)
+        pairs.append(list(zip(chain.transactions, slots)))
+    left, right = pairs
+    for index in range(max(len(left), len(right))):
+        if left[index : index + 1] != right[index : index + 1]:
+            return index
+    return None

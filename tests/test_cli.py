@@ -169,6 +169,57 @@ def test_equiv_json_output(capsys, corpus_dir):
     assert payload["equivalent"] is False and payload["first_mismatch"] is not None
 
 
+SLOTTED_PAIR = "TX 0 SLOT 1\nOUT 1 AcceptAll 0 0:0=1\nTX 1 SLOT {}\nIN 1 0\nOUT 2 AcceptAll 0 0:0=1\n"
+
+
+@pytest.fixture
+def slot_variants(tmp_path):
+    """Two chains equal but for the second transaction's slot, and the same
+    transactions unslotted."""
+    paths = {}
+    for name, text in (
+        ("slot2", SLOTTED_PAIR.format(2)),
+        ("slot3", SLOTTED_PAIR.format(3)),
+        ("unslotted", SLOTTED_PAIR.format(2).replace(" SLOT 1", "").replace(" SLOT 2", "")),
+    ):
+        paths[name] = tmp_path / f"{name}.chain"
+        paths[name].write_text(text)
+    return paths
+
+
+def test_equiv_alpha_slot_only_difference(capsys, slot_variants):
+    """A difference in slots alone is a mismatch, shown by the SLOT of the
+    first transaction whose slot differs."""
+    code, out, err = run_cli(capsys, "equiv", str(slot_variants["slot2"]), str(slot_variants["slot3"]), "--mode", "alpha")
+    assert (code, err) == (1, "")
+    assert out == (
+        "not alpha-equivalent\n"
+        "first canonical mismatch at transaction 1:\n"
+        "< TX 0 SLOT 2\n< IN 0 0\n< OUT 2 AcceptAll 0 0:0=1\n"
+        "> TX 0 SLOT 3\n> IN 0 0\n> OUT 2 AcceptAll 0 0:0=1\n"
+    )
+
+
+def test_equiv_alpha_slot_only_difference_json(capsys, slot_variants):
+    code, out, _ = run_cli(
+        capsys, "equiv", str(slot_variants["slot2"]), str(slot_variants["slot3"]), "--mode", "alpha", "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out) == {"mode": "alpha", "equivalent": False, "first_mismatch": 1}
+
+
+def test_equiv_alpha_slotted_against_unslotted(capsys, slot_variants):
+    """The same transactions with and without slots differ at the first one."""
+    slotted, unslotted = str(slot_variants["slot2"]), str(slot_variants["unslotted"])
+    code, out, _ = run_cli(capsys, "equiv", slotted, unslotted, "--mode", "alpha")
+    assert code == 1
+    assert out.splitlines()[1:4] == ["first canonical mismatch at transaction 0:", "< TX 0 SLOT 1", "< OUT 0 AcceptAll 0 0:0=1"]
+    assert "> TX 0" in out.splitlines()
+    code, out, _ = run_cli(capsys, "equiv", unslotted, slotted, "--mode", "alpha", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"mode": "alpha", "equivalent": False, "first_mismatch": 0}
+
+
 def test_validate_json_output(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "validate", str(corpus_dir / "swapped.chain"), "--format", "json")
     assert code == 1

@@ -9,6 +9,7 @@ import oracles
 from ledgersim.equivalence import (
     PositionRenaming,
     alpha_equiv,
+    alpha_mismatch,
     apart,
     canonical_renaming,
     canonicalize,
@@ -20,7 +21,7 @@ from ledgersim.equivalence import (
 )
 from ledgersim.gen import ChainGen, spendable
 from ledgersim.ledger import Chain, InvalidChainError, LedgerIndex, append, utxo, validate_chain
-from ledgersim.model import Input, Output, PositionAllocator, Transaction, positions_of
+from ledgersim.model import ADA, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of, singleton
 from ledgersim.validators import ACCEPT_ALL
 
 from conftest import A, B, C, D, E, F, G, ref_output
@@ -143,6 +144,109 @@ def test_alpha_not_equiv_different_datum(chain_b):
     other = Chain(tuple(txs))
     assert validate_chain(other).valid
     assert not alpha_equiv(chain_b, other)
+
+
+def _with_tx(chain: Chain, at: int, tx: Transaction) -> Chain:
+    txs = list(chain.transactions)
+    txs[at] = tx
+    return Chain(tuple(txs), chain.slots)
+
+
+def _perturbations(rng: random.Random, gen: ChainGen, chain: Chain, alloc: PositionAllocator):
+    """(label, chain) pairs near ``chain``: alpha-variants, and copies with
+    one thing changed, valid or not."""
+    txs = chain.transactions
+    spent = sorted({out.position for _, out, _, _ in spent_edges(chain)})
+    unspent = sorted(out.position for out in utxo(chain))
+    fresh = PositionAllocator(alloc.peek())
+    for _ in range(2):
+        chosen = rng.sample(spent, rng.randrange(len(spent) + 1))
+        yield "alpha-variant", rename_positions(chain, {p: fresh.fresh() for p in chosen})
+    if unspent:
+        yield "unspent-renamed", rename_positions(chain, {rng.choice(unspent): fresh.fresh()})
+    if txs:
+        at = rng.randrange(len(txs))
+        tx = txs[at]
+        if tx.inputs:
+            inp = rng.choice(sorted(tx.inputs, key=lambda i: i.position))
+            changed = Input(inp.position, inp.redeemer + 1)
+            yield "redeemer", _with_tx(chain, at, Transaction(tx.inputs - {inp} | {changed}, tx.outputs, tx.slot_range))
+        if tx.outputs:
+            out = rng.choice(tx.sorted_outputs())
+            for changed in (
+                Output(out.position, out.validator, out.datum + 1, out.value),
+                Output(out.position, out.validator, out.datum, out.value + singleton(ADA, 1)),
+            ):
+                yield "output", _with_tx(chain, at, Transaction(tx.inputs, tx.outputs - {out} | {changed}, tx.slot_range))
+        other_range = SlotRange(0, None) if tx.slot_range is None else None
+        yield "slot-range", _with_tx(chain, at, Transaction(tx.inputs, tx.outputs, other_range))
+        dropped = rng.randrange(len(txs))
+        slots = None if chain.slots is None else chain.slots[:dropped] + chain.slots[dropped + 1 :]
+        yield "dropped", Chain(txs[:dropped] + txs[dropped + 1 :], slots)
+    yield "appended", gen.grow(chain, 1, PositionAllocator(alloc.peek()))[0]
+    if chain.slots is not None:
+        at = rng.randrange(len(txs))
+        yield "slot", Chain(txs, chain.slots[:at] + tuple(s + 1 for s in chain.slots[at:]))
+        yield "unslotted", Chain(txs)
+
+
+def _assert_alpha_agrees(a: Chain, b: Chain) -> str:
+    """``alpha_equiv`` and ``alpha_mismatch`` against the canonical-chain
+    oracles on one pair; returns which way the pair went."""
+    try:
+        expected = oracles.alpha_equiv(a, b)
+    except InvalidChainError as exc:
+        for decide in (alpha_equiv, alpha_mismatch):
+            with pytest.raises(InvalidChainError) as raised:
+                decide(a, b)
+            assert str(raised.value) == str(exc)
+        return "invalid"
+    mismatch = alpha_mismatch(a, b)
+    assert mismatch == oracles.alpha_mismatch(a, b)
+    assert alpha_equiv(a, b) is expected is (mismatch is None)
+    return "equivalent" if expected else "different"
+
+
+@pytest.mark.parametrize("slotted", [False, True], ids=["unslotted", "slotted"])
+def test_alpha_mismatch_matches_canonical_oracle(slotted):
+    """On generated chains and their alpha-variants and perturbed copies, in
+    both argument orders and against an alpha-variant of the chain: the same
+    verdict, the same first mismatch and the same InvalidChainError as
+    comparing the two canonical chains."""
+    rng = random.Random(19)
+    gen = ChainGen(rng, slotted=slotted)
+    seen: dict[tuple[str, str], int] = {}
+    for _ in range(150):
+        chain, alloc = gen.chain()
+        nearby = list(_perturbations(rng, gen, chain, alloc))
+        variant = nearby[0][1]
+        for label, other in nearby:
+            for a, b in ((chain, other), (other, chain), (variant, other)):
+                verdict = _assert_alpha_agrees(a, b)
+                seen[label, verdict] = seen.get((label, verdict), 0) + 1
+    # every perturbation was drawn, and every kind of pair occurred
+    assert {"equivalent"} == {verdict for label, verdict in seen if label == "alpha-variant"}
+    assert ("unspent-renamed", "different") in seen and ("appended", "different") in seen
+    for label in ("redeemer", "output", "slot-range", "dropped") + (("slot", "unslotted") if slotted else ()):
+        assert (label, "different") in seen, label
+    assert ("redeemer", "invalid") in seen and ("dropped", "invalid") in seen
+
+
+def test_alpha_mismatch_counts_a_length_difference_at_the_shorter_length(chain_b):
+    longer = Chain(chain_b.transactions + (Transaction(),))
+    assert alpha_mismatch(chain_b, longer) == alpha_mismatch(longer, chain_b) == 4
+    assert alpha_mismatch(chain_b, Chain()) == 0
+    assert alpha_mismatch(Chain(), Chain()) is None
+
+
+def test_alpha_mismatch_builds_no_canonical_chain(monkeypatch, chain_b):
+    import ledgersim.equivalence as equivalence
+
+    def refuse(*args):
+        raise AssertionError("alpha_mismatch renamed a whole chain")
+
+    monkeypatch.setattr(equivalence, "rename_positions", refuse)
+    assert alpha_mismatch(chain_b, chain_b) is None
 
 
 def test_canonical_renaming_fixes_unspent(chain_b):

@@ -93,6 +93,59 @@ def test_parse_chain_error_messages(text, message):
     assert str(err.value) == message
 
 
+SHARED_TEXT = """TX 0
+OUT 1 PayToPubKey 5 0 0:0=1 1:1=2
+OUT 2 PayToPubKey 5 3 0:0=1 1:1=2
+OUT 3 AcceptAll 0
+TX 1
+IN 1 5
+OUT 4 PayToPubKey 5 0 0:0=1 1:1=2
+OUT 5 AcceptAll 9
+OUT 6 PayToPubKey 6 0 0:0=1
+"""
+
+
+def _outputs(chain):
+    return {out.position: out for tx in chain.transactions for out in tx.outputs}
+
+
+def test_parse_shares_one_object_per_distinct_validator_and_value_text():
+    """Within one parse, equal validator words and equal value words give one
+    object each; a second parse of the same text shares none of them."""
+    first = _outputs(formats.parse_chain(SHARED_TEXT))
+    assert first[1].validator is first[2].validator is first[4].validator
+    assert first[1].value is first[2].value is first[4].value
+    assert first[3].validator is first[5].validator and first[3].value is first[5].value
+    assert first[6].validator is not first[1].validator and first[6].value is not first[1].value
+    second = _outputs(formats.parse_chain(SHARED_TEXT))
+    assert first == second
+    for one in first.values():
+        for other in second.values():
+            assert one.validator is not other.validator and one.value is not other.value
+    assert formats.chain_to_text(formats.parse_chain(SHARED_TEXT)) == SHARED_TEXT
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("OUT 2 PayToPubKey 5 x 0:0=1", "datum must be a natural number, got 'x'"),
+        ("OUT z PayToPubKey 5 0 0:0=1", "position must be a natural number, got 'z'"),
+        ("OUT 2 PayToPubKey y 0 0:0=1", "PayToPubKey parameter must be a natural number, got 'y'"),
+        ("OUT 2 PayToPubKey 5 0 0:0=0", "quantity must be >= 1, got 0"),
+        ("OUT 2 PayToPubKey y 0 0:0=0", "PayToPubKey parameter must be a natural number, got 'y'"),
+        ("OUT 2 PayToPubKey 5 x 0:0=0", "datum must be a natural number, got 'x'"),
+    ],
+    ids=["datum", "position", "param", "value", "param-before-value", "datum-before-value"],
+)
+def test_parse_error_after_shared_words_names_the_bad_line(bad_line, message):
+    """A malformed OUT line after a good one with the same validator and value
+    words is still refused, at its own line, for its first bad word."""
+    text = f"TX 0\nOUT 1 PayToPubKey 5 0 0:0=1\nTX 1\n{bad_line}\n"
+    with pytest.raises(formats.ParseError) as err:
+        formats.parse_chain(text)
+    assert str(err.value) == f"line 4: {message}"
+
+
 def test_range_serialization():
     text = "TX 0 RANGE 2 *\nOUT 1 AcceptAll 0\nTX 1 SLOT 0\n"
     with pytest.raises(formats.ParseError):

@@ -1,5 +1,7 @@
 """Core type behaviour: multiset values, contexts, position bookkeeping."""
 
+import collections
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from ledgersim.model import (
     positions_of,
     singleton,
 )
-from ledgersim.validators import ACCEPT_ALL
+from ledgersim.validators import ACCEPT_ALL, ValidatorRef, pay_to_pubkey
 
 
 def test_value_lookup_present():
@@ -143,3 +145,34 @@ def test_position_allocator():
     assert alloc.fresh() == 10
     assert alloc.fresh() == 11
     assert PositionAllocator.above([]).fresh() == 0
+
+
+def test_value_types_are_slotted():
+    """Instances of the model's dataclasses and of ``ValidatorRef`` hold
+    their fields and no ``__dict__``, and stay frozen."""
+    tx = Transaction(frozenset({Input(1, 0)}), frozenset({Output(2, ACCEPT_ALL, 0, singleton(ADA, 1))}), SlotRange(0))
+    instances = [
+        singleton(ADA, 1),
+        Input(1, 0),
+        Output(2, ACCEPT_ALL, 0),
+        SlotRange(0, 4),
+        tx,
+        context_at(tx, Input(1, 0)),
+        pay_to_pubkey(3),
+    ]
+    assert {type(obj) for obj in instances} == {Value, Input, Output, SlotRange, Transaction, Context, ValidatorRef}
+    for obj in instances:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, None)
+
+
+def test_value_of_accepts_mappings_and_pair_iterables():
+    pairs = [(Chip(1, 1), 2), (ADA, 3), ((1, 1), 4)]
+    expected = Value(((ADA, 3), (Chip(1, 1), 6)))
+    merged = {ADA: 3, Chip(1, 1): 6}
+    assert Value.of(merged) == expected
+    assert Value.of(collections.Counter(merged)) == expected
+    assert Value.of(pairs) == expected
+    assert Value.of(pair for pair in pairs) == expected
+    assert Value.of({ADA: 0}) == Value.of(()) == Value()
