@@ -127,7 +127,8 @@ def cmd_equiv(args) -> int:
     print(f"first canonical mismatch at transaction {mismatch_index}:")
     at = slice(mismatch_index, mismatch_index + 1)
     for mark, chain in (("<", canonicalize(left)), (">", canonicalize(right))):
-        text = formats.transactions_to_text(chain.transactions[at], None if chain.slots is None else chain.slots[at])
+        slots = None if chain.slots is None else chain.slots[at]
+        text = formats.transactions_to_text(chain.transactions[at], slots, mismatch_index)
         print(f"{mark} " + (text.strip() or "(missing)").replace("\n", f"\n{mark} "))
     return 1
 

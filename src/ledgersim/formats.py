@@ -114,11 +114,12 @@ def _tx_header(index: int, tx: Transaction, slot: int | None) -> str:
     return " ".join(parts)
 
 
-def transactions_to_text(txs: Sequence[Transaction], slots: Sequence[int] | None = None) -> str:
-    """Canonical text for a transaction sequence (chunk files, payloads)."""
+def transactions_to_text(txs: Sequence[Transaction], slots: Sequence[int] | None = None, first: int = 0) -> str:
+    """Canonical text for a transaction sequence (chunk files, payloads),
+    its ``TX`` headers numbered from ``first``."""
     lines = []
     for index, tx in enumerate(txs):
-        lines.append(_tx_header(index, tx, slots[index] if slots is not None else None))
+        lines.append(_tx_header(first + index, tx, slots[index] if slots is not None else None))
         for inp in tx.sorted_inputs():
             lines.append(f"IN {inp.position} {inp.redeemer}")
         for out in tx.sorted_outputs():
@@ -200,11 +201,18 @@ def _output(
 
 
 def _transaction(lineno: int, slot_range: SlotRange | None, inputs: list[Input], outputs: list[Output]) -> Transaction:
-    """One block's transaction; its own errors are reported at its ``TX`` line."""
+    """One block's transaction; its own errors are reported at its ``TX``
+    line.  Two identical ``IN`` or ``OUT`` lines, which its sets would merge,
+    are one position given twice."""
     try:
-        return Transaction(frozenset(inputs), frozenset(outputs), slot_range)
+        tx = Transaction(frozenset(inputs), frozenset(outputs), slot_range)
     except ValueError as exc:
         _fail(lineno, str(exc))
+    if len(tx.inputs) < len(inputs):
+        _fail(lineno, "duplicate input positions within one transaction")
+    if len(tx.outputs) < len(outputs):
+        _fail(lineno, "duplicate output positions within one transaction")
+    return tx
 
 
 def parse_transactions(text: str) -> tuple[tuple[Transaction, ...], tuple[int, ...] | None]:

@@ -16,32 +16,19 @@ grown, and is built again only in a world built from a scenario with a
 
 ``run_schedule`` is one loop for both ledgers; each world class supplies what
 differs between them: ``submit`` (the UTxO submit phase, and the state a run
-starts from), ``execute`` (one intent's turn) and ``observe`` (each key's
-holdings, the ledger's state pairs and the digest of a final state).  Each
-world keeps one record of its last run (``_LastRun``): the intent tuple, on
-the UTxO ledger the submit phase, and one step per executed intent, holding
-the ledger state after it.  An order keeps the steps it shares with the last
-order and executes only the rest, so an order costs the steps after its
-shared prefix.  On the UTxO ledger the record holds at most
-``len(intents)`` states; the chain at the fork point has handed its index
-to its first child, so the resumed append rebuilds it, in
-O(len(world.chain) + depth); persistent chains (ROADMAP item 5) would remove
-that.  On the account ledger a chain is its contracts' balances and states
-and nothing else, so the record also keeps a table of turns: each distinct
-(chain, intent) turn calls the contract once per run, and each distinct
-chain is kept as one object.  The table is bounded by the distinct turns,
-at most the sum over k of n!/(n-k)!.
-
-Each state in the record carries an observation cell, filled once an order
-has ended there: ``observe`` runs once per distinct chain an order ends on,
-not once per order.  What ``observe`` reads of a state is its chain
-(``chain_of``): on the UTxO ledger the chain without the next free position.
-On the UTxO ledger a rejected intent, even one whose rebuild took positions,
-leaves the chain as it found it and shares the cell of the state before it;
-on the account ledger each distinct chain has one cell.  The digest hashes
-the paper's observation of the final state: the unspent outputs in position
-order, or the contracts' balances and states.  What an order adds is its
-own: each actor's ada paid.
+starts from), ``execute`` (one intent's turn, a pure step from a state) and
+``observe`` (each key's holdings, the ledger's state pairs and the digest of
+a final state).  A state is ``(chain, next free position)`` on the UTxO
+ledger and the ``AccountChain`` on the account ledger; on both, an intent's
+turn depends on the state it starts from and nothing else.  So each world
+keeps one record of its last run (``_LastRun``) with one rule for both
+ledgers: each distinct (state, intent) turn is executed once per run, each
+distinct state is kept as one object with one observation cell, and
+``observe`` runs once per distinct state an order ends on.  An order also
+keeps the steps it shares with the last order, so it looks up only the turns
+after its shared prefix.  The digest hashes the paper's observation of the
+final state: the unspent outputs in position order, or the contracts'
+balances and states.  What an order adds is its own: each actor's ada paid.
 """
 
 from __future__ import annotations
@@ -117,20 +104,17 @@ def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
 @dataclass(eq=False)
 class _LastRun:
     """The last run against one world: its intent tuple; on the UTxO ledger
-    its submit phase, each intent's built entry or refusal; the state the
-    run starts from and its observation cell; and one step per executed
-    intent, ``(index, state after it, (status, reason), ada paid, observation
-    cell)``.  The state is ``(chain, next free position)`` on the UTxO ledger
-    and the ``AccountChain`` on the account ledger.  An observation cell is a
-    one-item list, holding None until an order ends on its state and then
-    ``_observation`` of it.  On the account ledger only, ``states`` maps each
-    chain reached to (the one object kept for it, its cell), and ``turns``
-    maps (chain, intent index) to the step's state, status, ada and cell."""
+    its submit phase, each intent's built entry or refusal; and its tables.
+    ``states`` maps each state reached to its node: (the one object kept for
+    the state, its observation cell), a one-item list holding None until an
+    order ends on the state and then ``_observation`` of it.  ``turns`` maps
+    (state, intent index) to (the next state's node, (status, reason), ada
+    paid).  ``start`` is the first state's node, and ``steps`` holds the
+    last order's ``(index, turn)`` pairs."""
 
     intents: tuple[Intent, ...]
     built: tuple = ()
-    start: object = None
-    start_cell: list = field(default_factory=lambda: [None])
+    start: tuple = ()
     steps: list[tuple] = field(default_factory=list)
     turns: dict = field(default_factory=dict)
     states: dict = field(default_factory=dict)
@@ -153,22 +137,20 @@ class EutxoWorld:
     # ignore it.
     _last_run = None
 
-    def submit(self, run: _LastRun) -> None:
+    def submit(self, run: _LastRun) -> tuple:
         """The submit phase: every intent built against the world's
         snapshot.  The run starts from the snapshot and the next free
         position after the builds."""
         alloc = PositionAllocator.above(p for tx in self.chain.transactions for p in positions_of(tx))
         run.built = tuple(_build_eutxo_intent(self, intent, self.chain, alloc) for intent in run.intents)
-        run.start = (self.chain, alloc.peek())
+        return self.chain, alloc.peek()
 
-    def execute(self, run: _LastRun, state: tuple, cell: list, index: int):
-        """One intent's turn: its submit-time transaction appended to the
-        chain, or with ``rebuild`` on and that failing, one built against the
-        chain as it stands.  Returns the next state, the (status, reason),
-        ada paid and the next state's observation cell: a new one when an
-        intent attached, otherwise ``cell``.  The next state is ``state``
-        itself when nothing attached and no position was taken, and holds the
-        same chain when a rebuild took positions but nothing attached."""
+    def execute(self, run: _LastRun, state: tuple, index: int):
+        """One intent's turn from ``state``: its submit-time transaction
+        appended to the chain, or with ``rebuild`` on and that failing, one
+        built against the chain as it stands.  Returns the next state, the
+        (status, reason) and the ada paid; a rejected intent leaves the chain
+        as it found it."""
         chain, next_position = state
         intent = run.intents[index]
         entry, refusal = run.built[index]
@@ -186,22 +168,15 @@ class EutxoWorld:
             else:
                 result, reason = _attach(chain, entry[0], self.policies)
                 accepted_how = "rebuilt-at-execute"
-        if result is not None:
-            return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0, [None]
-        if next_position != state[1]:  # a rebuild took positions
-            state = (chain, next_position)
-        return state, ("rejected", reason), 0, cell
+        if result is None:
+            return (chain, next_position), ("rejected", reason), 0
+        return (result, next_position), ("accepted", accepted_how), entry[1] if intent.kind == "buy" else 0
 
-    @staticmethod
-    def chain_of(state: tuple) -> Chain:
-        """The part of a state ``observe`` reads: the chain, not the next
-        free position."""
-        return state[0]
-
-    def observe(self, chain: Chain):
-        """Each key's pay-to-key holdings, from one pass over the unspent
-        set; the portal's price and supply; and the digest of the unspent
-        outputs, rendered one a line in position order."""
+    def observe(self, state: tuple):
+        """Each key's pay-to-key holdings, from one pass over the state's
+        unspent set; the portal's price and supply; and the digest of the
+        unspent outputs, rendered one a line in position order."""
+        chain = state[0]
         by_key: dict[int, dict[str, int]] = {}
         unspent = sorted(utxo(chain), key=lambda out: out.position)
         for out in unspent:
@@ -226,34 +201,21 @@ class AccountWorld:
 
     _last_run = None  # as on ``EutxoWorld``
 
-    def submit(self, run: _LastRun) -> None:
+    def submit(self, run: _LastRun) -> AccountChain:
         """Calls are not built ahead: the run starts from the world's chain."""
-        run.start = self.chain
-        run.states[self.chain] = (self.chain, run.start_cell)
+        return self.chain
 
-    def execute(self, run: _LastRun, chain: AccountChain, cell: list, index: int):
-        """One call against the chain as it stands: the next chain, the
-        (status, reason), the ada paid and the next chain's cell.  A turn
-        already taken from this chain in the run is looked up, not called
-        again, and an equal next chain is the one object kept for it."""
-        turn = run.turns.get((chain, index))
-        if turn is None:
-            intent = run.intents[index]
-            if intent.kind != "call":
-                raise ValueError(f"unknown account intent kind {intent.kind!r}")
-            function = intent.get("function")
-            value = intent.get("value", 0)
-            args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
-            after, result = call(chain, CallTx(self.contract, function, _key_of(self.actors, intent.actor), value, args))
-            after, cell = run.states.setdefault(after, (after, [None]))
-            paid = value if result.ok and function in PAYABLE else 0
-            turn = run.turns[chain, index] = (after, (result.status, result.reason), paid, cell)
-        return turn
-
-    @staticmethod
-    def chain_of(chain: AccountChain) -> AccountChain:
-        """The part of a state ``observe`` reads: all of it."""
-        return chain
+    def execute(self, run: _LastRun, state: AccountChain, index: int):
+        """One call against the chain ``state`` as it stands: the next chain,
+        the (status, reason) and the ada paid."""
+        intent = run.intents[index]
+        if intent.kind != "call":
+            raise ValueError(f"unknown account intent kind {intent.kind!r}")
+        function = intent.get("function")
+        value = intent.get("value", 0)
+        args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
+        after, result = call(state, CallTx(self.contract, function, _key_of(self.actors, intent.actor), value, args))
+        return after, (result.status, result.reason), value if result.ok and function in PAYABLE else 0
 
     def observe(self, chain: AccountChain):
         """Each key's token balance; the contract's balance and price; and
@@ -344,7 +306,7 @@ def _observation(world: EutxoWorld | AccountWorld, state) -> tuple:
     """What every order ending on ``state`` reads of it: per actor, in name
     order, the name and the sorted holdings facts split where ``ada_paid``
     sorts in; the ledger's state pairs; and the digest."""
-    by_key, pairs, digest = world.observe(world.chain_of(state))
+    by_key, pairs, digest = world.observe(state)
     facts = []
     for name, key in sorted(world.actors):
         held = tuple(sorted(by_key.get(key, {}).items()))
@@ -361,12 +323,11 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
 
     The world's ``_LastRun`` is made anew, running the world's ``submit``,
     for another intent tuple.  The steps ``order`` shares with the last
-    order run are kept, and only the rest are executed, each by the world's
-    ``execute`` from the state the step before left, which also hands over
-    the next state's observation cell.  The final state is observed only
-    when its cell is empty: no earlier order has ended on its chain.  A run
-    that raises part-way leaves the steps before the failing one, and an
-    ``observe`` that raises leaves the final state unobserved.
+    order run are kept; each later turn is looked up in the run's turn table
+    and executed by the world's ``execute`` only when no earlier order took
+    it.  The final state is observed only when no earlier order ended there.
+    A run that raises part-way leaves the steps before the failing one, and
+    an ``observe`` that raises leaves the final state unobserved.
     """
     order, intents = tuple(order), tuple(intents)
     if sorted(order) != list(range(len(intents))):
@@ -374,7 +335,8 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     run = world._last_run
     if run is None or run.intents != intents:
         run = _LastRun(intents)
-        world.submit(run)
+        start = world.submit(run)
+        run.start = run.states[start] = (start, [None])
         object.__setattr__(world, "_last_run", run)
     steps = run.steps
     shared = 0
@@ -383,16 +345,21 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
             break
         shared += 1
     del steps[shared:]
-    state, cell = (steps[-1][1], steps[-1][4]) if steps else (run.start, run.start_cell)
+    node = steps[-1][1][0] if steps else run.start
     for index in order[shared:]:
-        state, status, ada, cell = world.execute(run, state, cell, index)
-        steps.append((index, state, status, ada, cell))
+        turn = run.turns.get((node[0], index))
+        if turn is None:
+            after, status, ada = world.execute(run, node[0], index)
+            turn = run.turns[node[0], index] = (run.states.setdefault(after, (after, [None])), status, ada)
+        steps.append((index, turn))
+        node = turn[0]
+    state, cell = node
     if cell[0] is None:
         cell[0] = _observation(world, state)
     facts, observed, digest = cell[0]
     statuses = [("", "")] * len(intents)
     paid: dict[str, int] = {}
-    for index, _, status, ada, _ in steps:
+    for index, (_, status, ada) in steps:
         statuses[index] = status
         actor = intents[index].actor
         paid[actor] = paid.get(actor, 0) + ada

@@ -10,8 +10,11 @@ compares the indexed versions against these on random sequences, valid or
 not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
 set, which ``test_harness.py`` compares with its one-pass grouping;
 ``eutxo_digest`` and ``account_digest`` are the scheduler's digests of a
-final state, and ``account_fold`` runs an account order by folding
-``accounts.call`` over it with no scheduler; ``defer_by_validation`` is the deferral check by whole-sequence validation,
+final state; ``account_fold`` runs an account order by folding
+``accounts.call`` over it with no scheduler, and ``eutxo_fold`` runs a UTxO
+order by attaching its built transactions one after another with
+``ledger.append``; ``defer_by_validation`` is the deferral check by
+whole-sequence validation,
 which ``test_equivalence.py`` compares with ``check_defer``.
 ``random_value`` is the generator's value draw built afresh with
 ``Value.of`` on every call, which ``test_gen.py`` compares with the value
@@ -28,6 +31,7 @@ import json
 from ledgersim.accounts import FUNCTIONS, PAYABLE, CallTx, call
 from ledgersim.equivalence import canonicalize
 from ledgersim.formats import output_to_text
+from ledgersim.harness import _build_eutxo_intent
 from ledgersim.ledger import (
     BLOCKCHAIN,
     CHUNK,
@@ -40,9 +44,10 @@ from ledgersim.ledger import (
     MalformedChainError,
     ValidationReport,
     Violation,
+    append,
 )
 from ledgersim.gen import CHIPS
-from ledgersim.model import Value, context_at
+from ledgersim.model import PositionAllocator, Value, context_at, positions_of
 from ledgersim.policy import AFFINE_ONCE, FORBID_FORGE, FREE_FORGE
 from ledgersim.validators import ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND, pay_to_pubkey, run_validator
 
@@ -319,6 +324,54 @@ def account_fold(world, intents, order):
         for name, key in sorted(world.actors)
     )
     return tuple(statuses), holdings, (("contract_balance", acct.balance), ("price", acct.state.price)), chain
+
+
+def _attached(world, chain, entry, refusal):
+    """The chain with a built intent appended and no reason, or None and the
+    refusal or the first violation."""
+    if entry is None:
+        return None, refusal
+    result = append(chain, entry[0], None, world.policies)
+    if isinstance(result, ValidationReport):
+        first = result.first()
+        return None, f"{first.condition}: {first.detail}"
+    return result, ""
+
+
+def eutxo_fold(world, intents, order):
+    """One UTxO order with no steps, turns or cells: every intent built
+    against ``world.chain`` with positions above it, then attached in order,
+    each to the chain the one before left, and with ``world.rebuild`` on
+    built again against that chain when its transaction does not attach.
+    The statuses by intent, each actor's holdings, the state pairs and the
+    final (chain, next free position), as ``run_schedule`` reports them."""
+    alloc = PositionAllocator.above(p for tx in world.chain.transactions for p in positions_of(tx))
+    built = [_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents]
+    chain, next_position = world.chain, alloc.peek()
+    statuses, paid = [None] * len(intents), {}
+    for index in order:
+        intent = intents[index]
+        entry, refusal = built[index]
+        landed, reason = _attached(world, chain, entry, f"refused-at-build: {refusal}")
+        how = ""
+        if landed is None and world.rebuild:
+            alloc = PositionAllocator(next_position)
+            entry, refusal = _build_eutxo_intent(world, intent, chain, alloc)
+            next_position = alloc.peek()
+            landed, reason = _attached(world, chain, entry, f"refused-at-rebuild: {refusal}")
+            how = "rebuilt-at-execute"
+        if landed is None:
+            statuses[index] = ("rejected", reason)
+            continue
+        chain, statuses[index] = landed, ("accepted", how)
+        if intent.kind == "buy":
+            paid[intent.actor] = paid.get(intent.actor, 0) + entry[1]
+    carriers = find_carriers(chain.transactions, world.cfg.state_chip)
+    if len(carriers) == 1:
+        pairs = (("portal_price", carriers[0].datum), ("portal_supply", carriers[0].value.get(world.cfg.traded_chip)))
+    else:
+        pairs = (("portal_price", -1), ("portal_supply", -1))
+    return tuple(statuses), eutxo_holdings(world, chain, paid), pairs, (chain, next_position)
 
 
 def defer_by_validation(base, txs, tx):

@@ -53,8 +53,14 @@ def test_validate_slots_out_of_order_exits_2(capsys, tmp_path):
             "TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 0\nIN 1 3\nTX 2\nOUT 2 AcceptAll 0\n",
             "line 3: duplicate input positions within one transaction",
         ),
+        # two identical lines are two claims on one position, not one line
+        ("TX 0\nOUT 1 AcceptAll 0\nOUT 1 AcceptAll 0\n", "line 1: duplicate output positions within one transaction"),
+        (
+            "TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 0\nIN 1 0\n",
+            "line 3: duplicate input positions within one transaction",
+        ),
     ],
-    ids=["second-slot", "second-range", "duplicate-input-mid-file"],
+    ids=["second-slot", "second-range", "duplicate-input-mid-file", "identical-output-lines", "identical-input-lines"],
 )
 def test_validate_refused_chain_exits_2(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.chain"
@@ -195,8 +201,8 @@ def test_equiv_alpha_slot_only_difference(capsys, slot_variants):
     assert out == (
         "not alpha-equivalent\n"
         "first canonical mismatch at transaction 1:\n"
-        "< TX 0 SLOT 2\n< IN 0 0\n< OUT 2 AcceptAll 0 0:0=1\n"
-        "> TX 0 SLOT 3\n> IN 0 0\n> OUT 2 AcceptAll 0 0:0=1\n"
+        "< TX 1 SLOT 2\n< IN 0 0\n< OUT 2 AcceptAll 0 0:0=1\n"
+        "> TX 1 SLOT 3\n> IN 0 0\n> OUT 2 AcceptAll 0 0:0=1\n"
     )
 
 

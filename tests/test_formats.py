@@ -84,8 +84,20 @@ def test_parse_chain_slot_monotonicity():
             "TX 0\nOUT 1 AcceptAll 0\nOUT 2 AcceptAll 0\nTX 1\nOUT 3 AcceptAll 0\nTX 2\nIN 1 0\nIN 1 3\n",
             "line 6: duplicate input positions within one transaction",
         ),
+        # two identical lines are two claims on one position, not one line
+        (
+            "TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 0\nOUT 2 AcceptAll 0\nOUT 2 AcceptAll 0\n",
+            "line 3: duplicate output positions within one transaction",
+        ),
+        ("TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 0\nIN 1 0\n", "line 3: duplicate input positions within one transaction"),
     ],
-    ids=["second-slot", "second-range", "duplicate-input-at-its-tx-line"],
+    ids=[
+        "second-slot",
+        "second-range",
+        "duplicate-input-at-its-tx-line",
+        "identical-output-lines",
+        "identical-input-lines",
+    ],
 )
 def test_parse_chain_error_messages(text, message):
     with pytest.raises(formats.ParseError) as err:

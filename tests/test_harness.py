@@ -599,15 +599,40 @@ def _counting_builders(monkeypatch) -> dict:
     return calls
 
 
+def _eutxo_turns(world, intents) -> dict:
+    """Each distinct (state, intent index) turn of every order of the
+    intents, found by replaying every order prefix with ``oracles.eutxo_fold``
+    from the world's chain, mapped to the intent's status there."""
+    import itertools
+
+    folds = {
+        prefix: oracles.eutxo_fold(world, intents, prefix)
+        for k in range(len(intents) + 1)
+        for prefix in itertools.permutations(range(len(intents)), k)
+    }
+    return {
+        (folds[prefix[:-1]][3], prefix[-1]): statuses[prefix[-1]]
+        for prefix, (statuses, *_) in folds.items()
+        if prefix
+    }
+
+
 @pytest.mark.parametrize("seed", [0, 6])
 def test_submit_phase_built_once_per_world(monkeypatch, seed):
     """All 720 orders on one world build each intent once; on a world with
-    rebuild on, only the rebuilds add builder calls."""
+    rebuild on, only the rebuilds add builder calls, one per distinct
+    (state, intent) turn whose submit-time transaction did not attach."""
     import itertools
     from collections import Counter
 
-    calls = _counting_builders(monkeypatch)
     scenario = _random_eutxo_race(seed)
+    rebuilding = dataclasses.replace(scenario, rebuild=True)
+    rebuilt = Counter(
+        scenario.intents[index].kind
+        for (_, index), status in _eutxo_turns(build_world(rebuilding), scenario.intents).items()
+        if status != ("accepted", "")
+    )
+    calls = _counting_builders(monkeypatch)
     world = build_world(scenario)
     orders = list(itertools.permutations(range(6)))
     for order in orders:
@@ -615,19 +640,12 @@ def test_submit_phase_built_once_per_world(monkeypatch, seed):
     kinds = Counter(intent.kind for intent in scenario.intents)
     assert kinds["buy"] and kinds["set_price"]
     assert calls == {"buy": kinds["buy"], "set_price": kinds["set_price"]}
-    # with rebuild on, an intent whose submit-time transaction did not attach
-    # is rebuilt at its turn, once for each distinct order prefix ending there
     calls.update(buy=0, set_price=0)
-    world = build_world(dataclasses.replace(scenario, rebuild=True))
-    rebuilt = {kind: set() for kind in calls}
+    world = build_world(rebuilding)
     for order in orders:
-        outcome = run_schedule(world, scenario.intents, order)
-        for depth, index in enumerate(order):
-            kind = scenario.intents[index].kind
-            if outcome.statuses[index] != ("accepted", "") and kind in rebuilt:
-                rebuilt[kind].add(order[: depth + 1])
-    assert rebuilt["buy"] and rebuilt["set_price"]
-    assert calls == {kind: kinds[kind] + len(rebuilt[kind]) for kind in calls}
+        run_schedule(world, scenario.intents, order)
+    assert calls == {kind: kinds[kind] + rebuilt[kind] for kind in calls}
+    assert calls == {0: {"buy": 113, "set_price": 22}, 6: {"buy": 214, "set_price": 103}}[seed]
 
 
 def test_account_orders_share_their_prefixes(monkeypatch):
@@ -659,6 +677,44 @@ def test_account_orders_share_their_prefixes(monkeypatch):
         run_schedule(world, scenario.intents, order)
     assert calls == len(turns) == 268
     assert calls < sum(math.perm(6, k) for k in range(1, 7)) == 1956
+
+
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_eutxo_orders_share_their_prefixes(monkeypatch, rebuild):
+    """All 720 orders of 6-intent UTxO races on one world append once per
+    attach of each distinct (state, intent) turn, counted by replaying every
+    order prefix with ``oracles.eutxo_fold``: a turn attaches its
+    submit-time transaction, and with rebuild on a rebuilt one when that
+    fails and the rebuild builds."""
+    import itertools
+
+    from ledgersim import harness
+
+    calls = 0
+    real = harness._attach
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_attach", counted)
+    counts = []
+    for seed in (0, 6):
+        scenario = dataclasses.replace(_random_eutxo_race(seed, max_n=300), rebuild=rebuild)  # every buy builds
+        world = build_world(scenario)
+        turns = _eutxo_turns(world, scenario.intents)
+        attaches = sum(
+            1 if status == ("accepted", "") or not rebuild else 1 + (not status[1].startswith("refused-at-rebuild"))
+            for status in turns.values()
+        )
+        calls = 0
+        for order in itertools.permutations(range(6)):
+            run_schedule(world, scenario.intents, order)
+        assert calls == attaches >= len(turns)
+        counts.append(calls)
+    # with rebuild off, one attach per order prefix would be sum_k 6!/(6-k)! = 1956
+    assert counts == ([1852, 2150] if rebuild else [31, 31])
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
@@ -748,11 +804,10 @@ def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
 
 def test_holdings_match_per_actor_scan(monkeypatch):
     """The one-pass holdings equal the per-actor scan on every order's final
-    chain, read from the world's record, with two actors on one key and one
-    holding nothing.  ``observe`` runs once per distinct chain an order ends
-    on: a rejected intent leaves the chain it found, even when its rebuild
-    took fresh positions, so most orders end on a chain an earlier order
-    was observed on."""
+    chain, replayed by ``oracles.eutxo_fold``, with two actors on one key and
+    one holding nothing.  ``observe`` runs once per distinct state an order
+    ends on: a rejected intent leaves the chain it found, so most orders end
+    on a state an earlier order was observed on."""
     import itertools
 
     from ledgersim import harness
@@ -760,9 +815,9 @@ def test_holdings_match_per_actor_scan(monkeypatch):
     real = harness.EutxoWorld.observe
     states = []
 
-    def observed(world, chain):
-        states.append(chain)
-        return real(world, chain)
+    def observed(world, state):
+        states.append(state)
+        return real(world, state)
 
     monkeypatch.setattr(harness.EutxoWorld, "observe", observed)
     seen = []
@@ -775,17 +830,18 @@ def test_holdings_match_per_actor_scan(monkeypatch):
             before = len(states)
             for order in itertools.permutations(range(6)):
                 holdings = run_schedule(world, scenario.intents, order).holdings
-                chain, _ = world._last_run.steps[-1][1]
-                finals.setdefault((seed, rebuild), []).append(chain)
+                state = oracles.eutxo_fold(world, scenario.intents, order)[3]
+                finals.setdefault((seed, rebuild), set()).add(state)
                 paid = {name: dict(facts)["ada_paid"] for name, facts in holdings}
-                assert holdings == oracles.eutxo_holdings(world, chain, paid)
+                assert holdings == oracles.eutxo_holdings(world, state[0], paid)
                 seen.append(dict(holdings))
             calls[seed, rebuild] = len(states) - before
-            assert not world._last_run.turns and not world._last_run.states  # the account ledger's tables only
+            assert set(states[before:]) == finals[seed, rebuild]
+            assert len(world._last_run.turns) < sum(math.perm(6, k) for k in range(1, 7))
     assert len(seen) == 3 * 2 * 720
-    assert len({id(chain) for chain in states}) == len(states)  # no chain is observed twice
-    assert calls == {run: len({id(chain) for chain in chains}) for run, chains in finals.items()}
-    assert calls == {(0, False): 10, (0, True): 696, (3, False): 6, (3, True): 720, (6, False): 10, (6, True): 704}
+    assert len(set(states)) == len(states)  # no state is observed twice
+    assert calls == {run: len(ends) for run, ends in finals.items()}
+    assert calls == {(0, False): 5, (0, True): 296, (3, False): 6, (3, True): 304, (6, False): 5, (6, True): 396}
     assert all(facts["idle"] == (("ada_paid", 0),) for facts in seen)
     # b3 holds b2's tokens, on some chains from two buys of fewer than 300
     assert any(dict(facts["b3"]).get("1:1", 0) >= 300 for facts in seen)
@@ -805,7 +861,7 @@ def test_observe_that_raises_leaves_nothing_behind(monkeypatch, rebuild):
 
     def flaky(world, state):
         calls.append(state)
-        if len(calls) == 4:
+        if len(calls) == 2:
             raise RuntimeError("observe failed")
         return real(world, state)
 
@@ -861,7 +917,7 @@ def test_digests_match_naive_oracles():
             world = build_world(scenario)
             for order in itertools.permutations(range(6)):
                 outcome = run_schedule(world, scenario.intents, order)
-                chain, _ = world._last_run.steps[-1][1]
+                chain, _ = oracles.eutxo_fold(world, scenario.intents, order)[3]
                 assert outcome.digest == oracles.eutxo_digest(chain)
         scenario = _random_account_race(seed)
         world = build_world(scenario)
@@ -884,4 +940,22 @@ def test_account_orders_match_a_plain_fold():
         for order in orders:
             outcome = run_schedule(world, scenario.intents, order)
             statuses, holdings, state, _ = oracles.account_fold(world, scenario.intents, order)
+            assert (outcome.statuses, outcome.holdings, outcome.state) == (statuses, holdings, state)
+
+
+@pytest.mark.parametrize("rebuild", [False, True])
+def test_eutxo_orders_match_a_plain_fold(rebuild):
+    """Statuses, holdings and state of every order of the seeded UTxO races
+    equal ``oracles.eutxo_fold``, which attaches the built intents one after
+    another from the world's chain, with orders run in and out of
+    lexicographic sequence on one world."""
+    import itertools
+
+    orders = list(itertools.permutations(range(6))) + _orders_out_of_sequence()
+    for seed in range(3):
+        scenario = dataclasses.replace(_random_eutxo_race(seed), rebuild=rebuild)
+        world = build_world(scenario)
+        for order in orders:
+            outcome = run_schedule(world, scenario.intents, order)
+            statuses, holdings, state, _ = oracles.eutxo_fold(world, scenario.intents, order)
             assert (outcome.statuses, outcome.holdings, outcome.state) == (statuses, holdings, state)
