@@ -15,11 +15,13 @@ naturals), so lines parse without separators.  The parse is one streaming pass
 that builds each transaction when its block ends, so an error of the
 transaction itself, such as an input position given twice, is reported at its
 TX line.  Either every transaction carries a SLOT or none does, and slots
-never decrease.  Within one parse, equal validator words and equal value
-words on OUT lines yield one shared ValidatorRef and one shared Value; the
-two tables live only as long as the call, so memory stays bounded by the
-input.  Printing is canonical (inputs and outputs sorted by position), and
-parse/print round-trips are identities on canonical text.
+never decrease.  Naturals, in chains and scenarios alike, are ASCII digits
+only: no sign, no underscore and no other script's digits.  Within one parse,
+equal validator words and equal value words on OUT lines yield one shared
+ValidatorRef and one shared Value; the two tables live only as long as the
+call, so memory stays bounded by the input.  Printing is canonical (inputs
+and outputs sorted by position), and parse/print round-trips are identities
+on canonical text.
 
 Scenario files describe one race or schedule experiment; see parse_scenario.
 """
@@ -46,8 +48,8 @@ def _fail(lineno: int | None, message: str):
 
 def _nat(token: str, lineno: int | None, what: str) -> int:
     try:
-        n = int(token)
-    except ValueError:
+        n = int(token) if token.isascii() and token.isdigit() else -1
+    except ValueError:  # more digits than int() reads
         n = -1
     if n < 0:
         _fail(lineno, f"{what} must be a natural number, got {token!r}")
@@ -343,8 +345,8 @@ def parse_schedule(tokens: list[str], lineno: int | None = None) -> tuple:
         return ("sample", count, _nat(tokens[2][1:], lineno, "seed"))
     if len(tokens) == 1:
         try:
-            return ("explicit", tuple(int(piece) for piece in tokens[0].split(",")))
-        except ValueError:
+            return ("explicit", tuple(_nat(piece, lineno, "index") for piece in tokens[0].split(",")))
+        except ParseError:
             _fail(lineno, f"bad explicit schedule {tokens[0]!r}")
     _fail(lineno, "schedule must be 'all', 'sample <n> @<seed>' or '<i,j,...>'")
 

@@ -21,14 +21,13 @@ starts from), ``execute`` (one intent's turn, a pure step from a state) and
 a final state).  A state is ``(chain, next free position)`` on the UTxO
 ledger and the ``AccountChain`` on the account ledger; on both, an intent's
 turn depends on the state it starts from and nothing else.  So each world
-keeps one record of its last run (``_LastRun``) with one rule for both
-ledgers: each distinct (state, intent) turn is executed once per run, each
-distinct state is kept as one object with one observation cell, and
-``observe`` runs once per distinct state an order ends on.  An order also
-keeps the steps it shares with the last order, so it looks up only the turns
-after its shared prefix.  The digest hashes the paper's observation of the
-final state: the unspent outputs in position order, or the contracts'
-balances and states.  What an order adds is its own: each actor's ada paid.
+keeps one record of its last run (``_LastRun``), a graph with one node per
+distinct state and one edge per (state, intent) turn taken.  Every order
+walks the graph from the start node; a turn is executed once per run, on the
+first order that takes it, and ``observe`` runs once per distinct state an
+order ends on.  The digest hashes the paper's observation of the final
+state: the unspent outputs in position order, or the contracts' balances
+and states.  What an order adds is its own: each actor's ada paid.
 """
 
 from __future__ import annotations
@@ -101,22 +100,28 @@ def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
     raise KeyError(f"unknown actor {actor!r}")
 
 
+class _Node:
+    """One state a run reached: the one object kept for it, its
+    ``_observation`` (None until an order ends here), and ``turns``, which
+    maps each intent index already taken from here to (the next node,
+    (status, reason), ada paid)."""
+
+    __slots__ = ("state", "observation", "turns")
+
+    def __init__(self, state) -> None:
+        self.state, self.observation, self.turns = state, None, {}
+
+
 @dataclass(eq=False)
 class _LastRun:
     """The last run against one world: its intent tuple; on the UTxO ledger
-    its submit phase, each intent's built entry or refusal; and its tables.
-    ``states`` maps each state reached to its node: (the one object kept for
-    the state, its observation cell), a one-item list holding None until an
-    order ends on the state and then ``_observation`` of it.  ``turns`` maps
-    (state, intent index) to (the next state's node, (status, reason), ada
-    paid).  ``start`` is the first state's node, and ``steps`` holds the
-    last order's ``(index, turn)`` pairs."""
+    its submit phase, each intent's built entry or refusal; and its state
+    graph: ``start``, the node of the state the run starts from, and
+    ``states``, which maps each state reached to its node."""
 
     intents: tuple[Intent, ...]
     built: tuple = ()
-    start: tuple = ()
-    steps: list[tuple] = field(default_factory=list)
-    turns: dict = field(default_factory=dict)
+    start: _Node | None = None
     states: dict = field(default_factory=dict)
 
 
@@ -322,12 +327,11 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     recorded in the outcome, never raised.
 
     The world's ``_LastRun`` is made anew, running the world's ``submit``,
-    for another intent tuple.  The steps ``order`` shares with the last
-    order run are kept; each later turn is looked up in the run's turn table
-    and executed by the world's ``execute`` only when no earlier order took
-    it.  The final state is observed only when no earlier order ended there.
-    A run that raises part-way leaves the steps before the failing one, and
-    an ``observe`` that raises leaves the final state unobserved.
+    for another intent tuple.  The order walks the run's graph from the start
+    node: a turn no earlier order took is executed by the world's ``execute``
+    and becomes an edge to the node of the state it reached, found or made
+    through ``states``.  The final state is observed only when no earlier
+    order ended there.  A turn or an ``observe`` that raises leaves no entry.
     """
     order, intents = tuple(order), tuple(intents)
     if sorted(order) != list(range(len(intents))):
@@ -336,33 +340,22 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     if run is None or run.intents != intents:
         run = _LastRun(intents)
         start = world.submit(run)
-        run.start = run.states[start] = (start, [None])
+        run.start = run.states[start] = _Node(start)
         object.__setattr__(world, "_last_run", run)
-    steps = run.steps
-    shared = 0
-    for step, index in zip(steps, order):
-        if step[0] != index:
-            break
-        shared += 1
-    del steps[shared:]
-    node = steps[-1][1][0] if steps else run.start
-    for index in order[shared:]:
-        turn = run.turns.get((node[0], index))
-        if turn is None:
-            after, status, ada = world.execute(run, node[0], index)
-            turn = run.turns[node[0], index] = (run.states.setdefault(after, (after, [None])), status, ada)
-        steps.append((index, turn))
-        node = turn[0]
-    state, cell = node
-    if cell[0] is None:
-        cell[0] = _observation(world, state)
-    facts, observed, digest = cell[0]
+    node = run.start
     statuses = [("", "")] * len(intents)
     paid: dict[str, int] = {}
-    for index, (_, status, ada) in steps:
-        statuses[index] = status
+    for index in order:
+        turn = node.turns.get(index)
+        if turn is None:
+            after, status, ada = world.execute(run, node.state, index)
+            turn = node.turns[index] = (run.states.setdefault(after, _Node(after)), status, ada)
+        node, statuses[index], ada = turn
         actor = intents[index].actor
         paid[actor] = paid.get(actor, 0) + ada
+    if node.observation is None:
+        node.observation = _observation(world, node.state)
+    facts, observed, digest = node.observation
     holdings = tuple([(name, before + (("ada_paid", paid.get(name, 0)),) + after) for name, before, after in facts])
     return Outcome(order, tuple(statuses), holdings, observed, digest)
 

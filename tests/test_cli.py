@@ -59,8 +59,19 @@ def test_validate_slots_out_of_order_exits_2(capsys, tmp_path):
             "TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 0\nIN 1 0\n",
             "line 3: duplicate input positions within one transaction",
         ),
+        # naturals are ASCII digits only
+        ("TX 0\nOUT 1_0 AcceptAll 0\n", "line 2: position must be a natural number, got '1_0'"),
+        ("TX 0 SLOT \u0663\nOUT 1 AcceptAll +0\n", "line 1: slot must be a natural number, got '\u0663'"),
     ],
-    ids=["second-slot", "second-range", "duplicate-input-mid-file", "identical-output-lines", "identical-input-lines"],
+    ids=[
+        "second-slot",
+        "second-range",
+        "duplicate-input-mid-file",
+        "identical-output-lines",
+        "identical-input-lines",
+        "underscore-position",
+        "arabic-indic-slot",
+    ],
 )
 def test_validate_refused_chain_exits_2(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.chain"
@@ -320,7 +331,9 @@ def test_scenario_schedule_override(capsys, corpus_dir):
     assert len(payload["outcomes"]) == 1
 
 
-@pytest.mark.parametrize("clause", ["sample -1 @5", "sample 2 @-1", "1,,0", "sample 0 @1"])
+@pytest.mark.parametrize(
+    "clause", ["sample -1 @5", "sample 2 @-1", "1,,0", "sample 0 @1", "+1,-0", "0_0,1", "sample \u0663 @1"]
+)
 def test_scenario_bad_schedule_flag_exits_2(capsys, corpus_dir, clause):
     code, out, err = run_cli(capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"), "--schedule", clause)
     assert code == 2

@@ -90,6 +90,14 @@ def test_parse_chain_slot_monotonicity():
             "line 3: duplicate output positions within one transaction",
         ),
         ("TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 0\nIN 1 0\n", "line 3: duplicate input positions within one transaction"),
+        # naturals are ASCII digits: no underscore, no sign, no other script's digits
+        ("TX 0\nOUT 1_0 AcceptAll 0\n", "line 2: position must be a natural number, got '1_0'"),
+        ("TX 0\nOUT 1 AcceptAll +0\n", "line 2: datum must be a natural number, got '+0'"),
+        ("TX 0\nOUT 1 AcceptAll 0 1:1=\u0663\n", "line 2: quantity must be a natural number, got '\u0663'"),
+        ("TX 0 SLOT \u0663\n", "line 1: slot must be a natural number, got '\u0663'"),
+        ("TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 -0\n", "line 4: redeemer must be a natural number, got '-0'"),
+        # more digits than int() reads are refused, not read
+        ("TX 0 SLOT " + "9" * 5000 + "\n", "line 1: slot must be a natural number, got '" + "9" * 5000 + "'"),
     ],
     ids=[
         "second-slot",
@@ -97,6 +105,12 @@ def test_parse_chain_slot_monotonicity():
         "duplicate-input-at-its-tx-line",
         "identical-output-lines",
         "identical-input-lines",
+        "underscore-position",
+        "signed-datum",
+        "arabic-indic-quantity",
+        "arabic-indic-slot",
+        "signed-redeemer",
+        "over-long-slot",
     ],
 )
 def test_parse_chain_error_messages(text, message):
@@ -242,6 +256,21 @@ def test_scenario_parse_errors():
     for text in cases:
         with pytest.raises(formats.ParseError):
             formats.parse_scenario(text)
+    # naturals are ASCII digits: no underscore, no sign, no other script's digits
+    head = EUTXO_HEAD + "INTENT buyer buy n=1\nINTENT buyer buy n=2\n"
+    every = head + "SCHEDULE all\n"
+    pinned = [
+        (every.replace("SUPPLY 1000", "SUPPLY 1_000"), "line 3: supply must be a natural number, got '1_000'"),
+        (every.replace("PRICE 1", "PRICE +1"), "line 4: price must be a natural number, got '+1'"),
+        (every.replace("buyer 7", "buyer \u0667"), "line 5: key id must be a natural number, got '\u0667'"),
+        (head + "SCHEDULE +1,-0\n", "line 8: bad explicit schedule '+1,-0'"),
+        (head + "SCHEDULE 1,\u0660\n", "line 8: bad explicit schedule '1,\u0660'"),
+        (head + "SCHEDULE sample 1_0 @1\n", "line 8: sample count must be a natural number, got '1_0'"),
+    ]
+    for text, message in pinned:
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_scenario(text)
+        assert str(err.value) == message
 
 
 EUTXO_HEAD = "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"

@@ -652,17 +652,19 @@ def test_account_orders_share_their_prefixes(monkeypatch):
     """All 720 orders of a 6-intent account race on one world make one call
     per distinct (contract state, intent) turn, counted by replaying every
     order from the world's chain: fewer than one per distinct order prefix,
-    the sum over k of 6!/(6-k)!, let alone 720 x 6."""
+    the sum over k of 6!/(6-k)!, let alone 720 x 6.  The run's graph holds
+    one node per distinct state any prefix reaches, the start state too."""
     import itertools
 
     from ledgersim import harness
 
     scenario = _random_account_race(0)
     world = build_world(scenario)
-    turns = set()
+    turns, states = set(), set()
     for order in itertools.permutations(range(6)):
-        for depth, index in enumerate(order):
-            turns.add((oracles.account_fold(world, scenario.intents, order[:depth])[3], index))
+        chains = [oracles.account_fold(world, scenario.intents, order[:depth])[3] for depth in range(7)]
+        states.update(chains)
+        turns.update(zip(chains, order))
 
     calls = 0
     real = harness.call
@@ -677,6 +679,7 @@ def test_account_orders_share_their_prefixes(monkeypatch):
         run_schedule(world, scenario.intents, order)
     assert calls == len(turns) == 268
     assert calls < sum(math.perm(6, k) for k in range(1, 7)) == 1956
+    assert len(world._last_run.states) == len(states) == 104
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
@@ -796,7 +799,8 @@ def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
     monkeypatch.setattr(harness, "call", flaky)
     with pytest.raises(RuntimeError):
         run_schedule(world, scenario.intents, (0, 1, 2, 3, 4, 5))
-    assert len(world._last_run.turns) == 3  # the call that raised left no turn
+    edges = sum(len(node.turns) for node in world._last_run.states.values())
+    assert edges == 3  # the call that raised left no turn
     for order in [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)] + _orders_out_of_sequence()[:50]:
         fresh = run_schedule(build_world(scenario), scenario.intents, order)
         assert run_schedule(world, scenario.intents, order) == fresh
@@ -837,7 +841,8 @@ def test_holdings_match_per_actor_scan(monkeypatch):
                 seen.append(dict(holdings))
             calls[seed, rebuild] = len(states) - before
             assert set(states[before:]) == finals[seed, rebuild]
-            assert len(world._last_run.turns) < sum(math.perm(6, k) for k in range(1, 7))
+            edges = sum(len(node.turns) for node in world._last_run.states.values())
+            assert edges < sum(math.perm(6, k) for k in range(1, 7))
     assert len(seen) == 3 * 2 * 720
     assert len(set(states)) == len(states)  # no state is observed twice
     assert calls == {run: len(ends) for run, ends in finals.items()}
