@@ -157,10 +157,15 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.cases < 1:
-        print(f"error: --cases must be at least 1, got {args.cases}", file=sys.stderr)
+    try:  # naturals are spelled as in the file formats
+        cases, seed = formats._nat(args.cases, None, "--cases"), formats._nat(args.seed, None, "--seed")
+    except formats.ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = fuzz_theorem(args.theorem, args.seed, args.cases)
+    if cases < 1:
+        print(f"error: --cases must be at least 1, got {cases}", file=sys.stderr)
+        return 2
+    report = fuzz_theorem(args.theorem, seed, cases)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -225,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="fuzz one of the equivalence statements")
     p.add_argument("--theorem", choices=THEOREMS, required=True)
-    p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cases", default="1000")
+    p.add_argument("--seed", default="0")
     add_format(p)
     p.set_defaults(func=cmd_fuzz)
 

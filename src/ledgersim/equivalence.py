@@ -15,7 +15,7 @@ transaction at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .ledger import Chain, InvalidChainError, schedule_extension, utxo, validate_chain
 from .model import Input, Output, Position, Transaction, positions_of
@@ -88,33 +88,40 @@ def _require_valid(chain: Chain) -> None:
         raise InvalidChainError(report.describe())
 
 
+def _least_free(positions: Iterable[Position], taken: Container[Position]) -> list[tuple[Position, Position]]:
+    """The one fresh-name rule: each position, in order, paired with the
+    least natural that is not in ``taken`` and not handed to an earlier
+    one."""
+    pairs = []
+    candidate = 0
+    for p in positions:
+        while candidate in taken:
+            candidate += 1
+        pairs.append((p, candidate))
+        candidate += 1
+    return pairs
+
+
 def canonical_renaming(chain: Chain) -> PositionRenaming:
     """The renaming taking a valid chain to its canonical form.
 
     Spent pairs are ordered by (producer index, output payload, spender index,
     redeemer) -- a key that never looks at the position being renamed, so all
-    alpha-variants order their edges identically -- and then assigned the
-    successive naturals that avoid the unspent positions.  Edges tied on the
-    whole key are interchangeable, so the assignment is well defined on
-    alpha-classes.
+    alpha-variants order their edges identically -- and then named by the
+    fresh-name rule, avoiding the unspent positions; pairs already at their
+    name are left out.  Edges tied on the whole key are interchangeable, so
+    the assignment is well defined on alpha-classes.
     """
     _require_valid(chain)
-    unspent = frozenset(out.position for out in utxo(chain))
+    unspent = chain.index().unspent.keys()
 
     def edge_key(edge: tuple[int, Output, int, Input]) -> tuple:
         out_index, out, in_index, inp = edge
         return (out_index, out.validator.sort_key(), out.datum, out.value.entries, in_index, inp.redeemer)
 
     edges = sorted(spent_edges(chain), key=edge_key)
-    mapping: list[tuple[Position, Position]] = []
-    candidate = 0
-    for _, out, _, _ in edges:
-        while candidate in unspent:
-            candidate += 1
-        if out.position != candidate:
-            mapping.append((out.position, candidate))
-        candidate += 1
-    return PositionRenaming(tuple(mapping), unspent)
+    named = _least_free((out.position for _, out, _, _ in edges), unspent)
+    return PositionRenaming(tuple((p, q) for p, q in named if p != q), unspent)
 
 
 def canonicalize(chain: Chain) -> Chain:
@@ -168,27 +175,17 @@ def alpha_equiv(a: Chain, b: Chain) -> bool:
 def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:
     """Alpha-convert ``chain`` so its spent positions avoid ``avoid``.
 
-    Each clashing spent pair is renamed to the least natural not occurring in
-    the chain, in ``avoid``, or already assigned; deterministic.  Unspent
-    positions are never touched (a clash there cannot be repaired by
-    alpha-conversion).
+    The clashing spent pairs, in order of (producer index, position), are
+    named by the fresh-name rule, avoiding ``avoid`` and every position the
+    chain mentions; deterministic.  Unspent positions are never touched (a
+    clash there cannot be repaired by alpha-conversion).
     """
     _require_valid(chain)
     avoid = set(avoid)
-    unspent = {out.position for out in utxo(chain)}
-    occupied = set(avoid)
-    for tx in chain.transactions:
-        occupied |= positions_of(tx)
-    mapping: list[tuple[Position, Position]] = []
-    candidate = 0
-    for out_index, out, _, _ in sorted(spent_edges(chain), key=lambda e: (e[0], e[1].position)):
-        if out.position not in avoid:
-            continue
-        while candidate in occupied:
-            candidate += 1
-        mapping.append((out.position, candidate))
-        occupied.add(candidate)
-    return rename_positions(chain, PositionRenaming(tuple(mapping), frozenset(unspent)))
+    index = chain.index()
+    clashes = sorted(index.spent & avoid, key=lambda p: (index.producer[p], p))
+    named = _least_free(clashes, avoid | index.output.keys())
+    return rename_positions(chain, PositionRenaming(tuple(named), index.unspent.keys()))
 
 
 @dataclass(frozen=True)

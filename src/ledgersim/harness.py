@@ -145,8 +145,10 @@ class EutxoWorld:
     def submit(self, run: _LastRun) -> tuple:
         """The submit phase: every intent built against the world's
         snapshot.  The run starts from the snapshot and the next free
-        position after the builds."""
-        alloc = PositionAllocator.above(p for tx in self.chain.transactions for p in positions_of(tx))
+        position after the builds; the builds take positions from one past
+        the largest the snapshot mentions."""
+        index = self.chain.index()
+        alloc = PositionAllocator(max(index.output.keys() | index.spent, default=-1) + 1)
         run.built = tuple(_build_eutxo_intent(self, intent, self.chain, alloc) for intent in run.intents)
         return self.chain, alloc.peek()
 
@@ -693,10 +695,8 @@ def _judge_lemma21(instance: dict):
     # parts 3 and 4: a name-clash between tx and the variant's spent pairs is
     # repaired by alpha-converting the variant, after which validity and
     # equivalence transfer
-    clash_candidates = sorted(
-        {out.position for _, out, _, _ in spent_edges(variant)}
-        - {p for t in base.transactions for p in positions_of(t)}
-    )
+    base_index = base.index()
+    clash_candidates = sorted(variant.index().spent - base_index.output.keys() - base_index.spent)
     if clash_candidates and tx.outputs:
         victim = sorted(tx.outputs, key=lambda o: o.position)[0]
         clash = Output(clash_candidates[0], victim.validator, victim.datum, victim.value)

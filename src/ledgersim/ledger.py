@@ -12,19 +12,22 @@ valid once one transaction put in front of it supplies an output any spend
 unlocks at every position its inputs name and none of its transactions
 outputs.  Failures are reported, not thrown; see :class:`ValidationReport`.
 
-Every query that asks what sits at a position, and whether it is spent, reads
-one :class:`LedgerIndex`.  Invariant: a chain's index summarizes exactly that
-chain's transactions, in order.  A ``Chain`` builds its index on the first
-query that needs it, in O(n) for n transactions, and keeps it.  A successful
-:func:`append` updates the parent's index in place, in O(|inputs| +
-|outputs|), and hands it to the child; the parent, whose transactions the
-index no longer summarizes, builds a fresh one if it is queried again, and so
-does any chain made another way (``prefix``, parsing, renaming).  Building the
-child still copies the transaction tuple, and on a slotted chain re-checks the
-slots.  ``utxo``, ``classify`` and the policy, portal, generator and
-equivalence modules read the cached index; ``validate_chain`` grows a fresh
-one as it walks, since it checks each transaction against the prefix before
-it, and leaves the result on the chain for the queries that follow.
+Every query that asks what sits at a position, whether it is spent, or which
+positions a sequence mentions reads one :class:`LedgerIndex`: its ``output``
+keys are the positions some output names, its ``spent`` set the positions
+some input names, and ``output.keys() | spent`` the positions mentioned.
+Invariant: a chain's index summarizes exactly that chain's transactions, in
+order.  A ``Chain`` builds its index on the first query that needs it, in
+O(n) for n transactions, and keeps it.  A successful :func:`append` updates
+the parent's index in place, in O(|inputs| + |outputs|), and hands it to the
+child; the parent, whose transactions the index no longer summarizes, builds
+a fresh one if it is queried again, and so does any chain made another way
+(``prefix``, parsing, renaming).  Building the child still copies the
+transaction tuple, and on a slotted chain re-checks the slots.  ``utxo``,
+``classify``, the scheduler's submit phase and the policy, portal, generator
+and equivalence modules read the cached index; ``validate_chain`` grows a
+fresh one as it walks, since it checks each transaction against the prefix
+before it, and leaves the result on the chain for the queries that follow.
 
 The index also keeps the unspent outputs by currency symbol, for the symbols
 some query has asked for (``LedgerIndex.carriers``): the portal lookup and
@@ -93,9 +96,10 @@ class LedgerIndex:
     is spent, for any sequence, valid or not.
 
     For each position: the first transaction with an output there
-    (``producer``) and that output (``output``), and the first transaction
-    with an input there (``spender``).  ``unspent`` holds the outputs no later
-    input names, by position; ``shadowed`` holds more of them at a position
+    (``producer``) and that output (``output``); ``spent`` holds every
+    position some input names.  So the positions the sequence mentions are
+    ``output.keys() | spent``.  ``unspent`` holds the outputs no later input
+    names, by position; ``shadowed`` holds more of them at a position
     already in ``unspent``, empty on a valid chain.  ``size`` counts the
     transactions summarized and ``last_slot`` is the last slot among them.
     ``by_symbol`` maps each currency symbol asked for by ``carriers`` to the
@@ -106,14 +110,14 @@ class LedgerIndex:
     the symbol are exactly what ``unspent_outputs()`` yields that carry it.
     """
 
-    __slots__ = ("size", "last_slot", "producer", "output", "spender", "unspent", "shadowed", "by_symbol")
+    __slots__ = ("size", "last_slot", "producer", "output", "spent", "unspent", "shadowed", "by_symbol")
 
     def __init__(self) -> None:
         self.size = 0
         self.last_slot: int | None = None
         self.producer: dict[Position, int] = {}
         self.output: dict[Position, Output] = {}
-        self.spender: dict[Position, int] = {}
+        self.spent: set[Position] = set()
         self.unspent: dict[Position, Output] = {}
         self.shadowed: dict[Position, list[Output]] = {}
         self.by_symbol: dict[int, dict[Position, Output]] = {}
@@ -132,7 +136,7 @@ class LedgerIndex:
         per-symbol table built so far takes the change."""
         at = self.size
         for inp in tx.inputs:
-            self.spender.setdefault(inp.position, at)
+            self.spent.add(inp.position)
             self.unspent.pop(inp.position, None)
             if self.shadowed:
                 self.shadowed.pop(inp.position, None)
@@ -183,9 +187,6 @@ class LedgerIndex:
         if not self.shadowed:
             return iter(table.values())
         return itertools.chain(table.values(), filter(holds, itertools.chain.from_iterable(self.shadowed.values())))
-
-    def utxo(self) -> frozenset[Output]:
-        return frozenset(self.unspent_outputs())
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, po
                 Violation(at, DANGLING_OR_FORWARD, f"input at {inp.position} resolves to no earlier output")
             )
             continue
-        if inp.position in index.spender:
+        if inp.position in index.spent:
             violations.append(Violation(at, DANGLING_OR_FORWARD, f"output at {inp.position} is already spent"))
             continue
         if not run_validator(out.validator, inp.redeemer, out.datum, out.value, context_at(tx, inp)):
@@ -332,7 +333,7 @@ def utxo(chain: Chain) -> frozenset[Output]:
 
     Defined for every chain, valid or not.
     """
-    return chain.index().utxo()
+    return frozenset(chain.index().unspent_outputs())
 
 
 BLOCKCHAIN = "blockchain"
@@ -352,7 +353,7 @@ def classify(chain: Chain) -> str:
     if validate_chain(chain).valid:
         return BLOCKCHAIN
     index = chain.index()
-    dangling = index.spender.keys() - index.output.keys()
+    dangling = index.spent - index.output.keys()
     supplier = Transaction(frozenset(), frozenset(Output(p, ACCEPT_ALL) for p in dangling))
     slots = None if chain.slots is None else (0,) + chain.slots
     return CHUNK if validate_chain(Chain((supplier,) + chain.transactions, slots)).valid else NEITHER

@@ -224,23 +224,16 @@ def positions_of(tx: Transaction) -> frozenset[Position]:
 
 
 class PositionAllocator:
-    """Monotone counter handing out fresh positions.
+    """Monotone counter handing out fresh positions from ``start`` on.
 
     Positions are opaque names; tests and scenario runners own one allocator
     and thread it through every transaction builder so positions never clash.
+    To continue a chain, start one past the largest position its
+    ``LedgerIndex`` says it mentions.
     """
 
     def __init__(self, start: int = 0) -> None:
         self._next = start
-
-    @classmethod
-    def above(cls, positions: Iterable[int]) -> PositionAllocator:
-        """An allocator starting past every position in ``positions``."""
-        top = -1
-        for p in positions:
-            if p > top:
-                top = p
-        return cls(top + 1)
 
     def fresh(self) -> Position:
         p = self._next

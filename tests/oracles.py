@@ -3,11 +3,11 @@
 Each one walks the transaction sequence from scratch on every call, the way
 the package answered these queries before ``LedgerIndex``: the from-scratch
 chain-state check behind validation and append, the reverse-scan ``utxo``
-and its per-symbol filter ``symbol_carriers``, the scanning
-``first_output``, the two-pass ``classify``, the producer-map
-``spent_edges`` and the policy check built on them.  ``test_ledger_index.py``
-compares the indexed versions against these on random sequences, valid or
-not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
+and its per-symbol filter ``symbol_carriers``, the walk ``positions`` of
+the positions spent and mentioned, the scanning ``first_output``, the
+two-pass ``classify``, the producer-map ``spent_edges`` and the policy check
+built on them.  ``test_ledger_index.py`` compares the indexed versions
+against these on random sequences, valid or not.  ``eutxo_holdings`` is the scheduler's per-actor scan of the unspent
 set, which ``test_harness.py`` compares with its one-pass grouping;
 ``eutxo_digest`` and ``account_digest`` are the scheduler's digests of a
 final state; ``account_fold`` runs an account order by folding
@@ -150,6 +150,16 @@ def unspent_scan(txs):
 
 def utxo(txs):
     return frozenset(unspent_scan(txs))
+
+
+def positions(txs):
+    """The positions some input names, and every position any transaction
+    mentions, in one walk of a sequence, valid or not."""
+    spent, mentioned = set(), set()
+    for tx in txs:
+        spent |= {inp.position for inp in tx.inputs}
+        mentioned |= positions_of(tx)
+    return spent, mentioned
 
 
 def first_output(txs, position):
@@ -345,7 +355,7 @@ def eutxo_fold(world, intents, order):
     built again against that chain when its transaction does not attach.
     The statuses by intent, each actor's holdings, the state pairs and the
     final (chain, next free position), as ``run_schedule`` reports them."""
-    alloc = PositionAllocator.above(p for tx in world.chain.transactions for p in positions_of(tx))
+    alloc = PositionAllocator(max(positions(world.chain.transactions)[1], default=-1) + 1)
     built = [_build_eutxo_intent(world, intent, world.chain, alloc) for intent in intents]
     chain, next_position = world.chain, alloc.peek()
     statuses, paid = [None] * len(intents), {}

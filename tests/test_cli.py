@@ -505,6 +505,20 @@ def test_fuzz_nonpositive_cases_exits_2(capsys, cases):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--cases", "1_000"), ("--cases", "+1"), ("--cases", "\u0663"), ("--seed", "+1_0"), ("--seed", "-4")]
+)
+def test_fuzz_reads_naturals_as_the_file_formats_do(capsys, flag, value):
+    """``--cases`` and ``--seed`` take ASCII digits only: underscores, signs
+    and other scripts' digits exit 2 before any case runs."""
+    argv = ["fuzz", "--theorem", "lemma15_1", "--cases", "3", "--seed", "1"]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be a natural number, got {value!r}\n"
+
+
 def test_fuzz_reruns_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "fuzz", "--theorem", "theorem17", "--cases", "60", "--seed", "9")
     _, out2, _ = run_cli(capsys, "fuzz", "--theorem", "theorem17", "--cases", "60", "--seed", "9")

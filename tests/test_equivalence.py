@@ -1,5 +1,6 @@
 """Observational equivalence, apartness, canonical renaming, the reorder check."""
 
+import hashlib
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from ledgersim.equivalence import (
     rename_positions,
     spent_edges,
 )
+from ledgersim.formats import chain_to_text
 from ledgersim.gen import ChainGen, spendable
 from ledgersim.ledger import Chain, InvalidChainError, LedgerIndex, append, utxo, validate_chain
 from ledgersim.model import ADA, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of, singleton
@@ -296,6 +298,33 @@ def test_freshen_spent_clashes(chain_b):
     assert alpha_equiv(chain_b, fresh)
     for tx in fresh.transactions:
         assert not (positions_of(tx) & clash)
+
+
+# sha256 of the canonical renaming's pairs and the freshened chain's text
+# of 300 chains: 75 draws each unslotted and slotted, as drawn and sparse.
+RENAMING_PIN = "748afa45bd85127f0b34f10a4f115734d93b5ba9a210c1701595f4f31cdf789b"
+
+
+def test_fresh_names_pinned():
+    """The names both renamings hand out, not only their verdicts, are fixed
+    across versions.  Each generated chain is read as drawn, with positions
+    0..n-1, and relabelled into sparse positions; ``avoid`` is some of its
+    spent positions plus a few it does not use."""
+    digest = hashlib.sha256()
+    for setting, slotted in enumerate((False, True)):
+        rng = random.Random(60 + setting)
+        for _ in range(75):
+            chain, alloc = ChainGen(rng, slotted=slotted).chain()
+            used = range(alloc.peek())
+            sparse = rename_positions(chain, dict(zip(used, rng.sample(range(3 * len(used) + 3), len(used)))))
+            for drawn in (chain, sparse):
+                spent = sorted({out.position for _, out, _, _ in spent_edges(drawn)})
+                outputs = {out.position for tx in drawn for out in tx.outputs}
+                unused = [p for p in rng.sample(range(4 * len(used) + 4), 3) if p not in outputs]
+                avoid = rng.sample(spent, rng.randrange(len(spent) + 1)) + unused
+                digest.update(repr(canonical_renaming(drawn).mapping).encode())
+                digest.update(chain_to_text(freshen_spent_clashes(drawn, avoid)).encode())
+    assert digest.hexdigest() == RENAMING_PIN
 
 
 def test_check_commute_apart_pair(chain_b_prime, figure_txs):

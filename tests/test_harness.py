@@ -296,6 +296,24 @@ def test_rebuild_off_by_default_matches_plain_run():
     assert run_schedule(unflagged, scenario.intents, (1, 0)) == plain
 
 
+def test_submit_takes_positions_past_every_one_the_snapshot_mentions():
+    """On a world whose chain has an input naming a position no output
+    names, the submit phase hands out positions past that input too, as
+    ``oracles.eutxo_fold`` does."""
+    from ledgersim.harness import EutxoWorld
+    from ledgersim.model import Input, Transaction
+
+    scenario = bundled_race_scenario("eutxo")
+    world = build_world(scenario)
+    dangling = Transaction(frozenset({Input(40, 0)}), frozenset())
+    chunk = EutxoWorld(Chain(world.chain.transactions + (dangling,)), world.cfg, world.policies, world.actors)
+    outcome = run_schedule(chunk, scenario.intents, (0, 1))
+    statuses, _, _, (chain, _) = oracles.eutxo_fold(chunk, scenario.intents, (0, 1))
+    assert outcome.statuses == statuses and statuses[0] == ("accepted", "")
+    assert outcome.digest == oracles.eutxo_digest(chain)
+    assert min(out.position for tx in chain.transactions[2:] for out in tx.outputs) == 41
+
+
 @pytest.mark.parametrize("rebuild", [False, True])
 def test_duplicated_state_chip_is_recorded_not_raised(corpus_dir, rebuild):
     """With no policy on the state chip a mint duplicates it.  Every order

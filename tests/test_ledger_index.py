@@ -115,6 +115,9 @@ def assert_index_queries_match(chain):
     oracles; none of them replaces the index."""
     txs = chain.transactions
     assert utxo(chain) == oracles.utxo(txs)
+    index, (spent, mentioned) = chain.index(), oracles.positions(txs)
+    assert index.spent == spent
+    assert index.output.keys() | index.spent == mentioned
     for symbol in (0, 1, 2, 5):
         assert circulating(chain.index(), symbol) == oracles.circulating(txs, symbol)
     assert outcome(find_portal, chain, PORTAL) == outcome(oracle_find_portal, txs, PORTAL)

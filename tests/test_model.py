@@ -141,10 +141,12 @@ def test_slot_range():
 
 
 def test_position_allocator():
-    alloc = PositionAllocator.above([3, 9, 1])
+    alloc = PositionAllocator(10)
+    assert alloc.peek() == 10
     assert alloc.fresh() == 10
     assert alloc.fresh() == 11
-    assert PositionAllocator.above([]).fresh() == 0
+    assert alloc.peek() == 12
+    assert PositionAllocator().fresh() == 0
 
 
 def test_value_types_are_slotted():
