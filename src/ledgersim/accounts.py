@@ -36,14 +36,6 @@ FUNCTIONS = {
 PAYABLE = frozenset({FN_BUY, FN_BUY_GUARDED})
 
 
-class UnknownContract(Exception):
-    pass
-
-
-class UnknownFunction(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ContractState:
     """Token-sale contract state: issuer, current price, token balances."""
@@ -129,7 +121,7 @@ class AccountChain:
         for n, acct in self.contracts:
             if n == name:
                 return acct
-        raise UnknownContract(f"no contract named {name}")
+        raise KeyError(f"no contract named {name}")
 
     def has(self, name: int) -> bool:
         return any(n == name for n, _ in self.contracts)
@@ -201,15 +193,15 @@ def changing_buy_guarded(acct: ContractAccount, sender: KeyId, value: int, expec
 def call(chain: AccountChain, tx: CallTx) -> tuple[AccountChain, CallResult]:
     """Apply one call to the chain.
 
-    A guard failure returns the very chain it was given; unknown contracts
-    or functions raise, and so does a call with the wrong number of
-    arguments (ValueError).  Attached value is consumed only by the
-    ``PAYABLE`` functions; the others ignore it.
+    A guard failure returns the very chain it was given.  An unknown
+    contract raises KeyError; an unknown function or a wrong argument count
+    raises ValueError.  Attached value is consumed only by the ``PAYABLE``
+    functions; the others ignore it.
     """
     acct = chain.get(tx.contract)
     names = FUNCTIONS.get(tx.function)
     if names is None:
-        raise UnknownFunction(f"contract has no function {tx.function!r}")
+        raise ValueError(f"contract has no function {tx.function!r}")
     if len(tx.args) != len(names):
         raise ValueError(f"{tx.function} takes ({', '.join(names)})")
     if tx.function == FN_BUY:

@@ -9,13 +9,14 @@ Exit codes: 0 success / equivalent / expected finding, 1 semantic negative
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import formats
-from .equivalence import alpha_mismatch, canonicalize, obs_equiv
+from .equivalence import _mismatch, canonical_renaming, obs_equiv, rename_positions
 from .harness import STATEMENTS, THEOREMS, bundled_race_scenario, fuzz_theorem, run_scenario
-from .ledger import classify, utxo, validate_chain
+from .ledger import Chain, InvalidChainError, classify, utxo, validate_chain
 
 
 def _read(path: str) -> str:
@@ -87,10 +88,12 @@ def cmd_classify(args) -> int:
 def cmd_equiv(args) -> int:
     left = _load_chain(args.chain_a)
     right = _load_chain(args.chain_b)
+    renamings = []  # each chain is validated once, by its canonical renaming
     for path, chain in ((args.chain_a, left), (args.chain_b, right)):
-        report = validate_chain(chain)
-        if not report.valid:
-            print(f"error: {path} is not a valid chain: {report.describe()}", file=sys.stderr)
+        try:
+            renamings.append(canonical_renaming(chain))
+        except InvalidChainError as exc:
+            print(f"error: {path} is not a valid chain: {exc}", file=sys.stderr)
             return 2
     if args.mode == "obs":
         equivalent = obs_equiv(left, right)
@@ -114,7 +117,7 @@ def cmd_equiv(args) -> int:
         for out in only_right:
             print("> " + formats.output_to_text(out))
         return 1
-    mismatch_index = alpha_mismatch(left, right)
+    mismatch_index = _mismatch(left, right, *renamings)
     equivalent = mismatch_index is None
     if args.format == "json":
         payload = {"mode": "alpha", "equivalent": equivalent, "first_mismatch": mismatch_index}
@@ -126,16 +129,17 @@ def cmd_equiv(args) -> int:
     print("not alpha-equivalent")
     print(f"first canonical mismatch at transaction {mismatch_index}:")
     at = slice(mismatch_index, mismatch_index + 1)
-    for mark, chain in (("<", canonicalize(left)), (">", canonicalize(right))):
+    for mark, chain, renaming in (("<", left, renamings[0]), (">", right, renamings[1])):
         slots = None if chain.slots is None else chain.slots[at]
-        text = formats.transactions_to_text(chain.transactions[at], slots, mismatch_index)
+        part = rename_positions(Chain(chain.transactions[at], slots), renaming)  # the canonical form's slice
+        text = formats.transactions_to_text(part.transactions, part.slots, mismatch_index)
         print(f"{mark} " + (text.strip() or "(missing)").replace("\n", f"\n{mark} "))
     return 1
 
 
 def cmd_scenario(args) -> int:
     try:
-        override = [formats.parse_schedule(raw.split()) for raw in args.schedule or ()] or None
+        schedules = tuple(formats.parse_schedule(raw.split()) for raw in args.schedule or ())
     except formats.ParseError as exc:
         print(f"error: --schedule: {exc}", file=sys.stderr)
         return 2
@@ -144,8 +148,9 @@ def cmd_scenario(args) -> int:
     except formats.ParseError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 2
+    scenario = dataclasses.replace(scenario, schedules=schedules or scenario.schedules)  # flags replace the file's
     try:
-        report = run_scenario(scenario, override)
+        report = run_scenario(scenario)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

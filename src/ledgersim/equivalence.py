@@ -153,8 +153,12 @@ def alpha_mismatch(a: Chain, b: Chain) -> int | None:
     ``canonicalize`` would give at a fraction of the allocation.  Raises
     InvalidChainError when either chain is invalid.
     """
-    table_a = canonical_renaming(a).as_dict()
-    table_b = canonical_renaming(b).as_dict()
+    return _mismatch(a, b, canonical_renaming(a), canonical_renaming(b))
+
+
+def _mismatch(a: Chain, b: Chain, renaming_a: PositionRenaming, renaming_b: PositionRenaming) -> int | None:
+    """``alpha_mismatch``, given the two chains' canonical renamings."""
+    table_a, table_b = renaming_a.as_dict(), renaming_b.as_dict()
     slots_a, slots_b = a.slots, b.slots
     for index, (tx_a, tx_b) in enumerate(zip(a.transactions, b.transactions)):
         slot_a = None if slots_a is None else slots_a[index]

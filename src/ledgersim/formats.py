@@ -481,9 +481,8 @@ def scenario_to_text(scenario) -> str:
         lines.append(f"DEPLOYER {scenario.deployer}")
     lines.append(f"SUPPLY {scenario.supply}")
     lines.append(f"PRICE {scenario.price}")
-    if scenario.ledger == "eutxo" and scenario.policies is not None:
-        for policy in scenario.policies.policies:
-            lines.append(f"POLICY {policy.symbol} {policy.rule}")
+    for policy in scenario.policies.policies:
+        lines.append(f"POLICY {policy.symbol} {policy.rule}")
     if scenario.rebuild:
         lines.append("REBUILD")
     for name, key in scenario.actors:

@@ -733,9 +733,9 @@ THEOREMS = tuple(STATEMENTS)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario file: initial ledger configuration, actors, the
-    intent list, which schedules to run, and whether a stale UTxO intent is
-    rebuilt at its turn."""
+    """Everything a run reads: the initial ledger configuration and policy
+    table (empty for no policy), actors, the intent list, which schedules
+    to run, and whether a stale UTxO intent is rebuilt at its turn."""
 
     ledger: str
     actors: tuple[tuple[str, int], ...]
@@ -744,7 +744,7 @@ class Scenario:
     supply: int
     price: int
     cfg: TokenConfig | None = None
-    policies: PolicyTable | None = None
+    policies: PolicyTable = PolicyTable()
     contract: int = 1
     deployer: str = ""
     rebuild: bool = False
@@ -755,13 +755,12 @@ def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
     if scenario.ledger == EUTXO:
         if scenario.cfg is None:
             raise ValueError("eutxo scenario needs a token config")
-        policies = scenario.policies or PolicyTable()
         alloc = PositionAllocator()
         genesis = init_portal(scenario.cfg, scenario.supply, scenario.price, alloc)
-        chain = append(Chain(), genesis, None, policies)
+        chain = append(Chain(), genesis, None, scenario.policies)
         if isinstance(chain, ValidationReport):
             raise ValueError(f"portal initialization rejected: {chain.describe()}")
-        return EutxoWorld(chain, scenario.cfg, policies, scenario.actors, scenario.rebuild)
+        return EutxoWorld(chain, scenario.cfg, scenario.policies, scenario.actors, scenario.rebuild)
     if scenario.ledger == ACCOUNT:
         deployer = _key_of(scenario.actors, scenario.deployer)
         chain = deploy_changing(AccountChain(), scenario.contract, deployer, scenario.supply, scenario.price)
@@ -774,14 +773,13 @@ def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
 MAX_ORDERS = math.factorial(8)
 
 
-def expand_schedules(scenario: Scenario, override: Sequence[tuple] | None = None) -> list[tuple[int, ...]]:
-    """Concrete permutations for every schedule clause; a ValueError, before
-    any is built, when the clauses ask for more than ``MAX_ORDERS`` or an
-    explicit clause is not a permutation of the intent indices."""
+def expand_schedules(scenario: Scenario) -> list[tuple[int, ...]]:
+    """Concrete permutations for every clause of ``scenario.schedules``; a
+    ValueError, before any is built, for an explicit clause that is not a
+    permutation, or for clauses asking for more than ``MAX_ORDERS`` in all."""
     count = len(scenario.intents)
-    clauses = override if override is not None else scenario.schedules
     asked = 0
-    for clause in clauses:
+    for clause in scenario.schedules:
         if clause[0] == "explicit" and sorted(clause[1]) != list(range(count)):
             raise ValueError(f"order {tuple(clause[1])} is not a permutation of 0..{count - 1}")
         if clause[0] == "all":
@@ -794,7 +792,7 @@ def expand_schedules(scenario: Scenario, override: Sequence[tuple] | None = None
             "run fewer with 'sample <n> @<seed>'"
         )
     orders: list[tuple[int, ...]] = []
-    for clause in clauses:
+    for clause in scenario.schedules:
         if clause[0] == "all":
             orders.extend(itertools.permutations(range(count)))
         elif clause[0] == "sample":
@@ -858,10 +856,12 @@ class ScenarioReport:
         }
 
 
-def run_scenario(scenario: Scenario, override: Sequence[tuple] | None = None) -> ScenarioReport:
-    """Run every schedule of the scenario against a fresh world."""
+def run_scenario(scenario: Scenario) -> ScenarioReport:
+    """Run every schedule of the scenario against a fresh world.  An unknown
+    actor, intent kind or function, or a bad schedule, raises KeyError or
+    ValueError."""
     world = build_world(scenario)
-    orders = expand_schedules(scenario, override)
+    orders = expand_schedules(scenario)
     outcomes = tuple(run_schedule(world, scenario.intents, order) for order in orders)
     return ScenarioReport(scenario.ledger, outcomes)
 

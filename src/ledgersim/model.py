@@ -212,9 +212,7 @@ class Context:
 
 def context_at(tx: Transaction, focus: Input) -> Context:
     """The context obtained by pointing ``tx`` at ``focus``; focus must be an
-    input of tx."""
-    if focus not in tx.inputs:
-        raise ValueError(f"input {focus} is not an input of the transaction")
+    input of tx (``Context`` raises ValueError otherwise)."""
     return Context(tx.inputs, focus, tx.outputs)
 
 

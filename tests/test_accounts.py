@@ -8,8 +8,6 @@ import pytest
 from ledgersim.accounts import (
     AccountChain,
     CallTx,
-    UnknownContract,
-    UnknownFunction,
     call,
     deploy_changing,
 )
@@ -43,10 +41,11 @@ def test_deploy_empty_economy():
 
 
 def test_unknown_contract_and_function():
+    """Both are errors every caller already catches."""
     chain = fresh()
-    with pytest.raises(UnknownContract):
+    with pytest.raises(KeyError, match="no contract named 9"):
         call(chain, CallTx(9, "buy", 2, 1))
-    with pytest.raises(UnknownFunction):
+    with pytest.raises(ValueError, match="contract has no function 'withdraw'"):
         call(chain, CallTx(1, "withdraw", 2, 1))
 
 

@@ -170,6 +170,27 @@ def test_equiv_invalid_input_exits_2(capsys, corpus_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("other, expected", [("figure-3-B.chain", 0), ("figure-6-Bprime.chain", 1)])
+def test_equiv_alpha_validates_each_chain_once(capsys, corpus_dir, monkeypatch, fmt, other, expected):
+    """One validate_chain call per chain, whether the pair matches or the
+    mismatch is printed."""
+    from ledgersim import cli, equivalence, ledger
+
+    original, validated = ledger.validate_chain, []
+
+    def counted(chain, policies=None):
+        validated.append(chain)
+        return original(chain, policies)
+
+    for module in (cli, equivalence, ledger):
+        monkeypatch.setattr(module, "validate_chain", counted)
+    a, b = str(corpus_dir / "figure-3-B.chain"), str(corpus_dir / other)
+    code, _, _ = run_cli(capsys, "equiv", a, b, "--mode", "alpha", "--format", fmt)
+    assert code == expected
+    assert len(validated) == 2 and validated[0] is not validated[1]
+
+
 def test_equiv_json_output(capsys, corpus_dir):
     code, out, _ = run_cli(
         capsys,
@@ -329,6 +350,19 @@ def test_scenario_schedule_override(capsys, corpus_dir):
     payload = json.loads(out)
     assert payload["outcomes"][0]["order"] == [1, 0]
     assert len(payload["outcomes"]) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_scenario_schedule_flag_replaces_every_file_clause(capsys, corpus_dir, fmt):
+    """race_four.scenario has two SCHEDULE lines; one --schedule flag runs
+    its one order instead of both."""
+    path = str(corpus_dir / "race_four.scenario")
+    code, out, _ = run_cli(capsys, "scenario", path, "--schedule", "3,2,1,0", "--format", fmt)
+    assert code == 0
+    if fmt == "text":
+        assert out.splitlines()[1] == "SCHEDULES 1"
+    else:
+        assert [o["order"] for o in json.loads(out)["outcomes"]] == [[3, 2, 1, 0]]
 
 
 @pytest.mark.parametrize(

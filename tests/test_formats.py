@@ -7,7 +7,7 @@ import pytest
 
 from ledgersim import formats
 from ledgersim.gen import ChainGen
-from ledgersim.harness import RACE_SCENARIOS, Intent, bundled_race_scenario
+from ledgersim.harness import EUTXO, RACE_SCENARIOS, Intent, Scenario, bundled_race_scenario
 from ledgersim.ledger import classify, validate_chain
 from ledgersim.policy import PolicyTable
 
@@ -221,6 +221,15 @@ def test_scenario_round_trip_bundled():
         text = formats.scenario_to_text(scenario)
         assert formats.parse_scenario(text) == scenario
         assert formats.scenario_to_text(formats.parse_scenario(text)) == text
+
+
+def test_scenario_with_default_policies_round_trips():
+    """An eutxo scenario built with no policy table holds the empty one,
+    which is what a file with no POLICY line parses to."""
+    race = bundled_race_scenario("eutxo")
+    scenario = Scenario(EUTXO, race.actors, race.intents, race.schedules, race.supply, race.price, cfg=race.cfg)
+    assert scenario.policies == PolicyTable()
+    assert formats.parse_scenario(formats.scenario_to_text(scenario)) == scenario
 
 
 def test_corpus_scenarios_round_trip(corpus_dir):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from ledgersim.harness import (
+    MAX_ORDERS,
     Intent,
     Outcome,
     bundled_race_scenario,
@@ -113,46 +114,62 @@ def test_empty_intents():
 def test_expand_schedules_all_small():
     race = bundled_race_scenario("eutxo")
     for intents, orders in ((2, [(0, 1), (1, 0)]), (1, [(0,)]), (0, [()])):
-        scenario = dataclasses.replace(race, intents=race.intents[:intents])
-        assert expand_schedules(scenario, [("all",)]) == orders
+        scenario = dataclasses.replace(race, intents=race.intents[:intents], schedules=(("all",),))
+        assert expand_schedules(scenario) == orders
 
 
 def test_expand_schedules_sampled():
     race = bundled_race_scenario("eutxo")
-    scenario = dataclasses.replace(race, intents=race.intents * 2 + race.intents[:1])
-    sampled = expand_schedules(scenario, [("sample", 10, 42)])
+    five = dataclasses.replace(race, intents=race.intents * 2 + race.intents[:1])
+    sampled = expand_schedules(dataclasses.replace(five, schedules=(("sample", 10, 42),)))
     assert len(sampled) == 10
     assert all(sorted(order) == [0, 1, 2, 3, 4] for order in sampled)
-    assert sampled == expand_schedules(scenario, [("sample", 10, 42)])
-    assert sampled != expand_schedules(scenario, [("sample", 10, 43)])
+    assert sampled == expand_schedules(dataclasses.replace(five, schedules=(("sample", 10, 42),)))
+    assert sampled != expand_schedules(dataclasses.replace(five, schedules=(("sample", 10, 43),)))
     assert math.factorial(5) > 10  # fewer samples than orders
 
 
 def test_expand_schedules_explicit_and_sample():
-    scenario = bundled_race_scenario("eutxo")
-    orders = expand_schedules(scenario, [("explicit", (1, 0)), ("sample", 3, 5)])
+    race = bundled_race_scenario("eutxo")
+    orders = expand_schedules(dataclasses.replace(race, schedules=(("explicit", (1, 0)), ("sample", 3, 5))))
     assert orders[0] == (1, 0) and len(orders) == 4
 
 
 def test_expand_schedules_bounds_the_orders_asked_for():
     """Up to MAX_ORDERS orders over all clauses are built; one more is
     refused."""
-    from ledgersim.harness import MAX_ORDERS
-
     race = bundled_race_scenario("eutxo")
     eight = dataclasses.replace(race, intents=race.intents * 4)
     nine = dataclasses.replace(race, intents=race.intents * 4 + race.intents[:1])
     assert MAX_ORDERS == math.factorial(8)
-    assert len(expand_schedules(eight, [("all",)])) == MAX_ORDERS
-    assert len(expand_schedules(race, [("sample", MAX_ORDERS, 1)])) == MAX_ORDERS
+    assert len(expand_schedules(dataclasses.replace(eight, schedules=(("all",),)))) == MAX_ORDERS
+    assert len(expand_schedules(dataclasses.replace(race, schedules=(("sample", MAX_ORDERS, 1),)))) == MAX_ORDERS
     for scenario, clauses in (
-        (nine, [("all",)]),
-        (race, [("sample", MAX_ORDERS + 1, 1)]),
-        (eight, [("all",), ("explicit", tuple(range(8)))]),
-        (race, [("sample", MAX_ORDERS, 1), ("all",)]),
+        (nine, (("all",),)),
+        (race, (("sample", MAX_ORDERS + 1, 1),)),
+        (eight, (("all",), ("explicit", tuple(range(8))))),
+        (race, (("sample", MAX_ORDERS, 1), ("all",))),
     ):
         with pytest.raises(ValueError, match="more than 40320 orders"):
-            expand_schedules(scenario, clauses)
+            expand_schedules(dataclasses.replace(scenario, schedules=clauses))
+
+
+def test_expand_schedules_checks_permutations_before_the_bound():
+    """A bad explicit clause is reported even after clauses that ask for
+    too many orders."""
+    race = bundled_race_scenario("eutxo")
+    scenario = dataclasses.replace(race, schedules=(("sample", MAX_ORDERS + 1, 1), ("explicit", (1, 1))))
+    with pytest.raises(ValueError, match=r"order \(1, 1\) is not a permutation of 0..1"):
+        expand_schedules(scenario)
+
+
+def test_unknown_function_in_a_built_scenario_raises_value_error():
+    """A scenario built in code skips the parser's function check; the run
+    still fails with an error its callers catch."""
+    account = bundled_race_scenario("account")
+    bogus = dataclasses.replace(account, intents=(Intent.of("buyer", "call", function="bogus", value=1),))
+    with pytest.raises(ValueError, match="contract has no function 'bogus'"):
+        run_scenario(bogus)
 
 
 def test_run_scenario_distinct_outcomes():
