@@ -314,14 +314,35 @@ def _parse_kv(tokens: Iterable[str], lineno: int) -> dict[str, int]:
     return {key: _nat(val, lineno, key) for key, val in _split_kv(tokens, lineno).items()}
 
 
-def _check_keys(name: str, given: dict, required: set[str], optional: set[str], lineno: int) -> None:
-    """Refuse missing keys, then keys neither required nor optional."""
+def _keys_problem(name: str, given: dict, required: set[str], optional: set[str]) -> str | None:
+    """Missing keys, else keys neither required nor optional, else None."""
     missing = required - set(given)
     if missing:
-        _fail(lineno, f"{name} missing {sorted(missing)}")
+        return f"{name} missing {sorted(missing)}"
     unknown = set(given) - required - optional
     if unknown:
-        _fail(lineno, f"{name} unknown {sorted(unknown)}")
+        return f"{name} unknown {sorted(unknown)}"
+    return None
+
+
+def _intent_problem(key: str | tuple[str, str], params: dict) -> str | None:
+    """What breaks the INTENTS row at ``key`` (a kind, or ``("call",
+    function)``) for an intent with these ``params`` (a call's function
+    left out), or None: a missing or unknown parameter, a value that is no
+    natural number, or a sizing parameter below 1.  The parser reports it
+    with the line number and ``harness.build_world`` as a ValueError, so an
+    intent built in code meets the row a parsed one does."""
+    required, optional, size = INTENTS[key]
+    name = key[1] if isinstance(key, tuple) else key
+    problem = _keys_problem(name, params, required, optional)
+    if problem is not None:
+        return problem
+    for param, value in sorted(params.items()):
+        if type(value) is not int or value < 0:
+            return f"{param} must be a natural number, got {value!r}"
+    if size and params[size] < 1:
+        return f"{name} {size} must be at least 1, got {params[size]}"
+    return None
 
 
 def _parse_chip_token(token: str, lineno: int) -> Chip:
@@ -363,7 +384,9 @@ def _single_value(keyword: str, args: list[str], lineno: int):
         return True
     if keyword == "CONFIG":
         kv = _split_kv(args, lineno)
-        _check_keys("CONFIG", kv, CONFIG_KEYS, set(), lineno)
+        problem = _keys_problem("CONFIG", kv, CONFIG_KEYS, set())
+        if problem is not None:
+            _fail(lineno, problem)
         issuer = _nat(kv["issuer"], lineno, "issuer")
         traded, state = _parse_chip_token(kv["traded"], lineno), _parse_chip_token(kv["state"], lineno)
         try:
@@ -382,21 +405,19 @@ def _parse_intent(args: list[str], lineno: int) -> tuple[str, str, dict]:
     if len(args) < 2:
         _fail(lineno, "INTENT takes an actor and a kind")
     actor, kind, words = args[0], args[1], args[2:]
-    key = name = kind
-    fixed = {}
+    function = None
     if kind == "call":
         if not words:
             _fail(lineno, "call intent needs a function name")
-        name, words = words[0], words[1:]
-        key, fixed = (kind, name), {"function": name}
+        function, words = words[0], words[1:]
+    key = kind if function is None else (kind, function)
     if key not in INTENTS:
-        _fail(lineno, f"unknown function {name!r}" if fixed else f"unknown intent kind {kind!r}")
-    required, optional, size = INTENTS[key]
+        _fail(lineno, f"unknown intent kind {kind!r}" if function is None else f"unknown function {function!r}")
     params = _parse_kv(words, lineno)
-    _check_keys(name, params, required, optional, lineno)
-    if size and params[size] < 1:
-        _fail(lineno, f"{name} {size} must be at least 1, got {params[size]}")
-    return actor, kind, {**fixed, **params}
+    problem = _intent_problem(key, params)
+    if problem is not None:
+        _fail(lineno, problem)
+    return actor, kind, params if function is None else {"function": function, **params}
 
 
 def parse_scenario(text: str):

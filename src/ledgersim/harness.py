@@ -751,7 +751,15 @@ class Scenario:
 
 
 def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
-    """Set up the initial ledger a scenario runs against."""
+    """Set up the initial ledger a scenario runs against.  An intent that
+    breaks its ``formats.INTENTS`` row raises ValueError, as parsing it
+    would; an unknown kind or function raises when its turn runs."""
+    for at, intent in enumerate(scenario.intents):
+        params = dict(intent.params)
+        key = (intent.kind, params.pop("function", None)) if intent.kind == "call" else intent.kind
+        problem = formats._intent_problem(key, params) if key in formats.INTENTS else None
+        if problem is not None:
+            raise ValueError(f"intent {at}: {problem}")
     if scenario.ledger == EUTXO:
         if scenario.cfg is None:
             raise ValueError("eutxo scenario needs a token config")
@@ -858,7 +866,8 @@ class ScenarioReport:
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Run every schedule of the scenario against a fresh world.  An unknown
-    actor, intent kind or function, or a bad schedule, raises KeyError or
+    actor, intent kind or function, an intent that breaks its
+    ``formats.INTENTS`` row, or a bad schedule, raises KeyError or
     ValueError."""
     world = build_world(scenario)
     orders = expand_schedules(scenario)

@@ -22,8 +22,11 @@ O(n) for n transactions, and keeps it.  A successful :func:`append` updates
 the parent's index in place, in O(|inputs| + |outputs|), and hands it to the
 child; the parent, whose transactions the index no longer summarizes, builds
 a fresh one if it is queried again, and so does any chain made another way
-(``prefix``, parsing, renaming).  Building the child still copies the
-transaction tuple, and on a slotted chain re-checks the slots.  ``utxo``,
+(``prefix``, parsing, renaming).  The child also shares its parent's
+transaction log (and slot log) when the parent is the log's tip, so a tip
+append pushes one entry and checks only the new slot; only a fork, an append
+to a parent that already has a child or was built by ``Chain(...)``, copies
+the parent's n entries into a new log.  ``utxo``,
 ``classify``, the scheduler's submit phase and the policy, portal, generator
 and equivalence modules read the cached index; ``validate_chain`` grows a
 fresh one as it walks, since it checks each transaction against the prefix
@@ -189,58 +192,101 @@ class LedgerIndex:
         return itertools.chain(table.values(), filter(holds, itertools.chain.from_iterable(self.shadowed.values())))
 
 
-@dataclass(frozen=True)
 class Chain:
     """An ordered sequence of transactions, optionally with one slot per
     transaction (monotone nondecreasing).  A chain may be invalid: validity
-    is what ``validate_chain`` judges, not what the type promises."""
+    is what ``validate_chain`` judges, not what the type promises.
 
-    transactions: tuple[Transaction, ...] = ()
-    slots: tuple[int, ...] | None = None
+    A chain is the first ``len(chain)`` entries of a log of transactions,
+    and of a parallel log of slots when it is slotted.  The constructor keeps
+    the tuple it is given as the log.  ``append`` pushes onto the parent's
+    log when the parent is the log's tip, that is, when the log holds nothing
+    past it, so a linear history shares one list.  It copies the parent's
+    entries into a new list only on a fork: when the parent already has a
+    child, or its log is a constructor's tuple.  ``prefix`` shares the log
+    too.  No entry a chain holds ever changes, since a push only extends the
+    log past every chain that shares it.  ``transactions`` and ``slots`` are
+    tuples built on first read and kept; equality, hashing and repr are
+    those of ``(transactions, slots)``.
+    """
 
-    # The chain's LedgerIndex once built or handed over by append.  Not a
-    # field, so equality, hashing and repr ignore it.
-    _index = None
+    __slots__ = ("_log", "_slot_log", "_len", "_transactions", "_slots", "_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transactions", tuple(self.transactions))
-        if self.slots is not None:
-            object.__setattr__(self, "slots", tuple(self.slots))
-            if len(self.slots) != len(self.transactions):
+    def __init__(self, transactions: Iterable[Transaction] = (), slots: Iterable[int] | None = None) -> None:
+        log = tuple(transactions)
+        if slots is not None:
+            slots = tuple(slots)
+            if len(slots) != len(log):
                 raise ValueError("slot sequence must match transaction count")
-            if any(b < a for a, b in zip(self.slots, self.slots[1:])):
+            if any(b < a for a, b in zip(slots, slots[1:])):
                 raise ValueError("slots must be monotone nondecreasing")
-            if any(s < 0 for s in self.slots):
+            if any(s < 0 for s in slots):
                 raise ValueError("slots must be naturals")
-            if not self.transactions:
-                object.__setattr__(self, "slots", None)  # empty chains are unslotted
+            if not log:
+                slots = None  # empty chains are unslotted
+        self._log = self._transactions = log
+        self._slot_log = self._slots = slots
+        self._len = len(log)
+        # The chain's LedgerIndex once built or handed over by append.
+        self._index: LedgerIndex | None = None
+
+    @classmethod
+    def _over(cls, log: Sequence[Transaction], slot_log: Sequence[int] | None, length: int) -> Chain:
+        """The chain of the first ``length`` entries of the logs, sharing them."""
+        chain = cls.__new__(cls)
+        chain._log, chain._slot_log, chain._len = log, slot_log, length
+        chain._transactions = chain._slots = chain._index = None
+        return chain
+
+    @property
+    def transactions(self) -> tuple[Transaction, ...]:
+        txs = self._transactions
+        if txs is None:
+            txs = self._transactions = tuple(self._log[: self._len])
+        return txs
+
+    @property
+    def slots(self) -> tuple[int, ...] | None:
+        slots = self._slots
+        if slots is None and self._slot_log is not None:
+            slots = self._slots = tuple(self._slot_log[: self._len])
+        return slots
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return self._len
 
     def __iter__(self) -> Iterator[Transaction]:
-        return iter(self.transactions)
+        return itertools.islice(self._log, self._len)  # not past the chain, though the log grows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._len == other._len and (self.transactions, self.slots) == (other.transactions, other.slots)
+
+    def __hash__(self) -> int:
+        return hash((self.transactions, self.slots))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(transactions={self.transactions!r}, slots={self.slots!r})"
 
     @property
     def slotted(self) -> bool:
-        return self.slots is not None
+        return self._slot_log is not None
 
     def last_slot(self) -> int | None:
-        if self.slots:
-            return self.slots[-1]
-        return None
+        return None if self._slot_log is None else self._slot_log[self._len - 1]
 
     def prefix(self, upto: int) -> Chain:
-        return Chain(self.transactions[:upto], self.slots[:upto] if self.slots is not None else None)
+        length = len(range(self._len)[:upto])  # a tuple slice's length
+        return Chain._over(self._log, self._slot_log, length) if length else Chain()
 
     def index(self) -> LedgerIndex:
         """The index of this chain: the cached one while it still summarizes
         exactly these transactions (append only ever grows it), else a fresh
         O(n) build."""
         index = self._index
-        if index is None or index.size != len(self.transactions):
-            index = LedgerIndex.of(self.transactions, self.slots)
-            object.__setattr__(self, "_index", index)
+        if index is None or index.size != self._len:
+            index = self._index = LedgerIndex.of(self._log[: self._len], self._slot_log)
         return index
 
 
@@ -294,11 +340,12 @@ def validate_chain(chain: Chain, policies=None) -> ValidationReport:
     """
     index = LedgerIndex()
     violations: list[Violation] = []
-    for at, tx in enumerate(chain.transactions):
-        slot = chain.slots[at] if chain.slots is not None else None
+    slots = chain._slot_log
+    for at, tx in enumerate(chain):
+        slot = None if slots is None else slots[at]
         violations.extend(_check_transaction(index, tx, slot, policies))
         index.absorb(tx, slot)
-    object.__setattr__(chain, "_index", index)
+    chain._index = index
     return ValidationReport(tuple(violations))
 
 
@@ -321,10 +368,17 @@ def append(chain: Chain, tx: Transaction, slot: int | None = None, policies=None
     violations = _check_transaction(index, tx, slot, policies)
     if violations:
         return ValidationReport(tuple(violations))
-    slots = None if slot is None else (chain.slots or ()) + (slot,)
-    extended = Chain(chain.transactions + (tx,), slots)
+    length, log, slot_log = len(chain), chain._log, chain._slot_log
+    if type(log) is not list or len(log) != length:  # a fork, or a constructor's tuple: copy
+        log = list(log[:length])
+        if slot is not None:
+            slot_log = list(slot_log[:length]) if length else []
+    log.append(tx)
+    if slot is not None:
+        slot_log.append(slot)
+    extended = Chain._over(log, slot_log, length + 1)
     index.absorb(tx, slot)
-    object.__setattr__(extended, "_index", index)
+    extended._index = index
     return extended
 
 

@@ -172,6 +172,25 @@ def test_unknown_function_in_a_built_scenario_raises_value_error():
         run_scenario(bogus)
 
 
+@pytest.mark.parametrize(
+    "ledger, intent, message",
+    [
+        ("eutxo", Intent.of("buyer", "buy"), "intent 0: buy missing ['n']"),
+        ("eutxo", Intent.of("buyer", "mint", sym=5, tok=1), "intent 0: mint missing ['qty']"),
+        ("account", Intent.of("buyer", "call", function="send"), "intent 0: send missing ['amount', 'to']"),
+        ("eutxo", Intent.of("buyer", "buy", n="5"), "intent 0: n must be a natural number, got '5'"),
+    ],
+)
+def test_built_intent_is_checked_against_its_row(ledger, intent, message):
+    """A scenario built in code meets the INTENTS row a parsed intent does:
+    a missing or non-natural parameter is a ValueError naming the intent,
+    not a TypeError from the run."""
+    scenario = dataclasses.replace(bundled_race_scenario(ledger), intents=(intent,))
+    with pytest.raises(ValueError) as raised:
+        run_scenario(scenario)
+    assert str(raised.value) == message
+
+
 def test_run_scenario_distinct_outcomes():
     report = run_scenario(bundled_race_scenario("eutxo"))
     assert len(report.outcomes) == 2

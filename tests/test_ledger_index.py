@@ -18,6 +18,7 @@ from ledgersim.equivalence import spent_edges
 from ledgersim.gen import ChainGen, spendable
 from ledgersim.ledger import (
     POLICY_VIOLATION,
+    SLOT_OUT_OF_RANGE,
     VALIDATOR_REJECTED,
     Chain,
     LedgerIndex,
@@ -309,6 +310,88 @@ def test_tip_append_builds_the_index_at_most_once(monkeypatch):
     assert len(builds) <= 1
     assert len(absorbed) <= len(chain)
     assert utxo(chain) == oracles.utxo(chain.transactions)
+
+
+def test_fork_trees_match_chains_built_whole():
+    """Chains grown by appending to randomly chosen earlier chains, tips and
+    parents that already have a child alike, slotted and unslotted, with
+    rejected appends mixed in (validator, slot below the tip, policy): every
+    append reports what the from-scratch check does, and every chain reads,
+    once the whole tree is grown, as ``Chain(txs, slots)`` of its own
+    tuples."""
+    rng = random.Random(47)
+    forks = Counter()
+    rejected = Counter()
+    for tree in range(60):
+        slotted = tree % 2 == 1
+        policies = POLICIES if tree % 3 else None
+        txs, slots = random_sequence(rng) if tree % 4 == 0 else ((), None)
+        slots = None if slots is None or not slotted else tuple(slots)
+        nodes = [(Chain(txs, slots), txs, slots)]
+        children = Counter()
+        for _ in range(50):
+            at = rng.randrange(len(nodes))
+            chain, txs, slots = nodes[at]
+            assert len(chain) == len(txs) and chain.last_slot() == (slots[-1] if slots else None)
+            tx = random_tx(rng, txs)
+            slot = None
+            if slotted and (slots or not txs):
+                slot = max(0, (slots[-1] if slots else 0) + rng.randrange(-1, 3))
+            expected = oracles.append_report(txs, slots, tx, slot, policies)
+            result = append(chain, tx, slot, policies)
+            if not expected.valid:
+                assert result == expected
+                rejected[expected.first().condition] += 1
+                continue
+            assert isinstance(result, Chain)
+            forks[children[at] > 0] += 1
+            children[at] += 1
+            nodes.append((result, txs + (tx,), None if slot is None else (slots or ()) + (slot,)))
+        for chain, txs, slots in nodes:
+            whole = Chain(txs, slots)
+            assert chain.transactions == whole.transactions and chain.slots == whole.slots
+            assert len(chain) == len(whole) and chain.slotted == whole.slotted
+            assert chain.last_slot() == whole.last_slot() and list(chain) == list(txs)
+            assert chain == whole and hash(chain) == hash(whole) and repr(chain) == repr(whole)
+            cut = rng.randrange(len(txs) + 1)
+            assert chain.prefix(cut) == Chain(txs[:cut], slots and slots[:cut])
+    assert forks[True] and forks[False]  # both tip appends and forks were drawn
+    assert {VALIDATOR_REJECTED, SLOT_OUT_OF_RANGE, POLICY_VIOLATION} <= rejected.keys()
+
+
+def test_tip_appends_share_the_parents_log():
+    """A tip append leaves its parent's transactions and slots as they were;
+    a second child of the same parent does not change the first; a rejected
+    append pushes nothing onto the shared log, so the parent still takes a
+    tip append after it."""
+    genesis = Transaction(frozenset(), frozenset({Output(0, ACCEPT_ALL), Output(1, REJECT_ALL)}))
+
+    def spend(position, made):
+        return Transaction(frozenset({Input(position, 0)}), frozenset({Output(made, ACCEPT_ALL)}))
+
+    built = (genesis,)
+    base = Chain(built, (0,))
+    assert base.transactions is built  # the constructor's tuple is the log
+    parent = append(base, spend(0, 2), 1)
+    child = append(parent, spend(2, 3), 2)
+    assert isinstance(child, Chain) and child._log is parent._log
+    assert parent.transactions == (genesis, spend(0, 2)) and parent.slots == (0, 1)
+    assert len(parent) == 2 and parent.last_slot() == 1
+    assert base.transactions == (genesis,) and base.slots == (0,)
+
+    second = append(parent, spend(2, 4), 5)  # a fork: parent already has a child
+    assert isinstance(second, Chain) and second._log is not parent._log
+    assert child.transactions == (genesis, spend(0, 2), spend(2, 3)) and child.slots == (0, 1, 2)
+    assert second.transactions == (genesis, spend(0, 2), spend(2, 4)) and second.slots == (0, 1, 5)
+    assert parent.transactions == (genesis, spend(0, 2)) and parent.slots == (0, 1)
+
+    below_tip = append(child, spend(3, 5), 1)
+    locked = append(child, spend(1, 5), 2)
+    assert below_tip.first().condition == SLOT_OUT_OF_RANGE and locked.first().condition == VALIDATOR_REJECTED
+    grandchild = append(child, spend(3, 5), 2)
+    assert isinstance(grandchild, Chain) and grandchild._log is child._log
+    assert len(child._log) == len(grandchild) == 4
+    assert grandchild == Chain(child.transactions + (spend(3, 5),), (0, 1, 2, 2))
 
 
 class ChainHistories(RuleBasedStateMachine):
