@@ -11,6 +11,9 @@ stated; every other judgement derives from it.  A chunk is a sequence that is
 valid once one transaction put in front of it supplies an output any spend
 unlocks at every position its inputs name and none of its transactions
 outputs.  Failures are reported, not thrown; see :class:`ValidationReport`.
+Every spend that resolves goes through ``run_validator``, but the spending
+transaction's context (``context_at``) is built only for the kinds that read
+it (``validators.CONTEXT_READERS``); any other kind is given ``None``.
 
 Every query that asks what sits at a position, whether it is spent, or which
 positions a sequence mentions reads one :class:`LedgerIndex`: its ``output``
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .model import Output, Position, Transaction, context_at
-from .validators import ACCEPT_ALL, run_validator
+from .validators import ACCEPT_ALL, CONTEXT_READERS, run_validator
 
 # Violation condition ids.
 DUPLICATE_POSITION = "duplicate-position"
@@ -310,9 +313,11 @@ def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, po
         if inp.position in index.spent:
             violations.append(Violation(at, DANGLING_OR_FORWARD, f"output at {inp.position} is already spent"))
             continue
-        if not run_validator(out.validator, inp.redeemer, out.datum, out.value, context_at(tx, inp)):
+        validator = out.validator
+        ctx = context_at(tx, inp) if validator.kind in CONTEXT_READERS else None
+        if not run_validator(validator, inp.redeemer, out.datum, out.value, ctx):
             violations.append(
-                Violation(at, VALIDATOR_REJECTED, f"validator {out.validator.kind} rejected input at {inp.position}")
+                Violation(at, VALIDATOR_REJECTED, f"validator {validator.kind} rejected input at {inp.position}")
             )
     if slot is not None:
         if index.last_slot is not None and slot < index.last_slot:

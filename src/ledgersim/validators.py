@@ -5,6 +5,12 @@ stay serializable and chains replayable.  A ``ValidatorRef`` names one of four
 kinds; ``run_validator`` is the total, deterministic interpreter deciding
 whether a spend is accepted.  Signatures are simulated: a pay-to-key validator
 accepts exactly when the redeemer equals the key id.
+
+A validator is a function of its redeemer, its datum, its value and the
+context, the spending transaction seen from one input.  Only the kinds in
+``CONTEXT_READERS`` read the context; the others decide from the first three
+alone, so the ledger builds a context only for a spend of a context reader
+and passes ``None`` otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ KIND_ARITY = {
     PAY_TO_PUBKEY_KIND: 1,
     STATE_MACHINE_KIND: 5,
 }
+
+#: The validator kinds that read the spending context.
+CONTEXT_READERS = frozenset({STATE_MACHINE_KIND})
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,11 +74,13 @@ def pay_to_pubkey(key: KeyId) -> ValidatorRef:
     return ValidatorRef(PAY_TO_PUBKEY_KIND, (key,))
 
 
-def run_validator(ref: ValidatorRef, redeemer: Redeemer, datum: Datum, value: Value, ctx: Context) -> bool:
+def run_validator(ref: ValidatorRef, redeemer: Redeemer, datum: Datum, value: Value, ctx: Context | None) -> bool:
     """Decide whether the referenced validator accepts the spend.
 
     Total and pure: never raises for well-formed arguments, and checking is
     polynomial in the size of the context (no search over redeemers).
+    ``ctx`` may be None only for a kind outside ``CONTEXT_READERS``; a
+    context reader given None raises TypeError.
     """
     if ref.kind == ACCEPT_ALL_KIND:
         return True
@@ -78,6 +89,8 @@ def run_validator(ref: ValidatorRef, redeemer: Redeemer, datum: Datum, value: Va
     if ref.kind == PAY_TO_PUBKEY_KIND:
         return redeemer == ref.params[0]
     if ref.kind == STATE_MACHINE_KIND:
+        if ctx is None:
+            raise TypeError(f"a {ref.kind} validator reads the spending context, got None")
         from .token_portal import TokenConfig, transition_check
 
         try:

@@ -8,7 +8,7 @@ import pytest
 from ledgersim import formats
 from ledgersim.gen import ChainGen
 from ledgersim.harness import EUTXO, RACE_SCENARIOS, Intent, Scenario, bundled_race_scenario
-from ledgersim.ledger import classify, validate_chain
+from ledgersim.ledger import classify, utxo, validate_chain
 from ledgersim.policy import PolicyTable
 
 # What each corpus chain fixture must classify as, by file name.
@@ -203,6 +203,20 @@ def test_corpus_round_trip(corpus_dir):
     for path in sorted(corpus_dir.glob("*.chain")):
         chain = formats.parse_chain(path.read_text())
         assert formats.parse_chain(formats.chain_to_text(chain)) == chain
+
+
+def test_separate_parses_give_equal_utxo_sets(corpus_dir):
+    """Each ``parse_chain`` call makes its own validator and value objects,
+    so two parses of one text share none; their unspent sets, frozensets
+    of outputs, are still equal."""
+    texts = [path.read_text() for path in sorted(corpus_dir.glob("*.chain"))]
+    texts += [formats.chain_to_text(ChainGen(random.Random(seed)).chain(length=40)[0]) for seed in range(5)]
+    for text in texts:
+        first, second = formats.parse_chain(text), formats.parse_chain(text)
+        ones, others = utxo(first), utxo(second)
+        assert ones == others
+        values = {id(out.value) for out in ones if out.value}
+        assert values.isdisjoint(id(out.value) for out in others)
 
 
 def test_scenario_round_trip_bundled():

@@ -29,10 +29,38 @@ from ledgersim.ledger import (
     utxo,
     validate_chain,
 )
-from ledgersim.model import ADA, Chip, Input, Output, PositionAllocator, SlotRange, Transaction, Value, singleton
+from ledgersim.model import (
+    ADA,
+    Chip,
+    Input,
+    Output,
+    PositionAllocator,
+    SlotRange,
+    Transaction,
+    Value,
+    context_at,
+    singleton,
+)
 from ledgersim.policy import AFFINE_ONCE, FORBID_FORGE, PolicyTable, circulating, forged
-from ledgersim.token_portal import NoPortalError, TokenConfig, find_portal
-from ledgersim.validators import ACCEPT_ALL, REJECT_ALL, pay_to_pubkey
+from ledgersim.token_portal import (
+    InsufficientSupply,
+    NoPortalError,
+    TokenConfig,
+    build_buy_tx,
+    build_set_price_tx,
+    decode_action,
+    encode_set_price,
+    find_portal,
+    init_portal,
+)
+from ledgersim.validators import (
+    ACCEPT_ALL,
+    PAY_TO_PUBKEY_KIND,
+    REJECT_ALL,
+    STATE_MACHINE_KIND,
+    ValidatorRef,
+    pay_to_pubkey,
+)
 
 POSITIONS = 16
 CHIPS = (ADA, Chip(1, 1), Chip(2, 1), Chip(5, 1))
@@ -66,10 +94,10 @@ def random_tx(rng, txs):
     )
 
 
-def random_sequence(rng):
+def random_sequence(rng, draw=random_tx):
     txs = []
     for _ in range(rng.randrange(10)):
-        txs.append(random_tx(rng, txs))
+        txs.append(draw(rng, txs))
     slots = None
     if txs and rng.random() < 0.3:
         slots, slot = [], 0
@@ -77,6 +105,67 @@ def random_sequence(rng):
             slot += rng.randrange(2)
             slots.append(slot)
     return tuple(txs), slots
+
+
+def portal_output(rng, position):
+    """An output the portal's validator locks: mostly a portal, the state
+    chip plus some supply at some price; sometimes one without the state
+    chip, or one whose parameters name no portal."""
+    roll = rng.random()
+    validator = PORTAL.validator() if roll < 0.9 else ValidatorRef(STATE_MACHINE_KIND, (1, 1, 1, 1, 1))
+    chips = {PORTAL.traded_chip: 1 + rng.randrange(6)}
+    if roll < 0.8:
+        chips[PORTAL.state_chip] = 1
+    return Output(position, validator, rng.randrange(4), Value.of(chips))
+
+
+def tamper(rng, tx):
+    """A portal transaction changed in one place: another redeemer or
+    signing key, one output fewer, another datum, one more ada, or a second
+    output carrying the state chip."""
+    inputs, outputs = tx.sorted_inputs(), tx.sorted_outputs()
+    roll = rng.randrange(6)
+    if roll == 0:
+        inputs = [Input(inp.position, rng.randrange(12)) for inp in inputs]
+    elif roll == 1:
+        inputs = [Input(inp.position, encode_set_price(rng.randrange(5), 2)) for inp in inputs]
+    elif roll == 2:
+        outputs.pop(rng.randrange(len(outputs)))
+    elif roll in (3, 4):
+        at = rng.randrange(len(outputs))
+        out = outputs[at]
+        datum, value = (out.datum + 1, out.value) if roll == 3 else (out.datum, out.value + singleton(ADA, 1))
+        outputs[at] = Output(out.position, out.validator, datum, value)
+    else:
+        outputs.append(Output(outputs[-1].position + 1, ACCEPT_ALL, 0, singleton(PORTAL.state_chip, 1)))
+    return Transaction(frozenset(inputs), frozenset(outputs))
+
+
+def portal_tx(rng, txs):
+    """A transaction on top of ``txs`` that mostly spends a portal: a buy or
+    a price change from the off-chain builders, often tampered with, or a
+    spend of any output the portal's validator locks with any redeemer.
+    Otherwise a new portal-locked output (always when no portal is left),
+    or ``random_tx``'s kind.  Positions are mostly fresh."""
+    fresh = max(oracles.positions(txs)[1], default=-1) + 1
+    alloc = PositionAllocator(fresh if rng.random() < 0.9 else rng.randrange(POSITIONS))
+    roll = rng.random()
+    if roll < 0.1 or not oracles.find_carriers(txs, PORTAL.state_chip):
+        return Transaction(frozenset(), frozenset({portal_output(rng, alloc.fresh())}))
+    if roll < 0.2:
+        return random_tx(rng, txs)
+    locked = sorted(out.position for out in oracles.utxo(txs) if out.validator.kind == STATE_MACHINE_KIND)
+    if roll < 0.3 and locked:
+        outputs = frozenset(portal_output(rng, alloc.fresh()) for _ in range(rng.randrange(3)))
+        return Transaction(frozenset({Input(rng.choice(locked), rng.randrange(12))}), outputs)
+    try:
+        if rng.random() < 0.55:
+            tx = build_buy_tx(Chain(txs), PORTAL, rng.choice((7, 8)), 1 + rng.randrange(3), alloc)
+        else:
+            tx = build_set_price_tx(Chain(txs), PORTAL, rng.randrange(5), alloc)
+    except (NoPortalError, MalformedChainError, InsufficientSupply):
+        return random_tx(rng, txs)
+    return tamper(rng, tx) if rng.random() < 0.35 else tx
 
 
 def outcome(fn, *args):
@@ -392,6 +481,92 @@ def test_tip_appends_share_the_parents_log():
     assert isinstance(grandchild, Chain) and grandchild._log is child._log
     assert len(child._log) == len(grandchild) == 4
     assert grandchild == Chain(child.transactions + (spend(3, 5),), (0, 1, 2, 2))
+
+
+def test_portal_spends_match_oracles_on_random_sequences():
+    """Sequences that create portals, buy from them, reprice them and spend
+    them with tampered transactions, so that ``StateMachine`` validators,
+    the kind that reads its context, accept and reject spends:
+    ``validate_chain``, ``classify`` and the ``append`` of each step agree
+    with the oracles, which build a context for every spend."""
+    rng = random.Random(48)
+    verdicts = Counter()
+    for _ in range(400):
+        txs, slots = random_sequence(rng, portal_tx)
+        assert validate_chain(Chain(txs, slots)) == oracles.validate(txs, slots)
+        assert outcome(validate_chain, Chain(txs, slots), POLICIES) == outcome(oracles.validate, txs, slots, POLICIES)
+        assert classify(Chain(txs, slots)) == oracles.classify(txs, slots)
+        chain = Chain()
+        for at, tx in enumerate(txs):
+            slot = None if slots is None else slots[at]
+            expected = oracles.append_report(txs[:at], slots and slots[:at], tx, slot, POLICIES)
+            result = append(chain, tx, slot, POLICIES)
+            if expected.valid:
+                assert isinstance(result, Chain) and result.transactions == txs[: at + 1]
+                chain = result
+            else:
+                assert result == expected
+                chain = Chain(txs[: at + 1], slots and slots[: at + 1])
+            for inp in tx.inputs:
+                out = oracles.first_output(txs[:at], inp.position)
+                if out is not None and out.validator.kind == STATE_MACHINE_KIND:
+                    action = type(decode_action(inp.redeemer)).__name__
+                    verdicts[action, expected.valid or expected.first().condition] += 1
+    assert verdicts["Buy", True] and verdicts["SetPrice", True]  # valid buys and price changes
+    assert verdicts["Buy", VALIDATOR_REJECTED] and verdicts["SetPrice", VALIDATOR_REJECTED]
+    assert verdicts["NoneType", VALIDATOR_REJECTED]  # redeemers naming no action
+
+
+def test_contexts_are_built_for_context_readers_only(monkeypatch):
+    """``validate_chain`` and ``append`` build one ``Context`` per spend of a
+    ``StateMachine`` output, accepted or rejected, and none for a spend of
+    any other kind: none at all over a ``ChainGen`` chain."""
+    built = []
+
+    def counting_context_at(tx, focus):
+        built.append(focus.position)
+        return context_at(tx, focus)
+
+    monkeypatch.setattr("ledgersim.ledger.context_at", counting_context_at)
+    rng = random.Random(49)
+    alloc = PositionAllocator()
+    chain = append(Chain(), init_portal(PORTAL, 2_000, 2, alloc), None, POLICIES)
+    rejected = 0
+    for _ in range(300):
+        roll, before = rng.random(), len(built)
+        if roll < 0.4:
+            tx = build_buy_tx(chain, PORTAL, rng.choice((7, 8)), 1 + rng.randrange(3), alloc)
+        elif roll < 0.6:
+            tx = build_set_price_tx(chain, PORTAL, rng.randrange(5), alloc)
+        elif roll < 0.7:  # signed by a key other than the issuer's
+            portal = find_portal(chain, PORTAL)
+            successor = Output(alloc.fresh(), PORTAL.validator(), 3, portal.value)
+            tx = Transaction(frozenset({Input(portal.position, encode_set_price(3, 2))}), frozenset({successor}))
+        else:  # a transfer of some pay-to-key output
+            keyed = sorted((out for out in utxo(chain) if out.validator.kind == PAY_TO_PUBKEY_KIND), key=lambda o: o.position)
+            victim = rng.choice(keyed)
+            moved = Output(alloc.fresh(), pay_to_pubkey(rng.choice((7, 8))), 0, victim.value)
+            tx = Transaction(frozenset({Input(victim.position, victim.validator.params[0])}), frozenset({moved}))
+        result = append(chain, tx, None, POLICIES)
+        assert len(built) - before == (roll < 0.7)
+        if isinstance(result, Chain):
+            chain = result
+        else:
+            assert 0.6 <= roll < 0.7 and result.first().condition == VALIDATOR_REJECTED
+            rejected += 1
+    locked = {out.position for tx in chain for out in tx.outputs if out.validator.kind == STATE_MACHINE_KIND}
+    spent = sorted(inp.position for tx in chain for inp in tx.inputs if inp.position in locked)
+    assert rejected and len(spent) + rejected == len(built)
+    built.clear()
+    assert validate_chain(Chain(chain.transactions), POLICIES).valid
+    assert sorted(built) == spent
+
+    built.clear()
+    gen = ChainGen(random.Random(50))
+    generated, gen_alloc = gen.chain(length=200)
+    assert validate_chain(Chain(generated.transactions)).valid
+    grown, _ = gen.grow(generated, 100, gen_alloc)
+    assert sum(len(tx.inputs) for tx in grown) > 100 and built == []
 
 
 class ChainHistories(RuleBasedStateMachine):

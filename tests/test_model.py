@@ -96,6 +96,30 @@ def test_transaction_may_be_empty():
     assert not tx.inputs and not tx.outputs
 
 
+def test_equal_outputs_hash_equal_through_distinct_parts():
+    """An output's hash reads its validator's and its value's fields, so
+    equal outputs built from distinct but equal validator and value objects
+    hash equal, and unequal fields give unequal outputs."""
+    rng = random.Random(5)
+    chips = (ADA, Chip(1, 1), Chip(2, 1))
+    for _ in range(300):
+        position, key, datum = rng.randrange(4), rng.randrange(3), rng.randrange(3)
+        pairs = [(chips[rng.randrange(3)], 1 + rng.randrange(3)) for _ in range(rng.randrange(3))]
+        a = Output(position, ValidatorRef("PayToPubKey", (key,)), datum, Value.of(pairs))
+        b = Output(position, ValidatorRef("PayToPubKey", [key]), datum, Value.of(pairs[::-1]))
+        assert a.validator is not b.validator and a.value is not b.value
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    base = Output(1, pay_to_pubkey(2), 3, singleton(ADA, 4))
+    for other in (
+        Output(2, pay_to_pubkey(2), 3, singleton(ADA, 4)),
+        Output(1, pay_to_pubkey(5), 3, singleton(ADA, 4)),
+        Output(1, ACCEPT_ALL, 3, singleton(ADA, 4)),
+        Output(1, pay_to_pubkey(2), 4, singleton(ADA, 4)),
+        Output(1, pay_to_pubkey(2), 3, singleton(ADA, 5)),
+    ):
+        assert other != base and len({base, other}) == 2
+
+
 def test_context_at():
     i1, i2 = Input(1, 0), Input(2, 5)
     tx = Transaction(frozenset({i1, i2}), frozenset({Output(3, ACCEPT_ALL)}))

@@ -7,7 +7,10 @@ import pytest
 from ledgersim.model import Context, Input, Output, Transaction, Value, context_at
 from ledgersim.validators import (
     ACCEPT_ALL,
+    CONTEXT_READERS,
+    KIND_ARITY,
     REJECT_ALL,
+    STATE_MACHINE_KIND,
     ValidatorRef,
     pair,
     pay_to_pubkey,
@@ -40,6 +43,23 @@ def test_determinism():
     lock = pay_to_pubkey(3)
     verdicts = {run_validator(lock, 3, 1, Value(), ctx) for _ in range(10)}
     assert verdicts == {True}
+
+
+def test_only_context_readers_need_a_context():
+    """A kind outside ``CONTEXT_READERS`` decides the same with no context;
+    a context reader given None raises TypeError naming its kind, before it
+    reads its parameters."""
+    assert CONTEXT_READERS == {STATE_MACHINE_KIND}
+    ctx = _ctx()
+    for kind, arity in KIND_ARITY.items():
+        refs = [ValidatorRef(kind, tuple(range(1, arity + 1))), ValidatorRef(kind, (1,) * arity)]
+        for ref in refs:
+            for redeemer in (0, 1, 2):
+                if kind in CONTEXT_READERS:
+                    with pytest.raises(TypeError, match=kind):
+                        run_validator(ref, redeemer, 0, Value(), None)
+                else:
+                    assert run_validator(ref, redeemer, 0, Value(), None) == run_validator(ref, redeemer, 0, Value(), ctx)
 
 
 def test_validator_ref_arity_checked():
