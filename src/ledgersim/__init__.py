@@ -11,22 +11,27 @@ from .accounts import AccountChain, CallTx, ContractState, call, deploy_changing
 from .equivalence import alpha_equiv, apart, canonicalize, check_defer, obs_equiv
 from .ledger import Chain, ValidationReport, append, classify, utxo, validate_chain
 from .model import (
+    ACCEPT_ALL,
     ADA,
+    REJECT_ALL,
     Chip,
     Context,
     Input,
+    KeyId,
     Output,
     PositionAllocator,
     SlotRange,
     Transaction,
+    ValidatorRef,
     Value,
     context_at,
+    pay_to_pubkey,
     positions_of,
     singleton,
 )
 from .policy import Policy, PolicyTable, forged
 from .token_portal import TokenConfig, build_buy_tx, build_set_price_tx, init_portal, transition_check
-from .validators import ACCEPT_ALL, REJECT_ALL, KeyId, ValidatorRef, pay_to_pubkey, run_validator
+from .validators import run_validator
 
 __all__ = [
     "ADA",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .validators import KeyId
+from .model import KeyId
 
 FN_BUY = "buy"
 FN_SEND = "send"

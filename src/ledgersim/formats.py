@@ -24,18 +24,20 @@ and outputs sorted by position), and parse/print round-trips are identities
 on canonical text.
 
 Scenario files describe one race or schedule experiment; see parse_scenario.
+The types a scenario parses to, ``Scenario`` and its ``Intent`` list, are
+defined here beside their grammar (``INTENTS``), and ``harness`` runs them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .accounts import FUNCTIONS, PAYABLE
 from .ledger import Chain
-from .model import Chip, Input, Output, SlotRange, Transaction, Value
+from .model import KIND_ARITY, Chip, Input, Output, SlotRange, Transaction, ValidatorRef, Value
 from .policy import RULES, PolicyTable
 from .token_portal import TokenConfig
-from .validators import KIND_ARITY, ValidatorRef
 
 
 class ParseError(Exception):
@@ -280,6 +282,49 @@ def parse_chain(text: str) -> Chain:
 # intent whose submit-time transaction no longer attaches against the chain at
 # its turn; a mint is a genesis paying the actor's key.
 
+EUTXO = "eutxo"
+ACCOUNT = "account"
+
+
+@dataclass(frozen=True)
+class Intent:
+    """One actor action: a token-portal builder or a genesis mint to the
+    actor's key on the UTxO ledger, or a contract call on the account ledger."""
+
+    actor: str
+    kind: str  # "buy" | "set_price" | "mint" (eutxo) | "call" (account)
+    params: tuple[tuple[str, int | str], ...] = ()
+
+    def get(self, key: str, default=None):
+        for k, v in self.params:
+            if k == key:
+                return v
+        return default
+
+    @classmethod
+    def of(cls, actor: str, kind: str, **params) -> Intent:
+        return cls(actor, kind, tuple(sorted(params.items())))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything a run reads: the initial ledger configuration and policy
+    table (empty for no policy), actors, the intent list, which schedules
+    to run, and whether a stale UTxO intent is rebuilt at its turn."""
+
+    ledger: str
+    actors: tuple[tuple[str, int], ...]
+    intents: tuple[Intent, ...]
+    schedules: tuple[tuple, ...]
+    supply: int
+    price: int
+    cfg: TokenConfig | None = None
+    policies: PolicyTable = PolicyTable()
+    contract: int = 1
+    deployer: str = ""
+    rebuild: bool = False
+
+
 SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "REBUILD")
 LEDGER_ONLY = {"CONFIG": "eutxo", "POLICY": "eutxo", "REBUILD": "eutxo", "CONTRACT": "account", "DEPLOYER": "account"}
 CONFIG_KEYS = {"issuer", "traded", "state"}
@@ -420,10 +465,8 @@ def _parse_intent(args: list[str], lineno: int) -> tuple[str, str, dict]:
     return actor, kind, params if function is None else {"function": function, **params}
 
 
-def parse_scenario(text: str):
-    """Parse a scenario file into a harness Scenario."""
-    from .harness import ACCOUNT, EUTXO, Intent, Scenario
-
+def parse_scenario(text: str) -> Scenario:
+    """Parse a scenario file into a Scenario."""
     value: dict[str, object] = {}  # each SINGLE_VALUED keyword's value
     seen: dict[str, int] = {}  # each keyword's first line
     policy_rules: dict[int, str] = {}
@@ -490,7 +533,7 @@ def parse_scenario(text: str):
     return Scenario(*head, contract=value["CONTRACT"], deployer=value["DEPLOYER"])
 
 
-def scenario_to_text(scenario) -> str:
+def scenario_to_text(scenario: Scenario) -> str:
     """Canonical text for a scenario; parse(scenario_to_text(s)) == s."""
     lines = [f"LEDGER {scenario.ledger}"]
     if scenario.ledger == "eutxo":

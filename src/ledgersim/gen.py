@@ -24,8 +24,21 @@ from bisect import bisect_left, insort
 from operator import attrgetter
 
 from .ledger import Chain, ValidationReport, append, utxo
-from .model import ADA, Chip, Input, Output, PositionAllocator, SlotRange, Transaction, Value
-from .validators import ACCEPT_ALL, REJECT_ALL, PAY_TO_PUBKEY_KIND, ACCEPT_ALL_KIND, pay_to_pubkey
+from .model import (
+    ACCEPT_ALL,
+    ACCEPT_ALL_KIND,
+    ADA,
+    PAY_TO_PUBKEY_KIND,
+    REJECT_ALL,
+    Chip,
+    Input,
+    Output,
+    PositionAllocator,
+    SlotRange,
+    Transaction,
+    Value,
+    pay_to_pubkey,
+)
 
 
 MAX_LEN = 8  # chain() draws a length in 0..MAX_LEN

@@ -1,13 +1,14 @@
 """Deterministic mempool/scheduler and the theorem fuzz campaigns.
 
-Intents are actor actions replayed against a ledger snapshot in a chosen
-order.  On the UTxO-style ledger every intent is built into a concrete
-transaction at submit time, against the initial snapshot, and never rebuilt:
-competing traffic can only make an intent fail to attach, never change what it
-does.  On the account ledger a call executes against whatever state it finds,
-so its effect depends on the order.  ``run_schedule`` is a pure function of
-(initial ledger, intents, order); outcomes serialize canonically so identical
-runs are byte-identical.
+Intents (``formats.Intent``, one per ``INTENT`` line of a
+``formats.Scenario``) are actor actions replayed against a ledger snapshot
+in a chosen order.  On the UTxO-style ledger every intent is built into a
+concrete transaction at submit time, against the initial snapshot, and
+never rebuilt: competing traffic can only make an intent fail to attach,
+never change what it does.  On the account ledger a call executes against
+whatever state it finds, so its effect depends on the order.
+``run_schedule`` is a pure function of (initial ledger, intents, order);
+outcomes serialize canonically so identical runs are byte-identical.
 
 The UTxO submit phase is therefore the same in every order: each intent is
 built against the world's snapshot, never against the chain an order has
@@ -52,9 +53,23 @@ from .equivalence import (
     rename_positions,
     spent_edges,
 )
+from .formats import ACCOUNT, EUTXO, Intent, Scenario
 from .gen import ChainGen, spend, spendable
-from .ledger import Chain, MalformedChainError, ValidationReport, append, utxo, validate_chain
-from .model import ADA, Chip, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of, singleton
+from .ledger import Chain, ValidationReport, append, utxo, validate_chain
+from .model import (
+    ADA,
+    PAY_TO_PUBKEY_KIND,
+    Chip,
+    Input,
+    MalformedChainError,
+    Output,
+    PositionAllocator,
+    SlotRange,
+    Transaction,
+    pay_to_pubkey,
+    positions_of,
+    singleton,
+)
 from .policy import PolicyTable
 from .token_portal import (
     InsufficientSupply,
@@ -66,31 +81,6 @@ from .token_portal import (
     find_portal,
     init_portal,
 )
-from .validators import PAY_TO_PUBKEY_KIND, pay_to_pubkey
-
-EUTXO = "eutxo"
-ACCOUNT = "account"
-
-
-@dataclass(frozen=True)
-class Intent:
-    """One actor action: a token-portal builder or a genesis mint to the
-    actor's key on the UTxO ledger, or a contract call on the account ledger."""
-
-    actor: str
-    kind: str  # "buy" | "set_price" | "mint" (eutxo) | "call" (account)
-    params: tuple[tuple[str, int | str], ...] = ()
-
-    def get(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    @classmethod
-    def of(cls, actor: str, kind: str, **params) -> Intent:
-        return cls(actor, kind, tuple(sorted(params.items())))
-
 
 def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
     """The key of a named actor."""
@@ -729,25 +719,6 @@ THEOREMS = tuple(STATEMENTS)
 
 # ---------------------------------------------------------------------------
 # Scenarios
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Everything a run reads: the initial ledger configuration and policy
-    table (empty for no policy), actors, the intent list, which schedules
-    to run, and whether a stale UTxO intent is rebuilt at its turn."""
-
-    ledger: str
-    actors: tuple[tuple[str, int], ...]
-    intents: tuple[Intent, ...]
-    schedules: tuple[tuple, ...]
-    supply: int
-    price: int
-    cfg: TokenConfig | None = None
-    policies: PolicyTable = PolicyTable()
-    contract: int = 1
-    deployer: str = ""
-    rebuild: bool = False
 
 
 def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:

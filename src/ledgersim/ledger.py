@@ -53,8 +53,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .model import Output, Position, Transaction, context_at
-from .validators import ACCEPT_ALL, CONTEXT_READERS, run_validator
+from .model import ACCEPT_ALL, Output, Position, Transaction, context_at
+from .policy import policy_violation
+from .validators import CONTEXT_READERS, run_validator
 
 # Violation condition ids.
 DUPLICATE_POSITION = "duplicate-position"
@@ -62,11 +63,6 @@ DANGLING_OR_FORWARD = "dangling-or-forward-input"
 VALIDATOR_REJECTED = "validator-rejected"
 SLOT_OUT_OF_RANGE = "slot-out-of-range"
 POLICY_VIOLATION = "policy-violation"
-
-
-class MalformedChainError(Exception):
-    """The chain breaks a structural assumption (e.g. two outputs share a
-    position) in a way that makes the requested query ill-posed."""
 
 
 class InvalidChainError(Exception):
@@ -328,8 +324,6 @@ def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, po
                 Violation(at, SLOT_OUT_OF_RANGE, f"slot {slot} outside range [{tx.slot_range.lo}, {hi}]")
             )
     if policies is not None and not violations:
-        from .policy import policy_violation  # policy imports this module
-
         problem = policy_violation(policies, index, tx)
         if problem is not None:
             violations.append(Violation(at, POLICY_VIOLATION, problem))

@@ -6,22 +6,30 @@ are sets of inputs and outputs, and a context is a transaction viewed from one
 of its inputs.  Everything here is an immutable value; uniqueness constraints
 between transactions live at the chain level.
 
-The dataclasses here, and ``ValidatorRef``, are frozen and slotted: an
-instance holds its fields and no ``__dict__``, which keeps the inputs,
-outputs and values of a long chain small and cheap for the collector.
+An output carries its validator as data: a ``ValidatorRef`` names one of
+four kinds and its natural parameters, so transactions stay serializable and
+chains replayable.  What a reference means at a spend is the interpreter's
+business (``validators.run_validator``), not this module's.
+
+The dataclasses here are frozen and slotted: an instance holds its fields
+and no ``__dict__``, which keeps the inputs, outputs and values of a long
+chain small and cheap for the collector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
-
-if TYPE_CHECKING:
-    from .validators import ValidatorRef
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Position = int
 Datum = int
 Redeemer = int
+KeyId = int
+
+
+class MalformedChainError(Exception):
+    """The chain breaks a structural assumption (e.g. two outputs share a
+    position) in a way that makes the requested query ill-posed."""
 
 
 class Chip(NamedTuple):
@@ -125,6 +133,55 @@ def singleton(chip: Chip | tuple[int, int], qty: int) -> Value:
 EMPTY_VALUE = Value()
 
 
+ACCEPT_ALL_KIND = "AcceptAll"
+REJECT_ALL_KIND = "RejectAll"
+PAY_TO_PUBKEY_KIND = "PayToPubKey"
+STATE_MACHINE_KIND = "StateMachine"
+
+#: Parameter arity per validator kind (all parameters are naturals).
+KIND_ARITY = {
+    ACCEPT_ALL_KIND: 0,
+    REJECT_ALL_KIND: 0,
+    PAY_TO_PUBKEY_KIND: 1,
+    STATE_MACHINE_KIND: 5,
+}
+
+
+@dataclass(frozen=True, slots=True)
+class ValidatorRef:
+    """Serializable reference to a validator: a kind plus natural parameters.
+
+    PayToPubKey carries the key id; StateMachine carries a flattened token
+    portal configuration (issuer, traded symbol/token, state symbol/token).
+    """
+
+    kind: str
+    params: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", tuple(self.params))
+        arity = KIND_ARITY.get(self.kind)
+        if arity is None:
+            raise ValueError(f"unknown validator kind {self.kind!r}")
+        if len(self.params) != arity:
+            raise ValueError(f"{self.kind} takes {arity} parameters, got {len(self.params)}")
+        if any(p < 0 for p in self.params):
+            raise ValueError("validator parameters must be naturals")
+
+    def sort_key(self) -> tuple:
+        return (self.kind, self.params)
+
+
+ACCEPT_ALL = ValidatorRef(ACCEPT_ALL_KIND)
+REJECT_ALL = ValidatorRef(REJECT_ALL_KIND)
+
+
+def pay_to_pubkey(key: KeyId) -> ValidatorRef:
+    """Validator accepting exactly the redeemer equal to ``key`` (simulated
+    signature check)."""
+    return ValidatorRef(PAY_TO_PUBKEY_KIND, (key,))
+
+
 @dataclass(frozen=True, slots=True)
 class Input:
     """Points at the output sharing its position; the redeemer is the key
@@ -141,7 +198,7 @@ class Input:
 @dataclass(frozen=True, slots=True)
 class Output:
     position: Position
-    validator: "ValidatorRef"
+    validator: ValidatorRef
     datum: Datum = 0
     value: Value = EMPTY_VALUE
 

@@ -6,15 +6,21 @@ when they want forging constrained.  A transaction's forge is one map from
 currency symbol to net quantity created (``forged``), and the rules judge its
 entries.  The affine rule is what makes a state chip work: it can be minted
 once, never duplicated, never burned.
+
+The rules read a chain through its ``LedgerIndex``, which ``ledger`` passes
+in: ``ledger`` calls ``policy_violation`` and this module imports only
+``model`` at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .ledger import LedgerIndex, MalformedChainError
-from .model import Transaction
+from .model import MalformedChainError, Transaction
+
+if TYPE_CHECKING:
+    from .ledger import LedgerIndex
 
 FREE_FORGE = "FreeForge"
 FORBID_FORGE = "ForbidForge"

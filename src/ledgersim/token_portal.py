@@ -8,27 +8,43 @@ price, and the issuer may replace the price.  Off-chain builders construct the
 corresponding transactions from a chain snapshot; a buy builder can refuse
 locally when the current price exceeds the buyer's limit, before anything is
 submitted.
+
+The state machine is a ``StateMachine`` validator reference (``model``)
+whose parameters flatten a ``TokenConfig``; ``validators.run_validator``
+decodes it and hands the spend to ``transition_check``.  A price update's
+redeemer packs the new price and the signing key with the Cantor pairing
+(``pair``/``unpair``), which only this codec uses.  At run time the module
+reads only ``model``: a chain snapshot is passed in and read through its
+index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .ledger import Chain, MalformedChainError
 from .model import (
     ADA,
+    STATE_MACHINE_KIND,
     Chip,
     Context,
     Datum,
     Input,
+    KeyId,
+    MalformedChainError,
     Output,
     PositionAllocator,
     Redeemer,
     Transaction,
+    ValidatorRef,
     Value,
+    pay_to_pubkey,
     singleton,
 )
-from .validators import STATE_MACHINE_KIND, KeyId, ValidatorRef, pair, pay_to_pubkey, unpair
+
+if TYPE_CHECKING:
+    from .ledger import Chain
 
 
 class NoPortalError(Exception):
@@ -78,6 +94,23 @@ class Buy:
 class SetPrice:
     price: int
     key: KeyId
+
+
+def pair(a: int, b: int) -> int:
+    """Cantor pairing: injective map from pairs of naturals to naturals."""
+    if a < 0 or b < 0:
+        raise ValueError("pairing is defined on naturals only")
+    s = a + b
+    return s * (s + 1) // 2 + b
+
+
+def unpair(z: int) -> tuple[int, int]:
+    """Inverse of :func:`pair`."""
+    if z < 0:
+        raise ValueError("pairing is defined on naturals only")
+    w = (math.isqrt(8 * z + 1) - 1) // 2
+    b = z - w * (w + 1) // 2
+    return w - b, b
 
 
 # Redeemer codec: even redeemers are buys (2n, n >= 1); odd redeemers are

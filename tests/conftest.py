@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from ledgersim.ledger import Chain
-from ledgersim.model import ADA, Input, Output, Transaction, singleton
-from ledgersim.validators import ACCEPT_ALL
+from ledgersim.model import ACCEPT_ALL, ADA, Input, Output, Transaction, singleton
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -41,15 +41,23 @@ from ledgersim.ledger import (
     POLICY_VIOLATION,
     SLOT_OUT_OF_RANGE,
     VALIDATOR_REJECTED,
-    MalformedChainError,
     ValidationReport,
     Violation,
     append,
 )
 from ledgersim.gen import CHIPS
-from ledgersim.model import PositionAllocator, Value, context_at, positions_of
+from ledgersim.model import (
+    ACCEPT_ALL_KIND,
+    PAY_TO_PUBKEY_KIND,
+    MalformedChainError,
+    PositionAllocator,
+    Value,
+    context_at,
+    pay_to_pubkey,
+    positions_of,
+)
 from ledgersim.policy import AFFINE_ONCE, FORBID_FORGE, FREE_FORGE
-from ledgersim.validators import ACCEPT_ALL_KIND, PAY_TO_PUBKEY_KIND, pay_to_pubkey, run_validator
+from ledgersim.validators import run_validator
 
 
 class ChainState:

@@ -19,7 +19,17 @@ from ledgersim.harness import (
     run_scenario,
 )
 from ledgersim.ledger import Chain, ValidationReport, append, classify, utxo, validate_chain
-from ledgersim.model import Chip, Input, Output, PositionAllocator, Transaction, singleton
+from ledgersim.model import (
+    ACCEPT_ALL,
+    PAY_TO_PUBKEY_KIND,
+    Chip,
+    Input,
+    Output,
+    PositionAllocator,
+    Transaction,
+    pay_to_pubkey,
+    singleton,
+)
 from ledgersim.policy import AFFINE_ONCE, Policy, PolicyTable, circulating
 from ledgersim.token_portal import (
     InsufficientSupply,
@@ -29,7 +39,6 @@ from ledgersim.token_portal import (
     build_set_price_tx,
     init_portal,
 )
-from ledgersim.validators import ACCEPT_ALL, PAY_TO_PUBKEY_KIND, pay_to_pubkey
 
 from test_equivalence import alpha_equiv_bruteforce
 

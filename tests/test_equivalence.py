@@ -23,8 +23,17 @@ from ledgersim.equivalence import (
 from ledgersim.formats import chain_to_text
 from ledgersim.gen import ChainGen, spendable
 from ledgersim.ledger import Chain, InvalidChainError, LedgerIndex, append, utxo, validate_chain
-from ledgersim.model import ADA, Input, Output, PositionAllocator, SlotRange, Transaction, positions_of, singleton
-from ledgersim.validators import ACCEPT_ALL
+from ledgersim.model import (
+    ACCEPT_ALL,
+    ADA,
+    Input,
+    Output,
+    PositionAllocator,
+    SlotRange,
+    Transaction,
+    positions_of,
+    singleton,
+)
 
 from conftest import A, B, C, D, E, F, G, ref_output
 

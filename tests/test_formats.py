@@ -6,8 +6,9 @@ import random
 import pytest
 
 from ledgersim import formats
+from ledgersim.formats import EUTXO, Intent, Scenario
 from ledgersim.gen import ChainGen
-from ledgersim.harness import EUTXO, RACE_SCENARIOS, Intent, Scenario, bundled_race_scenario
+from ledgersim.harness import RACE_SCENARIOS, bundled_race_scenario
 from ledgersim.ledger import classify, utxo, validate_chain
 from ledgersim.policy import PolicyTable
 

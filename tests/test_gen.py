@@ -9,7 +9,7 @@ from ledgersim import gen
 from ledgersim.formats import chain_to_text, transactions_to_text
 from ledgersim.gen import KEY_COUNT, P2PK_PROB, ChainGen
 from ledgersim.harness import fuzz_theorem
-from ledgersim.validators import PAY_TO_PUBKEY_KIND, pay_to_pubkey
+from ledgersim.model import PAY_TO_PUBKEY_KIND, pay_to_pubkey
 
 # (slotted, keyword arguments) for each generator setting that some caller uses
 SETTINGS = [

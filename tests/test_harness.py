@@ -5,13 +5,13 @@ import math
 
 import pytest
 
+from ledgersim.formats import Intent
 from ledgersim.harness import (
     MAX_ORDERS,
-    Intent,
-    Outcome,
-    bundled_race_scenario,
     STATEMENTS,
+    Outcome,
     build_world,
+    bundled_race_scenario,
     expand_schedules,
     fuzz_theorem,
     minimize_instance,
@@ -372,8 +372,7 @@ def test_duplicated_state_chip_is_recorded_not_raised(corpus_dir, rebuild):
 def test_minimize_instance_shrinks():
     """The greedy shrinker drops transactions irrelevant to the failure."""
     from ledgersim.ledger import append
-    from ledgersim.model import Input, Output, SlotRange, Transaction, singleton, ADA
-    from ledgersim.validators import ACCEPT_ALL
+    from ledgersim.model import ACCEPT_ALL, ADA, Input, Output, SlotRange, Transaction, singleton
 
     def out(p):
         return Output(p, ACCEPT_ALL, 0, singleton(ADA, 1))

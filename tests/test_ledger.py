@@ -22,8 +22,18 @@ from ledgersim.ledger import (
     utxo,
     validate_chain,
 )
-from ledgersim.model import ADA, Input, Output, PositionAllocator, SlotRange, Transaction, singleton
-from ledgersim.validators import ACCEPT_ALL, REJECT_ALL, pay_to_pubkey
+from ledgersim.model import (
+    ACCEPT_ALL,
+    ADA,
+    REJECT_ALL,
+    Input,
+    Output,
+    PositionAllocator,
+    SlotRange,
+    Transaction,
+    pay_to_pubkey,
+    singleton,
+)
 
 from conftest import A, B, C, D, E, F, G, H, I, J, K, ref_output
 

@@ -22,7 +22,6 @@ from ledgersim.ledger import (
     VALIDATOR_REJECTED,
     Chain,
     LedgerIndex,
-    MalformedChainError,
     ValidationReport,
     append,
     classify,
@@ -30,15 +29,22 @@ from ledgersim.ledger import (
     validate_chain,
 )
 from ledgersim.model import (
+    ACCEPT_ALL,
     ADA,
+    PAY_TO_PUBKEY_KIND,
+    REJECT_ALL,
+    STATE_MACHINE_KIND,
     Chip,
     Input,
+    MalformedChainError,
     Output,
     PositionAllocator,
     SlotRange,
     Transaction,
+    ValidatorRef,
     Value,
     context_at,
+    pay_to_pubkey,
     singleton,
 )
 from ledgersim.policy import AFFINE_ONCE, FORBID_FORGE, PolicyTable, circulating, forged
@@ -52,14 +58,6 @@ from ledgersim.token_portal import (
     encode_set_price,
     find_portal,
     init_portal,
-)
-from ledgersim.validators import (
-    ACCEPT_ALL,
-    PAY_TO_PUBKEY_KIND,
-    REJECT_ALL,
-    STATE_MACHINE_KIND,
-    ValidatorRef,
-    pay_to_pubkey,
 )
 
 POSITIONS = 16

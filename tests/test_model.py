@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ledgersim.model import (
+    ACCEPT_ALL,
     ADA,
     Chip,
     Context,
@@ -15,12 +16,13 @@ from ledgersim.model import (
     PositionAllocator,
     SlotRange,
     Transaction,
+    ValidatorRef,
     Value,
     context_at,
+    pay_to_pubkey,
     positions_of,
     singleton,
 )
-from ledgersim.validators import ACCEPT_ALL, ValidatorRef, pay_to_pubkey
 
 
 def test_value_lookup_present():

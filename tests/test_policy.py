@@ -2,8 +2,8 @@
 
 import pytest
 
-from ledgersim.ledger import Chain, MalformedChainError, append
-from ledgersim.model import Chip, Input, Output, Transaction, Value, singleton
+from ledgersim.ledger import Chain, append
+from ledgersim.model import ACCEPT_ALL, Chip, Input, MalformedChainError, Output, Transaction, Value, singleton
 from ledgersim.policy import (
     AFFINE_ONCE,
     FORBID_FORGE,
@@ -14,7 +14,6 @@ from ledgersim.policy import (
     forged,
     policy_violation,
 )
-from ledgersim.validators import ACCEPT_ALL
 
 STATE = Chip(5, 1)
 

@@ -11,13 +11,25 @@ from ledgersim.ledger import (
     VALIDATOR_REJECTED,
     Chain,
     LedgerIndex,
-    MalformedChainError,
     ValidationReport,
     append,
     utxo,
     validate_chain,
 )
-from ledgersim.model import ADA, Chip, Input, Output, PositionAllocator, Transaction, Value, context_at, singleton
+from ledgersim.model import (
+    ACCEPT_ALL,
+    ADA,
+    Chip,
+    Input,
+    MalformedChainError,
+    Output,
+    PositionAllocator,
+    Transaction,
+    Value,
+    context_at,
+    pay_to_pubkey,
+    singleton,
+)
 from ledgersim.policy import AFFINE_ONCE, Policy, PolicyTable, policy_violation
 from ledgersim.token_portal import (
     Buy,
@@ -35,7 +47,6 @@ from ledgersim.token_portal import (
     init_portal,
     transition_check,
 )
-from ledgersim.validators import ACCEPT_ALL, pay_to_pubkey
 
 CFG = TokenConfig(issuer=1, traded_chip=Chip(1, 1), state_chip=Chip(2, 1))
 POLICIES = PolicyTable((Policy(2, AFFINE_ONCE),))

@@ -4,19 +4,22 @@ import random
 
 import pytest
 
-from ledgersim.model import Context, Input, Output, Transaction, Value, context_at
-from ledgersim.validators import (
+from ledgersim.model import (
     ACCEPT_ALL,
-    CONTEXT_READERS,
     KIND_ARITY,
     REJECT_ALL,
     STATE_MACHINE_KIND,
+    Context,
+    Input,
+    Output,
+    Transaction,
     ValidatorRef,
-    pair,
+    Value,
+    context_at,
     pay_to_pubkey,
-    run_validator,
-    unpair,
 )
+from ledgersim.token_portal import pair, unpair
+from ledgersim.validators import CONTEXT_READERS, run_validator
 
 
 def _ctx() -> Context:
