@@ -151,7 +151,7 @@ def cmd_scenario(args) -> int:
     scenario = dataclasses.replace(scenario, schedules=schedules or scenario.schedules)  # flags replace the file's
     try:
         report = run_scenario(scenario)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

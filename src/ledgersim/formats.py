@@ -26,6 +26,8 @@ on canonical text.
 Scenario files describe one race or schedule experiment; see parse_scenario.
 The types a scenario parses to, ``Scenario`` and its ``Intent`` list, are
 defined here beside their grammar (``INTENTS``), and ``harness`` runs them.
+``intent_problem`` is the one judge of an intent, for the parser and for
+``harness`` alike.
 """
 
 from __future__ import annotations
@@ -370,23 +372,36 @@ def _keys_problem(name: str, given: dict, required: set[str], optional: set[str]
     return None
 
 
-def _intent_problem(key: str | tuple[str, str], params: dict) -> str | None:
-    """What breaks the INTENTS row at ``key`` (a kind, or ``("call",
-    function)``) for an intent with these ``params`` (a call's function
-    left out), or None: a missing or unknown parameter, a value that is no
-    natural number, or a sizing parameter below 1.  The parser reports it
-    with the line number and ``harness.build_world`` as a ValueError, so an
-    intent built in code meets the row a parsed one does."""
-    required, optional, size = INTENTS[key]
-    name = key[1] if isinstance(key, tuple) else key
-    problem = _keys_problem(name, params, required, optional)
+def intent_problem(ledger: str, actor_names: Sequence[str], intent: Intent) -> str | None:
+    """What is wrong with ``intent`` in a scenario on ``ledger`` whose actors
+    are ``actor_names``, or None.  This is the one judge of an intent: the
+    parser reports its answer at the intent's line, and ``harness`` raises
+    it as ``ValueError("intent <i>: <problem>")`` before it builds or runs
+    anything.  The first that applies: a kind or function with no
+    ``INTENTS`` row; a missing or unknown parameter, a value that is no
+    natural number, or a sizing parameter below 1; an actor not among
+    ``actor_names``; a kind of the other ledger.  A call's function is its
+    first ``function`` parameter, and its row refuses any other."""
+    key = (intent.kind, intent.get("function")) if intent.kind == "call" else intent.kind
+    row = INTENTS.get(key)
+    if row is None:
+        return f"unknown function {key[1]!r}" if intent.kind == "call" else f"unknown intent kind {key!r}"
+    required, optional, size = row
+    name = key[1] if intent.kind == "call" else key
+    function_pair = ("function", name) if intent.kind == "call" else None
+    given = dict(pair for pair in intent.params if pair != function_pair)
+    problem = _keys_problem(name, given, required, optional)
     if problem is not None:
         return problem
-    for param, value in sorted(params.items()):
+    for param, value in sorted(given.items()):
         if type(value) is not int or value < 0:
             return f"{param} must be a natural number, got {value!r}"
-    if size and params[size] < 1:
-        return f"{name} {size} must be at least 1, got {params[size]}"
+    if size and given[size] < 1:
+        return f"{name} {size} must be at least 1, got {given[size]}"
+    if intent.actor not in actor_names:
+        return f"intent references unknown actor {intent.actor!r}"
+    if (intent.kind == "call") != (ledger == ACCOUNT):
+        return f"{intent.kind} intents need LEDGER {ACCOUNT if intent.kind == 'call' else EUTXO}"
     return None
 
 
@@ -445,24 +460,20 @@ def _single_value(keyword: str, args: list[str], lineno: int):
     return _nat(args[0], lineno, "contract name" if keyword == "CONTRACT" else keyword.lower())
 
 
-def _parse_intent(args: list[str], lineno: int) -> tuple[str, str, dict]:
-    """The actor, kind and parameters of one INTENT line, checked against its INTENTS row."""
+def _parse_intent(args: list[str], lineno: int) -> Intent:
+    """One INTENT line as its Intent, read but not judged: ``intent_problem``
+    judges it once the file is read.  A call's function word is its first
+    ``function`` parameter, so a ``function=`` word on the line is one more."""
     if len(args) < 2:
         _fail(lineno, "INTENT takes an actor and a kind")
     actor, kind, words = args[0], args[1], args[2:]
-    function = None
+    head: tuple = ()
     if kind == "call":
         if not words:
             _fail(lineno, "call intent needs a function name")
-        function, words = words[0], words[1:]
-    key = kind if function is None else (kind, function)
-    if key not in INTENTS:
-        _fail(lineno, f"unknown intent kind {kind!r}" if function is None else f"unknown function {function!r}")
-    params = _parse_kv(words, lineno)
-    problem = _intent_problem(key, params)
-    if problem is not None:
-        _fail(lineno, problem)
-    return actor, kind, params if function is None else {"function": function, **params}
+        head, words = (("function", words[0]),), words[1:]
+    params = head + tuple(_parse_kv(words, lineno).items())
+    return Intent(actor, kind, tuple(sorted(params, key=lambda pair: pair[0])))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -492,8 +503,7 @@ def parse_scenario(text: str) -> Scenario:
                 _fail(lineno, f"actor {args[0]!r} given twice")
             actors.append((args[0], _nat(args[1], lineno, "key id")))
         elif keyword == "INTENT":
-            actor, kind, params = _parse_intent(args, lineno)
-            intents[lineno] = Intent.of(actor, kind, **params)
+            intents[lineno] = _parse_intent(args, lineno)
         elif keyword == "SCHEDULE":
             schedules[lineno] = parse_schedule(args, lineno)
         else:
@@ -509,10 +519,9 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError("scenario has no SCHEDULE lines")
     actor_names = [name for name, _ in actors]
     for lineno, intent in intents.items():
-        if intent.actor not in actor_names:
-            _fail(lineno, f"intent references unknown actor {intent.actor!r}")
-        if (intent.kind == "call") != (ledger == ACCOUNT):
-            _fail(lineno, f"{intent.kind} intents need LEDGER {ACCOUNT if intent.kind == 'call' else EUTXO}")
+        problem = intent_problem(ledger, actor_names, intent)
+        if problem is not None:
+            _fail(lineno, problem)
     for lineno, clause in schedules.items():
         if clause[0] == "explicit" and sorted(clause[1]) != list(range(len(intents))):
             _fail(lineno, f"schedule {clause[1]} is not a permutation of 0..{len(intents) - 1}")

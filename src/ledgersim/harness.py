@@ -2,21 +2,24 @@
 
 Intents (``formats.Intent``, one per ``INTENT`` line of a
 ``formats.Scenario``) are actor actions replayed against a ledger snapshot
-in a chosen order.  On the UTxO-style ledger every intent is built into a
-concrete transaction at submit time, against the initial snapshot, and
-never rebuilt: competing traffic can only make an intent fail to attach,
-never change what it does.  On the account ledger a call executes against
+in a chosen order.  ``formats.intent_problem`` judges each intent once: a
+malformed one is a ValueError naming it, never a TypeError or a KeyError,
+raised before anything is built or any turn runs.  Then every intent is
+built once, at submit time.  On the UTxO-style ledger it becomes a concrete
+transaction, against the initial snapshot, and is never rebuilt: competing
+traffic can only make an intent fail to attach, never change what it does.
+On the account ledger it becomes its ``CallTx``, which executes against
 whatever state it finds, so its effect depends on the order.
 ``run_schedule`` is a pure function of (initial ledger, intents, order);
 outcomes serialize canonically so identical runs are byte-identical.
 
-The UTxO submit phase is therefore the same in every order: each intent is
-built against the world's snapshot, never against the chain an order has
-grown, and is built again only in a world built from a scenario with a
-``REBUILD`` line (``EutxoWorld.rebuild``), at its execution turn.
+The submit phase is therefore the same in every order: each intent is
+built from the world's snapshot, never from the chain an order has grown,
+and a UTxO intent is built again only in a world built from a scenario with
+a ``REBUILD`` line (``EutxoWorld.rebuild``), at its execution turn.
 
 ``run_schedule`` is one loop for both ledgers; each world class supplies what
-differs between them: ``submit`` (the UTxO submit phase, and the state a run
+differs between them: ``submit`` (the submit phase, and the state a run
 starts from), ``execute`` (one intent's turn, a pure step from a state) and
 ``observe`` (each key's holdings, the ledger's state pairs and the digest of
 a final state).  A state is ``(chain, next free position)`` on the UTxO
@@ -82,14 +85,6 @@ from .token_portal import (
     init_portal,
 )
 
-def _key_of(actors: tuple[tuple[str, int], ...], actor: str) -> int:
-    """The key of a named actor."""
-    for name, key in actors:
-        if name == actor:
-            return key
-    raise KeyError(f"unknown actor {actor!r}")
-
-
 class _Node:
     """One state a run reached: the one object kept for it, its
     ``_observation`` (None until an order ends here), and ``turns``, which
@@ -104,8 +99,10 @@ class _Node:
 
 @dataclass(eq=False)
 class _LastRun:
-    """The last run against one world: its intent tuple; on the UTxO ledger
-    its submit phase, each intent's built entry or refusal; and its state
+    """The last run against one world: its intent tuple, judged by
+    ``formats.intent_problem`` before the run was made; its submit phase,
+    each intent built once (on the UTxO ledger its transaction and payment
+    or its refusal, on the account ledger its ``CallTx``); and its state
     graph: ``start``, the node of the state the run starts from, and
     ``states``, which maps each state reached to its node."""
 
@@ -128,8 +125,9 @@ class EutxoWorld:
     actors: tuple[tuple[str, int], ...]
     rebuild: bool = False
 
-    # The world's ``_LastRun``.  Not a field, so equality, hashing and repr
-    # ignore it.
+    # The ledger the world's intents are judged for, and the world's
+    # ``_LastRun``.  Not fields, so equality, hashing and repr ignore them.
+    _ledger = EUTXO
     _last_run = None
 
     def submit(self, run: _LastRun) -> tuple:
@@ -196,23 +194,33 @@ class AccountWorld:
     contract: int
     actors: tuple[tuple[str, int], ...]
 
-    _last_run = None  # as on ``EutxoWorld``
+    _ledger = ACCOUNT  # as on ``EutxoWorld``
+    _last_run = None
 
     def submit(self, run: _LastRun) -> AccountChain:
-        """Calls are not built ahead: the run starts from the world's chain."""
+        """The submit phase: every intent built once into its ``CallTx``,
+        sent by the actor's key; what the call does depends on the chain it
+        meets.  The run starts from the world's chain."""
+        keys = dict(reversed(self.actors))  # the first entry of a name wins
+        run.built = tuple(
+            CallTx(
+                self.contract,
+                intent.get("function"),
+                keys[intent.actor],
+                intent.get("value", 0),
+                tuple(intent.get(name) for name in FUNCTIONS[intent.get("function")]),
+            )
+            for intent in run.intents
+        )
         return self.chain
 
     def execute(self, run: _LastRun, state: AccountChain, index: int):
-        """One call against the chain ``state`` as it stands: the next chain,
-        the (status, reason) and the ada paid."""
-        intent = run.intents[index]
-        if intent.kind != "call":
-            raise ValueError(f"unknown account intent kind {intent.kind!r}")
-        function = intent.get("function")
-        value = intent.get("value", 0)
-        args = tuple(intent.get(name) for name in FUNCTIONS.get(function, ()))
-        after, result = call(state, CallTx(self.contract, function, _key_of(self.actors, intent.actor), value, args))
-        return after, (result.status, result.reason), value if result.ok and function in PAYABLE else 0
+        """One intent's turn: its submit-time call against the chain
+        ``state`` as it stands.  Returns the next chain, the (status, reason)
+        and the ada paid."""
+        tx = run.built[index]
+        after, result = call(state, tx)
+        return after, (result.status, result.reason), tx.value if result.ok and tx.function in PAYABLE else 0
 
     def observe(self, chain: AccountChain):
         """Each key's token balance; the contract's balance and price; and
@@ -261,20 +269,21 @@ def _digest(text: str) -> str:
 
 
 def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: PositionAllocator):
-    """Materialize one intent against the given chain snapshot.
+    """Materialize one intent, judged by ``formats.intent_problem``,
+    against the given chain snapshot.
 
     Returns (transaction, planned ada payment) or (None, refusal reason).
     A portal builder refuses when no unspent output, or more than one,
     carries the state chip, and a price change refuses an actor whose key
     is not the issuer's.
     """
-    key = _key_of(world.actors, intent.actor)
+    key = dict(reversed(world.actors))[intent.actor]  # the first entry of a name wins
     if intent.kind == "mint":
         minted = singleton(Chip(intent.get("sym"), intent.get("tok")), intent.get("qty"))
         tx = Transaction(frozenset(), frozenset({Output(alloc.fresh(), pay_to_pubkey(key), 0, minted)}))
     elif intent.kind == "set_price" and key != world.cfg.issuer:
         return None, "only the issuer may set the price"
-    elif intent.kind in ("buy", "set_price"):
+    else:
         try:
             if intent.kind == "buy":
                 tx = build_buy_tx(chain, world.cfg, key, intent.get("n"), alloc, intent.get("max_price"))
@@ -282,8 +291,6 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
                 tx = build_set_price_tx(chain, world.cfg, intent.get("p"), alloc)
         except (PriceRefused, InsufficientSupply, NoPortalError, MalformedChainError) as exc:
             return None, str(exc)
-    else:
-        raise ValueError(f"unknown eutxo intent kind {intent.kind!r}")
     issuer_lock = pay_to_pubkey(world.cfg.issuer)
     paid = sum(out.value.get(ADA) for out in tx.outputs if out.validator == issuer_lock)
     return (tx, paid), ""
@@ -312,11 +319,24 @@ def _observation(world: EutxoWorld | AccountWorld, state) -> tuple:
     return tuple(facts), pairs, digest
 
 
+def _check_intents(ledger: str, actors: tuple[tuple[str, int], ...], intents: Sequence[Intent]) -> None:
+    """ValueError("intent <i>: <problem>") for the first intent that
+    ``formats.intent_problem`` finds wrong on ``ledger`` with ``actors``."""
+    names = [name for name, _ in actors]
+    for at, intent in enumerate(intents):
+        problem = formats.intent_problem(ledger, names, intent)
+        if problem is not None:
+            raise ValueError(f"intent {at}: {problem}")
+
+
 def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], order: Sequence[int]) -> Outcome:
     """Execute the intents in the given order and report every status.
 
-    The order must be a permutation of the intent indices.  All failures are
-    recorded in the outcome, never raised.
+    The order must be a permutation of the intent indices, and every intent
+    must pass ``formats.intent_problem`` on the world's ledger; otherwise a
+    ValueError is raised before any intent is built or any turn runs, and
+    the world's record is left as it was.  Every failure of a judged intent
+    is recorded in the outcome, never raised.
 
     The world's ``_LastRun`` is made anew, running the world's ``submit``,
     for another intent tuple.  The order walks the run's graph from the start
@@ -330,6 +350,7 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
         raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
     run = world._last_run
     if run is None or run.intents != intents:
+        _check_intents(world._ledger, world.actors, intents)
         run = _LastRun(intents)
         start = world.submit(run)
         run.start = run.states[start] = _Node(start)
@@ -722,15 +743,11 @@ THEOREMS = tuple(STATEMENTS)
 
 
 def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
-    """Set up the initial ledger a scenario runs against.  An intent that
-    breaks its ``formats.INTENTS`` row raises ValueError, as parsing it
-    would; an unknown kind or function raises when its turn runs."""
-    for at, intent in enumerate(scenario.intents):
-        params = dict(intent.params)
-        key = (intent.kind, params.pop("function", None)) if intent.kind == "call" else intent.kind
-        problem = formats._intent_problem(key, params) if key in formats.INTENTS else None
-        if problem is not None:
-            raise ValueError(f"intent {at}: {problem}")
+    """Set up the initial ledger a scenario runs against.  Before anything
+    is built, an intent that ``formats.intent_problem`` finds wrong raises
+    ``ValueError("intent <i>: <problem>")``, as parsing it would; so does a
+    deployer that is no actor, as ``ValueError``."""
+    _check_intents(scenario.ledger, scenario.actors, scenario.intents)
     if scenario.ledger == EUTXO:
         if scenario.cfg is None:
             raise ValueError("eutxo scenario needs a token config")
@@ -741,7 +758,9 @@ def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
             raise ValueError(f"portal initialization rejected: {chain.describe()}")
         return EutxoWorld(chain, scenario.cfg, scenario.policies, scenario.actors, scenario.rebuild)
     if scenario.ledger == ACCOUNT:
-        deployer = _key_of(scenario.actors, scenario.deployer)
+        deployer = dict(reversed(scenario.actors)).get(scenario.deployer)  # the first entry of a name wins
+        if deployer is None:
+            raise ValueError(f"deployer {scenario.deployer!r} is not an actor")
         chain = deploy_changing(AccountChain(), scenario.contract, deployer, scenario.supply, scenario.price)
         return AccountWorld(chain, scenario.contract, scenario.actors)
     raise ValueError(f"unknown ledger kind {scenario.ledger!r}")
@@ -755,16 +774,25 @@ MAX_ORDERS = math.factorial(8)
 def expand_schedules(scenario: Scenario) -> list[tuple[int, ...]]:
     """Concrete permutations for every clause of ``scenario.schedules``; a
     ValueError, before any is built, for an explicit clause that is not a
-    permutation, or for clauses asking for more than ``MAX_ORDERS`` in all."""
+    permutation, a sample clause whose count is no int of at least 1 or
+    whose seed is no natural int (``formats.parse_schedule`` refuses both),
+    or for clauses asking for more than ``MAX_ORDERS`` in all."""
     count = len(scenario.intents)
     asked = 0
     for clause in scenario.schedules:
-        if clause[0] == "explicit" and sorted(clause[1]) != list(range(count)):
-            raise ValueError(f"order {tuple(clause[1])} is not a permutation of 0..{count - 1}")
         if clause[0] == "all":
             asked += math.factorial(min(count, 9))  # 9! alone is past the bound
+        elif clause[0] == "sample":
+            _, n, seed = clause
+            if type(n) is not int or n < 1:
+                raise ValueError(f"sample count must be an int of at least 1, got {n!r}")
+            if type(seed) is not int or seed < 0:
+                raise ValueError(f"sample seed must be a natural int, got {seed!r}")
+            asked += n
         else:
-            asked += clause[1] if clause[0] == "sample" else 1
+            if clause[0] == "explicit" and sorted(clause[1]) != list(range(count)):
+                raise ValueError(f"order {tuple(clause[1])} is not a permutation of 0..{count - 1}")
+            asked += 1
     if asked > MAX_ORDERS:
         raise ValueError(
             f"schedules ask for more than {MAX_ORDERS} orders (all orders of 8 intents); "
@@ -836,10 +864,10 @@ class ScenarioReport:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    """Run every schedule of the scenario against a fresh world.  An unknown
-    actor, intent kind or function, an intent that breaks its
-    ``formats.INTENTS`` row, or a bad schedule, raises KeyError or
-    ValueError."""
+    """Run every schedule of the scenario against a fresh world.  An intent
+    that ``formats.intent_problem`` finds wrong, a deployer that is no
+    actor, or a bad schedule raises ValueError before any intent is built or
+    any turn runs."""
     world = build_world(scenario)
     orders = expand_schedules(scenario)
     outcomes = tuple(run_schedule(world, scenario.intents, order) for order in orders)

@@ -14,7 +14,9 @@ Every name of ``ledgersim.__all__`` must also be defined, so a deleted
 function cannot linger as a re-export that breaks ``import *``.
 
 The package has one import order: no function imports, and the modules'
-run-time imports form an acyclic graph.  And the benchmark's view of the
+run-time imports form an acyclic graph.  No module reaches a private name
+of another (``formats._name``, ``from .formats import _name``) outside a
+short list of stated reasons.  And the benchmark's view of the
 package holds: every layer function ``bench/`` traces or calls exists where
 it says, so a move cannot break ``bench/`` or leave a per-layer row reading
 0 without a test failing.
@@ -236,6 +238,67 @@ def test_an_import_cycle_is_named():
     plain = text.replace("\nPosition = int", "\nfrom .ledger import Chain\nPosition = int", 1)
     cycle = _import_cycle(_trees({model: plain}))
     assert cycle[0] == cycle[-1] and {"model", "ledger"} <= set(cycle)
+
+
+# Private names one module of the package uses from another, each for a
+# stated reason.
+PRIVATE_REACH = {
+    # ``fuzz --cases`` and ``--seed`` spell naturals as the file formats do,
+    # with the formats' message
+    "cli -> formats._nat",
+    # ``equiv --mode alpha`` hands the mismatch search the two canonical
+    # renamings it validated the chains with, so each is validated once
+    "cli -> equivalence._mismatch",
+}
+
+
+def _private_reach(trees) -> list[str]:
+    """``importer -> module._name`` for every private name a module of the
+    package takes from another: as an attribute of a module it imports
+    (``formats._nat``) or by a relative import (``from .equivalence import
+    _mismatch``)."""
+    found = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        bound = {  # the package modules this file imports by name: from . import formats
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                module, names = node.value.id, [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in MODULES:
+                module, names = node.module, [alias.name for alias in node.names]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+            found |= {f"{path.stem} -> {module}.{name}" for name in private if module != path.stem}
+    return sorted(found)
+
+
+def test_no_module_reaches_another_modules_private_names():
+    assert _private_reach(_trees()) == sorted(PRIVATE_REACH)  # a mended reach leaves the list
+
+
+def test_a_private_reach_is_reported():
+    """``build_world`` as it was when it checked intents through
+    ``formats._intent_problem``."""
+    harness = PACKAGE / "harness.py"
+    text = harness.read_text().replace(
+        "    _check_intents(scenario.ledger, scenario.actors, scenario.intents)\n",
+        "    for at, intent in enumerate(scenario.intents):\n"
+        "        params = dict(intent.params)\n"
+        '        key = (intent.kind, params.pop("function", None)) if intent.kind == "call" else intent.kind\n'
+        "        problem = formats._intent_problem(key, params) if key in formats.INTENTS else None\n"
+        "        if problem is not None:\n"
+        '            raise ValueError(f"intent {at}: {problem}")\n',
+        1,
+    )
+    assert "formats._intent_problem" in text
+    assert _private_reach(_trees({harness: text})) == sorted(PRIVATE_REACH | {"harness -> formats._intent_problem"})
 
 
 # Rows of ``bench/tracer.py`` that name no function: the synthetic count of

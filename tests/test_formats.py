@@ -308,6 +308,8 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         (EUTXO_HEAD + "POLICY 2 AffineOnce\nPOLICY 2 AffineOnce\n", "line 7: symbol 2 already has a policy"),
         (EUTXO_HEAD + "INTENT buyer buy n=5 n=7\n", "line 6: n given twice"),
         (ACCOUNT_HEAD + "INTENT buyer call setPrice p=3 p=4\n", "line 7: p given twice"),
+        # the function is the word after ``call``; a function= word is a parameter no row has
+        (ACCOUNT_HEAD + "INTENT buyer call send function=3 to=1 amount=1\n", "line 7: send unknown ['function']"),
         ("LEDGER eutxo\nCONFIG issuer=1 issuer=2 traded=1:1 state=2:1\n", "line 2: issuer given twice"),
         (ACCOUNT_HEAD + "INTENT buyer buy n=5\n", "line 7: buy intents need LEDGER eutxo"),
         (EUTXO_HEAD + "INTENT buyer call setPrice p=3\n", "line 6: call intents need LEDGER account"),
@@ -343,6 +345,7 @@ ACCOUNT_HEAD = "LEDGER account\nCONTRACT 1\nDEPLOYER buyer\nSUPPLY 1000\nPRICE 1
         "same-policy-twice",
         "repeated-intent-key",
         "repeated-call-key",
+        "call-function-as-parameter",
         "repeated-config-key",
         "eutxo-intent-on-account",
         "call-intent-on-eutxo",

@@ -152,6 +152,19 @@ def test_expand_schedules_bounds_the_orders_asked_for():
     ):
         with pytest.raises(ValueError, match="more than 40320 orders"):
             expand_schedules(dataclasses.replace(scenario, schedules=clauses))
+    # a sample clause the parser would refuse is refused before counting:
+    # a negative count would subtract from the tally, here leaving 2 x 8! orders
+    for clauses, message in (
+        ((("all",), ("all",), ("sample", -MAX_ORDERS, 1)), "sample count must be an int of at least 1, got -40320"),
+        ((("sample", 2.5, 1),), "sample count must be an int of at least 1, got 2.5"),
+        ((("sample", 0, 1),), "sample count must be an int of at least 1, got 0"),
+        ((("sample", True, 1),), "sample count must be an int of at least 1, got True"),
+        ((("sample", 3, -1),), "sample seed must be a natural int, got -1"),
+        ((("sample", 3, "7"),), "sample seed must be a natural int, got '7'"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            expand_schedules(dataclasses.replace(eight, schedules=clauses))
+        assert str(raised.value) == message
 
 
 def test_expand_schedules_checks_permutations_before_the_bound():
@@ -164,31 +177,88 @@ def test_expand_schedules_checks_permutations_before_the_bound():
 
 
 def test_unknown_function_in_a_built_scenario_raises_value_error():
-    """A scenario built in code skips the parser's function check; the run
-    still fails with an error its callers catch."""
+    """A scenario built in code skips the parser; the run still fails, before
+    any turn, with the parser's message and an error its callers catch."""
     account = bundled_race_scenario("account")
     bogus = dataclasses.replace(account, intents=(Intent.of("buyer", "call", function="bogus", value=1),))
-    with pytest.raises(ValueError, match="contract has no function 'bogus'"):
+    with pytest.raises(ValueError) as raised:
         run_scenario(bogus)
+    assert str(raised.value) == "intent 0: unknown function 'bogus'"
+
+
+# Malformed intents, each with ``formats.intent_problem``'s message: on each
+# ledger a missing parameter, a non-natural one, an unknown kind or
+# function, the other ledger's kind and an unknown actor.
+MALFORMED = [
+    ("eutxo", Intent.of("buyer", "buy"), "buy missing ['n']"),
+    ("eutxo", Intent.of("buyer", "mint", sym=5, tok=1), "mint missing ['qty']"),
+    ("account", Intent.of("buyer", "call", function="send"), "send missing ['amount', 'to']"),
+    ("eutxo", Intent.of("buyer", "buy", n="5"), "n must be a natural number, got '5'"),
+    ("eutxo", Intent.of("buyer", "set_price", p=-1), "p must be a natural number, got -1"),
+    ("eutxo", Intent.of("buyer", "buy", n=0), "buy n must be at least 1, got 0"),
+    ("eutxo", Intent.of("buyer", "transfer", n=1), "unknown intent kind 'transfer'"),
+    ("eutxo", Intent.of("buyer", "call", function="buy", value=1), "call intents need LEDGER account"),
+    ("eutxo", Intent.of("ghost", "buy", n=1), "intent references unknown actor 'ghost'"),
+    ("account", Intent.of("buyer", "call", function="buy", value=1, n=2), "buy unknown ['n']"),
+    ("account", Intent.of("buyer", "call", function="buy", value=True), "value must be a natural number, got True"),
+    ("account", Intent.of("buyer", "call", function="bogus"), "unknown function 'bogus'"),
+    ("account", Intent.of("buyer", "call"), "unknown function None"),
+    ("account", Intent.of("buyer", "buy", n=1), "buy intents need LEDGER eutxo"),
+    ("account", Intent.of("ghost", "call", function="setPrice", p=1), "intent references unknown actor 'ghost'"),
+]
 
 
 @pytest.mark.parametrize(
-    "ledger, intent, message",
-    [
-        ("eutxo", Intent.of("buyer", "buy"), "intent 0: buy missing ['n']"),
-        ("eutxo", Intent.of("buyer", "mint", sym=5, tok=1), "intent 0: mint missing ['qty']"),
-        ("account", Intent.of("buyer", "call", function="send"), "intent 0: send missing ['amount', 'to']"),
-        ("eutxo", Intent.of("buyer", "buy", n="5"), "intent 0: n must be a natural number, got '5'"),
-    ],
+    "ledger, intent, message", [(ledger, intent, f"intent 0: {problem}") for ledger, intent, problem in MALFORMED]
 )
 def test_built_intent_is_checked_against_its_row(ledger, intent, message):
-    """A scenario built in code meets the INTENTS row a parsed intent does:
-    a missing or non-natural parameter is a ValueError naming the intent,
-    not a TypeError from the run."""
+    """A scenario built in code meets the judge a parsed intent does: its
+    row, its actor and its ledger.  A fault is a ValueError naming the
+    intent, never a TypeError or a KeyError from the run."""
     scenario = dataclasses.replace(bundled_race_scenario(ledger), intents=(intent,))
     with pytest.raises(ValueError) as raised:
         run_scenario(scenario)
     assert str(raised.value) == message
+
+
+def _counting_submits(monkeypatch) -> dict:
+    """Count what the scheduler builds and runs: worlds, UTxO intents,
+    account calls and their execution."""
+    from ledgersim import harness
+
+    calls = dict.fromkeys(("init_portal", "deploy_changing", "_build_eutxo_intent", "CallTx", "call"), 0)
+    for name in calls:
+
+        def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ledger, intent, problem", MALFORMED)
+def test_malformed_intent_is_refused_before_any_turn(monkeypatch, ledger, intent, problem):
+    """Through ``run_schedule`` on a world that has run, and through
+    ``run_scenario``, a malformed intent is one ValueError naming it,
+    raised before any world, intent or call is built or run; the world
+    keeps the record of its last run."""
+    race = bundled_race_scenario(ledger)
+    intents = race.intents + (intent,)
+    world = build_world(race)
+    run_schedule(world, race.intents, (1, 0))
+    kept = world._last_run
+    calls = _counting_submits(monkeypatch)
+    for order in ((0, 1, 2), (2, 1, 0)):
+        with pytest.raises(ValueError) as raised:
+            run_schedule(world, intents, order)
+        assert str(raised.value) == f"intent 2: {problem}"
+        assert world._last_run is kept
+    with pytest.raises(ValueError) as raised:
+        run_scenario(dataclasses.replace(race, intents=intents))
+    assert str(raised.value) == f"intent 2: {problem}"
+    assert set(calls.values()) == {0}
+    assert run_schedule(world, race.intents, (0, 1)) == run_schedule(build_world(race), race.intents, (0, 1))
 
 
 def test_run_scenario_distinct_outcomes():
@@ -830,17 +900,13 @@ def test_resumed_runs_match_fresh_worlds(ledger):
 
 
 def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
-    """An order that raises at an unknown intent kind, and one whose call
-    fails once part-way, leave a record later orders resume from correctly."""
+    """An order whose call fails once part-way leaves a record later orders
+    resume from correctly.  (A malformed intent never gets this far: see
+    ``test_malformed_intent_is_refused_before_any_turn``.)"""
     from ledgersim import harness
 
     scenario = _random_account_race(1)
     world = build_world(scenario)
-    bogus = scenario.intents[:5] + (Intent.of("buyer", "transfer"),)
-    with pytest.raises(ValueError, match="unknown account intent kind 'transfer'"):
-        run_schedule(world, bogus, (0, 1, 2, 5, 3, 4))
-    with pytest.raises(ValueError, match="unknown account intent kind 'transfer'"):
-        run_schedule(world, bogus, (0, 1, 2, 3, 4, 5))  # resumes after 0, 1, 2
     real, calls = harness.call, []
 
     def flaky(*args):
@@ -982,6 +1048,25 @@ def test_digests_match_naive_oracles():
         for order in itertools.permutations(range(6)):
             outcome = run_schedule(world, scenario.intents, order)
             assert outcome.digest == oracles.account_digest(oracles.account_fold(world, scenario.intents, order)[3])
+
+
+def test_account_run_builds_each_call_once(monkeypatch):
+    """All 720 orders of a seeded account race on one world build each
+    intent's ``CallTx`` once, at submit, though they execute many more
+    turns; a second run of the same intents on that world builds none."""
+    import itertools
+
+    calls = _counting_submits(monkeypatch)
+    for seed in range(3):
+        scenario = _random_account_race(seed)
+        world = build_world(scenario)
+        calls.update(CallTx=0, call=0)
+        for order in itertools.permutations(range(6)):
+            run_schedule(world, scenario.intents, order)
+        assert calls["CallTx"] == len(scenario.intents) == 6
+        assert calls["call"] > 6
+        run_schedule(world, scenario.intents, (5, 4, 3, 2, 1, 0))
+        assert calls["CallTx"] == 6
 
 
 def test_account_orders_match_a_plain_fold():
