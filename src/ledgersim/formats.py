@@ -26,8 +26,10 @@ on canonical text.
 Scenario files describe one race or schedule experiment; see parse_scenario.
 The types a scenario parses to, ``Scenario`` and its ``Intent`` list, are
 defined here beside their grammar (``INTENTS``), and ``harness`` runs them.
-``intent_problem`` is the one judge of an intent, for the parser and for
-``harness`` alike.
+The parser checks only what a line spells.  ``scenario_problem`` is the one
+judge of what a whole ``Scenario`` means, and ``intent_problem`` the judge
+of one intent within it, for the parser and for ``harness`` alike: a
+scenario built in code is refused exactly when its text would not parse.
 """
 
 from __future__ import annotations
@@ -405,6 +407,57 @@ def intent_problem(ledger: str, actor_names: Sequence[str], intent: Intent) -> s
     return None
 
 
+def _clause_problem(clause, count: int) -> str | None:
+    """What is wrong with one schedule clause of a scenario with ``count``
+    intents, or None."""
+    match clause:
+        case ("sample", n, _) if type(n) is not int or n < 1:
+            return "sample count must be at least 1" if type(n) is int else f"sample count must be an int, got {n!r}"
+        case ("sample", _, seed) if type(seed) is not int or seed < 0:
+            return f"sample seed must be a natural int, got {seed!r}"
+        case ("explicit", order) if not (
+            type(order) is tuple and all(type(i) is int for i in order) and sorted(order) == list(range(count))
+        ):
+            return f"schedule {order} is not a permutation of 0..{count - 1}"
+        case ("all",) | ("sample", _, _) | ("explicit", _):
+            return None
+    return f"unknown schedule clause {clause!r}"
+
+
+def _problems(scenario: Scenario):
+    """(keyword, which line of that keyword, problem or None) for each
+    check of ``scenario_problem``, in its order, made only when asked for."""
+    names = [name for name, _ in scenario.actors]
+    for at, name in enumerate(names):
+        yield "ACTOR", at, f"actor {name!r} given twice" if name in names[:at] else None
+    for at, intent in enumerate(scenario.intents):
+        yield "INTENT", at, intent_problem(scenario.ledger, names, intent)
+    for at, clause in enumerate(scenario.schedules):
+        yield "SCHEDULE", at, _clause_problem(clause, len(scenario.intents))
+    if scenario.ledger == EUTXO:
+        yield "CONFIG", 0, "eutxo scenario is missing a CONFIG line" if scenario.cfg is None else None
+        # the portal holds the supply; a contract may start empty
+        yield "SUPPLY", 0, f"SUPPLY must be at least 1 on LEDGER {EUTXO}" if scenario.supply < 1 else None
+    else:
+        yield "LEDGER", 0, None if scenario.ledger == ACCOUNT else f"unknown ledger kind {scenario.ledger!r}"
+        yield "DEPLOYER", 0, None if scenario.deployer in names else f"deployer {scenario.deployer!r} is not an actor"
+
+
+def scenario_problem(scenario: Scenario) -> tuple[str, int, str] | None:
+    """The first thing wrong with ``scenario`` as (keyword, which line of
+    that keyword, message), or None.  This is the one judge of a scenario:
+    the parser reports its answer at that line, and ``harness.build_world``
+    and ``harness.expand_schedules`` raise it as
+    ``ValueError("<keyword> <i>: <message>")`` before they build or count
+    anything.  In order: an actor named twice; an intent ``intent_problem``
+    finds wrong; a schedule clause other than ``("all",)``,
+    ``("sample", <int of at least 1>, <natural int>)`` and
+    ``("explicit", <tuple of ints permuting the intent indices>)``; an eutxo
+    scenario with no token config or a supply below 1; an unknown ledger; an
+    account scenario whose deployer is no actor."""
+    return next((found for found in _problems(scenario) if found[2] is not None), None)
+
+
 def _parse_chip_token(token: str, lineno: int) -> Chip:
     sym, colon, tok = token.partition(":")
     if not colon:
@@ -414,16 +467,15 @@ def _parse_chip_token(token: str, lineno: int) -> Chip:
 
 def parse_schedule(tokens: list[str], lineno: int | None = None) -> tuple:
     """One schedule clause, from the words after SCHEDULE or of a --schedule
-    flag: ``all``, ``sample <n> @<seed>`` or an explicit order ``<i,j,...>``."""
+    flag: ``all``, ``sample <n> @<seed>`` or an explicit order ``<i,j,...>``.
+    Only the spelling is checked, so ``sample 0 @1`` and ``1,1`` parse;
+    ``scenario_problem`` judges the clause in its scenario."""
     if tokens == ["all"]:
         return ("all",)
     if tokens and tokens[0] == "sample":
         if len(tokens) != 3 or not tokens[2].startswith("@"):
             _fail(lineno, "sample schedule looks like: sample <n> @<seed>")
-        count = _nat(tokens[1], lineno, "sample count")
-        if count < 1:
-            _fail(lineno, "sample count must be at least 1")
-        return ("sample", count, _nat(tokens[2][1:], lineno, "seed"))
+        return ("sample", _nat(tokens[1], lineno, "sample count"), _nat(tokens[2][1:], lineno, "seed"))
     if len(tokens) == 1:
         try:
             return ("explicit", tuple(_nat(piece, lineno, "index") for piece in tokens[0].split(",")))
@@ -477,13 +529,17 @@ def _parse_intent(args: list[str], lineno: int) -> Intent:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse a scenario file into a Scenario."""
+    """Parse a scenario file into a Scenario.  The parser checks what the
+    lines spell: keywords, arities, naturals, single-valued and ledger-only
+    keywords, and missing lines.  ``scenario_problem`` judges the Scenario
+    it builds, and its answer is reported at the line it names, or at no
+    line for a CONFIG line the file lacks."""
     value: dict[str, object] = {}  # each SINGLE_VALUED keyword's value
-    seen: dict[str, int] = {}  # each keyword's first line
+    where: dict[str, list[int]] = {}  # each keyword's lines, in order
     policy_rules: dict[int, str] = {}
     actors: list[tuple[str, int]] = []
-    intents: dict[int, Intent] = {}  # by line
-    schedules: dict[int, tuple] = {}  # by line
+    intents: list[Intent] = []
+    schedules: list[tuple] = []
     for lineno, keyword, args in _lines(text):
         if keyword in SINGLE_VALUED:
             if keyword in value:
@@ -499,16 +555,14 @@ def parse_scenario(text: str) -> Scenario:
         elif keyword == "ACTOR":
             if len(args) != 2:
                 _fail(lineno, "ACTOR takes a name and a key id")
-            if any(name == args[0] for name, _ in actors):
-                _fail(lineno, f"actor {args[0]!r} given twice")
             actors.append((args[0], _nat(args[1], lineno, "key id")))
         elif keyword == "INTENT":
-            intents[lineno] = _parse_intent(args, lineno)
+            intents.append(_parse_intent(args, lineno))
         elif keyword == "SCHEDULE":
-            schedules[lineno] = parse_schedule(args, lineno)
+            schedules.append(parse_schedule(args, lineno))
         else:
             _fail(lineno, f"unknown keyword {keyword!r}")
-        seen.setdefault(keyword, lineno)
+        where.setdefault(keyword, []).append(lineno)
 
     ledger = value.get("LEDGER")
     if ledger is None:
@@ -517,29 +571,24 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError("scenario is missing SUPPLY or PRICE")
     if not schedules:
         raise ParseError("scenario has no SCHEDULE lines")
-    actor_names = [name for name, _ in actors]
-    for lineno, intent in intents.items():
-        problem = intent_problem(ledger, actor_names, intent)
-        if problem is not None:
-            _fail(lineno, problem)
-    for lineno, clause in schedules.items():
-        if clause[0] == "explicit" and sorted(clause[1]) != list(range(len(intents))):
-            _fail(lineno, f"schedule {clause[1]} is not a permutation of 0..{len(intents) - 1}")
-    for keyword, lineno in seen.items():
+    for keyword, lines in where.items():
         if LEDGER_ONLY.get(keyword, ledger) != ledger:
-            _fail(lineno, f"{keyword} needs LEDGER {LEDGER_ONLY[keyword]}")
-    if value["SUPPLY"] == 0 and ledger == EUTXO:  # the portal holds the supply; a contract may start empty
-        _fail(seen["SUPPLY"], f"SUPPLY must be at least 1 on LEDGER {EUTXO}")
-    head = (ledger, tuple(actors), tuple(intents.values()), tuple(schedules.values()), value["SUPPLY"], value["PRICE"])
+            _fail(lines[0], f"{keyword} needs LEDGER {LEDGER_ONLY[keyword]}")
+    head = (ledger, tuple(actors), tuple(intents), tuple(schedules), value["SUPPLY"], value["PRICE"])
     if ledger == EUTXO:
-        if "CONFIG" not in value:
-            raise ParseError("eutxo scenario is missing a CONFIG line")
-        return Scenario(*head, cfg=value["CONFIG"], policies=PolicyTable.of(policy_rules), rebuild="REBUILD" in value)
-    if "CONTRACT" not in value or "DEPLOYER" not in value:
+        scenario = Scenario(
+            *head, cfg=value.get("CONFIG"), policies=PolicyTable.of(policy_rules), rebuild="REBUILD" in value
+        )
+    elif "CONTRACT" not in value or "DEPLOYER" not in value:
         raise ParseError("account scenario is missing CONTRACT or DEPLOYER")
-    if value["DEPLOYER"] not in actor_names:
-        _fail(seen["DEPLOYER"], f"deployer {value['DEPLOYER']!r} is not an actor")
-    return Scenario(*head, contract=value["CONTRACT"], deployer=value["DEPLOYER"])
+    else:
+        scenario = Scenario(*head, contract=value["CONTRACT"], deployer=value["DEPLOYER"])
+    problem = scenario_problem(scenario)
+    if problem is not None:
+        keyword, at, message = problem
+        lines = where.get(keyword, [])
+        _fail(lines[at] if at < len(lines) else None, message)
+    return scenario
 
 
 def scenario_to_text(scenario: Scenario) -> str:

@@ -2,8 +2,11 @@
 
 Intents (``formats.Intent``, one per ``INTENT`` line of a
 ``formats.Scenario``) are actor actions replayed against a ledger snapshot
-in a chosen order.  ``formats.intent_problem`` judges each intent once: a
-malformed one is a ValueError naming it, never a TypeError or a KeyError,
+in a chosen order.  ``build_world`` and ``expand_schedules`` take a
+scenario only as ``formats.scenario_problem`` judges it, the judge the
+parser reports at a line, and ``run_schedule`` takes an intent tuple only
+as ``formats.intent_problem`` judges it: what they refuse is a ValueError
+naming the actor, intent or clause, never a TypeError or a KeyError,
 raised before anything is built or any turn runs.  Then every intent is
 built once, at submit time.  On the UTxO-style ledger it becomes a concrete
 transaction, against the initial snapshot, and is never rebuilt: competing
@@ -201,7 +204,7 @@ class AccountWorld:
         """The submit phase: every intent built once into its ``CallTx``,
         sent by the actor's key; what the call does depends on the chain it
         meets.  The run starts from the world's chain."""
-        keys = dict(reversed(self.actors))  # the first entry of a name wins
+        keys = dict(self.actors)
         run.built = tuple(
             CallTx(
                 self.contract,
@@ -277,7 +280,7 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
     carries the state chip, and a price change refuses an actor whose key
     is not the issuer's.
     """
-    key = dict(reversed(world.actors))[intent.actor]  # the first entry of a name wins
+    key = dict(world.actors)[intent.actor]
     if intent.kind == "mint":
         minted = singleton(Chip(intent.get("sym"), intent.get("tok")), intent.get("qty"))
         tx = Transaction(frozenset(), frozenset({Output(alloc.fresh(), pay_to_pubkey(key), 0, minted)}))
@@ -332,10 +335,11 @@ def _check_intents(ledger: str, actors: tuple[tuple[str, int], ...], intents: Se
 def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], order: Sequence[int]) -> Outcome:
     """Execute the intents in the given order and report every status.
 
-    The order must be a permutation of the intent indices, and every intent
-    must pass ``formats.intent_problem`` on the world's ledger; otherwise a
-    ValueError is raised before any intent is built or any turn runs, and
-    the world's record is left as it was.  Every failure of a judged intent
+    An order that is no permutation of the intent indices, such as one
+    with an entry that does not compare with an int, and an intent that
+    ``formats.intent_problem`` refuses on the world's ledger each raise
+    ValueError before any intent is built or any turn runs, and leave the
+    world's record as it was.  Every failure of a judged intent
     is recorded in the outcome, never raised.
 
     The world's ``_LastRun`` is made anew, running the world's ``submit``,
@@ -346,7 +350,11 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     order ended there.  A turn or an ``observe`` that raises leaves no entry.
     """
     order, intents = tuple(order), tuple(intents)
-    if sorted(order) != list(range(len(intents))):
+    try:
+        permutation = sorted(order) == list(range(len(intents)))
+    except TypeError:  # an entry that does not compare with an int
+        permutation = False
+    if not permutation:
         raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
     run = world._last_run
     if run is None or run.intents != intents:
@@ -742,28 +750,31 @@ THEOREMS = tuple(STATEMENTS)
 # Scenarios
 
 
+def _refuse(scenario: Scenario) -> None:
+    """ValueError("<keyword> <i>: <message>") for what
+    ``formats.scenario_problem`` finds wrong with ``scenario``."""
+    problem = formats.scenario_problem(scenario)
+    if problem is not None:
+        keyword, at, message = problem
+        raise ValueError(f"{keyword.lower()} {at}: {message}")
+
+
 def build_world(scenario: Scenario) -> EutxoWorld | AccountWorld:
     """Set up the initial ledger a scenario runs against.  Before anything
-    is built, an intent that ``formats.intent_problem`` finds wrong raises
-    ``ValueError("intent <i>: <problem>")``, as parsing it would; so does a
-    deployer that is no actor, as ``ValueError``."""
-    _check_intents(scenario.ledger, scenario.actors, scenario.intents)
+    is built, a scenario that ``formats.scenario_problem`` finds wrong
+    raises its answer as ``ValueError("<keyword> <i>: <message>")``, so a
+    scenario built in code is refused where its text would not parse."""
+    _refuse(scenario)
     if scenario.ledger == EUTXO:
-        if scenario.cfg is None:
-            raise ValueError("eutxo scenario needs a token config")
         alloc = PositionAllocator()
         genesis = init_portal(scenario.cfg, scenario.supply, scenario.price, alloc)
         chain = append(Chain(), genesis, None, scenario.policies)
         if isinstance(chain, ValidationReport):
             raise ValueError(f"portal initialization rejected: {chain.describe()}")
         return EutxoWorld(chain, scenario.cfg, scenario.policies, scenario.actors, scenario.rebuild)
-    if scenario.ledger == ACCOUNT:
-        deployer = dict(reversed(scenario.actors)).get(scenario.deployer)  # the first entry of a name wins
-        if deployer is None:
-            raise ValueError(f"deployer {scenario.deployer!r} is not an actor")
-        chain = deploy_changing(AccountChain(), scenario.contract, deployer, scenario.supply, scenario.price)
-        return AccountWorld(chain, scenario.contract, scenario.actors)
-    raise ValueError(f"unknown ledger kind {scenario.ledger!r}")
+    deployer = dict(scenario.actors)[scenario.deployer]
+    chain = deploy_changing(AccountChain(), scenario.contract, deployer, scenario.supply, scenario.price)
+    return AccountWorld(chain, scenario.contract, scenario.actors)
 
 
 #: The most orders one run may ask for: every order of 8 intents.  A run
@@ -772,27 +783,17 @@ MAX_ORDERS = math.factorial(8)
 
 
 def expand_schedules(scenario: Scenario) -> list[tuple[int, ...]]:
-    """Concrete permutations for every clause of ``scenario.schedules``; a
-    ValueError, before any is built, for an explicit clause that is not a
-    permutation, a sample clause whose count is no int of at least 1 or
-    whose seed is no natural int (``formats.parse_schedule`` refuses both),
-    or for clauses asking for more than ``MAX_ORDERS`` in all."""
+    """Concrete permutations for every clause of ``scenario.schedules``.
+    Before any is built, a scenario that ``formats.scenario_problem`` finds
+    wrong raises its answer as ``build_world`` does, so a sample count below
+    1 never subtracts from the tally; then clauses asking for more than
+    ``MAX_ORDERS`` in all raise ValueError."""
+    _refuse(scenario)
     count = len(scenario.intents)
-    asked = 0
-    for clause in scenario.schedules:
-        if clause[0] == "all":
-            asked += math.factorial(min(count, 9))  # 9! alone is past the bound
-        elif clause[0] == "sample":
-            _, n, seed = clause
-            if type(n) is not int or n < 1:
-                raise ValueError(f"sample count must be an int of at least 1, got {n!r}")
-            if type(seed) is not int or seed < 0:
-                raise ValueError(f"sample seed must be a natural int, got {seed!r}")
-            asked += n
-        else:
-            if clause[0] == "explicit" and sorted(clause[1]) != list(range(count)):
-                raise ValueError(f"order {tuple(clause[1])} is not a permutation of 0..{count - 1}")
-            asked += 1
+    asked = sum(  # 9! alone is past the bound
+        math.factorial(min(count, 9)) if clause[0] == "all" else clause[1] if clause[0] == "sample" else 1
+        for clause in scenario.schedules
+    )
     if asked > MAX_ORDERS:
         raise ValueError(
             f"schedules ask for more than {MAX_ORDERS} orders (all orders of 8 intents); "
@@ -809,10 +810,8 @@ def expand_schedules(scenario: Scenario) -> list[tuple[int, ...]]:
                 order = list(range(count))
                 rng.shuffle(order)
                 orders.append(tuple(order))
-        elif clause[0] == "explicit":
-            orders.append(tuple(clause[1]))
         else:
-            raise ValueError(f"unknown schedule clause {clause!r}")
+            orders.append(clause[1])
     return orders
 
 
@@ -864,10 +863,9 @@ class ScenarioReport:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    """Run every schedule of the scenario against a fresh world.  An intent
-    that ``formats.intent_problem`` finds wrong, a deployer that is no
-    actor, or a bad schedule raises ValueError before any intent is built or
-    any turn runs."""
+    """Run every schedule of the scenario against a fresh world.  A
+    scenario that ``formats.scenario_problem`` finds wrong raises its answer
+    as ValueError before anything is built or any turn runs."""
     world = build_world(scenario)
     orders = expand_schedules(scenario)
     outcomes = tuple(run_schedule(world, scenario.intents, order) for order in orders)

@@ -284,11 +284,11 @@ def test_no_module_reaches_another_modules_private_names():
 
 
 def test_a_private_reach_is_reported():
-    """``build_world`` as it was when it checked intents through
-    ``formats._intent_problem``."""
+    """``build_world`` with the loop it once ran in place of its judge,
+    checking intents through ``formats._intent_problem``."""
     harness = PACKAGE / "harness.py"
     text = harness.read_text().replace(
-        "    _check_intents(scenario.ledger, scenario.actors, scenario.intents)\n",
+        "    _refuse(scenario)\n",
         "    for at, intent in enumerate(scenario.intents):\n"
         "        params = dict(intent.params)\n"
         '        key = (intent.kind, params.pop("function", None)) if intent.kind == "call" else intent.kind\n'

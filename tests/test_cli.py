@@ -366,13 +366,21 @@ def test_scenario_schedule_flag_replaces_every_file_clause(capsys, corpus_dir, f
 
 
 @pytest.mark.parametrize(
-    "clause", ["sample -1 @5", "sample 2 @-1", "1,,0", "sample 0 @1", "+1,-0", "0_0,1", "sample \u0663 @1"]
+    "clause, refused_by",
+    [
+        pytest.param(clause, "--schedule", id=clause)
+        for clause in ["sample -1 @5", "sample 2 @-1", "1,,0", "+1,-0", "0_0,1", "sample \u0663 @1"]
+    ]
+    + [pytest.param("sample 0 @1", "schedule 0", id="sample 0 @1")],
 )
-def test_scenario_bad_schedule_flag_exits_2(capsys, corpus_dir, clause):
+def test_scenario_bad_schedule_flag_exits_2(capsys, corpus_dir, clause, refused_by):
+    """A flag the parser cannot read is refused as ``--schedule``; one it
+    reads but ``formats.scenario_problem`` refuses, as the scenario's first
+    schedule clause."""
     code, out, err = run_cli(capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"), "--schedule", clause)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --schedule: ") and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {refused_by}: ") and len(err.strip().splitlines()) == 1
     assert "line" not in err
 
 
@@ -380,7 +388,7 @@ def test_scenario_non_permutation_flag_exits_2(capsys, corpus_dir):
     code, out, err = run_cli(capsys, "scenario", str(corpus_dir / "race_eutxo.scenario"), "--schedule", "1,1")
     assert code == 2
     assert out == ""
-    assert err == "error: order (1, 1) is not a permutation of 0..1\n"
+    assert err == "error: schedule 0: schedule (1, 1) is not a permutation of 0..1\n"
 
 
 def test_scenario_non_permutation_flag_refused_before_any_order(capsys, tmp_path, monkeypatch):
@@ -399,7 +407,7 @@ def test_scenario_non_permutation_flag_refused_before_any_order(capsys, tmp_path
     code, out, err = run_cli(capsys, "scenario", str(eight), "--schedule", "sample 20000 @1", "--schedule", "1,1")
     assert code == 2
     assert out == ""
-    assert err == "error: order (1, 1) is not a permutation of 0..7\n"
+    assert err == "error: schedule 1: schedule (1, 1) is not a permutation of 0..7\n"
     assert runs == []
 
 

@@ -257,6 +257,78 @@ def test_corpus_scenarios_round_trip(corpus_dir):
         assert formats.parse_scenario(formats.scenario_to_text(scenario)) == scenario, path.name
 
 
+def _mutate(rng: random.Random, scenario: Scenario) -> Scenario:
+    """One mutation, in values the file format can spell: an actor dropped
+    or named twice, an intent's actor re-pointed, an explicit order added
+    (a permutation, or one with an entry changed, dropped or repeated), a
+    sample count of 0, a supply of 0, or, on the account ledger, the
+    deployer renamed."""
+    actors, intents = scenario.actors, scenario.intents
+    names = [name for name, _ in actors] + ["ghost"]
+    which = rng.randrange(7 if scenario.ledger == "account" else 6)
+    if which == 0 and actors:
+        at = rng.randrange(len(actors))
+        return dataclasses.replace(scenario, actors=actors[:at] + actors[at + 1 :])
+    if which == 1 and actors:
+        name, key = rng.choice(actors)
+        at = rng.randrange(len(actors) + 1)
+        return dataclasses.replace(scenario, actors=actors[:at] + ((name, key + rng.randrange(2)),) + actors[at:])
+    if which == 2:
+        at = rng.randrange(len(intents))
+        repointed = dataclasses.replace(intents[at], actor=rng.choice(names))
+        return dataclasses.replace(scenario, intents=intents[:at] + (repointed,) + intents[at + 1 :])
+    if which == 3:
+        order = list(range(len(intents)))
+        rng.shuffle(order)
+        perturb = rng.randrange(4)
+        if perturb == 0:
+            order[rng.randrange(len(order))] = rng.randrange(len(order) + 1)
+        elif perturb == 1 and len(order) > 1:
+            del order[rng.randrange(len(order))]
+        elif perturb == 2:
+            order.append(rng.choice(order))
+        return dataclasses.replace(scenario, schedules=scenario.schedules + (("explicit", tuple(order)),))
+    if which == 4:
+        at = rng.randrange(len(scenario.schedules) + 1)
+        schedules = scenario.schedules[:at] + (("sample", 0, rng.randrange(10)),) + scenario.schedules[at:]
+        return dataclasses.replace(scenario, schedules=schedules)
+    if which == 5:
+        return dataclasses.replace(scenario, supply=0)
+    if which == 6:
+        return dataclasses.replace(scenario, deployer=rng.choice(names))
+    return scenario
+
+
+def test_the_judge_is_the_parser(corpus_dir):
+    """For 2,400 seeded mutations of the corpus scenarios, the text of a
+    scenario ``formats.scenario_problem`` passes parses back to it, and the
+    text of one it refuses fails to parse with its message, at the line of
+    the keyword it names."""
+    corpus = [formats.parse_scenario(path.read_text()) for path in sorted(corpus_dir.glob("*.scenario"))]
+    assert len(corpus) == 8
+    rng = random.Random(2000)
+    taken = {"passed": 0}
+    for _ in range(2400):
+        scenario = rng.choice(corpus)
+        for _ in range(rng.randint(1, 2)):
+            scenario = _mutate(rng, scenario)
+        text = formats.scenario_to_text(scenario)
+        problem = formats.scenario_problem(scenario)
+        if problem is None:
+            assert formats.parse_scenario(text) == scenario
+            taken["passed"] += 1
+            continue
+        keyword, at, message = problem
+        lines = [lineno for lineno, line in enumerate(text.splitlines(), start=1) if line.split()[0] == keyword]
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_scenario(text)
+        assert str(err.value) == f"line {lines[at]}: {message}"
+        taken[keyword] = taken.get(keyword, 0) + 1
+    # at this seed: 417 passed; refused at ACTOR 526, INTENT 500, SCHEDULE 676, SUPPLY 251, DEPLOYER 30
+    assert taken["passed"] >= 300 and sum(taken.values()) - taken["passed"] >= 1500, taken
+    assert {"ACTOR", "INTENT", "SCHEDULE", "SUPPLY", "DEPLOYER"} <= set(taken), taken
+
+
 def test_scenario_files_match_bundled(corpus_dir):
     for ledger in ("eutxo", "account"):
         on_disk = (corpus_dir / f"race_{ledger}.scenario").read_text()

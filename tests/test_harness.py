@@ -89,10 +89,13 @@ def test_build_refusal_recorded():
 
 
 def test_order_must_be_permutation():
+    """An entry that does not compare with an int is refused as any other,
+    not with the TypeError of sorting it."""
     scenario = bundled_race_scenario("eutxo")
     world = build_world(scenario)
-    with pytest.raises(ValueError, match=r"^order \(0, 0\) is not a permutation of 0\.\.1$"):
-        run_schedule(world, scenario.intents, (0, 0))
+    for order, shown in (((0, 0), r"\(0, 0\)"), ((0, "1"), r"\(0, '1'\)"), ((None, 0), r"\(None, 0\)")):
+        with pytest.raises(ValueError, match=rf"^order {shown} is not a permutation of 0\.\.1$"):
+            run_schedule(world, scenario.intents, order)
 
 
 def test_run_schedule_deterministic():
@@ -152,15 +155,16 @@ def test_expand_schedules_bounds_the_orders_asked_for():
     ):
         with pytest.raises(ValueError, match="more than 40320 orders"):
             expand_schedules(dataclasses.replace(scenario, schedules=clauses))
-    # a sample clause the parser would refuse is refused before counting:
-    # a negative count would subtract from the tally, here leaving 2 x 8! orders
+    # a sample clause the parser would refuse is refused by the judge before
+    # counting: a negative count would subtract from the tally, here leaving
+    # 2 x 8! orders
     for clauses, message in (
-        ((("all",), ("all",), ("sample", -MAX_ORDERS, 1)), "sample count must be an int of at least 1, got -40320"),
-        ((("sample", 2.5, 1),), "sample count must be an int of at least 1, got 2.5"),
-        ((("sample", 0, 1),), "sample count must be an int of at least 1, got 0"),
-        ((("sample", True, 1),), "sample count must be an int of at least 1, got True"),
-        ((("sample", 3, -1),), "sample seed must be a natural int, got -1"),
-        ((("sample", 3, "7"),), "sample seed must be a natural int, got '7'"),
+        ((("all",), ("all",), ("sample", -MAX_ORDERS, 1)), "schedule 2: sample count must be at least 1"),
+        ((("sample", 2.5, 1),), "schedule 0: sample count must be an int, got 2.5"),
+        ((("sample", 0, 1),), "schedule 0: sample count must be at least 1"),
+        ((("sample", True, 1),), "schedule 0: sample count must be an int, got True"),
+        ((("sample", 3, -1),), "schedule 0: sample seed must be a natural int, got -1"),
+        ((("sample", 3, "7"),), "schedule 0: sample seed must be a natural int, got '7'"),
     ):
         with pytest.raises(ValueError) as raised:
             expand_schedules(dataclasses.replace(eight, schedules=clauses))
@@ -172,7 +176,7 @@ def test_expand_schedules_checks_permutations_before_the_bound():
     too many orders."""
     race = bundled_race_scenario("eutxo")
     scenario = dataclasses.replace(race, schedules=(("sample", MAX_ORDERS + 1, 1), ("explicit", (1, 1))))
-    with pytest.raises(ValueError, match=r"order \(1, 1\) is not a permutation of 0..1"):
+    with pytest.raises(ValueError, match=r"^schedule 1: schedule \(1, 1\) is not a permutation of 0\.\.1$"):
         expand_schedules(scenario)
 
 
@@ -259,6 +263,54 @@ def test_malformed_intent_is_refused_before_any_turn(monkeypatch, ledger, intent
     assert str(raised.value) == f"intent 2: {problem}"
     assert set(calls.values()) == {0}
     assert run_schedule(world, race.intents, (0, 1)) == run_schedule(build_world(race), race.intents, (0, 1))
+
+
+# Scenarios built in code that the parser would refuse, each with the
+# ValueError ``formats.scenario_problem``'s answer is raised as: by ledger,
+# the changed fields of the bundled race.
+REFUSED_SCENARIOS = [
+    ("eutxo", {"actors": (("buyer", 7), ("issuer", 1), ("buyer", 8))}, "actor 2: actor 'buyer' given twice"),
+    ("account", {"actors": (("buyer", 7), ("issuer", 1), ("issuer", 9))}, "actor 2: actor 'issuer' given twice"),
+    ("eutxo", {"schedules": (("explicit", (0, "1")),)}, "schedule 0: schedule (0, '1') is not a permutation of 0..1"),
+    ("eutxo", {"schedules": (("all",), ("explicit", 5))}, "schedule 1: schedule 5 is not a permutation of 0..1"),
+    ("account", {"schedules": (("explicit", (0, True)),)}, "schedule 0: schedule (0, True) is not a permutation of 0..1"),
+    ("eutxo", {"schedules": (("explicit", [1, 0]),)}, "schedule 0: schedule [1, 0] is not a permutation of 0..1"),
+    ("eutxo", {"schedules": (("sample", 2),)}, "schedule 0: unknown schedule clause ('sample', 2)"),
+    ("eutxo", {"ledger": "martian"}, "ledger 0: unknown ledger kind 'martian'"),
+    ("eutxo", {"cfg": None}, "config 0: eutxo scenario is missing a CONFIG line"),
+    ("eutxo", {"supply": 0}, "supply 0: SUPPLY must be at least 1 on LEDGER eutxo"),
+    ("account", {"deployer": "ghost"}, "deployer 0: deployer 'ghost' is not an actor"),
+]
+
+
+@pytest.mark.parametrize(
+    "ledger, changes, message",
+    REFUSED_SCENARIOS,
+    ids=[
+        "second-buyer",
+        "second-issuer",
+        "explicit-str-entry",
+        "explicit-not-a-tuple",
+        "explicit-bool-entry",
+        "explicit-list",
+        "sample-without-seed",
+        "unknown-ledger",
+        "eutxo-without-config",
+        "eutxo-supply-zero",
+        "unknown-deployer",
+    ],
+)
+def test_built_scenario_the_parser_refuses_is_refused_before_anything_is_built(monkeypatch, ledger, changes, message):
+    """``run_scenario``, ``build_world`` and ``expand_schedules`` each raise
+    one ValueError for a scenario whose text would not parse, before a
+    portal, a contract or an intent is built."""
+    scenario = dataclasses.replace(bundled_race_scenario(ledger), **changes)
+    calls = _counting_submits(monkeypatch)
+    for step in (run_scenario, build_world, expand_schedules):
+        with pytest.raises(ValueError) as raised:
+            step(scenario)
+        assert str(raised.value) == message
+    assert set(calls.values()) == {0}
 
 
 def test_run_scenario_distinct_outcomes():
