@@ -182,7 +182,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_demo_race(args) -> int:
     """Run the bundled two-actor race on both ledgers and print the contrast."""
-    reports = {ledger: run_scenario(bundled_race_scenario(ledger)) for ledger in ("eutxo", "account")}
+    reports = {ledger: run_scenario(bundled_race_scenario(ledger)) for ledger in (formats.EUTXO, formats.ACCOUNT)}
     if args.format == "json":
         print(json.dumps({k: v.to_dict() for k, v in reports.items()}, indent=2, sort_keys=True))
         return 0

@@ -6,10 +6,11 @@ only in the position names of spent output-input pairs; positions of unspent
 outputs are observable and may not be renamed.  Alpha-equivalence is defined
 by canonical form: every spent pair is renamed to an index determined by
 traversal order, so equal canonical forms mean the chains were equal up to
-renaming spent pairs.  ``canonicalize`` builds that form and is the
-reference; ``alpha_mismatch`` decides the same question without building a
-canonical chain, by reading both chains through their canonical renamings one
-transaction at a time.
+renaming spent pairs.  A renaming is a plain mapping from old position to
+new, and a position it does not map keeps its name.  ``canonicalize`` builds
+the canonical form and is the reference; ``alpha_mismatch`` decides the same
+question without building a canonical chain, by reading both chains through
+their canonical renamings one transaction at a time.
 """
 
 from __future__ import annotations
@@ -31,36 +32,9 @@ def apart(tx1: Transaction, tx2: Transaction) -> bool:
     return not (positions_of(tx1) & positions_of(tx2))
 
 
-@dataclass(frozen=True)
-class PositionRenaming:
-    """A finite injective renaming of positions that leaves a fixed set alone.
-
-    The fixed set is meant to hold the unspent-output positions, which are
-    observable and must not move.
-    """
-
-    mapping: tuple[tuple[Position, Position], ...]
-    fixed: frozenset[Position] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(sorted(self.mapping)))
-        object.__setattr__(self, "fixed", frozenset(self.fixed))
-        sources = [a for a, _ in self.mapping]
-        targets = [b for _, b in self.mapping]
-        if len(set(sources)) != len(sources):
-            raise ValueError("renaming maps some position twice")
-        if len(set(targets)) != len(targets):
-            raise ValueError("renaming is not injective")
-        if self.fixed & set(sources) or self.fixed & set(targets):
-            raise ValueError("renaming touches a fixed position")
-
-    def as_dict(self) -> dict[Position, Position]:
-        return dict(self.mapping)
-
-
-def rename_positions(chain: Chain, renaming: PositionRenaming | dict) -> Chain:
-    """Apply a position renaming uniformly to every input and output."""
-    table = renaming.as_dict() if isinstance(renaming, PositionRenaming) else dict(renaming)
+def rename_positions(chain: Chain, table: dict[Position, Position]) -> Chain:
+    """Apply a position renaming, a mapping from old position to new, to
+    every input and output; a position it does not map stays."""
     txs = []
     for tx in chain.transactions:
         inputs = frozenset(Input(table.get(i.position, i.position), i.redeemer) for i in tx.inputs)
@@ -102,8 +76,9 @@ def _least_free(positions: Iterable[Position], taken: Container[Position]) -> li
     return pairs
 
 
-def canonical_renaming(chain: Chain) -> PositionRenaming:
-    """The renaming taking a valid chain to its canonical form.
+def canonical_renaming(chain: Chain) -> dict[Position, Position]:
+    """The renaming taking a valid chain to its canonical form, as a mapping
+    from each spent position that moves to its canonical name.
 
     Spent pairs are ordered by (producer index, output payload, spender index,
     redeemer) -- a key that never looks at the position being renamed, so all
@@ -117,11 +92,13 @@ def canonical_renaming(chain: Chain) -> PositionRenaming:
 
     def edge_key(edge: tuple[int, Output, int, Input]) -> tuple:
         out_index, out, in_index, inp = edge
-        return (out_index, out.validator.sort_key(), out.datum, out.value.entries, in_index, inp.redeemer)
+        return (
+            out_index, out.validator.kind, out.validator.params, out.datum, out.value.entries, in_index, inp.redeemer
+        )
 
     edges = sorted(spent_edges(chain), key=edge_key)
     named = _least_free((out.position for _, out, _, _ in edges), unspent)
-    return PositionRenaming(tuple((p, q) for p, q in named if p != q), unspent)
+    return {p: q for p, q in named if p != q}
 
 
 def canonicalize(chain: Chain) -> Chain:
@@ -156,9 +133,8 @@ def alpha_mismatch(a: Chain, b: Chain) -> int | None:
     return _mismatch(a, b, canonical_renaming(a), canonical_renaming(b))
 
 
-def _mismatch(a: Chain, b: Chain, renaming_a: PositionRenaming, renaming_b: PositionRenaming) -> int | None:
+def _mismatch(a: Chain, b: Chain, table_a: dict[Position, Position], table_b: dict[Position, Position]) -> int | None:
     """``alpha_mismatch``, given the two chains' canonical renamings."""
-    table_a, table_b = renaming_a.as_dict(), renaming_b.as_dict()
     slots_a, slots_b = a.slots, b.slots
     for index, (tx_a, tx_b) in enumerate(zip(a.transactions, b.transactions)):
         slot_a = None if slots_a is None else slots_a[index]
@@ -181,15 +157,16 @@ def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:
 
     The clashing spent pairs, in order of (producer index, position), are
     named by the fresh-name rule, avoiding ``avoid`` and every position the
-    chain mentions; deterministic.  Unspent positions are never touched (a
-    clash there cannot be repaired by alpha-conversion).
+    chain mentions, and renamed by the mapping from each clash to its name;
+    deterministic.  Unspent positions are never touched (a clash there
+    cannot be repaired by alpha-conversion).
     """
     _require_valid(chain)
     avoid = set(avoid)
     index = chain.index()
     clashes = sorted(index.spent & avoid, key=lambda p: (index.producer[p], p))
     named = _least_free(clashes, avoid | index.output.keys())
-    return rename_positions(chain, PositionRenaming(tuple(named), index.unspent.keys()))
+    return rename_positions(chain, dict(named))
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,14 @@ def _nat(token: str, lineno: int | None, what: str) -> int:
     except ValueError:  # more digits than int() reads
         n = -1
     if n < 0:
-        _fail(lineno, f"{what} must be a natural number, got {token!r}")
+        _fail(lineno, _not_natural(token, what))
     return n
+
+
+def _not_natural(value, what: str) -> str | None:
+    """The complaint about ``value`` as the natural number ``what``, or None
+    when it is one: an ``int``, not a ``bool``, of at least 0."""
+    return None if type(value) is int and value >= 0 else f"{what} must be a natural number, got {value!r}"
 
 
 def _lines(text: str):
@@ -330,7 +336,7 @@ class Scenario:
 
 
 SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "REBUILD")
-LEDGER_ONLY = {"CONFIG": "eutxo", "POLICY": "eutxo", "REBUILD": "eutxo", "CONTRACT": "account", "DEPLOYER": "account"}
+LEDGER_ONLY = {"CONFIG": EUTXO, "POLICY": EUTXO, "REBUILD": EUTXO, "CONTRACT": ACCOUNT, "DEPLOYER": ACCOUNT}
 CONFIG_KEYS = {"issuer", "traded", "state"}
 #: Every intent, keyed by its UTxO kind or by ``("call", function)``: its
 #: required parameters, its optional ones, and the parameter that sizes it,
@@ -392,12 +398,10 @@ def intent_problem(ledger: str, actor_names: Sequence[str], intent: Intent) -> s
     name = key[1] if intent.kind == "call" else key
     function_pair = ("function", name) if intent.kind == "call" else None
     given = dict(pair for pair in intent.params if pair != function_pair)
-    problem = _keys_problem(name, given, required, optional)
+    problems = (_not_natural(value, param) for param, value in sorted(given.items()))
+    problem = _keys_problem(name, given, required, optional) or next(filter(None, problems), None)
     if problem is not None:
         return problem
-    for param, value in sorted(given.items()):
-        if type(value) is not int or value < 0:
-            return f"{param} must be a natural number, got {value!r}"
     if size and given[size] < 1:
         return f"{name} {size} must be at least 1, got {given[size]}"
     if intent.actor not in actor_names:
@@ -428,18 +432,22 @@ def _problems(scenario: Scenario):
     """(keyword, which line of that keyword, problem or None) for each
     check of ``scenario_problem``, in its order, made only when asked for."""
     names = [name for name, _ in scenario.actors]
-    for at, name in enumerate(names):
-        yield "ACTOR", at, f"actor {name!r} given twice" if name in names[:at] else None
+    for at, (name, key) in enumerate(scenario.actors):
+        yield "ACTOR", at, f"actor {name!r} given twice" if name in names[:at] else _not_natural(key, "key id")
     for at, intent in enumerate(scenario.intents):
         yield "INTENT", at, intent_problem(scenario.ledger, names, intent)
+    yield "SCHEDULE", 0, None if scenario.schedules else "scenario has no SCHEDULE lines"
     for at, clause in enumerate(scenario.schedules):
         yield "SCHEDULE", at, _clause_problem(clause, len(scenario.intents))
+    yield "SUPPLY", 0, _not_natural(scenario.supply, "supply")
+    yield "PRICE", 0, _not_natural(scenario.price, "price")
     if scenario.ledger == EUTXO:
         yield "CONFIG", 0, "eutxo scenario is missing a CONFIG line" if scenario.cfg is None else None
         # the portal holds the supply; a contract may start empty
         yield "SUPPLY", 0, f"SUPPLY must be at least 1 on LEDGER {EUTXO}" if scenario.supply < 1 else None
     else:
         yield "LEDGER", 0, None if scenario.ledger == ACCOUNT else f"unknown ledger kind {scenario.ledger!r}"
+        yield "CONTRACT", 0, _not_natural(scenario.contract, "contract name")
         yield "DEPLOYER", 0, None if scenario.deployer in names else f"deployer {scenario.deployer!r} is not an actor"
 
 
@@ -449,12 +457,16 @@ def scenario_problem(scenario: Scenario) -> tuple[str, int, str] | None:
     the parser reports its answer at that line, and ``harness.build_world``
     and ``harness.expand_schedules`` raise it as
     ``ValueError("<keyword> <i>: <message>")`` before they build or count
-    anything.  In order: an actor named twice; an intent ``intent_problem``
-    finds wrong; a schedule clause other than ``("all",)``,
+    anything.  In order: an actor named twice or whose key is no natural
+    number; an intent ``intent_problem`` finds wrong; no schedule clause, or
+    a clause other than ``("all",)``,
     ``("sample", <int of at least 1>, <natural int>)`` and
-    ``("explicit", <tuple of ints permuting the intent indices>)``; an eutxo
-    scenario with no token config or a supply below 1; an unknown ledger; an
-    account scenario whose deployer is no actor."""
+    ``("explicit", <tuple of ints permuting the intent indices>)``; a supply
+    or price that is no natural number; an eutxo scenario with no token
+    config or a supply below 1; an unknown ledger; an account scenario whose
+    contract name is no natural number or whose deployer is no actor.  A
+    natural number is an ``int``, not a ``bool``, of at least 0, as the
+    parser reads one."""
     return next((found for found in _problems(scenario) if found[2] is not None), None)
 
 
@@ -487,8 +499,8 @@ def parse_schedule(tokens: list[str], lineno: int | None = None) -> tuple:
 def _single_value(keyword: str, args: list[str], lineno: int):
     """The value of one line of a SINGLE_VALUED keyword."""
     if keyword == "LEDGER":
-        if args not in (["eutxo"], ["account"]):
-            _fail(lineno, "LEDGER must be 'eutxo' or 'account'")
+        if args not in ([EUTXO], [ACCOUNT]):
+            _fail(lineno, f"LEDGER must be {EUTXO!r} or {ACCOUNT!r}")
         return args[0]
     if keyword == "REBUILD":
         if args:
@@ -533,7 +545,7 @@ def parse_scenario(text: str) -> Scenario:
     lines spell: keywords, arities, naturals, single-valued and ledger-only
     keywords, and missing lines.  ``scenario_problem`` judges the Scenario
     it builds, and its answer is reported at the line it names, or at no
-    line for a CONFIG line the file lacks."""
+    line for a CONFIG or SCHEDULE line the file lacks."""
     value: dict[str, object] = {}  # each SINGLE_VALUED keyword's value
     where: dict[str, list[int]] = {}  # each keyword's lines, in order
     policy_rules: dict[int, str] = {}
@@ -569,8 +581,6 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError("scenario is missing a LEDGER line")
     if "SUPPLY" not in value or "PRICE" not in value:
         raise ParseError("scenario is missing SUPPLY or PRICE")
-    if not schedules:
-        raise ParseError("scenario has no SCHEDULE lines")
     for keyword, lines in where.items():
         if LEDGER_ONLY.get(keyword, ledger) != ledger:
             _fail(lines[0], f"{keyword} needs LEDGER {LEDGER_ONLY[keyword]}")
@@ -594,7 +604,7 @@ def parse_scenario(text: str) -> Scenario:
 def scenario_to_text(scenario: Scenario) -> str:
     """Canonical text for a scenario; parse(scenario_to_text(s)) == s."""
     lines = [f"LEDGER {scenario.ledger}"]
-    if scenario.ledger == "eutxo":
+    if scenario.ledger == EUTXO:
         cfg = scenario.cfg
         traded, state = chip_to_text(cfg.traded_chip), chip_to_text(cfg.state_chip)
         lines.append(f"CONFIG issuer={cfg.issuer} traded={traded} state={state}")

@@ -665,12 +665,12 @@ def _alpha_variant(rng: random.Random, base: Chain, alloc: PositionAllocator) ->
     edges = spent_edges(base)
     if not edges:
         return base
-    mapping = [
-        (out.position, alloc.fresh())
+    mapping = {
+        out.position: alloc.fresh()
         for _, out, _, _ in sorted(edges, key=lambda e: (e[0], e[1].position))
         if rng.random() < 0.5
-    ]
-    return rename_positions(base, dict(mapping))
+    }
+    return rename_positions(base, mapping)
 
 
 def _swap_variant(rng: random.Random, base: Chain) -> Chain:

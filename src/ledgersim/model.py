@@ -168,9 +168,6 @@ class ValidatorRef:
         if any(p < 0 for p in self.params):
             raise ValueError("validator parameters must be naturals")
 
-    def sort_key(self) -> tuple:
-        return (self.kind, self.params)
-
 
 ACCEPT_ALL = ValidatorRef(ACCEPT_ALL_KIND)
 REJECT_ALL = ValidatorRef(REJECT_ALL_KIND)

@@ -1,5 +1,6 @@
 """Command-line exit codes and output stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -205,6 +206,28 @@ def test_equiv_json_output(capsys, corpus_dir):
     assert code == 1
     payload = json.loads(out)
     assert payload["equivalent"] is False and payload["first_mismatch"] is not None
+
+
+# sha256 of (argv, exit code, stdout, stderr) of ``equiv`` over every
+# ordered pair of the ten corpus chains, in both modes and both formats.
+EQUIV_PIN = "616d2c42f4680bbc5ec2019e56182a3db879e1516ee232f2ccd1efa2d9a67d61"
+
+
+def test_equiv_over_the_corpus_pinned(capsys, corpus_dir, monkeypatch):
+    """Every verdict, mismatch listing and error of ``equiv`` on the corpus
+    chains is fixed across versions.  Paths are read relative to the corpus
+    so that the error lines do not depend on where it lies."""
+    monkeypatch.chdir(corpus_dir)
+    names = sorted(path.name for path in corpus_dir.glob("*.chain"))
+    assert len(names) == 10
+    digest = hashlib.sha256()
+    for a in names:
+        for b in names:
+            for mode in ("obs", "alpha"):
+                for fmt in ("text", "json"):
+                    argv = ("equiv", a, b, "--mode", mode, "--format", fmt)
+                    digest.update(repr((argv,) + run_cli(capsys, *argv)).encode())
+    assert digest.hexdigest() == EQUIV_PIN
 
 
 SLOTTED_PAIR = "TX 0 SLOT 1\nOUT 1 AcceptAll 0 0:0=1\nTX 1 SLOT {}\nIN 1 0\nOUT 2 AcceptAll 0 0:0=1\n"

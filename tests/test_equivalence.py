@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from ledgersim.equivalence import (
-    PositionRenaming,
     alpha_equiv,
     alpha_mismatch,
     apart,
@@ -260,21 +259,32 @@ def test_alpha_mismatch_builds_no_canonical_chain(monkeypatch, chain_b):
     assert alpha_mismatch(chain_b, chain_b) is None
 
 
+def _assert_renames_only_spent(chain: Chain) -> None:
+    """The canonical renaming of ``chain`` is a dict that moves spent
+    positions only, to distinct names that no unspent output carries."""
+    renaming = canonical_renaming(chain)
+    assert type(renaming) is dict
+    unspent = {out.position for out in utxo(chain)}
+    assert len(set(renaming.values())) == len(renaming)
+    assert not (renaming.keys() | renaming.values()) & unspent
+
+
 def test_canonical_renaming_fixes_unspent(chain_b):
-    renaming = canonical_renaming(chain_b)
-    unspent = {out.position for out in utxo(chain_b)}
-    assert renaming.fixed == frozenset(unspent)
-    for src, dst in renaming.mapping:
-        assert src not in unspent and dst not in unspent
-
-
-def test_position_renaming_validation():
-    with pytest.raises(ValueError):
-        PositionRenaming(((1, 5), (2, 5)))  # not injective
-    with pytest.raises(ValueError):
-        PositionRenaming(((1, 5),), frozenset({1}))  # touches fixed
-    with pytest.raises(ValueError):
-        PositionRenaming(((1, 5),), frozenset({5}))
+    """On figure 3's chain and on 200 generated chains, unslotted and
+    slotted, each as drawn and relabelled into sparse positions."""
+    _assert_renames_only_spent(chain_b)
+    rng = random.Random(23)
+    moved = 0
+    for slotted in (False, True):
+        gen = ChainGen(rng, slotted=slotted)
+        for _ in range(100):
+            chain, alloc = gen.chain()
+            used = range(alloc.peek())
+            sparse = rename_positions(chain, dict(zip(used, rng.sample(range(3 * len(used) + 3), len(used)))))
+            for drawn in (chain, sparse):
+                _assert_renames_only_spent(drawn)
+                moved += len(canonical_renaming(drawn))
+    assert moved > 0
 
 
 def test_alpha_equiv_agrees_with_bruteforce_on_variants(chain_b):
@@ -331,7 +341,7 @@ def test_fresh_names_pinned():
                 outputs = {out.position for tx in drawn for out in tx.outputs}
                 unused = [p for p in rng.sample(range(4 * len(used) + 4), 3) if p not in outputs]
                 avoid = rng.sample(spent, rng.randrange(len(spent) + 1)) + unused
-                digest.update(repr(canonical_renaming(drawn).mapping).encode())
+                digest.update(repr(tuple(sorted(canonical_renaming(drawn).items()))).encode())
                 digest.update(chain_to_text(freshen_spent_clashes(drawn, avoid)).encode())
     assert digest.hexdigest() == RENAMING_PIN
 

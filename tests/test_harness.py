@@ -280,6 +280,11 @@ REFUSED_SCENARIOS = [
     ("eutxo", {"cfg": None}, "config 0: eutxo scenario is missing a CONFIG line"),
     ("eutxo", {"supply": 0}, "supply 0: SUPPLY must be at least 1 on LEDGER eutxo"),
     ("account", {"deployer": "ghost"}, "deployer 0: deployer 'ghost' is not an actor"),
+    ("eutxo", {"supply": "5"}, "supply 0: supply must be a natural number, got '5'"),
+    ("eutxo", {"price": 2.5}, "price 0: price must be a natural number, got 2.5"),
+    ("eutxo", {"actors": (("buyer", "x"), ("issuer", 1))}, "actor 0: key id must be a natural number, got 'x'"),
+    ("account", {"contract": "c"}, "contract 0: contract name must be a natural number, got 'c'"),
+    ("eutxo", {"schedules": ()}, "schedule 0: scenario has no SCHEDULE lines"),
 ]
 
 
@@ -298,6 +303,11 @@ REFUSED_SCENARIOS = [
         "eutxo-without-config",
         "eutxo-supply-zero",
         "unknown-deployer",
+        "supply-a-str",
+        "price-a-float",
+        "actor-key-a-str",
+        "contract-a-str",
+        "no-schedules",
     ],
 )
 def test_built_scenario_the_parser_refuses_is_refused_before_anything_is_built(monkeypatch, ledger, changes, message):
