@@ -193,23 +193,18 @@ def check_defer(base: Chain, txs: Sequence[Transaction], tx: Transaction) -> Def
     they append, though the whole sequence is not.  Observational
     equivalence looks only at the transactions, scheduled or not.
 
-    B;tx;txs starts with B;tx, so it extends that chain by the batch, except
-    on an empty base where ``tx`` has no slot range but some batch
-    transaction has one: there the whole sequence decides whether the chain
-    is slotted.
+    The two full orders are scheduled from the base.  B;tx is read off
+    B;tx;txs, whose first step it is: valid when that order schedules tx.
     """
     batch = tuple(txs)
-    both = schedule_extension(base, batch + (tx,))
-    alone = schedule_extension(base, (tx,))
-    if not base.transactions and tx.slot_range is None and any(t.slot_range is not None for t in batch):
-        swapped = schedule_extension(base, (tx,) + batch)
-    else:
-        swapped = None if alone is None else schedule_extension(alone, batch)
+    both, both_count = schedule_extension(base, batch + (tx,))
+    swapped, swapped_count = schedule_extension(base, (tx,) + batch)
     return DeferReport(
-        valid_txs_tx=both is not None,
-        valid_tx=alone is not None,
-        valid_tx_txs=swapped is not None,
+        valid_txs_tx=both_count > len(batch),
+        valid_tx=swapped_count > 0,
+        valid_tx_txs=swapped_count > len(batch),
         equiv=obs_equiv(
-            both or Chain(base.transactions + batch + (tx,)), swapped or Chain(base.transactions + (tx,) + batch)
+            both if both_count > len(batch) else Chain(base.transactions + batch + (tx,)),
+            swapped if swapped_count > len(batch) else Chain(base.transactions + (tx,) + batch),
         ),
     )

@@ -102,10 +102,7 @@ def _parse_value_tokens(tokens: Sequence[str], lineno: int) -> Value:
         entries.append(
             (Chip(_nat(sym_part, lineno, "currency symbol"), _nat(tok_part, lineno, "token name")), qty)
         )
-    try:
-        return Value.of(entries)
-    except ValueError as exc:
-        _fail(lineno, str(exc))
+    return Value.of(entries)
 
 
 def output_to_text(out: Output) -> str:
@@ -201,17 +198,13 @@ def _output(
     validator = validators.get(validator_words)
     if validator is None:
         params = tuple(_nat(word, lineno, f"{kind} parameter") for word in validator_words[1:])
+        validator = validators[validator_words] = ValidatorRef(kind, params)
     datum = _nat(args[2 + arity], lineno, "datum")
     value_words = tuple(args[3 + arity :])
     value = values.get(value_words)
     if value is None:
         value = values[value_words] = _parse_value_tokens(value_words, lineno)
-    try:
-        if validator is None:
-            validator = validators[validator_words] = ValidatorRef(kind, params)
-        return Output(position, validator, datum, value)
-    except ValueError as exc:
-        _fail(lineno, str(exc))
+    return Output(position, validator, datum, value)
 
 
 def _transaction(lineno: int, slot_range: SlotRange | None, inputs: list[Input], outputs: list[Output]) -> Transaction:
@@ -265,11 +258,7 @@ def parse_transactions(text: str) -> tuple[tuple[Transaction, ...], tuple[int, .
 
 
 def parse_chain(text: str) -> Chain:
-    txs, slots = parse_transactions(text)
-    try:
-        return Chain(txs, slots)
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    return Chain(*parse_transactions(text))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +325,16 @@ class Scenario:
 
 
 SINGLE_VALUED = ("LEDGER", "CONFIG", "CONTRACT", "DEPLOYER", "SUPPLY", "PRICE", "REBUILD")
-LEDGER_ONLY = {"CONFIG": EUTXO, "POLICY": EUTXO, "REBUILD": EUTXO, "CONTRACT": ACCOUNT, "DEPLOYER": ACCOUNT}
+#: Each keyword of one ledger only: that ledger, the ``Scenario`` field the
+#: keyword sets and the field's type.  Under the other ledger the field keeps
+#: its default.
+LEDGER_ONLY = {
+    "CONFIG": (EUTXO, "cfg", TokenConfig),
+    "POLICY": (EUTXO, "policies", PolicyTable),
+    "REBUILD": (EUTXO, "rebuild", bool),
+    "CONTRACT": (ACCOUNT, "contract", int),
+    "DEPLOYER": (ACCOUNT, "deployer", str),
+}
 CONFIG_KEYS = {"issuer", "traded", "state"}
 #: Every intent, keyed by its UTxO kind or by ``("call", function)``: its
 #: required parameters, its optional ones, and the parameter that sizes it,
@@ -449,6 +447,12 @@ def _problems(scenario: Scenario):
         yield "LEDGER", 0, None if scenario.ledger == ACCOUNT else f"unknown ledger kind {scenario.ledger!r}"
         yield "CONTRACT", 0, _not_natural(scenario.contract, "contract name")
         yield "DEPLOYER", 0, None if scenario.deployer in names else f"deployer {scenario.deployer!r} is not an actor"
+    for keyword, (ledger, name, kind) in LEDGER_ONLY.items():
+        value = getattr(scenario, name)
+        if ledger != scenario.ledger and value != getattr(Scenario, name):
+            yield keyword, 0, f"{keyword} needs LEDGER {ledger}"
+        elif ledger == scenario.ledger and not isinstance(value, kind):
+            yield keyword, 0, f"{name} must be a {kind.__name__}, got {value!r}"
 
 
 def scenario_problem(scenario: Scenario) -> tuple[str, int, str] | None:
@@ -464,9 +468,10 @@ def scenario_problem(scenario: Scenario) -> tuple[str, int, str] | None:
     ``("explicit", <tuple of ints permuting the intent indices>)``; a supply
     or price that is no natural number; an eutxo scenario with no token
     config or a supply below 1; an unknown ledger; an account scenario whose
-    contract name is no natural number or whose deployer is no actor.  A
-    natural number is an ``int``, not a ``bool``, of at least 0, as the
-    parser reads one."""
+    contract name is no natural number or whose deployer is no actor; a
+    ``LEDGER_ONLY`` field of the scenario's ledger not of its type, or of
+    the other ledger not at its default.  A natural number is an ``int``,
+    not a ``bool``, of at least 0, as the parser reads one."""
     return next((found for found in _problems(scenario) if found[2] is not None), None)
 
 
@@ -582,8 +587,9 @@ def parse_scenario(text: str) -> Scenario:
     if "SUPPLY" not in value or "PRICE" not in value:
         raise ParseError("scenario is missing SUPPLY or PRICE")
     for keyword, lines in where.items():
-        if LEDGER_ONLY.get(keyword, ledger) != ledger:
-            _fail(lines[0], f"{keyword} needs LEDGER {LEDGER_ONLY[keyword]}")
+        owner = LEDGER_ONLY.get(keyword, (ledger,))[0]
+        if owner != ledger:
+            _fail(lines[0], f"{keyword} needs LEDGER {owner}")
     head = (ledger, tuple(actors), tuple(intents), tuple(schedules), value["SUPPLY"], value["PRICE"])
     if ledger == EUTXO:
         scenario = Scenario(

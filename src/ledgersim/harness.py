@@ -438,9 +438,9 @@ class Statement:
     ``sample(rng)`` draws an instance: named chains and transactions, in the
     order a counterexample reports them.  ``judge(instance)`` runs the
     statement's check once and returns None when the hypothesis is unmet,
-    True when the conclusion holds, and otherwise
-    ``(part, detail, parts)``: the counterexample's kind is the statement's
-    name followed by ``part``, and ``parts`` is what it reports.  ``expect``
+    True when the conclusion holds, and otherwise ``(part, detail)``: the
+    counterexample's kind is the statement's name followed by ``part``, and
+    it prints the instance judged.  ``expect``
     is "holds" for a proved statement, where a counterexample is a bug, and
     "refuted" for a refutation, where it is the finding.  ``shrink`` is False
     when an instance's parts derive from one another, so that dropping a
@@ -457,9 +457,9 @@ class Statement:
         return isinstance(self.judge(instance), tuple)
 
 
-def _payload(parts: dict) -> tuple[tuple[str, str], ...]:
+def _payload(instance: dict) -> tuple[tuple[str, str], ...]:
     rendered = []
-    for name, part in parts.items():
+    for name, part in instance.items():
         if isinstance(part, Chain):
             rendered.append((name, formats.chain_to_text(part)))
         elif isinstance(part, Transaction):
@@ -505,8 +505,8 @@ def fuzz_theorem(which: str, seed: int = 0, cases: int = 1000) -> FuzzReport:
     """Draw instances of one statement until ``cases`` of them meet its
     hypothesis, giving up after 20 draws per case, and judge each.
 
-    The first five counterexamples are shrunk by greedy transaction removal
-    and serialized for replay.
+    The first five counterexamples are shrunk by greedy transaction removal,
+    judged once more, and serialized for replay with that verdict.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
@@ -528,10 +528,11 @@ def fuzz_theorem(which: str, seed: int = 0, cases: int = 1000) -> FuzzReport:
         if verdict is True:
             passes += 1
         elif len(counterexamples) < 5:
-            part, detail, parts = verdict
             if statement.shrink:
-                parts = minimize_instance(instance, statement.fails)
-            counterexamples.append(Counterexample(which + part, detail, _payload(parts)))
+                instance = minimize_instance(instance, statement.fails)
+                verdict = statement.judge(instance)
+            part, detail = verdict
+            counterexamples.append(Counterexample(which + part, detail, _payload(instance)))
     return FuzzReport(which, seed, done, attempts, passes, tuple(counterexamples))
 
 
@@ -560,8 +561,7 @@ def _judge_lemma15_1(instance: dict):
     report = check_defer(instance["base"], (tx1,), tx2)
     if report.valid_txs_tx == report.valid_tx_txs and report.equiv:
         return True
-    detail = f"apart pair: valid_12={report.valid_txs_tx} valid_21={report.valid_tx_txs} equiv={report.equiv}"
-    return "", detail, instance
+    return "", f"apart pair: valid_12={report.valid_txs_tx} valid_21={report.valid_tx_txs} equiv={report.equiv}"
 
 
 def _sample_lemma15_2(rng: random.Random) -> dict:
@@ -581,7 +581,7 @@ def _judge_lemma15_2(instance: dict):
     rhs = apart(tx, tx_prime)
     if report.valid_tx == rhs:
         return True
-    return "", f"valid(B;tx)={report.valid_tx} but apart={rhs}", instance
+    return "", f"valid(B;tx)={report.valid_tx} but apart={rhs}"
 
 
 def _defer_instance(rng: random.Random, slotted: bool) -> dict:
@@ -607,7 +607,7 @@ def _judge_theorem17(instance: dict):
         return None
     if report.valid_tx_txs and report.equiv:
         return True
-    return "", f"hyp holds but valid_tx_first={report.valid_tx_txs} equiv={report.equiv}", instance
+    return "", f"hyp holds but valid_tx_first={report.valid_tx_txs} equiv={report.equiv}"
 
 
 def _judge_prop19(instance: dict):
@@ -617,7 +617,7 @@ def _judge_prop19(instance: dict):
         return None
     if report.equiv:
         return True
-    return "", "both orders schedule but are not observationally equivalent", instance
+    return "", "both orders schedule but are not observationally equivalent"
 
 
 def _sample_remark18(rng: random.Random) -> dict:
@@ -655,8 +655,7 @@ def _judge_remark18(instance: dict):
         return None
     if report.valid_tx_txs:
         return True
-    detail = "txs is time-sensitive: B;txs;tx and B;tx are valid but B;tx;txs cannot be scheduled"
-    return "", detail, instance
+    return "", "txs is time-sensitive: B;txs;tx and B;tx are valid but B;tx;txs cannot be scheduled"
 
 
 def _alpha_variant(rng: random.Random, base: Chain, alloc: PositionAllocator) -> Chain:
@@ -705,12 +704,12 @@ def _judge_lemma21(instance: dict):
     base, alpha, variant, tx = instance["base"], instance["alpha"], instance["variant"], instance["tx"]
     # part 2: alpha-variants are alpha-equivalent and observationally equivalent
     if not alpha_equiv(base, alpha) or not obs_equiv(base, alpha):
-        return "_2", "alpha variant not equivalent", {"base": base, "variant": alpha}
+        return "_2", "alpha variant not equivalent"
     # part 1: appending the same valid tx to observationally equivalent chains
     extended, variant_extended = Chain(base.transactions + (tx,)), Chain(variant.transactions + (tx,))
     valid = validate_chain(extended).valid
     if valid and validate_chain(variant_extended).valid and not obs_equiv(extended, variant_extended):
-        return "_1", "equivalent chains diverge after the same append", {"base": base, "variant": variant, "tx": tx}
+        return "_1", "equivalent chains diverge after the same append"
     # parts 3 and 4: a name-clash between tx and the variant's spent pairs is
     # repaired by alpha-converting the variant, after which validity and
     # equivalence transfer
@@ -731,8 +730,7 @@ def _judge_lemma21(instance: dict):
     ok_alpha = alpha_equiv(variant, fresh_variant)
     if ok3 and ok4 and ok_alpha:
         return True
-    detail = f"freshened variant: valid={ok3} equiv={ok4} alpha={ok_alpha}"
-    return "_34", detail, {"base": base, "variant": variant, "tx": tx}
+    return "_34", f"freshened variant: valid={ok3} equiv={ok4} alpha={ok_alpha}"
 
 
 STATEMENTS = {

@@ -412,27 +412,27 @@ def classify(chain: Chain) -> str:
     return CHUNK if validate_chain(Chain((supplier,) + chain.transactions, slots)).valid else NEITHER
 
 
-def schedule_extension(chain: Chain, txs: Iterable[Transaction]) -> Chain | None:
+def schedule_extension(chain: Chain, txs: Iterable[Transaction]) -> tuple[Chain, int]:
     """Append ``txs`` in order, choosing for each the earliest admissible slot.
 
     Greedy earliest-slot assignment is complete: when any monotone assignment
-    within the slot ranges exists, this one does.  Returns the extended chain,
-    or None when some transaction cannot be appended (structurally or because
-    no slot fits).  On an unslotted chain the transactions are appended
-    without slots and ranges are ignored.
+    within the slot ranges exists, this one does.  Returns the chain extended
+    by the longest prefix of ``txs`` that can be scheduled, and its length.
+    On an unslotted chain the transactions are appended without slots and
+    ranges are ignored; an empty chain is slotted when some of ``txs`` has a
+    range.
     """
     txs = tuple(txs)
     slotted = chain.slotted or (len(chain) == 0 and any(tx.slot_range is not None for tx in txs))
-    current = chain
-    for tx in txs:
+    for count, tx in enumerate(txs):
         slot = None
         if slotted:
-            floor = current.last_slot() or 0
+            floor = chain.last_slot() or 0
             slot = max(floor, tx.slot_range.lo) if tx.slot_range is not None else floor
             if tx.slot_range is not None and not tx.slot_range.contains(slot):
-                return None
-        result = append(current, tx, slot)
+                return chain, count
+        result = append(chain, tx, slot)
         if isinstance(result, ValidationReport):
-            return None
-        current = result
-    return current
+            return chain, count
+        chain = result
+    return chain, len(txs)

@@ -14,8 +14,8 @@ final state; ``account_fold`` runs an account order by folding
 ``accounts.call`` over it with no scheduler, and ``eutxo_fold`` runs a UTxO
 order by attaching its built transactions one after another with
 ``ledger.append``; ``defer_by_validation`` is the deferral check by
-whole-sequence validation,
-which ``test_equivalence.py`` compares with ``check_defer``.
+whole-sequence validation, and ``defer_by_slots`` the same at the least
+monotone slots, which ``test_equivalence.py`` compares with ``check_defer``.
 ``random_value`` is the generator's value draw built afresh with
 ``Value.of`` on every call, which ``test_gen.py`` compares with the value
 table of ``ChainGen.random_value``.  ``alpha_equiv`` is alpha-equivalence by
@@ -404,6 +404,34 @@ def defer_by_validation(base, txs, tx):
         validate(prior + (tx,)).valid,
         validate(tx_then_txs).valid,
         utxo(tx_then_txs) == utxo(txs_then_tx),
+    )
+
+
+def defer_by_slots(base, txs, tx):
+    """Deferral by validating whole sequences at their least slots: the four
+    fields of ``DeferReport``, as ``defer_by_validation`` gives them.  An
+    order is slotted when the base is, or when the base is empty and some
+    transaction of the order has a range; a slotted order is validated at
+    the least monotone slot assignment, the prefix maxima
+    slot_j = max(tip, lo_1, ..., lo_j), a transaction without a range
+    adding no bound."""
+    prior, batch = tuple(base.transactions), tuple(txs)
+
+    def valid(order):
+        if not (base.slotted or (not prior and any(t.slot_range is not None for t in order))):
+            return validate(prior + order).valid
+        slots, slot = list(base.slots or ()), base.last_slot() or 0
+        for t in order:
+            slot = max(slot, 0 if t.slot_range is None else t.slot_range.lo)
+            slots.append(slot)
+        return validate(prior + order, slots).valid
+
+    txs_then_tx, tx_then_txs = batch + (tx,), (tx,) + batch
+    return (
+        valid(txs_then_tx),
+        valid((tx,)),
+        valid(tx_then_txs),
+        utxo(prior + tx_then_txs) == utxo(prior + txs_then_tx),
     )
 
 

@@ -388,8 +388,8 @@ def test_commute_conclusion_holds_on_raw_sequences(figure_txs):
 def test_check_commute_rebuilds_only_the_base_index(monkeypatch, figure_txs):
     """Each extended chain is built once, by appends that hand the parent's
     index to the child, so no extended chain builds an index.  The first
-    order takes the base's index; B;tx rebuilds it once, and B;tx;txs
-    extends B;tx."""
+    order takes the base's index, and the second, B;tx;txs, rebuilds it
+    once."""
     tx1, tx2, tx3, _ = figure_txs
     base = Chain((tx1,))
     base.index()
@@ -453,9 +453,10 @@ def test_check_defer_slotted_remark_shape():
 
 def test_check_defer_empty_base_ranged_batch():
     """On an empty base, a ``tx`` without a slot range and a batch with
-    ranges make B;tx unslotted but B;tx;txs slotted, so the batch's ranges
-    bind only in the full orders: here no slot fits the second batch
-    transaction after the first, in either order."""
+    ranges make B;tx;txs slotted, so the batch's ranges bind in both full
+    orders: here no slot fits the second batch transaction after the first,
+    in either order.  B;tx is the first step of B;tx;txs, which ``tx``
+    always takes."""
     from ledgersim.ledger import schedule_extension
     from ledgersim.model import SlotRange
 
@@ -464,31 +465,65 @@ def test_check_defer_empty_base_ranged_batch():
         Transaction(frozenset(), frozenset({ref_output(B)}), SlotRange(5, None)),
         Transaction(frozenset(), frozenset({ref_output(C)}), SlotRange(0, 3)),
     )
-    alone = schedule_extension(Chain(), (tx,))
-    assert not alone.slotted and schedule_extension(alone, batch) is not None
+    swapped, count = schedule_extension(Chain(), (tx,) + batch)
+    assert count == 2 and swapped.slots == (0, 5)
     report = check_defer(Chain(), batch, tx)
     assert (report.valid_txs_tx, report.valid_tx, report.valid_tx_txs, report.equiv) == (False, True, False, True)
 
 
+def _empty_base_instance(rng: random.Random) -> dict:
+    """An empty base, a batch of up to three genesis transactions and a
+    ``tx``, each with a slot range two times in three; ``tx`` spends the
+    batch's first output one time in four."""
+
+    def transaction(inputs, position):
+        slot_range = None
+        if rng.random() < 2 / 3:
+            lo = rng.randrange(6)
+            slot_range = SlotRange(lo, None if rng.random() < 0.3 else lo + rng.randrange(4))
+        return Transaction(frozenset(inputs), frozenset({ref_output(position)}), slot_range)
+
+    batch = tuple(transaction((), 100 + i) for i in range(rng.randrange(4)))
+    tx = transaction({Input(100, 0)} if batch and rng.random() < 0.25 else (), 200)
+    return {"base": Chain(), "txs": batch, "tx": tx}
+
+
+def _deferred(instance: dict) -> tuple:
+    return instance["txs"], instance["tx"]
+
+
 # sampler -> (the batch and the transaction its instance defers, a
-# predicate on the report, and bounds on how many of 2,000 instances meet it)
+# predicate on the report, bounds on how many of 2,000 instances meet it,
+# so that both kinds are drawn, and the oracle: plain validation on unslotted chains, validation at the
+# least slots where the orders may be slotted)
 ORACLE_SAMPLERS = {
-    "theorem17": (lambda i: (i["txs"], i["tx"]), lambda r: r.valid_txs_tx and r.valid_tx, (1000, 2000)),
-    "lemma15_1": (lambda i: ((i["tx1"],), i["tx2"]), lambda r: r.valid_txs_tx and r.valid_tx_txs, (1000, 2000)),
-    "lemma15_2": (lambda i: ((i["tx_prime"],), i["tx"]), lambda r: r.valid_tx, (500, 1500)),
+    "theorem17": (_deferred, lambda r: r.valid_txs_tx and r.valid_tx, (1000, 2000), oracles.defer_by_validation),
+    "lemma15_1": (
+        lambda i: ((i["tx1"],), i["tx2"]),
+        lambda r: r.valid_txs_tx and r.valid_tx_txs,
+        (1000, 2000),
+        oracles.defer_by_validation,
+    ),
+    "lemma15_2": (lambda i: ((i["tx_prime"],), i["tx"]), lambda r: r.valid_tx, (500, 1500), oracles.defer_by_validation),
+    "prop19": (_deferred, lambda r: r.valid_txs_tx and r.valid_tx_txs, (1000, 2000), oracles.defer_by_slots),
+    # every instance refutes the deferral
+    "remark18": (_deferred, lambda r: r.valid_tx and not r.valid_tx_txs, (1999, 2001), oracles.defer_by_slots),
+    "empty-base": (_deferred, lambda r: r.valid_tx and not r.valid_tx_txs, (100, 400), oracles.defer_by_slots),
 }
 
 
 @pytest.mark.parametrize("which", ORACLE_SAMPLERS)
 def test_check_defer_matches_validation_oracle(which):
-    """On unslotted chains, scheduling each order is validating it: the one
-    reorder check agrees with whole-sequence validation on every field, for
-    the deferrals of Theorem 17 and the swaps of Lemmas 15.1 and 15.2."""
+    """Scheduling each order is validating it at the least monotone slots,
+    and on unslotted chains it is plain validation: the one reorder check
+    agrees with whole-sequence validation on every field, for the deferrals
+    of Theorem 17, Proposition 19 and Remark 18, the swaps of Lemmas 15.1
+    and 15.2, and empty bases whose transactions carry ranges."""
     from ledgersim.harness import STATEMENTS
 
-    parts, kind, (low, high) = ORACLE_SAMPLERS[which]
+    parts, kind, (low, high), oracle = ORACLE_SAMPLERS[which]
     rng = random.Random(17)
-    sample = STATEMENTS[which].sample
+    sample = _empty_base_instance if which == "empty-base" else STATEMENTS[which].sample
     drawn = 0
     for _ in range(2000):
         instance = sample(rng)
@@ -496,6 +531,6 @@ def test_check_defer_matches_validation_oracle(which):
         batch, tx = parts(instance)
         report = check_defer(base, batch, tx)
         fields = (report.valid_txs_tx, report.valid_tx, report.valid_tx_txs, report.equiv)
-        assert fields == oracles.defer_by_validation(base, batch, tx)
+        assert fields == oracle(base, batch, tx)
         drawn += kind(report)
-    assert low < drawn < high  # both kinds were drawn
+    assert low < drawn < high

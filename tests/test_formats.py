@@ -99,6 +99,12 @@ def test_parse_chain_slot_monotonicity():
         ("TX 0\nOUT 1 AcceptAll 0\nTX 1\nIN 1 -0\n", "line 4: redeemer must be a natural number, got '-0'"),
         # more digits than int() reads are refused, not read
         ("TX 0 SLOT " + "9" * 5000 + "\n", "line 1: slot must be a natural number, got '" + "9" * 5000 + "'"),
+        ("TX 0\nOUT 1 AcceptAll 0 1:1\n", "line 2: value entry must look like sym:tok=qty, got '1:1'"),
+        ("TX\n", "line 1: TX line needs an index"),
+        ("TX 0 RANGE 5 3\n", "line 1: slot range [5, 3] is empty"),
+        ("TX 0 WHEN 3\n", "line 1: unexpected token 'WHEN' in TX header"),
+        ("TX 0\nOUT 1\n", "line 2: OUT takes a position, a validator kind, parameters, and a datum"),
+        ("TX 0\nIN 1\n", "line 2: IN takes a position and a redeemer"),
     ],
     ids=[
         "second-slot",
@@ -112,6 +118,12 @@ def test_parse_chain_slot_monotonicity():
         "arabic-indic-slot",
         "signed-redeemer",
         "over-long-slot",
+        "value-entry-without-quantity",
+        "tx-without-index",
+        "empty-range",
+        "unknown-header-word",
+        "out-without-kind",
+        "in-without-redeemer",
     ],
 )
 def test_parse_chain_error_messages(text, message):
@@ -362,6 +374,19 @@ def test_scenario_parse_errors():
         (head + "SCHEDULE +1,-0\n", "line 8: bad explicit schedule '+1,-0'"),
         (head + "SCHEDULE 1,\u0660\n", "line 8: bad explicit schedule '1,\u0660'"),
         (head + "SCHEDULE sample 1_0 @1\n", "line 8: sample count must be a natural number, got '1_0'"),
+        # one case for each error a line's spelling, or a missing line, raises
+        (every.replace("n=1", "n"), "line 6: expected key=value, got 'n'"),
+        (every.replace("traded=1:1", "traded=11"), "line 2: chip must look like sym:tok, got '11'"),
+        (head + "SCHEDULE sample 2\n", "line 8: sample schedule looks like: sample <n> @<seed>"),
+        (head + "SCHEDULE some orders\n", "line 8: schedule must be 'all', 'sample <n> @<seed>' or '<i,j,...>'"),
+        (every.replace("state=2:1", "state=1:1"), "line 2: traded chip and state chip must differ"),
+        (every + "INTENT buyer\n", "line 9: INTENT takes an actor and a kind"),
+        (ACCOUNT_HEAD + "INTENT buyer call\nSCHEDULE all\n", "line 7: call intent needs a function name"),
+        (every + "POLICY 2 Whatever\n", "line 9: POLICY takes a symbol and one of ('FreeForge', 'ForbidForge', 'AffineOnce')"),
+        (every + "ACTOR issuer\n", "line 9: ACTOR takes a name and a key id"),
+        (every + "WAT 1\n", "line 9: unknown keyword 'WAT'"),
+        (every.replace("LEDGER eutxo\n", ""), "scenario is missing a LEDGER line"),
+        (every.replace("PRICE 1\n", ""), "scenario is missing SUPPLY or PRICE"),
     ]
     for text, message in pinned:
         with pytest.raises(formats.ParseError) as err:

@@ -20,6 +20,9 @@ from ledgersim.harness import (
 )
 from ledgersim import formats
 from ledgersim.ledger import Chain, validate_chain
+from ledgersim.model import Chip
+from ledgersim.policy import PolicyTable
+from ledgersim.token_portal import TokenConfig
 
 import oracles
 
@@ -285,6 +288,16 @@ REFUSED_SCENARIOS = [
     ("eutxo", {"actors": (("buyer", "x"), ("issuer", 1))}, "actor 0: key id must be a natural number, got 'x'"),
     ("account", {"contract": "c"}, "contract 0: contract name must be a natural number, got 'c'"),
     ("eutxo", {"schedules": ()}, "schedule 0: scenario has no SCHEDULE lines"),
+    # fields the parser cannot spell: a field of the wrong type, or one the
+    # other ledger's keyword sets
+    ("eutxo", {"cfg": (1, 2)}, "config 0: cfg must be a TokenConfig, got (1, 2)"),
+    ("eutxo", {"policies": None}, "policy 0: policies must be a PolicyTable, got None"),
+    ("eutxo", {"rebuild": "yes"}, "rebuild 0: rebuild must be a bool, got 'yes'"),
+    ("eutxo", {"contract": 5}, "contract 0: CONTRACT needs LEDGER account"),
+    ("eutxo", {"deployer": "buyer"}, "deployer 0: DEPLOYER needs LEDGER account"),
+    ("account", {"cfg": TokenConfig(1, Chip(1, 1), Chip(2, 1))}, "config 0: CONFIG needs LEDGER eutxo"),
+    ("account", {"rebuild": True}, "rebuild 0: REBUILD needs LEDGER eutxo"),
+    ("account", {"policies": PolicyTable.of({2: "AffineOnce"})}, "policy 0: POLICY needs LEDGER eutxo"),
 ]
 
 
@@ -308,6 +321,14 @@ REFUSED_SCENARIOS = [
         "actor-key-a-str",
         "contract-a-str",
         "no-schedules",
+        "eutxo-config-a-tuple",
+        "eutxo-policies-none",
+        "eutxo-rebuild-a-str",
+        "eutxo-with-contract",
+        "eutxo-with-deployer",
+        "account-with-config",
+        "account-with-rebuild",
+        "account-with-policies",
     ],
 )
 def test_built_scenario_the_parser_refuses_is_refused_before_anything_is_built(monkeypatch, ledger, changes, message):
@@ -535,12 +556,12 @@ BROKEN_CHECKS = [
     ("lemma15_2", "apart", lambda real: lambda tx1, tx2: not real(tx1, tx2), "lemma15_2", ["base", "tx_prime", "tx"]),
     ("theorem17", "check_defer", _without_equiv, "theorem17", ["base", "txs", "tx"]),
     ("prop19", "check_defer", _without_equiv, "prop19", ["base", "txs", "tx"]),
-    ("lemma21", "alpha_equiv", lambda real: lambda a, b: False, "lemma21_2", ["base", "variant"]),
+    ("lemma21", "alpha_equiv", lambda real: lambda a, b: False, "lemma21_2", ["alpha", "base", "tx", "variant"]),
     # parts 1 and 4 compare two chains ending in one appended transaction
     # object; part 2 compares a chain with itself or with a renamed copy,
     # whose transactions are all rebuilt
-    ("lemma21", "obs_equiv", lambda real: lambda a, b: a is b or (a.transactions[-1] is not b.transactions[-1] and real(a, b)), "lemma21_1", ["base", "variant", "tx"]),
-    ("lemma21", "freshen_spent_clashes", lambda real: lambda chain, positions: Chain(), "lemma21_34", ["base", "variant", "tx"]),
+    ("lemma21", "obs_equiv", lambda real: lambda a, b: a is b or (a.transactions[-1] is not b.transactions[-1] and real(a, b)), "lemma21_1", ["alpha", "base", "tx", "variant"]),
+    ("lemma21", "freshen_spent_clashes", lambda real: lambda chain, positions: Chain(), "lemma21_34", ["alpha", "base", "tx", "variant"]),
 ]
 
 
@@ -570,6 +591,46 @@ def test_broken_check_yields_shrunk_counterexample(monkeypatch, capsys, which, c
         assert shrinks == []  # its parts derive from one another
     else:
         assert any(after < before for before, after in shrinks)
+
+
+def _parsed_instance(payload: dict) -> dict:
+    """A printed payload read back: the chains by ``parse_chain``, the batch
+    as its transactions, and every other part as its one transaction."""
+    instance = {}
+    for name, text in payload.items():
+        if name in ("base", "alpha", "variant"):
+            instance[name] = formats.parse_chain(text)
+        else:
+            txs, _ = formats.parse_transactions(text)
+            instance[name] = txs if name == "txs" else txs[0]
+    return instance
+
+
+# The obs_equiv patch compares chains by the identity of their last
+# transaction, which no parse preserves.
+REPLAYABLE_CHECKS = [row for row in BROKEN_CHECKS if row[1] != "obs_equiv"]
+
+
+@pytest.mark.parametrize("which, check, patch, kind, names", REPLAYABLE_CHECKS)
+def test_printed_counterexample_replays_to_its_verdict(monkeypatch, capsys, which, check, patch, kind, names):
+    """A counterexample prints the instance its judge saw: each one, parsed
+    back from the printed JSON and judged again, gets its printed kind and
+    detail, shrunk or not."""
+    import json
+
+    from ledgersim import harness
+    from ledgersim.cli import main
+
+    monkeypatch.setattr(harness, check, patch(getattr(harness, check)))
+    replayed = 0
+    for seed in range(1, 4):
+        assert main(["fuzz", "--theorem", which, "--cases", "30", "--seed", str(seed), "--format", "json"]) == 1
+        for printed in json.loads(capsys.readouterr().out)["counterexamples"]:
+            assert printed["kind"] == kind and sorted(printed["payload"]) == sorted(names)
+            verdict = STATEMENTS[which].judge(_parsed_instance(printed["payload"]))
+            assert (which + verdict[0], verdict[1]) == (printed["kind"], printed["detail"])
+            replayed += 1
+    assert replayed == 15
 
 
 def test_remark18_with_conclusion_holding_exits_one(monkeypatch, capsys):

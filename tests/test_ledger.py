@@ -244,12 +244,17 @@ def test_slot_range_ignored_without_slots():
 
 
 def test_schedule_extension_greedy():
+    """Each transaction takes the earliest slot its range allows, and the
+    extension stops before the first that no slot fits: the longest
+    schedulable prefix and its length."""
     genesis = Transaction(frozenset(), frozenset({ref_output(A), ref_output(B)}))
     base = append(Chain(), genesis, slot=0)
     pinned = Transaction(frozenset({Input(A, 0)}), frozenset(), SlotRange(0, 0))
     late = Transaction(frozenset({Input(B, 0)}), frozenset(), SlotRange(5, None))
-    assert schedule_extension(base, (pinned, late)) is not None
-    assert schedule_extension(base, (late, pinned)) is None
+    chain, count = schedule_extension(base, (pinned, late))
+    assert count == 2 and chain.transactions == (genesis, pinned, late) and chain.slots == (0, 0, 5)
+    chain, count = schedule_extension(base, (late, pinned))
+    assert count == 1 and chain.transactions == (genesis, late) and chain.slots == (0, 5)
 
 
 def test_incremental_append_agrees_with_batch():
