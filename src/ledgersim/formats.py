@@ -431,6 +431,8 @@ def _problems(scenario: Scenario):
     check of ``scenario_problem``, in its order, made only when asked for."""
     names = [name for name, _ in scenario.actors]
     for at, (name, key) in enumerate(scenario.actors):
+        spelt = isinstance(name, str) and name.split("#", 1)[0].split() == [name]  # one word, as ``_lines`` reads it
+        yield "ACTOR", at, None if spelt else "ACTOR takes a name and a key id"
         yield "ACTOR", at, f"actor {name!r} given twice" if name in names[:at] else _not_natural(key, "key id")
     for at, intent in enumerate(scenario.intents):
         yield "INTENT", at, intent_problem(scenario.ledger, names, intent)
@@ -461,9 +463,10 @@ def scenario_problem(scenario: Scenario) -> tuple[str, int, str] | None:
     the parser reports its answer at that line, and ``harness.build_world``
     and ``harness.expand_schedules`` raise it as
     ``ValueError("<keyword> <i>: <message>")`` before they build or count
-    anything.  In order: an actor named twice or whose key is no natural
-    number; an intent ``intent_problem`` finds wrong; no schedule clause, or
-    a clause other than ``("all",)``,
+    anything.  In order: an actor whose name is no ``str`` the parser reads
+    as one word, named twice or whose key is no natural number; an intent
+    ``intent_problem`` finds wrong; no schedule clause, or a clause other
+    than ``("all",)``,
     ``("sample", <int of at least 1>, <natural int>)`` and
     ``("explicit", <tuple of ints permuting the intent indices>)``; a supply
     or price that is no natural number; an eutxo scenario with no token

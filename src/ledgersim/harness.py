@@ -34,7 +34,9 @@ walks the graph from the start node; a turn is executed once per run, on the
 first order that takes it, and ``observe`` runs once per distinct state an
 order ends on.  The digest hashes the paper's observation of the final
 state: the unspent outputs in position order, or the contracts' balances
-and states.  What an order adds is its own: each actor's ada paid.
+and states.  What an order adds is its own: each actor's ada paid.  Its
+holdings are kept on its final node per ada-paid map, so they are built
+once per distinct (final state, ada paid), not once per order.
 """
 
 from __future__ import annotations
@@ -90,14 +92,15 @@ from .token_portal import (
 
 class _Node:
     """One state a run reached: the one object kept for it, its
-    ``_observation`` (None until an order ends here), and ``turns``, which
-    maps each intent index already taken from here to (the next node,
-    (status, reason), ada paid)."""
+    ``_observation`` (None until an order ends here), ``turns``, which maps
+    each intent index already taken from here to (the next node, (status,
+    reason), ada paid), and ``holdings``, which maps the frozenset of each
+    nonzero ada-paid map an order ended here with to its holdings."""
 
-    __slots__ = ("state", "observation", "turns")
+    __slots__ = ("state", "observation", "turns", "holdings")
 
     def __init__(self, state) -> None:
-        self.state, self.observation, self.turns = state, None, {}
+        self.state, self.observation, self.turns, self.holdings = state, None, {}, {}
 
 
 @dataclass(eq=False)
@@ -347,7 +350,8 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
     node: a turn no earlier order took is executed by the world's ``execute``
     and becomes an edge to the node of the state it reached, found or made
     through ``states``.  The final state is observed only when no earlier
-    order ended there.  A turn or an ``observe`` that raises leaves no entry.
+    order ended there, and holdings are built only when none ended there with
+    the same ada paid.  A turn or an ``observe`` that raises leaves no entry.
     """
     order, intents = tuple(order), tuple(intents)
     try:
@@ -372,13 +376,16 @@ def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], or
             after, status, ada = world.execute(run, node.state, index)
             turn = node.turns[index] = (run.states.setdefault(after, _Node(after)), status, ada)
         node, statuses[index], ada = turn
-        actor = intents[index].actor
-        paid[actor] = paid.get(actor, 0) + ada
+        if ada:
+            actor = intents[index].actor
+            paid[actor] = paid.get(actor, 0) + ada
     if node.observation is None:
         node.observation = _observation(world, node.state)
     facts, observed, digest = node.observation
-    holdings = tuple([(name, before + (("ada_paid", paid.get(name, 0)),) + after) for name, before, after in facts])
-    return Outcome(order, tuple(statuses), holdings, observed, digest)
+    key = frozenset(paid.items())
+    if key not in node.holdings:
+        node.holdings[key] = tuple([(name, head + (("ada_paid", paid.get(name, 0)),) + tail) for name, head, tail in facts])
+    return Outcome(order, tuple(statuses), node.holdings[key], observed, digest)
 
 
 # ---------------------------------------------------------------------------

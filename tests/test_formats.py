@@ -317,7 +317,7 @@ def test_the_judge_is_the_parser(corpus_dir):
     text of one it refuses fails to parse with its message, at the line of
     the keyword it names."""
     corpus = [formats.parse_scenario(path.read_text()) for path in sorted(corpus_dir.glob("*.scenario"))]
-    assert len(corpus) == 8
+    assert len(corpus) == 9
     rng = random.Random(2000)
     taken = {"passed": 0}
     for _ in range(2400):
@@ -336,7 +336,7 @@ def test_the_judge_is_the_parser(corpus_dir):
             formats.parse_scenario(text)
         assert str(err.value) == f"line {lines[at]}: {message}"
         taken[keyword] = taken.get(keyword, 0) + 1
-    # at this seed: 417 passed; refused at ACTOR 526, INTENT 500, SCHEDULE 676, SUPPLY 251, DEPLOYER 30
+    # at this seed: 441 passed; refused at ACTOR 524, INTENT 493, SCHEDULE 676, SUPPLY 223, DEPLOYER 43
     assert taken["passed"] >= 300 and sum(taken.values()) - taken["passed"] >= 1500, taken
     assert {"ACTOR", "INTENT", "SCHEDULE", "SUPPLY", "DEPLOYER"} <= set(taken), taken
 

@@ -298,6 +298,11 @@ REFUSED_SCENARIOS = [
     ("account", {"cfg": TokenConfig(1, Chip(1, 1), Chip(2, 1))}, "config 0: CONFIG needs LEDGER eutxo"),
     ("account", {"rebuild": True}, "rebuild 0: REBUILD needs LEDGER eutxo"),
     ("account", {"policies": PolicyTable.of({2: "AffineOnce"})}, "policy 0: POLICY needs LEDGER eutxo"),
+    # actor names the parser cannot read back as one word
+    ("account", {"actors": (("buyer", 7), ("issuer", 1), (5, 9))}, "actor 2: ACTOR takes a name and a key id"),
+    ("account", {"actors": (("buyer", 7), ("issuer", 1), ("two words", 9))}, "actor 2: ACTOR takes a name and a key id"),
+    ("account", {"actors": (("buyer", 7), ("issuer", 1), ("#x", 9))}, "actor 2: ACTOR takes a name and a key id"),
+    ("account", {"actors": (("buyer", 7), ("issuer", 1), ("", 9))}, "actor 2: ACTOR takes a name and a key id"),
 ]
 
 
@@ -329,6 +334,10 @@ REFUSED_SCENARIOS = [
         "account-with-config",
         "account-with-rebuild",
         "account-with-policies",
+        "actor-name-an-int",
+        "actor-name-two-words",
+        "actor-name-a-comment",
+        "actor-name-empty",
     ],
 )
 def test_built_scenario_the_parser_refuses_is_refused_before_anything_is_built(monkeypatch, ledger, changes, message):
@@ -1092,6 +1101,41 @@ def test_holdings_match_per_actor_scan(monkeypatch):
     assert all(facts["idle"] == (("ada_paid", 0),) for facts in seen)
     # b3 holds b2's tokens, on some chains from two buys of fewer than 300
     assert any(dict(facts["b3"]).get("1:1", 0) >= 300 for facts in seen)
+
+
+def test_holdings_built_once_per_final_state_and_ada_paid(corpus_dir):
+    """Over every order of the seeded races and of ``shared_key.scenario``,
+    holdings are assembled once per distinct (final state, ada-paid map),
+    both found by replaying the order with ``oracles.eutxo_fold`` or
+    ``oracles.account_fold``: every order with that pair reports the one
+    tuple built for it, and the run keeps one per pair.  In the witness two
+    actors share a key and both orders end on one state with ``ada_paid``
+    on a different actor, so holdings kept per final state alone would give
+    one order's payment to the other."""
+    import itertools
+
+    races = [
+        dataclasses.replace(_random_eutxo_race(seed), rebuild=rebuild) for seed in range(3) for rebuild in (False, True)
+    ]
+    races += [_random_account_race(seed) for seed in range(3)]
+    races.append(formats.parse_scenario((corpus_dir / "shared_key.scenario").read_text()))
+    counts = []
+    for scenario in races:
+        world = build_world(scenario)
+        fold = oracles.eutxo_fold if scenario.ledger == "eutxo" else oracles.account_fold
+        built, states = {}, set()
+        for order in itertools.permutations(range(len(scenario.intents))):
+            holdings = run_schedule(world, scenario.intents, order).holdings
+            _, expected, _, state = fold(world, scenario.intents, order)
+            assert holdings == expected
+            paid = frozenset((name, ada) for name, facts in expected if (ada := dict(facts)["ada_paid"]))
+            assert built.setdefault((state, paid), holdings) is holdings
+            states.add(state)
+        assert len({id(holdings) for holdings in built.values()}) == len(built)
+        assert sum(len(node.holdings) for node in world._last_run.states.values()) == len(built)
+        counts.append((len(states), len(built)))
+    # (distinct final states, distinct (final state, ada paid)) per race
+    assert counts == [(3, 3), (18, 18), (6, 6), (72, 72), (4, 4), (48, 48), (96, 96), (3, 3), (18, 18), (1, 2)]
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
