@@ -409,6 +409,12 @@ def intent_problem(ledger: str, actor_names: Sequence[str], intent: Intent) -> s
     return None
 
 
+def is_permutation(order, count: int) -> bool:
+    """True when ``order`` is a tuple of ``int``s, not ``bool``s, holding
+    each of 0..count-1 once, as an explicit clause and a run's order must."""
+    return type(order) is tuple and set(map(type, order)) <= {int} and sorted(order) == list(range(count))
+
+
 def _clause_problem(clause, count: int) -> str | None:
     """What is wrong with one schedule clause of a scenario with ``count``
     intents, or None."""
@@ -417,9 +423,7 @@ def _clause_problem(clause, count: int) -> str | None:
             return "sample count must be at least 1" if type(n) is int else f"sample count must be an int, got {n!r}"
         case ("sample", _, seed) if type(seed) is not int or seed < 0:
             return f"sample seed must be a natural int, got {seed!r}"
-        case ("explicit", order) if not (
-            type(order) is tuple and all(type(i) is int for i in order) and sorted(order) == list(range(count))
-        ):
+        case ("explicit", order) if not is_permutation(order, count):
             return f"schedule {order} is not a permutation of 0..{count - 1}"
         case ("all",) | ("sample", _, _) | ("explicit", _):
             return None

@@ -4,8 +4,8 @@ Intents (``formats.Intent``, one per ``INTENT`` line of a
 ``formats.Scenario``) are actor actions replayed against a ledger snapshot
 in a chosen order.  ``build_world`` and ``expand_schedules`` take a
 scenario only as ``formats.scenario_problem`` judges it, the judge the
-parser reports at a line, and ``run_schedule`` takes an intent tuple only
-as ``formats.intent_problem`` judges it: what they refuse is a ValueError
+parser reports at a line, and ``Run`` takes an intent tuple only as
+``formats.intent_problem`` judges it: what they refuse is a ValueError
 naming the actor, intent or clause, never a TypeError or a KeyError,
 raised before anything is built or any turn runs.  Then every intent is
 built once, at submit time.  On the UTxO-style ledger it becomes a concrete
@@ -13,7 +13,7 @@ transaction, against the initial snapshot, and is never rebuilt: competing
 traffic can only make an intent fail to attach, never change what it does.
 On the account ledger it becomes its ``CallTx``, which executes against
 whatever state it finds, so its effect depends on the order.
-``run_schedule`` is a pure function of (initial ledger, intents, order);
+An outcome is a pure function of (initial ledger, intents, order);
 outcomes serialize canonically so identical runs are byte-identical.
 
 The submit phase is therefore the same in every order: each intent is
@@ -21,22 +21,24 @@ built from the world's snapshot, never from the chain an order has grown,
 and a UTxO intent is built again only in a world built from a scenario with
 a ``REBUILD`` line (``EutxoWorld.rebuild``), at its execution turn.
 
-``run_schedule`` is one loop for both ledgers; each world class supplies what
-differs between them: ``submit`` (the submit phase, and the state a run
-starts from), ``execute`` (one intent's turn, a pure step from a state) and
+``Run`` is one loop for both ledgers; each world class supplies what differs
+between them: ``submit`` (the submit phase, and the state a run starts
+from), ``execute`` (one intent's turn, a pure step from a state) and
 ``observe`` (each key's holdings, the ledger's state pairs and the digest of
 a final state).  A state is ``(chain, next free position)`` on the UTxO
 ledger and the ``AccountChain`` on the account ledger; on both, an intent's
-turn depends on the state it starts from and nothing else.  So each world
-keeps one record of its last run (``_LastRun``), a graph with one node per
-distinct state and one edge per (state, intent) turn taken.  Every order
-walks the graph from the start node; a turn is executed once per run, on the
-first order that takes it, and ``observe`` runs once per distinct state an
-order ends on.  The digest hashes the paper's observation of the final
-state: the unspent outputs in position order, or the contracts' balances
-and states.  What an order adds is its own: each actor's ada paid.  Its
-holdings are kept on its final node per ada-paid map, so they are built
+turn depends on the state it starts from and nothing else.  So the run of
+one intent tuple on one world, a ``Run`` its caller holds, is a graph with
+one node per distinct state and one edge per (state, intent) turn taken.
+Every order walks the graph from the start node; a turn is executed once per
+run, on the first order that takes it, and ``observe`` runs once per
+distinct state an order ends on.  The digest hashes the paper's observation
+of the final state: the unspent outputs in position order, or the contracts'
+balances and states.  What an order adds is its own: each actor's ada paid.
+Its holdings are kept on its final node per ada-paid map, so they are built
 once per distinct (final state, ada paid), not once per order.
+``run_scenario`` holds one ``Run`` per scenario; ``run_schedule`` keeps the
+last one it made, for a caller that asks order by order.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from . import formats
 from .accounts import FUNCTIONS, PAYABLE, AccountChain, CallTx, call, deploy_changing
@@ -103,21 +105,6 @@ class _Node:
         self.state, self.observation, self.turns, self.holdings = state, None, {}, {}
 
 
-@dataclass(eq=False)
-class _LastRun:
-    """The last run against one world: its intent tuple, judged by
-    ``formats.intent_problem`` before the run was made; its submit phase,
-    each intent built once (on the UTxO ledger its transaction and payment
-    or its refusal, on the account ledger its ``CallTx``); and its state
-    graph: ``start``, the node of the state the run starts from, and
-    ``states``, which maps each state reached to its node."""
-
-    intents: tuple[Intent, ...]
-    built: tuple = ()
-    start: _Node | None = None
-    states: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class EutxoWorld:
     """The UTxO ledger a scenario runs against.  ``rebuild`` turns on the
@@ -131,30 +118,28 @@ class EutxoWorld:
     actors: tuple[tuple[str, int], ...]
     rebuild: bool = False
 
-    # The ledger the world's intents are judged for, and the world's
-    # ``_LastRun``.  Not fields, so equality, hashing and repr ignore them.
+    # The ledger the world's intents are judged for.  Not a field, so
+    # equality, hashing and repr ignore it.
     _ledger = EUTXO
-    _last_run = None
 
-    def submit(self, run: _LastRun) -> tuple:
+    def submit(self, intents: tuple[Intent, ...]) -> tuple:
         """The submit phase: every intent built against the world's
-        snapshot.  The run starts from the snapshot and the next free
-        position after the builds; the builds take positions from one past
-        the largest the snapshot mentions."""
+        snapshot, and the state the run starts from, the snapshot and the
+        next free position after the builds; the builds take positions from
+        one past the largest the snapshot mentions."""
         index = self.chain.index()
         alloc = PositionAllocator(max(index.output.keys() | index.spent, default=-1) + 1)
-        run.built = tuple(_build_eutxo_intent(self, intent, self.chain, alloc) for intent in run.intents)
-        return self.chain, alloc.peek()
+        built = tuple(_build_eutxo_intent(self, intent, self.chain, alloc) for intent in intents)
+        return built, (self.chain, alloc.peek())
 
-    def execute(self, run: _LastRun, state: tuple, index: int):
-        """One intent's turn from ``state``: its submit-time transaction
-        appended to the chain, or with ``rebuild`` on and that failing, one
-        built against the chain as it stands.  Returns the next state, the
-        (status, reason) and the ada paid; a rejected intent leaves the chain
-        as it found it."""
+    def execute(self, intent: Intent, built: tuple, state: tuple):
+        """One intent's turn from ``state``: its submit-time transaction,
+        ``built``, appended to the chain, or with ``rebuild`` on and that
+        failing, one built against the chain as it stands.  Returns the next
+        state, the (status, reason) and the ada paid; a rejected intent
+        leaves the chain as it found it."""
         chain, next_position = state
-        intent = run.intents[index]
-        entry, refusal = run.built[index]
+        entry, refusal = built
         if entry is None:
             result, reason = None, f"refused-at-build: {refusal}"
         else:
@@ -201,14 +186,13 @@ class AccountWorld:
     actors: tuple[tuple[str, int], ...]
 
     _ledger = ACCOUNT  # as on ``EutxoWorld``
-    _last_run = None
 
-    def submit(self, run: _LastRun) -> AccountChain:
+    def submit(self, intents: tuple[Intent, ...]) -> tuple:
         """The submit phase: every intent built once into its ``CallTx``,
         sent by the actor's key; what the call does depends on the chain it
         meets.  The run starts from the world's chain."""
         keys = dict(self.actors)
-        run.built = tuple(
+        built = tuple(
             CallTx(
                 self.contract,
                 intent.get("function"),
@@ -216,15 +200,14 @@ class AccountWorld:
                 intent.get("value", 0),
                 tuple(intent.get(name) for name in FUNCTIONS[intent.get("function")]),
             )
-            for intent in run.intents
+            for intent in intents
         )
-        return self.chain
+        return built, self.chain
 
-    def execute(self, run: _LastRun, state: AccountChain, index: int):
-        """One intent's turn: its submit-time call against the chain
+    def execute(self, intent: Intent, tx: CallTx, state: AccountChain):
+        """One intent's turn: its submit-time call ``tx`` against the chain
         ``state`` as it stands.  Returns the next chain, the (status, reason)
         and the ada paid."""
-        tx = run.built[index]
         after, result = call(state, tx)
         return after, (result.status, result.reason), tx.value if result.ok and tx.function in PAYABLE else 0
 
@@ -238,9 +221,8 @@ class AccountWorld:
         return by_key, pairs, _digest(json.dumps(contracts))
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """Everything observable about one scheduled run.
+class Outcome(NamedTuple):
+    """Everything observable about one order of a run.
 
     ``statuses`` is indexed by intent (not by order position).  On the UTxO
     ledger ``state`` reads ``portal_price=-1 portal_supply=-1`` when no
@@ -325,67 +307,80 @@ def _observation(world: EutxoWorld | AccountWorld, state) -> tuple:
     return tuple(facts), pairs, digest
 
 
-def _check_intents(ledger: str, actors: tuple[tuple[str, int], ...], intents: Sequence[Intent]) -> None:
-    """ValueError("intent <i>: <problem>") for the first intent that
-    ``formats.intent_problem`` finds wrong on ``ledger`` with ``actors``."""
-    names = [name for name, _ in actors]
-    for at, intent in enumerate(intents):
-        problem = formats.intent_problem(ledger, names, intent)
-        if problem is not None:
-            raise ValueError(f"intent {at}: {problem}")
+class Run:
+    """The run of one intent tuple on one world: ``world``; ``intents``,
+    judged by ``formats.intent_problem``; ``built``, its submit phase, each
+    intent built once (on the UTxO ledger its transaction and payment or its
+    refusal, on the account ledger its ``CallTx``); and its state graph:
+    ``start``, the node of the state the run starts from, and ``states``,
+    which maps each state reached to its node.  An intent the judge refuses
+    raises ValueError("intent <i>: <problem>") before anything is built."""
+
+    def __init__(self, world: EutxoWorld | AccountWorld, intents: Sequence[Intent]) -> None:
+        intents = tuple(intents)
+        names = [name for name, _ in world.actors]
+        for at, intent in enumerate(intents):
+            problem = formats.intent_problem(world._ledger, names, intent)
+            if problem is not None:
+                raise ValueError(f"intent {at}: {problem}")
+        self.world, self.intents = world, intents
+        self.built, state = world.submit(intents)
+        self.start = _Node(state)
+        self.states = {state: self.start}
+
+    def outcome(self, order: Sequence[int]) -> Outcome:
+        """Execute the intents in the given order and report every status.
+
+        An order that ``formats.is_permutation`` refuses for the intent
+        count raises ValueError before any turn runs.  Every failure of a
+        judged intent is recorded in the outcome, never raised.
+
+        The order walks the graph from the start node: a turn no earlier
+        order took is executed by the world's ``execute`` and becomes an
+        edge to the node of the state it reached, found or made through
+        ``states``.  The final state is observed only when no earlier order
+        ended there, and holdings are built only when none ended there with
+        the same ada paid.  A turn or an ``observe`` that raises leaves no
+        entry."""
+        order, intents = tuple(order), self.intents
+        if not formats.is_permutation(order, len(intents)):
+            raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
+        node = self.start
+        statuses = [("", "")] * len(intents)
+        paid: dict[str, int] = {}
+        for index in order:
+            turn = node.turns.get(index)
+            if turn is None:
+                after, status, ada = self.world.execute(intents[index], self.built[index], node.state)
+                turn = node.turns[index] = (self.states.setdefault(after, _Node(after)), status, ada)
+            node, statuses[index], ada = turn
+            if ada:
+                actor = intents[index].actor
+                paid[actor] = paid.get(actor, 0) + ada
+        if node.observation is None:
+            node.observation = _observation(self.world, node.state)
+        facts, observed, digest = node.observation
+        key = frozenset(paid.items())
+        if key not in node.holdings:
+            node.holdings[key] = tuple([(name, head + (("ada_paid", paid.get(name, 0)),) + tail) for name, head, tail in facts])
+        return Outcome(order, tuple(statuses), node.holdings[key], observed, digest)
+
+
+_slot: Run | None = None  # the last run ``run_schedule`` made
 
 
 def run_schedule(world: EutxoWorld | AccountWorld, intents: Sequence[Intent], order: Sequence[int]) -> Outcome:
-    """Execute the intents in the given order and report every status.
-
-    An order that is no permutation of the intent indices, such as one
-    with an entry that does not compare with an int, and an intent that
-    ``formats.intent_problem`` refuses on the world's ledger each raise
-    ValueError before any intent is built or any turn runs, and leave the
-    world's record as it was.  Every failure of a judged intent
-    is recorded in the outcome, never raised.
-
-    The world's ``_LastRun`` is made anew, running the world's ``submit``,
-    for another intent tuple.  The order walks the run's graph from the start
-    node: a turn no earlier order took is executed by the world's ``execute``
-    and becomes an edge to the node of the state it reached, found or made
-    through ``states``.  The final state is observed only when no earlier
-    order ended there, and holdings are built only when none ended there with
-    the same ada paid.  A turn or an ``observe`` that raises leaves no entry.
-    """
-    order, intents = tuple(order), tuple(intents)
-    try:
-        permutation = sorted(order) == list(range(len(intents)))
-    except TypeError:  # an entry that does not compare with an int
-        permutation = False
-    if not permutation:
-        raise ValueError(f"order {order} is not a permutation of 0..{len(intents) - 1}")
-    run = world._last_run
-    if run is None or run.intents != intents:
-        _check_intents(world._ledger, world.actors, intents)
-        run = _LastRun(intents)
-        start = world.submit(run)
-        run.start = run.states[start] = _Node(start)
-        object.__setattr__(world, "_last_run", run)
-    node = run.start
-    statuses = [("", "")] * len(intents)
-    paid: dict[str, int] = {}
-    for index in order:
-        turn = node.turns.get(index)
-        if turn is None:
-            after, status, ada = world.execute(run, node.state, index)
-            turn = node.turns[index] = (run.states.setdefault(after, _Node(after)), status, ada)
-        node, statuses[index], ada = turn
-        if ada:
-            actor = intents[index].actor
-            paid[actor] = paid.get(actor, 0) + ada
-    if node.observation is None:
-        node.observation = _observation(world, node.state)
-    facts, observed, digest = node.observation
-    key = frozenset(paid.items())
-    if key not in node.holdings:
-        node.holdings[key] = tuple([(name, head + (("ada_paid", paid.get(name, 0)),) + tail) for name, head, tail in facts])
-    return Outcome(order, tuple(statuses), node.holdings[key], observed, digest)
+    """``Run(world, intents).outcome(order)``, for a caller that asks order
+    by order.  One slot keeps the last ``Run`` made here, and a call reuses
+    it when ``world`` is that run's world, the same object, and its intents
+    equal the run's; otherwise a new ``Run`` takes the slot once it is
+    made, so a ``Run`` that raises leaves the slot as it was.  The slot
+    keeps at most one world and its graph alive."""
+    global _slot
+    run = _slot
+    if run is None or run.world is not world or run.intents != tuple(intents):
+        run = _slot = Run(world, intents)
+    return run.outcome(order)
 
 
 # ---------------------------------------------------------------------------
@@ -868,13 +863,14 @@ class ScenarioReport:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    """Run every schedule of the scenario against a fresh world.  A
-    scenario that ``formats.scenario_problem`` finds wrong raises its answer
-    as ValueError before anything is built or any turn runs."""
+    """Run every schedule of the scenario against a fresh world, as one
+    ``Run``.  A scenario that ``formats.scenario_problem`` finds wrong
+    raises its answer as ValueError before anything is built or any turn
+    runs."""
     world = build_world(scenario)
     orders = expand_schedules(scenario)
-    outcomes = tuple(run_schedule(world, scenario.intents, order) for order in orders)
-    return ScenarioReport(scenario.ledger, outcomes)
+    run = Run(world, scenario.intents)
+    return ScenarioReport(scenario.ledger, tuple(map(run.outcome, orders)))
 
 
 #: The two-actor race, as the text of ``corpus/race_<ledger>.scenario``: a buy

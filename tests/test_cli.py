@@ -420,7 +420,7 @@ def test_scenario_non_permutation_flag_refused_before_any_order(capsys, tmp_path
     from ledgersim import harness
 
     runs = []
-    monkeypatch.setattr(harness, "run_schedule", lambda *args: runs.append(args))
+    monkeypatch.setattr(harness, "Run", lambda *args: runs.append(args))
     eight = tmp_path / "eight.scenario"
     eight.write_text(
         "LEDGER eutxo\nCONFIG issuer=1 traded=1:1 state=2:1\nSUPPLY 1000\nPRICE 1\nACTOR buyer 7\n"

@@ -10,6 +10,7 @@ from ledgersim.harness import (
     MAX_ORDERS,
     STATEMENTS,
     Outcome,
+    Run,
     build_world,
     bundled_race_scenario,
     expand_schedules,
@@ -92,11 +93,18 @@ def test_build_refusal_recorded():
 
 
 def test_order_must_be_permutation():
-    """An entry that does not compare with an int is refused as any other,
-    not with the TypeError of sorting it."""
+    """An entry that is no int is refused as any other, not with the
+    TypeError of sorting it or of indexing the intents with it, and a bool
+    is no int, as in an explicit schedule clause."""
     scenario = bundled_race_scenario("eutxo")
     world = build_world(scenario)
-    for order, shown in (((0, 0), r"\(0, 0\)"), ((0, "1"), r"\(0, '1'\)"), ((None, 0), r"\(None, 0\)")):
+    for order, shown in (
+        ((0, 0), r"\(0, 0\)"),
+        ((0, "1"), r"\(0, '1'\)"),
+        ((None, 0), r"\(None, 0\)"),
+        ((0, True), r"\(0, True\)"),
+        ((1.0, 0), r"\(1\.0, 0\)"),
+    ):
         with pytest.raises(ValueError, match=rf"^order {shown} is not a permutation of 0\.\.1$"):
             run_schedule(world, scenario.intents, order)
 
@@ -105,7 +113,7 @@ def test_run_schedule_deterministic():
     scenario = bundled_race_scenario("eutxo")
     world = build_world(scenario)
     a = run_schedule(world, scenario.intents, (1, 0))
-    b = run_schedule(build_world(scenario), scenario.intents, (1, 0))
+    b = Run(build_world(scenario), scenario.intents).outcome((1, 0))
     assert a.to_lines() == b.to_lines()
 
 
@@ -246,26 +254,29 @@ def _counting_submits(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("ledger, intent, problem", MALFORMED)
 def test_malformed_intent_is_refused_before_any_turn(monkeypatch, ledger, intent, problem):
-    """Through ``run_schedule`` on a world that has run, and through
-    ``run_scenario``, a malformed intent is one ValueError naming it,
-    raised before any world, intent or call is built or run; the world
-    keeps the record of its last run."""
+    """Through ``Run``, through ``run_schedule`` on a world that has run,
+    and through ``run_scenario``, a malformed intent is one ValueError
+    naming it, raised before any world, intent or call is built or run; the
+    run ``run_schedule`` kept serves the next call, which builds and runs
+    nothing."""
     race = bundled_race_scenario(ledger)
     intents = race.intents + (intent,)
     world = build_world(race)
-    run_schedule(world, race.intents, (1, 0))
-    kept = world._last_run
+    first = run_schedule(world, race.intents, (1, 0))
     calls = _counting_submits(monkeypatch)
     for order in ((0, 1, 2), (2, 1, 0)):
         with pytest.raises(ValueError) as raised:
             run_schedule(world, intents, order)
         assert str(raised.value) == f"intent 2: {problem}"
-        assert world._last_run is kept
+    with pytest.raises(ValueError) as raised:
+        Run(world, intents)
+    assert str(raised.value) == f"intent 2: {problem}"
     with pytest.raises(ValueError) as raised:
         run_scenario(dataclasses.replace(race, intents=intents))
     assert str(raised.value) == f"intent 2: {problem}"
+    assert run_schedule(world, race.intents, (1, 0)) == first
     assert set(calls.values()) == {0}
-    assert run_schedule(world, race.intents, (0, 1)) == run_schedule(build_world(race), race.intents, (0, 1))
+    assert run_schedule(world, race.intents, (0, 1)) == Run(build_world(race), race.intents).outcome((0, 1))
 
 
 # Scenarios built in code that the parser would refuse, each with the
@@ -930,11 +941,12 @@ def test_account_orders_share_their_prefixes(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(harness, "call", counted)
+    run = Run(world, scenario.intents)
     for order in itertools.permutations(range(6)):
-        run_schedule(world, scenario.intents, order)
+        run.outcome(order)
     assert calls == len(turns) == 268
     assert calls < sum(math.perm(6, k) for k in range(1, 7)) == 1956
-    assert len(world._last_run.states) == len(states) == 104
+    assert len(run.states) == len(states) == 104
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
@@ -976,15 +988,20 @@ def test_eutxo_orders_share_their_prefixes(monkeypatch, rebuild):
 
 
 @pytest.mark.parametrize("rebuild", [False, True])
-def test_shared_world_matches_fresh_worlds(rebuild):
-    """Outcomes on one world equal those on a fresh world per order, also
-    when the world runs intent tuple A, then B, then A again."""
+def test_shared_world_matches_fresh_worlds(monkeypatch, rebuild):
+    """Through ``run_schedule``, outcomes on one world equal those of a
+    ``Run`` on a fresh world per order, also when the world runs intent
+    tuple A, then B, then A again.  Its one slot keeps a run while the
+    world is the same object and the intents are equal: each tuple's 720
+    orders submit once, and an equal world of its own submits anew."""
     import itertools
+
+    from ledgersim import harness
 
     a, b = (dataclasses.replace(_random_eutxo_race(seed), rebuild=rebuild) for seed in (0, 6))
     orders = list(itertools.permutations(range(6)))
     fresh = {
-        scenario.intents: [run_schedule(build_world(scenario), scenario.intents, order) for order in orders]
+        scenario.intents: [Run(build_world(scenario), scenario.intents).outcome(order) for order in orders]
         for scenario in (a, b)
     }
     # both races hold a mint the policy rejects and a buy refused at build
@@ -992,10 +1009,22 @@ def test_shared_world_matches_fresh_worlds(rebuild):
     for outcomes in fresh.values():
         reasons = {reason.split(":")[0] for outcome in outcomes for _, reason in outcome.statuses}
         assert {refused, "policy-violation"} <= reasons
+    real, submitted = harness.EutxoWorld.submit, []
+
+    def counted(world, intents):
+        submitted.append(intents)
+        return real(world, intents)
+
+    monkeypatch.setattr(harness.EutxoWorld, "submit", counted)
     world = build_world(a)
     for scenario in (a, b, a):
         assert [run_schedule(world, scenario.intents, order) for order in orders] == fresh[scenario.intents]
-    # the kept submit phase is not part of the world's value
+    assert submitted == [a.intents, b.intents, a.intents]
+    twin = build_world(a)
+    assert twin == world and run_schedule(twin, list(a.intents), orders[0]) == fresh[a.intents][0]
+    assert run_schedule(twin, a.intents, orders[1]) == fresh[a.intents][1]
+    assert submitted == [a.intents, b.intents, a.intents, a.intents]
+    # running leaves the world's value as it was
     untouched = build_world(b)
     assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
 
@@ -1024,15 +1053,15 @@ def test_resumed_runs_match_fresh_worlds(ledger):
         world = build_world(a)
         for scenario in (a, b, a):
             for order in orders:
-                fresh = run_schedule(build_world(scenario), scenario.intents, order)
+                fresh = Run(build_world(scenario), scenario.intents).outcome(order)
                 assert run_schedule(world, scenario.intents, order) == fresh
-        # the kept record is not part of the world's value
+        # running leaves the world's value as it was
         untouched = build_world(a)
         assert world == untouched and hash(world) == hash(untouched) and repr(world) == repr(untouched)
 
 
 def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
-    """An order whose call fails once part-way leaves a record later orders
+    """An order whose call fails once part-way leaves a run later orders
     resume from correctly.  (A malformed intent never gets this far: see
     ``test_malformed_intent_is_refused_before_any_turn``.)"""
     from ledgersim import harness
@@ -1048,13 +1077,13 @@ def test_run_that_raises_part_way_leaves_the_world_usable(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(harness, "call", flaky)
+    run = Run(world, scenario.intents)
     with pytest.raises(RuntimeError):
-        run_schedule(world, scenario.intents, (0, 1, 2, 3, 4, 5))
-    edges = sum(len(node.turns) for node in world._last_run.states.values())
+        run.outcome((0, 1, 2, 3, 4, 5))
+    edges = sum(len(node.turns) for node in run.states.values())
     assert edges == 3  # the call that raised left no turn
     for order in [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)] + _orders_out_of_sequence()[:50]:
-        fresh = run_schedule(build_world(scenario), scenario.intents, order)
-        assert run_schedule(world, scenario.intents, order) == fresh
+        assert run.outcome(order) == Run(build_world(scenario), scenario.intents).outcome(order)
 
 
 def test_holdings_match_per_actor_scan(monkeypatch):
@@ -1082,9 +1111,10 @@ def test_holdings_match_per_actor_scan(monkeypatch):
         actors = scenario.actors + (("b3", 9), ("idle", 42))  # b3 shares b2's key
         for rebuild in (False, True):
             world = build_world(dataclasses.replace(scenario, actors=actors, rebuild=rebuild))
+            run = Run(world, scenario.intents)
             before = len(states)
             for order in itertools.permutations(range(6)):
-                holdings = run_schedule(world, scenario.intents, order).holdings
+                holdings = run.outcome(order).holdings
                 state = oracles.eutxo_fold(world, scenario.intents, order)[3]
                 finals.setdefault((seed, rebuild), set()).add(state)
                 paid = {name: dict(facts)["ada_paid"] for name, facts in holdings}
@@ -1092,7 +1122,7 @@ def test_holdings_match_per_actor_scan(monkeypatch):
                 seen.append(dict(holdings))
             calls[seed, rebuild] = len(states) - before
             assert set(states[before:]) == finals[seed, rebuild]
-            edges = sum(len(node.turns) for node in world._last_run.states.values())
+            edges = sum(len(node.turns) for node in run.states.values())
             assert edges < sum(math.perm(6, k) for k in range(1, 7))
     assert len(seen) == 3 * 2 * 720
     assert len(set(states)) == len(states)  # no state is observed twice
@@ -1122,17 +1152,18 @@ def test_holdings_built_once_per_final_state_and_ada_paid(corpus_dir):
     counts = []
     for scenario in races:
         world = build_world(scenario)
+        run = Run(world, scenario.intents)
         fold = oracles.eutxo_fold if scenario.ledger == "eutxo" else oracles.account_fold
         built, states = {}, set()
         for order in itertools.permutations(range(len(scenario.intents))):
-            holdings = run_schedule(world, scenario.intents, order).holdings
+            holdings = run.outcome(order).holdings
             _, expected, _, state = fold(world, scenario.intents, order)
             assert holdings == expected
             paid = frozenset((name, ada) for name, facts in expected if (ada := dict(facts)["ada_paid"]))
             assert built.setdefault((state, paid), holdings) is holdings
             states.add(state)
         assert len({id(holdings) for holdings in built.values()}) == len(built)
-        assert sum(len(node.holdings) for node in world._last_run.states.values()) == len(built)
+        assert sum(len(node.holdings) for node in run.states.values()) == len(built)
         counts.append((len(states), len(built)))
     # (distinct final states, distinct (final state, ada paid)) per race
     assert counts == [(3, 3), (18, 18), (6, 6), (72, 72), (4, 4), (48, 48), (96, 96), (3, 3), (18, 18), (1, 2)]
@@ -1164,7 +1195,7 @@ def test_observe_that_raises_leaves_nothing_behind(monkeypatch, rebuild):
             run_schedule(world, scenario.intents, order)
     assert 0 < at < len(orders) - 1
     for order in orders[at:]:
-        fresh = run_schedule(build_world(scenario), scenario.intents, order)
+        fresh = Run(build_world(scenario), scenario.intents).outcome(order)
         assert run_schedule(world, scenario.intents, order) == fresh
 
 
@@ -1220,7 +1251,8 @@ def test_digests_match_naive_oracles():
 def test_account_run_builds_each_call_once(monkeypatch):
     """All 720 orders of a seeded account race on one world build each
     intent's ``CallTx`` once, at submit, though they execute many more
-    turns; a second run of the same intents on that world builds none."""
+    turns; a second run of the same intents on that world builds none, and
+    ``run_scenario`` builds each once for all 720 orders."""
     import itertools
 
     calls = _counting_submits(monkeypatch)
@@ -1234,6 +1266,7 @@ def test_account_run_builds_each_call_once(monkeypatch):
         assert calls["call"] > 6
         run_schedule(world, scenario.intents, (5, 4, 3, 2, 1, 0))
         assert calls["CallTx"] == 6
+        assert len(run_scenario(scenario).outcomes) == 720 and calls["CallTx"] == 12
 
 
 def test_account_orders_match_a_plain_fold():
