@@ -23,7 +23,7 @@ import random
 from bisect import bisect_left, insort
 from operator import attrgetter
 
-from .ledger import Chain, ValidationReport, append, utxo
+from .ledger import Chain, ValidationReport, append
 from .model import (
     ACCEPT_ALL,
     ACCEPT_ALL_KIND,
@@ -59,9 +59,11 @@ _position = attrgetter("position")
 
 
 def spendable(chain: Chain) -> list[Output]:
-    """Unspent outputs the generic generator knows how to spend, in a
-    deterministic order."""
-    outs = [o for o in utxo(chain) if o.validator.kind in SPENDABLE_KINDS]
+    """Unspent outputs the generic generator knows how to spend, in position
+    order.  Read off the index's unspent outputs, not ``utxo``'s set, so the
+    index keeps no set for it; on a valid chain, one output per position,
+    the two give the same list."""
+    outs = [o for o in chain.index().unspent_outputs() if o.validator.kind in SPENDABLE_KINDS]
     return sorted(outs, key=_position)
 
 

@@ -279,7 +279,7 @@ def _build_eutxo_intent(world: EutxoWorld, intent: Intent, chain: Chain, alloc: 
                 tx = build_set_price_tx(chain, world.cfg, intent.get("p"), alloc)
         except (PriceRefused, InsufficientSupply, NoPortalError, MalformedChainError) as exc:
             return None, str(exc)
-    issuer_lock = pay_to_pubkey(world.cfg.issuer)
+    issuer_lock = world.cfg.issuer_lock
     paid = sum(out.value.get(ADA) for out in tx.outputs if out.validator == issuer_lock)
     return (tx, paid), ""
 

@@ -44,7 +44,10 @@ asked by symbol holds no table, so building, validating and appending pay
 one falsy check per transaction for it.  Invariant: a symbol's table plus
 the ``shadowed`` outputs carrying it are exactly the outputs
 ``unspent_outputs()`` yields that carry it, so invalid chains keep their
-meaning.
+meaning.  In the same way the index keeps ``utxo``'s set once ``utxo`` has
+asked for it (``LedgerIndex.unspent_set``), so a later ``utxo`` copies a set,
+reusing its stored hashes, and hashes no output; an index no one has asked
+for it pays one ``is not None`` check per transaction.
 """
 
 from __future__ import annotations
@@ -110,9 +113,12 @@ class LedgerIndex:
     far.  ``shadowed`` outputs stay out of the tables and are filtered by
     ``carriers`` itself, so a table's carriers plus the shadowed ones carrying
     the symbol are exactly what ``unspent_outputs()`` yields that carry it.
+    ``kept`` is None until ``unspent_set`` is first asked, and from then on
+    the set of the outputs ``unspent_outputs()`` yields, kept current by
+    ``absorb``.
     """
 
-    __slots__ = ("size", "last_slot", "producer", "output", "spent", "unspent", "shadowed", "by_symbol")
+    __slots__ = ("size", "last_slot", "producer", "output", "spent", "unspent", "shadowed", "by_symbol", "kept")
 
     def __init__(self) -> None:
         self.size = 0
@@ -123,6 +129,7 @@ class LedgerIndex:
         self.unspent: dict[Position, Output] = {}
         self.shadowed: dict[Position, list[Output]] = {}
         self.by_symbol: dict[int, dict[Position, Output]] = {}
+        self.kept: set[Output] | None = None
 
     @classmethod
     def of(cls, txs: Iterable[Transaction], slots: Sequence[int] | None = None) -> LedgerIndex:
@@ -135,8 +142,19 @@ class LedgerIndex:
     def absorb(self, tx: Transaction, slot: int | None = None) -> None:
         """Summarize one more transaction, at index ``size``.  Its inputs
         spend only earlier outputs, so they are taken first; then every
-        per-symbol table built so far takes the change."""
+        per-symbol table built so far takes the change.  The kept unspent
+        set, when there is one, takes it before the inputs take what they
+        spend: the outputs at each spent position, shadowed ones included,
+        leave it and the transaction's outputs join it."""
         at = self.size
+        kept = self.kept
+        if kept is not None:
+            for inp in tx.inputs:
+                out = self.unspent.get(inp.position)
+                if out is not None:
+                    kept.discard(out)
+                    kept.difference_update(self.shadowed.get(inp.position, ()))
+            kept.update(tx.outputs)
         for inp in tx.inputs:
             self.spent.add(inp.position)
             self.unspent.pop(inp.position, None)
@@ -173,6 +191,16 @@ class LedgerIndex:
         if not self.shadowed:
             return iter(self.unspent.values())
         return itertools.chain(self.unspent.values(), *self.shadowed.values())
+
+    def unspent_set(self) -> frozenset[Output]:
+        """``frozenset(unspent_outputs())``.  The first call builds the set
+        ``kept``, in one scan of the unspent outputs, and ``absorb`` keeps it
+        current from then on.  Every call copies it, and a copy reuses the
+        set's stored hashes, so only the first call hashes the outputs."""
+        kept = self.kept
+        if kept is None:
+            kept = self.kept = set(self.unspent_outputs())
+        return frozenset(kept)
 
     def carriers(self, symbol: int) -> Iterator[Output]:
         """The outputs of ``unspent_outputs()`` whose value holds some chip
@@ -386,7 +414,7 @@ def utxo(chain: Chain) -> frozenset[Output]:
 
     Defined for every chain, valid or not.
     """
-    return frozenset(chain.index().unspent_outputs())
+    return chain.index().unspent_set()
 
 
 BLOCKCHAIN = "blockchain"

@@ -204,11 +204,14 @@ class Output:
             raise ValueError("positions and datums are naturals")
 
     def __hash__(self) -> int:
-        # The fields ``==`` compares, the validator's and the value's own
-        # fields inlined: one frame instead of three.  Not cached, so an
-        # output holds no extra slot and a pickle carries no hash.
-        validator = self.validator
-        return hash((self.position, validator.kind, validator.params, self.datum, self.value.entries))
+        # The fields ``==`` compares, the validator's params and the value's
+        # entries inlined: one frame instead of three.  The validator's kind,
+        # the one string, is left out, so the hash, and with it the order of
+        # a set of outputs, does not follow PYTHONHASHSEED; outputs that
+        # differ only in kind collide, at most four at one position.  Not
+        # cached, so an output holds no extra slot and a pickle carries no
+        # hash.
+        return hash((self.position, self.validator.params, self.datum, self.value.entries))
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .model import (
@@ -76,8 +77,15 @@ class TokenConfig:
         if ADA in (self.traded_chip, self.state_chip):
             raise ValueError("neither the traded chip nor the state chip may be ada")
 
+    @cached_property
     def validator(self) -> ValidatorRef:
+        """The state machine's reference, which guards the portal."""
         return ValidatorRef(STATE_MACHINE_KIND, (self.issuer, *self.traded_chip, *self.state_chip))
+
+    @cached_property
+    def issuer_lock(self) -> ValidatorRef:
+        """The pay-to-key lock a buy pays the issuer under."""
+        return pay_to_pubkey(self.issuer)
 
     @classmethod
     def from_params(cls, params: tuple[int, ...]) -> TokenConfig:
@@ -154,7 +162,7 @@ def transition_check(cfg: TokenConfig, redeemer: Redeemer, datum: Datum, value: 
     if len(carriers) != 1:
         return False
     successor = carriers[0]
-    if successor.value.get(cfg.state_chip) != 1 or successor.validator != cfg.validator():
+    if successor.value.get(cfg.state_chip) != 1 or successor.validator != cfg.validator:
         return False
     if isinstance(action, Buy):
         if successor.datum != datum:
@@ -166,7 +174,7 @@ def transition_check(cfg: TokenConfig, redeemer: Redeemer, datum: Datum, value: 
         if successor.value != expected_value:
             return False
         price_due = action.amount * datum
-        issuer_lock = pay_to_pubkey(cfg.issuer)
+        issuer_lock = cfg.issuer_lock
         return any(out.validator == issuer_lock and out.value.get(ADA) == price_due for out in ctx.outputs)
     if action.key != cfg.issuer:
         return False
@@ -186,7 +194,7 @@ def init_portal(cfg: TokenConfig, supply: int, price: int, alloc: PositionAlloca
         raise ValueError("price must be a natural")
     out = Output(
         alloc.fresh(),
-        cfg.validator(),
+        cfg.validator,
         price,
         Value.of({cfg.state_chip: 1, cfg.traded_chip: supply}),
     )
@@ -231,9 +239,9 @@ def build_buy_tx(
     available = portal.value.get(cfg.traded_chip)
     if amount > available:
         raise InsufficientSupply(f"portal holds {available} tokens, {amount} requested")
-    successor = Output(alloc.fresh(), cfg.validator(), price, portal.value.subtract(singleton(cfg.traded_chip, amount)))
+    successor = Output(alloc.fresh(), cfg.validator, price, portal.value.subtract(singleton(cfg.traded_chip, amount)))
     due = amount * price
-    payment = Output(alloc.fresh(), pay_to_pubkey(cfg.issuer), 0, singleton(ADA, due) if due else Value())
+    payment = Output(alloc.fresh(), cfg.issuer_lock, 0, singleton(ADA, due) if due else Value())
     delivery = Output(alloc.fresh(), pay_to_pubkey(buyer), 0, singleton(cfg.traded_chip, amount))
     return Transaction(frozenset({Input(portal.position, encode_buy(amount))}), frozenset({successor, payment, delivery}))
 
@@ -244,7 +252,7 @@ def build_set_price_tx(chain: Chain, cfg: TokenConfig, new_price: int, alloc: Po
     if new_price < 0:
         raise ValueError("price must be a natural")
     portal = find_portal(chain, cfg)
-    successor = Output(alloc.fresh(), cfg.validator(), new_price, portal.value)
+    successor = Output(alloc.fresh(), cfg.validator, new_price, portal.value)
     return Transaction(
         frozenset({Input(portal.position, encode_set_price(new_price, cfg.issuer))}),
         frozenset({successor}),

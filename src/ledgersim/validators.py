@@ -6,7 +6,9 @@ stay serializable and chains replayable.  A ``ValidatorRef`` (defined in
 ``run_validator`` is the total, deterministic interpreter deciding whether a
 spend is accepted.  Signatures are simulated: a pay-to-key validator accepts
 exactly when the redeemer equals the key id.  A ``StateMachine`` reference is
-a token portal, judged by ``token_portal.transition_check``.
+a token portal, judged by ``token_portal.transition_check``; its parameters
+are decoded into a ``TokenConfig`` once, through a cache bounded at 256
+parameter tuples, and not again at every spend.
 
 A validator is a function of its redeemer, its datum, its value and the
 context, the spending transaction seen from one input.  Only the kinds in
@@ -16,6 +18,8 @@ and passes ``None`` otherwise.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .model import (
     ACCEPT_ALL,  # re-exported: the benchmark reads validators.ACCEPT_ALL
@@ -36,6 +40,16 @@ from .token_portal import TokenConfig, transition_check
 CONTEXT_READERS = frozenset({STATE_MACHINE_KIND})
 
 
+@lru_cache(maxsize=256)
+def _portal(params: tuple[int, ...]) -> TokenConfig | None:
+    """The portal a ``StateMachine`` reference's parameters name, or None
+    when they name none."""
+    try:
+        return TokenConfig.from_params(params)
+    except ValueError:
+        return None
+
+
 def run_validator(ref: ValidatorRef, redeemer: Redeemer, datum: Datum, value: Value, ctx: Context | None) -> bool:
     """Decide whether the referenced validator accepts the spend.
 
@@ -53,9 +67,8 @@ def run_validator(ref: ValidatorRef, redeemer: Redeemer, datum: Datum, value: Va
     if ref.kind == STATE_MACHINE_KIND:
         if ctx is None:
             raise TypeError(f"a {ref.kind} validator reads the spending context, got None")
-        try:
-            cfg = TokenConfig.from_params(ref.params)
-        except ValueError:  # the parameters name no portal: nothing unlocks it
+        cfg = _portal(ref.params)
+        if cfg is None:  # the parameters name no portal: nothing unlocks it
             return False
         return transition_check(cfg, redeemer, datum, value, ctx)
     raise ValueError(f"unknown validator kind {ref.kind!r}")

@@ -215,9 +215,9 @@ def test_a_call_time_import_is_reported():
     """``run_validator`` as it was when it imported the portal per spend."""
     validators = PACKAGE / "validators.py"
     text = validators.read_text().replace(
-        "        try:\n            cfg = TokenConfig.from_params",
+        "        cfg = _portal(ref.params)",
         "        from .token_portal import TokenConfig, transition_check\n\n"
-        "        try:\n            cfg = TokenConfig.from_params",
+        "        cfg = _portal(ref.params)",
         1,
     )
     line = text.splitlines().index("        from .token_portal import TokenConfig, transition_check") + 1

@@ -110,7 +110,7 @@ def portal_output(rng, position):
     chip plus some supply at some price; sometimes one without the state
     chip, or one whose parameters name no portal."""
     roll = rng.random()
-    validator = PORTAL.validator() if roll < 0.9 else ValidatorRef(STATE_MACHINE_KIND, (1, 1, 1, 1, 1))
+    validator = PORTAL.validator if roll < 0.9 else ValidatorRef(STATE_MACHINE_KIND, (1, 1, 1, 1, 1))
     chips = {PORTAL.traded_chip: 1 + rng.randrange(6)}
     if roll < 0.8:
         chips[PORTAL.state_chip] = 1
@@ -261,17 +261,62 @@ def test_symbol_tables_match_oracles_as_the_index_grows():
     assert shadowed  # and some tables were read with shadowed outputs
 
 
+def restoring_tx(rng, txs):
+    """``random_tx``'s kind, or a transaction that spends an unspent output
+    and puts an equal one back at its position."""
+    unspent = sorted(oracles.unspent_scan(txs), key=lambda out: out.position)
+    if unspent and rng.random() < 0.2:
+        out = rng.choice(unspent)
+        return Transaction(frozenset({Input(out.position, rng.randrange(3))}), frozenset({out}))
+    return random_tx(rng, txs)
+
+
+def test_unspent_set_matches_oracle_as_the_index_grows():
+    """``utxo``'s set first asked for at a random prefix of a valid or
+    invalid sequence, with shadowed outputs, forward inputs, respends and
+    spends that put an equal output back, then kept by ``absorb``: after
+    every later transaction it equals the naive scan.  Before the first
+    query the index keeps no set."""
+    rng = random.Random(47)
+    valid = shadowed = respent = 0
+    for _ in range(600):
+        txs, slots = random_sequence(rng, restoring_tx)
+        asked = rng.randrange(len(txs) + 1)
+        index = LedgerIndex()
+        for at in range(len(txs) + 1):
+            if at < asked:
+                assert index.kept is None
+            else:
+                assert index.unspent_set() == oracles.utxo(txs[:at])
+                shadowed += bool(index.shadowed)
+            if at < len(txs):
+                respent += at >= asked and any(inp.position in index.spent for inp in txs[at].inputs)
+                index.absorb(txs[at], None if slots is None else slots[at])
+        valid += oracles.validate(txs, slots).valid
+    assert 0 < valid < 600  # both kinds were drawn
+    assert shadowed and respent  # and the kept set met shadowed outputs and respends
+
+
 def test_unqueried_chains_hold_no_symbol_table():
-    """Building, validating and appending never build a per-symbol table, so
-    an index nobody asks by symbol pays one falsy check per transaction."""
+    """Building, validating, appending, ``spendable`` and ``ChainGen.grow``
+    never build a per-symbol table or ``utxo``'s set, so an index nobody
+    asks by symbol or for ``utxo`` pays one check per transaction for
+    each."""
+
+    def unqueried(index):
+        return not index.by_symbol and index.kept is None
+
     gen = ChainGen(random.Random(45))
     chain, alloc = gen.chain(length=12)
-    assert not LedgerIndex.of(chain.transactions).by_symbol
-    assert validate_chain(chain).valid and not chain.index().by_symbol
+    assert unqueried(LedgerIndex.of(chain.transactions))
+    assert validate_chain(chain).valid and unqueried(chain.index())
     grown = append(chain, gen.transaction(chain, alloc))
-    assert isinstance(grown, Chain) and not grown.index().by_symbol
+    assert isinstance(grown, Chain) and unqueried(grown.index())
+    spendable(grown)
+    grown, _ = gen.grow(grown, 20, alloc)
+    assert unqueried(grown.index())
     utxo(grown)
-    assert not grown.index().by_symbol
+    assert not grown.index().by_symbol and grown.index().kept is not None
 
 
 def test_tip_appends_match_from_scratch_check():
@@ -538,7 +583,7 @@ def test_contexts_are_built_for_context_readers_only(monkeypatch):
             tx = build_set_price_tx(chain, PORTAL, rng.randrange(5), alloc)
         elif roll < 0.7:  # signed by a key other than the issuer's
             portal = find_portal(chain, PORTAL)
-            successor = Output(alloc.fresh(), PORTAL.validator(), 3, portal.value)
+            successor = Output(alloc.fresh(), PORTAL.validator, 3, portal.value)
             tx = Transaction(frozenset({Input(portal.position, encode_set_price(3, 2))}), frozenset({successor}))
         else:  # a transfer of some pay-to-key output
             keyed = sorted((out for out in utxo(chain) if out.validator.kind == PAY_TO_PUBKEY_KIND), key=lambda o: o.position)

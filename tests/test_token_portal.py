@@ -1,6 +1,10 @@
 """Portal lifecycle: initialization, transitions, builders, guard behaviour."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +68,7 @@ def test_config_invariants():
         TokenConfig(1, Chip(1, 1), Chip(1, 1))
     with pytest.raises(ValueError):
         TokenConfig(1, Chip(0, 0), Chip(2, 1))
-    assert TokenConfig.from_params(CFG.validator().params) == CFG
+    assert TokenConfig.from_params(CFG.validator.params) == CFG
 
 
 def test_action_codec_round_trip():
@@ -83,7 +87,7 @@ def test_init_portal_shape():
     portal = find_portal(chain, CFG)
     assert portal.datum == 1
     assert portal.value == Value.of({CFG.state_chip: 1, CFG.traded_chip: 1000})
-    assert portal.validator == CFG.validator()
+    assert portal.validator == CFG.validator
     assert validate_chain(chain, POLICIES).valid
 
 
@@ -132,7 +136,7 @@ def test_build_buy_tx_matches_oracle():
     chain, alloc = fresh_portal(supply=1000, price=5)
     expected = buy_oracle(chain, 3)
     tx = build_buy_tx(chain, CFG, buyer=7, amount=3, alloc=alloc)
-    successor = [o for o in tx.outputs if o.validator == CFG.validator()]
+    successor = [o for o in tx.outputs if o.validator == CFG.validator]
     payment = [o for o in tx.outputs if o.validator == pay_to_pubkey(1)]
     delivery = [o for o in tx.outputs if o.validator == pay_to_pubkey(7)]
     assert len(successor) == len(payment) == len(delivery) == 1
@@ -166,7 +170,7 @@ def test_buy_price_change_attempt_rejected():
     tx = build_buy_tx(chain, CFG, buyer=7, amount=2, alloc=alloc)
     outs = set()
     for out in tx.outputs:
-        if out.validator == CFG.validator():
+        if out.validator == CFG.validator:
             out = Output(out.position, out.validator, 1, out.value)  # cheaper successor price
         outs.add(out)
     report = append(chain, Transaction(tx.inputs, frozenset(outs)))
@@ -177,7 +181,7 @@ def test_buy_price_change_attempt_rejected():
 def test_buy_must_reproduce_state_chip():
     chain, alloc = fresh_portal(price=5)
     tx = build_buy_tx(chain, CFG, buyer=7, amount=2, alloc=alloc)
-    outs = frozenset(o for o in tx.outputs if o.validator != CFG.validator())
+    outs = frozenset(o for o in tx.outputs if o.validator != CFG.validator)
     report = append(chain, Transaction(tx.inputs, outs))
     assert isinstance(report, ValidationReport)
     assert report.first().condition == VALIDATOR_REJECTED
@@ -186,9 +190,9 @@ def test_buy_must_reproduce_state_chip():
 def _spend_of_chipless_portal():
     """A portal-guarded output without the state chip, spent as a buy of 1."""
     alloc = PositionAllocator()
-    chipless = Output(alloc.fresh(), CFG.validator(), 5, singleton(CFG.traded_chip, 10))
+    chipless = Output(alloc.fresh(), CFG.validator, 5, singleton(CFG.traded_chip, 10))
     chain = append(Chain(), Transaction(frozenset(), frozenset({chipless})))
-    successor = Output(alloc.fresh(), CFG.validator(), 5, singleton(CFG.traded_chip, 9))
+    successor = Output(alloc.fresh(), CFG.validator, 5, singleton(CFG.traded_chip, 9))
     payment = Output(alloc.fresh(), pay_to_pubkey(CFG.issuer), 0, singleton(ADA, 5))
     return chain, Transaction(frozenset({Input(chipless.position, encode_buy(1))}), frozenset({successor, payment}))
 
@@ -198,7 +202,7 @@ def _tampered_buy(redeemer=None, validator=None, extra=Value()):
     its successor's validator replaced, or ``extra`` added to the successor."""
     chain, alloc = fresh_portal(supply=3, price=5)
     tx = build_buy_tx(chain, CFG, buyer=7, amount=2, alloc=alloc)
-    successor = next(o for o in tx.outputs if o.validator == CFG.validator())
+    successor = next(o for o in tx.outputs if o.validator == CFG.validator)
     replaced = Output(successor.position, validator or successor.validator, successor.datum, successor.value + extra)
     (spent,) = tx.inputs
     inputs = frozenset({Input(spent.position, spent.redeemer if redeemer is None else redeemer)})
@@ -263,7 +267,7 @@ def test_set_price_round_trip():
 def test_set_price_by_non_issuer_rejected():
     chain, alloc = fresh_portal(price=5)
     portal = find_portal(chain, CFG)
-    successor = Output(alloc.fresh(), CFG.validator(), 9, portal.value)
+    successor = Output(alloc.fresh(), CFG.validator, 9, portal.value)
     forged_redeemer = encode_set_price(9, 2)  # key 2 is not the issuer
     tx = Transaction(frozenset({Input(portal.position, forged_redeemer)}), frozenset({successor}))
     report = append(chain, tx)
@@ -415,3 +419,34 @@ def test_portal_queries_stop_scanning_after_a_long_walk(monkeypatch):
     assert isinstance(repriced, Chain) and repriced.index() is index
     assert find_portal(repriced, CFG).datum == 5
     assert append(repriced, rogue, policies=POLICIES).first().condition == POLICY_VIOLATION
+
+
+_GROWN_PORTAL_UTXO = """
+from ledgersim.ledger import Chain, append, utxo
+from ledgersim.model import Chip, PositionAllocator
+from ledgersim.token_portal import TokenConfig, build_buy_tx, build_set_price_tx, init_portal
+
+cfg = TokenConfig(issuer=1, traded_chip=Chip(1, 1), state_chip=Chip(2, 1))
+alloc = PositionAllocator()
+chain = append(Chain(), init_portal(cfg, 1_000, 2, alloc))
+for step in range(120):
+    if step % 3:
+        tx = build_buy_tx(chain, cfg, 7 + step % 4, 1 + step % 5, alloc)
+    else:
+        tx = build_set_price_tx(chain, cfg, step % 11, alloc)
+    chain = append(chain, tx)
+print([out.position for out in utxo(chain)])
+"""
+
+
+def test_utxo_order_does_not_follow_the_hash_seed():
+    """The order in which ``utxo``'s set yields a grown portal chain's
+    outputs is the same under two string-hash seeds: an output's hash reads
+    no string."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    orders = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", _GROWN_PORTAL_UTXO], env=env, capture_output=True, text=True, check=True)
+        orders.add(run.stdout)
+    assert len(orders) == 1
