@@ -43,7 +43,6 @@ last one it made, for a caller that asks order by order.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import json
@@ -296,15 +295,11 @@ def _attach(chain: Chain, tx: Transaction, policies: PolicyTable) -> tuple[Chain
 
 def _observation(world: EutxoWorld | AccountWorld, state) -> tuple:
     """What every order ending on ``state`` reads of it: per actor, in name
-    order, the name and the sorted holdings facts split where ``ada_paid``
-    sorts in; the ledger's state pairs; and the digest."""
+    order, the name and the sorted holdings facts; the ledger's state pairs;
+    and the digest."""
     by_key, pairs, digest = world.observe(state)
-    facts = []
-    for name, key in sorted(world.actors):
-        held = tuple(sorted(by_key.get(key, {}).items()))
-        at = bisect.bisect_left(held, ("ada_paid",))
-        facts.append((name, held[:at], held[at:]))
-    return tuple(facts), pairs, digest
+    facts = tuple((name, tuple(sorted(by_key.get(key, {}).items()))) for name, key in sorted(world.actors))
+    return facts, pairs, digest
 
 
 class Run:
@@ -362,7 +357,7 @@ class Run:
         facts, observed, digest = node.observation
         key = frozenset(paid.items())
         if key not in node.holdings:
-            node.holdings[key] = tuple([(name, head + (("ada_paid", paid.get(name, 0)),) + tail) for name, head, tail in facts])
+            node.holdings[key] = tuple([(name, tuple(sorted(held + (("ada_paid", paid.get(name, 0)),)))) for name, held in facts])
         return Outcome(order, tuple(statuses), node.holdings[key], observed, digest)
 
 

@@ -1,32 +1,33 @@
 """Every public function, class and method of the package has a caller.
 
 A public name that nothing in ``src/`` or ``bench/`` refers to, apart from
-its own definition and the re-exports in ``__init__.py``, is API only tests
-call; it is deleted rather than kept.  Names are matched, not resolved, but a
-reference counts only in a file that can reach the defining module: the
-module itself, a module of the package importing from it directly or through
-other modules, or a ``bench/`` file naming it as a layer (``m.ledger``) or
-naming a layer that reaches it.  So ``Path.resolve`` in a file that never
-touches the ledger does not keep an uncalled ``LedgerIndex.resolve``.  A
-method counts as used only through an attribute (``x.symbols``), so a local
-variable of the same name does not keep it.
-Every name of ``ledgersim.__all__`` must also be defined, so a deleted
-function cannot linger as a re-export that breaks ``import *``.
+its own definition, is API only tests call; it is deleted rather than kept.
+Names are matched, not resolved, but a reference counts only in a file that
+can reach the defining module: the module itself, a module of the package
+importing from it directly or through other modules, or a ``bench/`` file
+naming it as a layer (``m.ledger``) or naming a layer that reaches it.  So
+``Path.resolve`` in a file that never touches the ledger does not keep an
+uncalled ``LedgerIndex.resolve``.  A method counts as used only through an
+attribute (``x.symbols``), so a local variable of the same name does not
+keep it.
 
-The package has one import order: no function imports, and the modules'
-run-time imports form an acyclic graph.  No module reaches a private name
-of another (``formats._name``, ``from .formats import _name``) outside a
-short list of stated reasons.  And the benchmark's view of the
-package holds: every layer function ``bench/`` traces or calls exists where
-it says, so a move cannot break ``bench/`` or leave a per-layer row reading
-0 without a test failing.
+The package has one import order: no function imports, the modules'
+run-time imports form an acyclic graph, and importing a module loads only
+that graph's closure of it, so the bottom layer loads nothing above it.
+No module reaches a private name of another (``formats._name``,
+``from .formats import _name``) outside a short list of stated reasons.
+And the benchmark's view of the package holds: every layer function
+``bench/`` traces or calls exists where it says, so a move cannot break
+``bench/`` or leave a per-layer row reading 0 without a test failing.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
-import types
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -95,6 +96,17 @@ def _load_time_statements(tree: ast.Module):
             todo += node.body + node.orelse
 
 
+def _reach(graph: dict[str, set[str]], modules) -> set[str]:
+    """``modules`` and every module ``graph`` leads to from them."""
+    todo, reached = list(modules), set()
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(graph[module])
+    return reached
+
+
 def _referenced_names(trees):
     """For each package module, every identifier used in a file that can
     reach it: ``(name, False)`` for a name, attribute or imported name, which
@@ -107,12 +119,7 @@ def _referenced_names(trees):
             todo = [path.stem]
         else:  # a bench/ file reaches the layers it names: m.ledger
             todo = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in MODULES]
-        reached = set()
-        while todo:
-            module = todo.pop()
-            if module not in reached:
-                reached.add(module)
-                todo.extend(imports[module])
+        reached = _reach(imports, todo)
         used = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -144,26 +151,6 @@ def test_a_same_named_call_out_of_reach_keeps_nothing():
         "class LedgerIndex:\n", "class LedgerIndex:\n    def resolve(self, position):\n        return None\n\n", 1
     )
     assert "ledger.LedgerIndex.resolve" in _unused(_trees({ledger: text}))
-
-
-def _missing_exports(package) -> list[str]:
-    """The names of ``package.__all__`` the package does not define."""
-    return [name for name in package.__all__ if not hasattr(package, name)]
-
-
-def test_every_export_is_defined():
-    """``from ledgersim import *`` fails on a name of ``__all__`` the package
-    does not define, so a deleted function leaves ``__all__`` too."""
-    import ledgersim
-
-    assert _missing_exports(ledgersim) == []
-
-
-def test_a_stale_export_is_reported():
-    stale = types.ModuleType("stale")
-    stale.kept = object()
-    stale.__all__ = ["kept", "deleted"]
-    assert _missing_exports(stale) == ["deleted"]
 
 
 def _call_time_imports(trees) -> list[str]:
@@ -238,6 +225,22 @@ def test_an_import_cycle_is_named():
     plain = text.replace("\nPosition = int", "\nfrom .ledger import Chain\nPosition = int", 1)
     cycle = _import_cycle(_trees({model: plain}))
     assert cycle[0] == cycle[-1] and {"model", "ledger"} <= set(cycle)
+
+
+def test_each_module_loads_only_what_it_imports():
+    """A fresh interpreter importing ``ledgersim.<m>`` holds the package,
+    ``m`` and the modules ``m`` imports at load time, directly or through
+    others, and no other module of the package."""
+    graph = {path.stem: _imported(tree, at_load=True) for path, tree in _trees().items() if path.parent == PACKAGE}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    show = "import sys, ledgersim.{}; print(*sorted(n for n in sys.modules if n.partition('.')[0] == 'ledgersim'))"
+    wrong = {}  # module -> the package modules loaded or missed against its closure
+    for module in sorted(MODULES):
+        run = subprocess.run([sys.executable, "-c", show.format(module)], env=env, capture_output=True, text=True, check=True)
+        loaded, expected = set(run.stdout.split()), {"ledgersim"} | {f"ledgersim.{m}" for m in _reach(graph, [module])}
+        if loaded != expected:
+            wrong[module] = sorted(loaded ^ expected)
+    assert wrong == {}
 
 
 # Private names one module of the package uses from another, each for a

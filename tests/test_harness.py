@@ -399,8 +399,11 @@ def test_fuzz_reports_deterministic():
 
 
 def test_fuzz_unknown_theorem():
-    with pytest.raises(ValueError):
-        fuzz_theorem("lemma99", seed=0, cases=1)
+    """An unknown statement, and a case count below 1, are refused before
+    anything is drawn."""
+    for which, cases, message in [("lemma99", 1, "unknown theorem 'lemma99'"), ("lemma15_1", 0, "cases must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            fuzz_theorem(which, seed=0, cases=cases)
 
 
 @pytest.mark.parametrize("which", ["lemma15_1", "lemma15_2", "theorem17", "prop19", "lemma21"])
