@@ -31,6 +31,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ledgersim"
 BENCH = ROOT / "bench"
@@ -227,20 +229,17 @@ def test_an_import_cycle_is_named():
     assert cycle[0] == cycle[-1] and {"model", "ledger"} <= set(cycle)
 
 
-def test_each_module_loads_only_what_it_imports():
-    """A fresh interpreter importing ``ledgersim.<m>`` holds the package,
-    ``m`` and the modules ``m`` imports at load time, directly or through
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_each_module_loads_only_what_it_imports(module):
+    """A fresh interpreter importing ``ledgersim.<module>`` holds the package,
+    the module and the modules it imports at load time, directly or through
     others, and no other module of the package."""
     graph = {path.stem: _imported(tree, at_load=True) for path, tree in _trees().items() if path.parent == PACKAGE}
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    show = "import sys, ledgersim.{}; print(*sorted(n for n in sys.modules if n.partition('.')[0] == 'ledgersim'))"
-    wrong = {}  # module -> the package modules loaded or missed against its closure
-    for module in sorted(MODULES):
-        run = subprocess.run([sys.executable, "-c", show.format(module)], env=env, capture_output=True, text=True, check=True)
-        loaded, expected = set(run.stdout.split()), {"ledgersim"} | {f"ledgersim.{m}" for m in _reach(graph, [module])}
-        if loaded != expected:
-            wrong[module] = sorted(loaded ^ expected)
-    assert wrong == {}
+    show = f"import sys, ledgersim.{module}; print(*sorted(n for n in sys.modules if n.partition('.')[0] == 'ledgersim'))"
+    run = subprocess.run([sys.executable, "-c", show], env=env, capture_output=True, text=True, check=True)
+    expected = {"ledgersim"} | {f"ledgersim.{m}" for m in _reach(graph, [module])}
+    assert sorted(set(run.stdout.split()) ^ expected) == []
 
 
 # Private names one module of the package uses from another, each for a
