@@ -509,7 +509,7 @@ def fuzz_theorem(which: str, seed: int = 0, cases: int = 1000) -> FuzzReport:
         raise ValueError("cases must be >= 1")
     statement = STATEMENTS.get(which)
     if statement is None:
-        raise ValueError(f"unknown theorem {which!r}; choose from {THEOREMS}")
+        raise ValueError(f"unknown theorem {which!r}; choose from {tuple(STATEMENTS)}")
     rng = random.Random(seed)
     attempts = 0
     done = 0
@@ -738,7 +738,6 @@ STATEMENTS = {
     "lemma21": Statement(_sample_lemma21, _judge_lemma21, shrink=False),
     "remark18": Statement(_sample_remark18, _judge_remark18, expect="refuted"),
 }
-THEOREMS = tuple(STATEMENTS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +91,7 @@ def test_validate_missing_file(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["validate", "scenario"])
+@pytest.mark.parametrize("command", ["validate", "utxo", "classify", "scenario"])
 def test_non_utf8_file_exits_2(capsys, tmp_path, command):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xffTX 0\n")
@@ -603,3 +607,89 @@ def test_demo_race(capsys):
     code, out, _ = run_cli(capsys, "demo-race")
     assert code == 0
     assert "=== eutxo ===" in out and "=== account ===" in out
+
+
+# One corpus input per command; each is run in both formats.
+EVERY_COMMAND = [
+    ("validate", "swapped.chain"),
+    ("utxo", "figure-3-B.chain"),
+    ("classify", "figure-4-chunk.chain"),
+    ("equiv", "figure-3-B.chain", "figure-4-prefix.chain"),
+    ("scenario", "race_eutxo.scenario"),
+    ("fuzz", "--theorem", "remark18", "--cases", "5"),
+    ("demo-race",),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+def test_every_command_prints_one_layout(capsys, corpus_dir, monkeypatch, argv):
+    """JSON is printed indented by 2 with sorted keys, and text ends its
+    last line."""
+    monkeypatch.chdir(corpus_dir)
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    _, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert out == "" or out.endswith("\n")
+
+
+INVALID_SWAPPED = (
+    "swapped.chain is not a valid chain: tx 0: dangling-or-forward-input (input at 2 resolves to no earlier output)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("validate", "nope.chain"), "[Errno 2] No such file or directory: 'nope.chain'", id="missing-chain"
+        ),
+        pytest.param(
+            ("scenario", "nope.scenario"), "[Errno 2] No such file or directory: 'nope.scenario'", id="missing-scenario"
+        ),
+        pytest.param(
+            ("equiv", "figure-3-B.chain", "nope.chain"),
+            "[Errno 2] No such file or directory: 'nope.chain'",
+            id="missing-second-chain",
+        ),
+        pytest.param(
+            ("equiv", "figure-3-B.chain", "{tmp}/bad.chain"),
+            "{tmp}/bad.chain: line 1: transaction index must be a natural number, got 'zero'",
+            id="bad-second-chain",
+        ),
+        pytest.param(("equiv", "swapped.chain", "figure-3-B.chain"), INVALID_SWAPPED, id="invalid-chain"),
+        pytest.param(
+            ("equiv", "figure-3-B.chain", "swapped.chain", "--mode", "alpha", "--format", "json"),
+            INVALID_SWAPPED,
+            id="invalid-chain-alpha",
+        ),
+        pytest.param(
+            ("scenario", "{tmp}/bad.scenario"),
+            "{tmp}/bad.scenario: line 1: LEDGER must be 'eutxo' or 'account'",
+            id="bad-scenario",
+        ),
+    ],
+)
+def test_refused_input_is_one_error_line(capsys, corpus_dir, tmp_path, monkeypatch, argv, message):
+    """Every refusal exits 2 with nothing on stdout and one ``error:`` line
+    on stderr.  The other refusal sites have tests of their own above:
+    chain parse errors, non-UTF-8 files, ``--schedule``, a scenario that
+    ``run_scenario`` refuses, and ``--cases``/``--seed``."""
+    (tmp_path / "bad.chain").write_text("TX zero\n")
+    (tmp_path / "bad.scenario").write_text("LEDGER martian\n")
+    monkeypatch.chdir(corpus_dir)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+def test_closed_pipe_keeps_the_exit_code(corpus_dir):
+    """A reader that stops early, as ``| head`` does, gets the command's own
+    exit code and no traceback."""
+    argv = ["scenario", str(corpus_dir / "race_four.scenario"), "--schedule", "sample 2000 @1", "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    run = [sys.executable, "-m", "ledgersim.cli", *argv]
+    with subprocess.Popen(run, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'{\n  "disti'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+    assert err == ""  # no traceback

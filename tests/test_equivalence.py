@@ -346,7 +346,7 @@ def test_fresh_names_pinned():
     assert digest.hexdigest() == RENAMING_PIN
 
 
-def test_check_commute_apart_pair(chain_b_prime, figure_txs):
+def test_check_defer_one_tx_apart_pair(chain_b_prime, figure_txs):
     tx1, tx2, tx3, tx4 = figure_txs
     base = Chain((tx1,))
     assert apart(tx2, tx3)
@@ -354,7 +354,7 @@ def test_check_commute_apart_pair(chain_b_prime, figure_txs):
     assert report.valid_txs_tx and report.valid_tx_txs and report.equiv
 
 
-def test_check_commute_forward_dependency(figure_txs):
+def test_check_defer_one_tx_forward_dependency(figure_txs):
     tx1, _, tx3, _ = figure_txs
     consumer = Transaction(frozenset({Input(E, 0)}), frozenset())  # spends tx3's output
     assert not apart(tx3, consumer)
@@ -362,7 +362,7 @@ def test_check_commute_forward_dependency(figure_txs):
     assert report.valid_txs_tx and not report.valid_tx_txs
 
 
-def test_check_commute_matches_figure(figure_txs):
+def test_check_defer_one_tx_matches_figure(figure_txs):
     tx1, tx2, tx3, tx4 = figure_txs
     assert not apart(tx3, tx4)  # tx4 consumes tx3's outputs
     report = check_defer(Chain((tx1, tx2)), (tx3,), tx4)
@@ -385,7 +385,7 @@ def test_commute_conclusion_holds_on_raw_sequences(figure_txs):
     assert report.equiv
 
 
-def test_check_commute_rebuilds_only_the_base_index(monkeypatch, figure_txs):
+def test_check_defer_one_tx_rebuilds_only_the_base_index(monkeypatch, figure_txs):
     """Each extended chain is built once, by appends that hand the parent's
     index to the child, so no extended chain builds an index.  The first
     order takes the base's index, and the second, B;tx;txs, rebuilds it

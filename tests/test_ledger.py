@@ -53,7 +53,7 @@ def spent_scan_utxo(txs):
     return frozenset(unspent)
 
 
-def test_resolve_input_basics():
+def test_input_resolves_to_an_earlier_output():
     """An input resolves to an output of a strictly earlier transaction, or
     validation reports it as dangling or forward."""
     tx1 = Transaction(frozenset(), frozenset({ref_output(A), ref_output(B)}))
@@ -64,7 +64,7 @@ def test_resolve_input_basics():
     assert validate_chain(Chain((same_tx,))).first().condition == DANGLING_OR_FORWARD
 
 
-def test_resolve_input_figure_chain(chain_b, figure_txs):
+def test_input_resolves_in_the_figure_chain(chain_b, figure_txs):
     tx1, tx2, _, _ = figure_txs
     inp = next(iter(tx2.inputs))
     assert chain_b.prefix(1).index().output[inp.position] == ref_output(B)
