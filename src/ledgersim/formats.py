@@ -35,6 +35,7 @@ scenario built in code is refused exactly when its text would not parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .accounts import FUNCTIONS, PAYABLE
@@ -411,8 +412,20 @@ def intent_problem(ledger: str, actor_names: Sequence[str], intent: Intent) -> s
 
 def is_permutation(order, count: int) -> bool:
     """True when ``order`` is a tuple of ``int``s, not ``bool``s, holding
-    each of 0..count-1 once, as an explicit clause and a run's order must."""
-    return type(order) is tuple and set(map(type, order)) <= {int} and sorted(order) == list(range(count))
+    each of 0..count-1 once, as an explicit clause and a run's order must.
+    ``count`` is an intent count, so never negative.  The element types are
+    tested before the elements are hashed, so an unhashable one gives False."""
+    return (
+        type(order) is tuple
+        and set(map(type, order)) <= {int}
+        and len(order) == count
+        and set(order) == _indices(count)
+    )
+
+
+@lru_cache(maxsize=16)
+def _indices(count: int) -> frozenset[int]:
+    return frozenset(range(count))
 
 
 def _clause_problem(clause, count: int) -> str | None:

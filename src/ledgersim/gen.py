@@ -15,6 +15,10 @@ quantity per pick) to the ``Value`` built from them.  The table lives for the
 process, shared by every ``ChainGen``, and is bounded by the draw space, not
 by any input: 1 + 16 + 16**2 = 273 keys for two picks over the four ``CHIPS``
 and four quantities.
+
+Every integer draw goes through ``_below``, the loop ``randrange`` runs on
+``getrandbits``, so the generator reads the same bits in the same order as
+``randrange`` would, with fewer frames per draw.
 """
 
 from __future__ import annotations
@@ -67,23 +71,38 @@ def spendable(chain: Chain) -> list[Output]:
     return sorted(outs, key=_position)
 
 
+def _below(bits, n: int) -> int:
+    """``random.Random.randrange(n)`` for an int ``n >= 1``, given the
+    generator's ``getrandbits``: draw ``n.bit_length()`` bits until the
+    result is below ``n``, as ``randrange`` does, without its frames."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _advance(pool: list[Output], tx: Transaction) -> None:
     """Turn ``spendable(chain)`` into ``spendable`` of the chain extended by
-    ``tx``, in place: drop what tx spends, insert what it creates."""
+    ``tx``, in place: drop what tx spends, add what it creates (at the end
+    when its position is past the last, as a fresh one is)."""
     for inp in tx.inputs:
         at = bisect_left(pool, inp.position, key=_position)
         if at < len(pool) and pool[at].position == inp.position:
             del pool[at]
     for out in tx.outputs:
         if out.validator.kind in SPENDABLE_KINDS:
-            insort(pool, out, key=_position)
+            if not pool or pool[-1].position < out.position:
+                pool.append(out)
+            else:
+                insort(pool, out, key=_position)
 
 
 def spend(out: Output, rng: random.Random) -> Input:
     """An input consuming ``out`` with a redeemer its validator accepts."""
     if out.validator.kind == PAY_TO_PUBKEY_KIND:
         return Input(out.position, out.validator.params[0])
-    return Input(out.position, rng.randrange(10))
+    return Input(out.position, _below(rng.getrandbits, 10))
 
 
 class ChainGen:
@@ -104,33 +123,35 @@ class ChainGen:
         self.max_inputs = max_inputs
         self.max_outputs = max_outputs
 
-    def random_validator(self):
-        roll = self.rng.random()
-        if roll < self.reject_all_prob:
-            return REJECT_ALL
-        if roll < self.reject_all_prob + P2PK_PROB:
-            return KEY_VALIDATORS[self.rng.randrange(KEY_COUNT)]
-        return ACCEPT_ALL
-
-    def random_value(self) -> Value:
+    def random_output(self, alloc: PositionAllocator) -> Output:
+        """A fresh output: its validator, datum and value drawn in that
+        order, the value as up to two picks of a chip and a quantity."""
         rng = self.rng
-        draws = [rng.randrange(3)]
+        bits = rng.getrandbits
+        position = alloc.fresh()
+        roll = rng.random()
+        if roll < self.reject_all_prob:
+            validator = REJECT_ALL
+        elif roll < self.reject_all_prob + P2PK_PROB:
+            validator = KEY_VALIDATORS[_below(bits, KEY_COUNT)]
+        else:
+            validator = ACCEPT_ALL
+        datum = _below(bits, MAX_DATUM + 1)
+        draws = [_below(bits, 3)]
         for _ in range(draws[0]):
-            draws += (rng.randrange(len(CHIPS)), rng.randrange(4))
+            draws += (_below(bits, len(CHIPS)), _below(bits, 4))
         key = tuple(draws)
         value = VALUE_TABLE.get(key)
         if value is None:  # Value.of merges a chip picked twice
             value = VALUE_TABLE[key] = Value.of((CHIPS[c], 1 + q) for c, q in zip(key[1::2], key[2::2]))
-        return value
-
-    def random_output(self, alloc: PositionAllocator) -> Output:
-        return Output(alloc.fresh(), self.random_validator(), self.rng.randrange(MAX_DATUM + 1), self.random_value())
+        return Output(position, validator, datum, value)
 
     def random_range(self, slot: int) -> SlotRange | None:
-        if self.rng.random() >= RANGE_PROB:
+        rng = self.rng
+        if rng.random() >= RANGE_PROB:
             return None
-        lo = max(0, slot - self.rng.randrange(3))
-        hi = None if self.rng.random() < 0.3 else slot + self.rng.randrange(4)
+        lo = max(0, slot - _below(rng.getrandbits, 3))
+        hi = None if rng.random() < 0.3 else slot + _below(rng.getrandbits, 4)
         return SlotRange(lo, hi)
 
     def transaction(
@@ -150,19 +171,19 @@ class ChainGen:
         genesis = not pool or rng.random() < GENESIS_PROB
         inputs: frozenset[Input] = frozenset()
         if not genesis:
-            k = 1 + rng.randrange(min(self.max_inputs, len(pool)))
+            k = 1 + _below(rng.getrandbits, min(self.max_inputs, len(pool)))
             inputs = frozenset(spend(out, rng) for out in rng.sample(pool, k))
         if rng.random() < NO_OUTPUT_PROB and inputs:
             n_out = 0
         else:
-            n_out = (1 if genesis else 0) + rng.randrange(self.max_outputs + (0 if genesis else 1))
+            n_out = (1 if genesis else 0) + _below(rng.getrandbits, self.max_outputs + (0 if genesis else 1))
         outputs = frozenset(self.random_output(alloc) for _ in range(n_out))
         slot_range = self.random_range(slot) if slot is not None else None
         return Transaction(inputs, outputs, slot_range)
 
     def next_slot(self, chain: Chain) -> int:
         last = chain.last_slot()
-        return (0 if last is None else last) + self.rng.randrange(MAX_SLOT_STEP + 1)
+        return (0 if last is None else last) + _below(self.rng.getrandbits, MAX_SLOT_STEP + 1)
 
     def grow(self, chain: Chain, steps: int, alloc: PositionAllocator) -> tuple[Chain, list[Transaction]]:
         """Append ``steps`` random valid transactions; returns the extended
@@ -182,7 +203,7 @@ class ChainGen:
 
     def chain(self, length: int | None = None) -> tuple[Chain, PositionAllocator]:
         """A fresh random valid chain and the allocator that continues it."""
-        length = self.rng.randrange(MAX_LEN + 1) if length is None else length
+        length = _below(self.rng.getrandbits, MAX_LEN + 1) if length is None else length
         alloc = PositionAllocator()
         grown, _ = self.grow(Chain(), length, alloc)
         return grown, alloc

@@ -586,12 +586,13 @@ def _defer_instance(rng: random.Random, slotted: bool) -> dict:
     base, alloc = gen.chain()
     extended, batch = gen.grow(base, rng.randrange(4), alloc)
     pool_base = {out.position for out in spendable(base)}
-    pool_now = [out for out in spendable(extended) if out.position in pool_base]
+    pool_extended = spendable(extended)
+    pool_now = [out for out in pool_extended if out.position in pool_base]
     tx_slot = gen.next_slot(extended) if slotted else None
     tx = gen.transaction(base, alloc, pool=pool_now, slot=tx_slot)
     if rng.random() < 0.15 and batch:
         # adversarial: spend something created inside the batch so valid(B;tx) fails
-        fresh = [out for out in spendable(extended) if out.position not in pool_base]
+        fresh = [out for out in pool_extended if out.position not in pool_base]
         if fresh:
             tx = Transaction(tx.inputs | {spend(fresh[0], rng)}, tx.outputs, tx.slot_range)
     return {"base": base, "txs": tuple(batch), "tx": tx}

@@ -13,7 +13,13 @@ business (``validators.run_validator``), not this module's.
 
 The dataclasses here are frozen and slotted: an instance holds its fields
 and no ``__dict__``, which keeps the inputs, outputs and values of a long
-chain small and cheap for the collector.
+chain small and cheap for the collector.  ``Input``, ``Output`` and
+``Transaction``, the values the chain generator and the parser build most,
+have a hand-written ``__init__``: it makes the checks a ``__post_init__``
+would, then sets each field through its slot's descriptor (the ``_SET_*``
+constants), which skips the frozen class's ``object.__setattr__`` path and
+the separate ``__post_init__`` call.  Assignment still raises
+``FrozenInstanceError``; the other four keep the generated ``__init__``.
 """
 
 from __future__ import annotations
@@ -179,7 +185,7 @@ def pay_to_pubkey(key: KeyId) -> ValidatorRef:
     return ValidatorRef(PAY_TO_PUBKEY_KIND, (key,))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Input:
     """Points at the output sharing its position; the redeemer is the key
     presented to that output's validator."""
@@ -187,21 +193,29 @@ class Input:
     position: Position
     redeemer: Redeemer = 0
 
-    def __post_init__(self) -> None:
-        if self.position < 0 or self.redeemer < 0:
+    def __init__(self, position: Position, redeemer: Redeemer = 0) -> None:
+        if position < 0 or redeemer < 0:
             raise ValueError("positions and redeemers are naturals")
+        _SET_INPUT_POSITION(self, position)
+        _SET_INPUT_REDEEMER(self, redeemer)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Output:
     position: Position
     validator: ValidatorRef
     datum: Datum = 0
     value: Value = EMPTY_VALUE
 
-    def __post_init__(self) -> None:
-        if self.position < 0 or self.datum < 0:
+    def __init__(
+        self, position: Position, validator: ValidatorRef, datum: Datum = 0, value: Value = EMPTY_VALUE
+    ) -> None:
+        if position < 0 or datum < 0:
             raise ValueError("positions and datums are naturals")
+        _SET_OUTPUT_POSITION(self, position)
+        _SET_OUTPUT_VALIDATOR(self, validator)
+        _SET_OUTPUT_DATUM(self, datum)
+        _SET_OUTPUT_VALUE(self, value)
 
     def __hash__(self) -> int:
         # The fields ``==`` compares, the validator's params and the value's
@@ -212,6 +226,14 @@ class Output:
         # cached, so an output holds no extra slot and a pickle carries no
         # hash.
         return hash((self.position, self.validator.params, self.datum, self.value.entries))
+
+
+_SET_INPUT_POSITION = Input.position.__set__
+_SET_INPUT_REDEEMER = Input.redeemer.__set__
+_SET_OUTPUT_POSITION = Output.position.__set__
+_SET_OUTPUT_VALIDATOR = Output.validator.__set__
+_SET_OUTPUT_DATUM = Output.datum.__set__
+_SET_OUTPUT_VALUE = Output.value.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +253,7 @@ class SlotRange:
         return self.lo <= slot and (self.hi is None or slot <= self.hi)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     """A set of inputs and a set of outputs, either possibly empty.
 
@@ -244,19 +266,31 @@ class Transaction:
     outputs: frozenset[Output] = frozenset()
     slot_range: SlotRange | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        if len({i.position for i in self.inputs}) != len(self.inputs):
+    def __init__(
+        self,
+        inputs: Iterable[Input] = frozenset(),
+        outputs: Iterable[Output] = frozenset(),
+        slot_range: SlotRange | None = None,
+    ) -> None:
+        inputs, outputs = frozenset(inputs), frozenset(outputs)
+        if len(inputs) > 1 and len({i.position for i in inputs}) != len(inputs):
             raise ValueError("duplicate input positions within one transaction")
-        if len({o.position for o in self.outputs}) != len(self.outputs):
+        if len(outputs) > 1 and len({o.position for o in outputs}) != len(outputs):
             raise ValueError("duplicate output positions within one transaction")
+        _SET_TX_INPUTS(self, inputs)
+        _SET_TX_OUTPUTS(self, outputs)
+        _SET_TX_SLOT_RANGE(self, slot_range)
 
     def sorted_inputs(self) -> list[Input]:
         return sorted(self.inputs, key=lambda i: i.position)
 
     def sorted_outputs(self) -> list[Output]:
         return sorted(self.outputs, key=lambda o: o.position)
+
+
+_SET_TX_INPUTS = Transaction.inputs.__set__
+_SET_TX_OUTPUTS = Transaction.outputs.__set__
+_SET_TX_SLOT_RANGE = Transaction.slot_range.__set__
 
 
 @dataclass(frozen=True, slots=True)

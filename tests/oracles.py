@@ -16,9 +16,12 @@ order by attaching its built transactions one after another with
 ``ledger.append``; ``defer_by_validation`` is the deferral check by
 whole-sequence validation, and ``defer_by_slots`` the same at the least
 monotone slots, which ``test_equivalence.py`` compares with ``check_defer``.
-``random_value`` is the generator's value draw built afresh with
-``Value.of`` on every call, which ``test_gen.py`` compares with the value
-table of ``ChainGen.random_value``.  ``alpha_equiv`` is alpha-equivalence by
+``random_output`` is the generator's output draw made with ``randrange``
+and built afresh (``pay_to_pubkey`` and ``Value.of``) on every call, which
+``test_gen.py`` compares with ``ChainGen.random_output``, its ``_below``
+draws, ``KEY_VALIDATORS`` and value table.  ``is_permutation`` is the schedule-order check by its definition, a tuple
+of exact ints that sorts to ``0..count-1``, which ``test_formats.py``
+compares with ``formats.is_permutation``.  ``alpha_equiv`` is alpha-equivalence by
 its definition, equal canonical chains, and ``alpha_mismatch`` the first
 index at which the two canonical chains differ; ``test_equivalence.py``
 compares ``equivalence.alpha_equiv`` and ``equivalence.alpha_mismatch``,
@@ -45,11 +48,14 @@ from ledgersim.ledger import (
     Violation,
     append,
 )
-from ledgersim.gen import CHIPS
+from ledgersim.gen import CHIPS, KEY_COUNT, MAX_DATUM, P2PK_PROB
 from ledgersim.model import (
+    ACCEPT_ALL,
     ACCEPT_ALL_KIND,
     PAY_TO_PUBKEY_KIND,
+    REJECT_ALL,
     MalformedChainError,
+    Output,
     PositionAllocator,
     Value,
     context_at,
@@ -435,15 +441,30 @@ def defer_by_slots(base, txs, tx):
     )
 
 
-def random_value(rng):
-    """A random value drawn as ``ChainGen.random_value`` draws it: up to two
-    picks of a chip and a quantity of 1 to 4, merged."""
+def random_output(rng, position, reject_all_prob):
+    """A random output drawn as ``ChainGen.random_output`` draws it: a
+    validator (reject-all, pay-to-key or accept-all by one roll), a datum,
+    then up to two picks of a chip and a quantity of 1 to 4, merged."""
+    roll = rng.random()
+    if roll < reject_all_prob:
+        validator = REJECT_ALL
+    elif roll < reject_all_prob + P2PK_PROB:
+        validator = pay_to_pubkey(1 + rng.randrange(KEY_COUNT))
+    else:
+        validator = ACCEPT_ALL
+    datum = rng.randrange(MAX_DATUM + 1)
     picks = rng.randrange(3)
     entries = {}
     for _ in range(picks):
         chip = CHIPS[rng.randrange(len(CHIPS))]
         entries[chip] = entries.get(chip, 0) + 1 + rng.randrange(4)
-    return Value.of(entries)
+    return Output(position, validator, datum, Value.of(entries))
+
+
+def is_permutation(order, count):
+    """True when ``order`` is a tuple of ``int``s, not ``bool``s, that sorts
+    to 0..count-1."""
+    return type(order) is tuple and all(type(i) is int for i in order) and sorted(order) == list(range(count))
 
 
 def alpha_equiv(a, b):

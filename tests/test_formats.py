@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import oracles
 import pytest
 
 from ledgersim import formats
@@ -230,6 +231,36 @@ def test_separate_parses_give_equal_utxo_sets(corpus_dir):
         assert ones == others
         values = {id(out.value) for out in ones if out.value}
         assert values.isdisjoint(id(out.value) for out in others)
+
+
+# Candidate orders for ``is_permutation``: permutations, near misses and
+# values of the wrong type, over counts 0..8
+ORDERS = {
+    "identity": [tuple(range(n)) for n in range(9)],
+    "reversed": [tuple(range(n))[::-1] for n in range(9)],
+    "rotated": [tuple(range(1, n)) + (0,) for n in range(1, 9)],
+    "shifted": [tuple(range(1, n + 1)) for n in range(1, 9)],
+    "negative": [(-1,) + tuple(range(1, n)) for n in range(1, 9)],
+    "duplicate": [(0,) + tuple(range(n - 1)) for n in range(1, 9)],
+    "dropped": [tuple(range(n - 1)) for n in range(1, 9)],
+    "extra": [tuple(range(n)) + (0,) for n in range(9)],
+    "bools": [(False,), (False, True), (True, False)],
+    "floats": [(0.0,), (1.0, 0.0), (0, 1.0, 2)],
+    "lists": [[], [0], [1, 0], list(range(8))],
+    "ranges": [range(0), range(3)],
+    "unhashable": [([0],), (0, [1]), (1, 0, {2: 2})],
+    "nested": [((0,),), ((0, 1),)],
+    "strings": [("0",), "01", "", None],
+}
+
+
+@pytest.mark.parametrize("orders", ORDERS.values(), ids=ORDERS.keys())
+def test_is_permutation_matches_its_definition(orders):
+    """The cached-set check agrees with the sorting definition for every
+    count a race of up to eight intents asks about, and never raises."""
+    for order in orders:
+        for count in range(9):
+            assert formats.is_permutation(order, count) is oracles.is_permutation(order, count), (order, count)
 
 
 def test_scenario_round_trip_bundled():

@@ -1,7 +1,9 @@
 """Core type behaviour: multiset values, contexts, position bookkeeping."""
 
 import collections
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -96,6 +98,62 @@ def test_transaction_rejects_duplicate_positions():
 def test_transaction_may_be_empty():
     tx = Transaction()
     assert not tx.inputs and not tx.outputs
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Input(-1, 0), "positions and redeemers are naturals"),
+        (lambda: Input(0, -1), "positions and redeemers are naturals"),
+        (lambda: Output(-1, ACCEPT_ALL), "positions and datums are naturals"),
+        (lambda: Output(0, ACCEPT_ALL, -1), "positions and datums are naturals"),
+        (lambda: Transaction([Input(4, 0), Input(4, 1)]), "duplicate input positions within one transaction"),
+        (
+            lambda: Transaction((), {Output(1, ACCEPT_ALL), Output(1, ACCEPT_ALL, 9)}),
+            "duplicate output positions within one transaction",
+        ),
+    ],
+    ids=["input-position", "redeemer", "output-position", "datum", "input-positions", "output-positions"],
+)
+def test_hand_built_values_refuse_as_before(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_hand_built_values_keep_the_dataclass_contract():
+    """``Input``, ``Output`` and ``Transaction`` set their slots in their own
+    ``__init__``: sides of 0 and 1 elements pass the duplicate check, lists
+    and sets become frozensets, assignment is refused, and keywords,
+    ``dataclasses.replace``, deep copy and pickle give equal values with
+    equal hashes."""
+    inp, out = Input(3, 1), Output(5, pay_to_pubkey(2), 4, singleton(ADA, 7))
+    for inputs, outputs in (((), ()), ([inp], []), (set(), {out}), ({inp}, [out])):
+        tx = Transaction(inputs, outputs, SlotRange(1, 2))
+        assert type(tx.inputs) is frozenset and tx.inputs == frozenset(inputs)
+        assert type(tx.outputs) is frozenset and tx.outputs == frozenset(outputs)
+    tx = Transaction([inp, Input(4)], [out, Output(6, ACCEPT_ALL)], SlotRange(1, 2))
+    assert tx.inputs == {inp, Input(4, 0)} and tx.outputs == {out, Output(6, ACCEPT_ALL, 0)}
+    assert tx.slot_range == SlotRange(1, 2)
+    rebuilt = [
+        Input(redeemer=1, position=3),
+        Output(position=5, validator=pay_to_pubkey(2), datum=4, value=singleton(ADA, 7)),
+        Transaction(slot_range=SlotRange(1, 2), outputs=tx.outputs, inputs=tx.inputs),
+    ]
+    for obj, same in zip((inp, out, tx), rebuilt):
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
+        for other in (same, dataclasses.replace(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(other) is type(obj) and other == obj and hash(other) == hash(obj)
+    assert repr(inp) == "Input(position=3, redeemer=1)"
+    assert repr(Transaction((), [Output(6, ACCEPT_ALL)])) == (
+        "Transaction(inputs=frozenset(), outputs=frozenset({Output(position=6, "
+        "validator=ValidatorRef(kind='AcceptAll', params=()), datum=0, value=Value(entries=()))}), slot_range=None)"
+    )
+    assert dataclasses.replace(out, datum=0) == Output(5, pay_to_pubkey(2), 0, singleton(ADA, 7))
+    with pytest.raises(ValueError, match="positions and datums are naturals"):
+        dataclasses.replace(out, datum=-1)
 
 
 def test_equal_outputs_hash_equal_through_distinct_parts():
