@@ -16,9 +16,9 @@ import sys
 from typing import NoReturn
 
 from . import formats
-from .equivalence import _mismatch, canonical_renaming, obs_equiv, rename_positions
+from .equivalence import alpha_mismatch, canonical_renaming, obs_equiv, rename_positions
 from .harness import STATEMENTS, bundled_race_scenario, fuzz_theorem, run_scenario
-from .ledger import Chain, InvalidChainError, classify, utxo, validate_chain
+from .ledger import Chain, classify, utxo, validate_chain
 
 
 def _refuse(message: str) -> NoReturn:
@@ -84,12 +84,10 @@ def cmd_classify(args) -> int:
 def cmd_equiv(args) -> int:
     left = _load(args.chain_a, formats.parse_chain)
     right = _load(args.chain_b, formats.parse_chain)
-    renamings = []  # each chain is validated once, by its canonical renaming
     for path, chain in ((args.chain_a, left), (args.chain_b, right)):
-        try:
-            renamings.append(canonical_renaming(chain))
-        except InvalidChainError as exc:
-            _refuse(f"{path} is not a valid chain: {exc}")
+        report = validate_chain(chain)  # kept on the chain: nothing after this checks it again
+        if not report.valid:
+            _refuse(f"{path} is not a valid chain: {report.describe()}")
     if args.mode == "obs":
         equivalent = obs_equiv(left, right)
         only_left = [formats.output_to_text(o) for o in sorted(utxo(left) - utxo(right), key=lambda o: o.position)]
@@ -98,15 +96,16 @@ def cmd_equiv(args) -> int:
         lines = ["observationally-equivalent"] if equivalent else ["not observationally equivalent"]
         lines += ["< " + text for text in only_left] + ["> " + text for text in only_right]
         return _emit(args, payload, "\n".join(lines) + "\n", 0 if equivalent else 1)
-    mismatch_index = _mismatch(left, right, *renamings)
+    mismatch_index = alpha_mismatch(left, right)
     payload = {"mode": "alpha", "equivalent": mismatch_index is None, "first_mismatch": mismatch_index}
     if mismatch_index is None:
         return _emit(args, payload, "alpha-equivalent\n")
     lines = ["not alpha-equivalent", f"first canonical mismatch at transaction {mismatch_index}:"]
     at = slice(mismatch_index, mismatch_index + 1)
-    for mark, chain, renaming in (("<", left, renamings[0]), (">", right, renamings[1])):
+    for mark, chain in (("<", left), (">", right)):
         slots = None if chain.slots is None else chain.slots[at]
-        part = rename_positions(Chain(chain.transactions[at], slots), renaming)  # the canonical form's slice
+        # the canonical form's slice
+        part = rename_positions(Chain(chain.transactions[at], slots), canonical_renaming(chain))
         text = formats.transactions_to_text(part.transactions, part.slots, mismatch_index)
         lines.append(f"{mark} " + (text.strip() or "(missing)").replace("\n", f"\n{mark} "))
     return _emit(args, payload, "\n".join(lines) + "\n", 1)

@@ -8,9 +8,13 @@ by canonical form: every spent pair is renamed to an index determined by
 traversal order, so equal canonical forms mean the chains were equal up to
 renaming spent pairs.  A renaming is a plain mapping from old position to
 new, and a position it does not map keeps its name.  ``canonicalize`` builds
-the canonical form and is the reference; ``alpha_mismatch`` decides the same
-question without building a canonical chain, by reading both chains through
-their canonical renamings one transaction at a time.
+the canonical form and is the reference.  Spent names are bound, so
+``alpha_equiv`` decides on descriptions that hold none of them, as de
+Bruijn's nameless terms do: two valid chains are alpha-equivalent exactly
+when their slots, slot ranges, unspent outputs with their producers' indices
+and sorted spent-edge keys (``_edge_key``) are equal.  ``alpha_mismatch``
+finds the first index at which the canonical forms differ, building neither:
+it reads each transaction through its chain's canonical renaming.
 """
 
 from __future__ import annotations
@@ -76,27 +80,26 @@ def _least_free(positions: Iterable[Position], taken: Container[Position]) -> li
     return pairs
 
 
+def _edge_key(producer: int, out: Output, spender: int, inp: Input) -> tuple:
+    """All of a spent output-input pair but its position: producer index,
+    output payload, spender index and redeemer."""
+    return (producer, out.validator.kind, out.validator.params, out.datum, out.value.entries, spender, inp.redeemer)
+
+
 def canonical_renaming(chain: Chain) -> dict[Position, Position]:
     """The renaming taking a valid chain to its canonical form, as a mapping
     from each spent position that moves to its canonical name.
 
-    Spent pairs are ordered by (producer index, output payload, spender index,
-    redeemer) -- a key that never looks at the position being renamed, so all
-    alpha-variants order their edges identically -- and then named by the
-    fresh-name rule, avoiding the unspent positions; pairs already at their
-    name are left out.  Edges tied on the whole key are interchangeable, so
-    the assignment is well defined on alpha-classes.
+    Spent pairs are ordered by ``_edge_key`` -- a key that never looks at the
+    position being renamed, so all alpha-variants order their edges
+    identically -- and then named by the fresh-name rule, avoiding the
+    unspent positions; pairs already at their name are left out.  Edges tied
+    on the whole key are interchangeable, so the assignment is well defined
+    on alpha-classes.
     """
     _require_valid(chain)
     unspent = chain.index().unspent.keys()
-
-    def edge_key(edge: tuple[int, Output, int, Input]) -> tuple:
-        out_index, out, in_index, inp = edge
-        return (
-            out_index, out.validator.kind, out.validator.params, out.datum, out.value.entries, in_index, inp.redeemer
-        )
-
-    edges = sorted(spent_edges(chain), key=edge_key)
+    edges = sorted(spent_edges(chain), key=lambda edge: _edge_key(*edge))
     named = _least_free((out.position for _, out, _, _ in edges), unspent)
     return {p: q for p, q in named if p != q}
 
@@ -130,11 +133,7 @@ def alpha_mismatch(a: Chain, b: Chain) -> int | None:
     ``canonicalize`` would give at a fraction of the allocation.  Raises
     InvalidChainError when either chain is invalid.
     """
-    return _mismatch(a, b, canonical_renaming(a), canonical_renaming(b))
-
-
-def _mismatch(a: Chain, b: Chain, table_a: dict[Position, Position], table_b: dict[Position, Position]) -> int | None:
-    """``alpha_mismatch``, given the two chains' canonical renamings."""
+    table_a, table_b = canonical_renaming(a), canonical_renaming(b)
     slots_a, slots_b = a.slots, b.slots
     for index, (tx_a, tx_b) in enumerate(zip(a.transactions, b.transactions)):
         slot_a = None if slots_a is None else slots_a[index]
@@ -146,10 +145,29 @@ def _mismatch(a: Chain, b: Chain, table_a: dict[Position, Position], table_b: di
     return None
 
 
+def _nameless(chain: Chain) -> tuple:
+    """A valid chain's description that holds no spent name: its slots, its
+    slot ranges, its unspent outputs each with its producer's index, and its
+    sorted spent-edge keys.  Raises InvalidChainError on an invalid chain."""
+    _require_valid(chain)
+    index = chain.index()
+    producer, output = index.producer, index.output
+    keys = sorted(
+        _edge_key(producer[inp.position], output[inp.position], spender, inp)
+        for spender, tx in enumerate(chain)
+        for inp in tx.inputs
+    )
+    unspent = {p: (producer[p], out) for p, out in index.unspent.items()}
+    return chain.slots, [tx.slot_range for tx in chain], unspent, keys
+
+
 def alpha_equiv(a: Chain, b: Chain) -> bool:
-    """Decide alpha-equivalence of two valid chains: equal canonical forms,
-    compared transaction by transaction without building either one."""
-    return alpha_mismatch(a, b) is None
+    """Decide alpha-equivalence of two valid chains: equal lengths, slots and
+    slot ranges, equal unspent outputs made by the same transactions, and
+    equal sorted spent-edge keys, since canonical naming gives equal names to
+    equal keys and renaming spent pairs changes none of these.  Raises
+    InvalidChainError when either chain is invalid, ``a`` checked first."""
+    return _nameless(a) == _nameless(b)
 
 
 def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:

@@ -34,6 +34,9 @@ the parent's n entries into a new log.  ``utxo``,
 and equivalence modules read the cached index; ``validate_chain`` grows a
 fresh one as it walks, since it checks each transaction against the prefix
 before it, and leaves the result on the chain for the queries that follow.
+Judged without a policy table, a chain also keeps its report, and a later
+``validate_chain`` of that same object returns it unchecked; a chain made
+any other way (``append``, ``prefix``, ``Chain(...)``, renaming) has none.
 
 The index also keeps the unspent outputs by currency symbol, for the symbols
 some query has asked for (``LedgerIndex.carriers``): the portal lookup and
@@ -234,10 +237,11 @@ class Chain:
     too.  No entry a chain holds ever changes, since a push only extends the
     log past every chain that shares it.  ``transactions`` and ``slots`` are
     tuples built on first read and kept; equality, hashing and repr are
-    those of ``(transactions, slots)``.
+    those of ``(transactions, slots)``.  ``_report`` is ``validate_chain``'s
+    verdict without policies once it has judged this object, else None.
     """
 
-    __slots__ = ("_log", "_slot_log", "_len", "_transactions", "_slots", "_index")
+    __slots__ = ("_log", "_slot_log", "_len", "_transactions", "_slots", "_index", "_report")
 
     def __init__(self, transactions: Iterable[Transaction] = (), slots: Iterable[int] | None = None) -> None:
         log = tuple(transactions)
@@ -256,13 +260,14 @@ class Chain:
         self._len = len(log)
         # The chain's LedgerIndex once built or handed over by append.
         self._index: LedgerIndex | None = None
+        self._report: ValidationReport | None = None
 
     @classmethod
     def _over(cls, log: Sequence[Transaction], slot_log: Sequence[int] | None, length: int) -> Chain:
         """The chain of the first ``length`` entries of the logs, sharing them."""
         chain = cls.__new__(cls)
         chain._log, chain._slot_log, chain._len = log, slot_log, length
-        chain._transactions = chain._slots = chain._index = None
+        chain._transactions = chain._slots = chain._index = chain._report = None
         return chain
 
     @property
@@ -364,7 +369,11 @@ def validate_chain(chain: Chain, policies=None) -> ValidationReport:
     ``policies``, when given, is a monetary policy table checked per
     transaction against its prefix (a configuration extension on top of the
     base validity conditions).  The index grown on the way stays on the chain.
+    Without policies the report is kept on the chain, and a later call
+    without policies returns it unchecked; with policies it always checks.
     """
+    if policies is None and chain._report is not None:
+        return chain._report
     index = LedgerIndex()
     violations: list[Violation] = []
     slots = chain._slot_log
@@ -373,7 +382,10 @@ def validate_chain(chain: Chain, policies=None) -> ValidationReport:
         violations.extend(_check_transaction(index, tx, slot, policies))
         index.absorb(tx, slot)
     chain._index = index
-    return ValidationReport(tuple(violations))
+    report = ValidationReport(tuple(violations))
+    if policies is None:
+        chain._report = report
+    return report
 
 
 def append(chain: Chain, tx: Transaction, slot: int | None = None, policies=None) -> Chain | ValidationReport:

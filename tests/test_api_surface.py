@@ -248,17 +248,14 @@ PRIVATE_REACH = {
     # ``fuzz --cases`` and ``--seed`` spell naturals as the file formats do,
     # with the formats' message
     "cli -> formats._nat",
-    # ``equiv --mode alpha`` hands the mismatch search the two canonical
-    # renamings it validated the chains with, so each is validated once
-    "cli -> equivalence._mismatch",
 }
 
 
 def _private_reach(trees) -> list[str]:
     """``importer -> module._name`` for every private name a module of the
     package takes from another: as an attribute of a module it imports
-    (``formats._nat``) or by a relative import (``from .equivalence import
-    _mismatch``)."""
+    (``formats._nat``) or by a relative import (``from .formats import
+    _nat``)."""
     found = set()
     for path, tree in trees.items():
         if path.parent != PACKAGE:

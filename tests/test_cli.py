@@ -166,22 +166,22 @@ def test_equiv_obs_diff_printed(capsys, corpus_dir, tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("other, expected", [("figure-3-B.chain", 0), ("figure-6-Bprime.chain", 1)])
 def test_equiv_alpha_validates_each_chain_once(capsys, corpus_dir, monkeypatch, fmt, other, expected):
-    """One validate_chain call per chain, whether the pair matches or the
-    mismatch is printed."""
-    from ledgersim import cli, equivalence, ledger
+    """The checker walks each chain once, whether the pair matches or the
+    mismatch is printed: every later validation reads the kept report."""
+    from ledgersim import formats, ledger
 
-    original, validated = ledger.validate_chain, []
+    original, checked = ledger._check_transaction, []
 
-    def counted(chain, policies=None):
-        validated.append(chain)
-        return original(chain, policies)
+    def counted(index, tx, slot, policies):
+        checked.append(index.size)
+        return original(index, tx, slot, policies)
 
-    for module in (cli, equivalence, ledger):
-        monkeypatch.setattr(module, "validate_chain", counted)
-    a, b = str(corpus_dir / "figure-3-B.chain"), str(corpus_dir / other)
-    code, _, _ = run_cli(capsys, "equiv", a, b, "--mode", "alpha", "--format", fmt)
+    monkeypatch.setattr(ledger, "_check_transaction", counted)
+    a, b = corpus_dir / "figure-3-B.chain", corpus_dir / other
+    code, _, _ = run_cli(capsys, "equiv", str(a), str(b), "--mode", "alpha", "--format", fmt)
     assert code == expected
-    assert len(validated) == 2 and validated[0] is not validated[1]
+    walks = [list(range(len(formats.parse_chain(path.read_text())))) for path in (a, b)]
+    assert checked == walks[0] + walks[1]
 
 
 def test_equiv_json_output(capsys, corpus_dir):

@@ -259,6 +259,93 @@ def test_alpha_mismatch_builds_no_canonical_chain(monkeypatch, chain_b):
     assert alpha_mismatch(chain_b, chain_b) is None
 
 
+def _near_misses(rng: random.Random, chain: Chain, alloc: PositionAllocator):
+    """(label, a, b, equivalent) for valid pairs around a nonempty valid
+    ``chain``, each one change apart: an alpha-variant, a spent pair's
+    redeemer, an input moved to a later spender, an unspent output renamed
+    or made one transaction later, a slot range, the last slot, one
+    transaction fewer, and two spends of identical outputs with their
+    redeemers swapped."""
+    txs, slots = chain.transactions, chain.slots
+    index = chain.index()
+    fresh = PositionAllocator(alloc.peek())
+    spent = sorted(index.spent)
+    variant = rename_positions(chain, {p: fresh.fresh() for p in rng.sample(spent, len(spent) // 2)})
+    yield "alpha-variant", chain, variant, True
+    spends = [(at, inp) for at, tx in enumerate(txs) for inp in tx.sorted_inputs()]
+    unlocked = [(at, inp) for at, inp in spends if index.output[inp.position].validator == ACCEPT_ALL]
+    if unlocked:
+        at, inp = rng.choice(unlocked)
+        tx = txs[at]
+        changed = Transaction(tx.inputs - {inp} | {Input(inp.position, inp.redeemer + 1)}, tx.outputs, tx.slot_range)
+        yield "redeemer", chain, _with_tx(chain, at, changed), False
+    movable = [(at, inp) for at, inp in spends if at < len(txs) - 1]
+    if movable:
+        at, inp = rng.choice(movable)
+        later = rng.randrange(at + 1, len(txs))
+        moved = list(txs)
+        moved[at] = Transaction(txs[at].inputs - {inp}, txs[at].outputs, txs[at].slot_range)
+        moved[later] = Transaction(txs[later].inputs | {inp}, txs[later].outputs, txs[later].slot_range)
+        yield "moved-input", chain, Chain(moved, slots), False
+    if index.unspent:
+        kept = rng.choice(sorted(index.unspent))
+        yield "unspent-renamed", chain, rename_positions(chain, {kept: fresh.fresh()}), False
+        at = index.producer[kept]
+        if at < len(txs) - 1:  # made one transaction later
+            out, later = index.unspent[kept], at + 1
+            moved = list(txs)
+            moved[at] = Transaction(txs[at].inputs, txs[at].outputs - {out}, txs[at].slot_range)
+            moved[later] = Transaction(txs[later].inputs, txs[later].outputs | {out}, txs[later].slot_range)
+            yield "unspent-moved", chain, Chain(moved, slots), False
+    at = rng.randrange(len(txs))
+    tx = txs[at]
+    ranged = Transaction(tx.inputs, tx.outputs, None if tx.slot_range is not None else SlotRange(0, None))
+    yield "slot-range", chain, _with_tx(chain, at, ranged), False
+    if slots is not None and (txs[-1].slot_range is None or txs[-1].slot_range.contains(slots[-1] + 1)):
+        yield "slot", chain, Chain(txs, slots[:-1] + (slots[-1] + 1,)), False
+    yield "shorter", chain, chain.prefix(len(chain) - 1), False
+    p, q = fresh.fresh(), fresh.fresh()
+    pair = Transaction(frozenset(), frozenset({ref_output(p), ref_output(q)}))
+    tied_slots = None if slots is None else slots + (slots[-1],) * 2
+    one, two = (
+        Chain(txs + (pair, Transaction(frozenset({Input(p, r), Input(q, s)}), frozenset())), tied_slots)
+        for r, s in ((3, 8), (8, 3))
+    )
+    yield "tied-edges", one, two, True
+
+
+@pytest.mark.parametrize("slotted", [False, True], ids=["unslotted", "slotted"])
+def test_alpha_equiv_matches_canonical_oracle_on_near_misses(slotted):
+    """On generated chains of 1 to 10^3 transactions: alpha_equiv gives the
+    canonical-chain verdict, and the expected one, on each near miss in both
+    argument orders, and an invalid chain in either position, beside a chain
+    of equal or of different length, raises its own InvalidChainError."""
+    rng = random.Random(37)
+    gen = ChainGen(rng, slotted=slotted)
+    seen = set()
+    for length in (1, 10, 100, 1_000):
+        chain, alloc = gen.chain(length)
+        for label, a, b, equivalent in _near_misses(rng, chain, alloc):
+            seen.add(label)
+            for x, y in ((a, b), (b, a)):
+                assert alpha_equiv(x, y) is oracles.alpha_equiv(x, y) is equivalent, label
+        dangling = PositionAllocator(alloc.peek() + 10)
+        broken = []
+        for at in (0, len(chain) - 1):
+            tx = chain.transactions[at]
+            extra = Input(dangling.fresh(), 0)
+            broken.append(_with_tx(chain, at, Transaction(tx.inputs | {extra}, tx.outputs, tx.slot_range)))
+        for valid in (chain, chain.prefix(len(chain) - 1)):
+            for x, y in ((broken[0], valid), (valid, broken[0]), (broken[0], broken[1]), (broken[1], broken[0])):
+                assert _assert_alpha_agrees(x, y) == "invalid"
+                invalid = x if not validate_chain(x).valid else y
+                with pytest.raises(InvalidChainError) as raised:
+                    alpha_equiv(x, y)
+                assert str(raised.value) == validate_chain(invalid).describe()
+    expected = {"alpha-variant", "redeemer", "moved-input", "unspent-renamed", "unspent-moved", "slot-range", "shorter"}
+    assert seen == expected | {"tied-edges"} | ({"slot"} if slotted else set())
+
+
 def _assert_renames_only_spent(chain: Chain) -> None:
     """The canonical renaming of ``chain`` is a dict that moves spent
     positions only, to distinct names that no unspent output carries."""

@@ -296,3 +296,81 @@ def test_utxo_matches_spent_scan_oracle_random():
     for _ in range(200):
         chain, _ = gen.chain()
         assert utxo(chain) == spent_scan_utxo(chain.transactions)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The transaction checks run from here on, as the index size each one
+    was asked at."""
+    from ledgersim import ledger
+
+    original, seen = ledger._check_transaction, []
+
+    def counted(index, tx, slot, policies):
+        seen.append(index.size)
+        return original(index, tx, slot, policies)
+
+    monkeypatch.setattr(ledger, "_check_transaction", counted)
+    return seen
+
+
+def test_validate_chain_keeps_its_report(figure_txs, checks):
+    """A second call on the same object returns the kept report and checks
+    nothing, on a valid and on an invalid chain."""
+    tx1, tx2, tx3, tx4 = figure_txs
+    for chain in (Chain((tx1, tx2, tx3, tx4)), Chain((tx1, tx4, tx3, tx2))):
+        first = validate_chain(chain)
+        assert checks == [0, 1, 2, 3]
+        assert validate_chain(chain) is first and validate_chain(chain, None) is first
+        assert checks == [0, 1, 2, 3]
+        checks.clear()
+    assert not first.valid
+
+
+def test_validate_chain_with_policies_always_checks(figure_txs, checks):
+    """A call with a policy table neither reads nor keeps a report."""
+    from ledgersim.policy import FORBID_FORGE, PolicyTable
+
+    chain_b = Chain(figure_txs)
+    table = PolicyTable.of({ADA.symbol: FORBID_FORGE})
+    judged = validate_chain(chain_b, table)
+    assert validate_chain(chain_b, table) == judged and len(checks) == 2 * len(chain_b)
+    assert validate_chain(chain_b).valid and len(checks) == 3 * len(chain_b)  # nothing kept by the two above
+    assert validate_chain(chain_b, table) == judged and len(checks) == 4 * len(chain_b)
+
+
+def test_derived_chains_start_without_a_report(figure_txs, checks):
+    """Only the object ``validate_chain`` judged keeps its verdict: a chain
+    made by append, prefix, the constructor or a renaming is checked anew."""
+    from ledgersim.equivalence import rename_positions
+
+    tx1, tx2, tx3, tx4 = figure_txs
+    head, chain_b = Chain((tx1, tx2, tx3)), Chain(figure_txs)
+    validate_chain(head)
+    validate_chain(chain_b)
+    checks.clear()
+    derived = (
+        append(head, tx4),
+        chain_b.prefix(3),
+        Chain(chain_b.transactions),
+        rename_positions(chain_b, {B: 100}),
+    )
+    assert checks == [3]  # the append's own check
+    for chain in derived:
+        checks.clear()
+        assert validate_chain(chain).valid
+        assert checks == list(range(len(chain)))
+
+
+def test_classify_reads_the_kept_report(corpus_dir, checks):
+    """On an already validated blockchain ``classify`` checks nothing; on a
+    chunk and on neither it still checks the sequence with its supplier in
+    front, and answers as before."""
+    from ledgersim.formats import parse_chain
+
+    for name, expected in (("figure-3-B", BLOCKCHAIN), ("figure-4-chunk", CHUNK), ("swapped", NEITHER)):
+        chain = parse_chain((corpus_dir / f"{name}.chain").read_text())
+        assert validate_chain(chain).valid is (expected == BLOCKCHAIN)
+        checks.clear()
+        assert classify(chain) == expected
+        assert checks == ([] if expected == BLOCKCHAIN else list(range(len(chain) + 1)))
