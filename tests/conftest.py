@@ -1,9 +1,11 @@
-"""Shared fixtures: the reference four-transaction chain and corpus paths."""
+"""Shared fixtures: the reference four-transaction chain, corpus paths and a
+counter of the ledger's transaction checks."""
 
 from pathlib import Path
 
 import pytest
 
+from ledgersim import ledger
 from ledgersim.ledger import Chain
 from ledgersim.model import ACCEPT_ALL, ADA, Input, Output, Transaction, singleton
 
@@ -46,3 +48,17 @@ def chain_b_prime(figure_txs):
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The transaction checks run from here on, as the index size each one
+    was asked at."""
+    original, seen = ledger._check_transaction, []
+
+    def counted(index, tx, slot, policies):
+        seen.append(index.size)
+        return original(index, tx, slot, policies)
+
+    monkeypatch.setattr(ledger, "_check_transaction", counted)
+    return seen
