@@ -49,13 +49,18 @@ def rename_positions(chain: Chain, table: dict[Position, Position]) -> Chain:
     return Chain(tuple(txs), chain.slots)
 
 
+def _producers(chain: Chain) -> dict[Position, int]:
+    """Each output position of a valid chain, mapped to its transaction's index."""
+    return {out.position: at for at, tx in enumerate(chain) for out in tx.outputs}
+
+
 def spent_edges(chain: Chain) -> list[tuple[int, Output, int, Input]]:
-    """Every bound output-input pair of a valid chain, as
-    (producer index, output, spender index, input)."""
-    index = chain.index()
+    """Every bound output-input pair of a valid chain, as (producer index,
+    output, spender index, input), the producers read off the chain."""
+    output, producer = chain.index().output, _producers(chain)
     return [
-        (index.producer[inp.position], index.output[inp.position], spender, inp)
-        for spender, tx in enumerate(chain.transactions)
+        (producer[inp.position], output[inp.position], spender, inp)
+        for spender, tx in enumerate(chain)
         for inp in tx.inputs
     ]
 
@@ -98,7 +103,7 @@ def canonical_renaming(chain: Chain) -> dict[Position, Position]:
     on alpha-classes.
     """
     _require_valid(chain)
-    unspent = chain.index().unspent.keys()
+    unspent = chain.index().unspent_map().keys()
     edges = sorted(spent_edges(chain), key=lambda edge: _edge_key(*edge))
     named = _least_free((out.position for _, out, _, _ in edges), unspent)
     return {p: q for p, q in named if p != q}
@@ -148,16 +153,17 @@ def alpha_mismatch(a: Chain, b: Chain) -> int | None:
 def _nameless(chain: Chain) -> tuple:
     """A valid chain's description that holds no spent name: its slots, its
     slot ranges, its unspent outputs each with its producer's index, and its
-    sorted spent-edge keys.  Raises InvalidChainError on an invalid chain."""
+    sorted spent-edge keys, drawn in the one forward pass that finds the
+    producers.  Raises InvalidChainError on an invalid chain."""
     _require_valid(chain)
-    index = chain.index()
-    producer, output = index.producer, index.output
-    keys = sorted(
-        _edge_key(producer[inp.position], output[inp.position], spender, inp)
-        for spender, tx in enumerate(chain)
-        for inp in tx.inputs
-    )
-    unspent = {p: (producer[p], out) for p, out in index.unspent.items()}
+    output, producer, keys = chain.index().output, {}, []
+    for spender, tx in enumerate(chain):  # a spend reads only earlier producers
+        for inp in tx.inputs:
+            keys.append(_edge_key(producer[inp.position], output[inp.position], spender, inp))
+        for out in tx.outputs:
+            producer[out.position] = spender
+    keys.sort()
+    unspent = {p: (producer[p], out) for p, out in chain.index().unspent_map().items()}
     return chain.slots, [tx.slot_range for tx in chain], unspent, keys
 
 
@@ -182,7 +188,8 @@ def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:
     _require_valid(chain)
     avoid = set(avoid)
     index = chain.index()
-    clashes = sorted(index.spent & avoid, key=lambda p: (index.producer[p], p))
+    producer = _producers(chain)
+    clashes = sorted(index.spent & avoid, key=lambda p: (producer[p], p))
     named = _least_free(clashes, avoid | index.output.keys())
     return rename_positions(chain, dict(named))
 

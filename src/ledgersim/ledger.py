@@ -29,28 +29,28 @@ a fresh one if it is queried again, and so does any chain made another way
 transaction log (and slot log) when the parent is the log's tip, so a tip
 append pushes one entry and checks only the new slot; only a fork, an append
 to a parent that already has a child or was built by ``Chain(...)``, copies
-the parent's n entries into a new log.  ``utxo``,
-``classify``, the scheduler's submit phase and the policy, portal, generator
-and equivalence modules read the cached index; ``validate_chain`` grows a
-fresh one as it walks, since it checks each transaction against the prefix
-before it, and leaves the result on the chain for the queries that follow.
+the parent's n entries into a new log.  ``utxo``, ``classify``, the
+scheduler's submit phase and the policy, portal, generator and equivalence
+modules read the cached index; ``validate_chain`` grows a fresh one as it
+walks, since it checks each transaction against the prefix before it, and
+leaves the result on the chain for the queries that follow.
 Judged without a policy table, a chain also keeps its report, and a later
 ``validate_chain`` of that same object returns it unchecked; a chain made
 any other way (``append``, ``prefix``, ``Chain(...)``, renaming) has none.
 
-The index also keeps the unspent outputs by currency symbol, for the symbols
-some query has asked for (``LedgerIndex.carriers``): the portal lookup and
-the affine policy check read only the outputs carrying the symbol they judge.
-A symbol's table is built by its first query, in one scan of the unspent
-outputs, and ``absorb`` keeps it current from then on; an index no one has
-asked by symbol holds no table, so building, validating and appending pay
-one falsy check per transaction for it.  Invariant: a symbol's table plus
-the ``shadowed`` outputs carrying it are exactly the outputs
-``unspent_outputs()`` yields that carry it, so invalid chains keep their
-meaning.  In the same way the index keeps ``utxo``'s set once ``utxo`` has
-asked for it (``LedgerIndex.unspent_set``), so a later ``utxo`` copies a set,
-reusing its stored hashes, and hashes no output; an index no one has asked
-for it pays one ``is not None`` check per transaction.
+The index keeps eagerly only what ``append``'s check reads: ``output``,
+``spent``, its size and its last slot.  Its other views are built by their
+first query and kept by ``absorb`` from then on.  The unspent map
+(``LedgerIndex.unspent_map``) is derived as ``output`` less ``spent`` while
+every output took a position not yet mentioned (the fresh rule, kept by
+every valid chain); ``absorb`` builds it at the first output that breaks
+the rule.  The per-symbol tables of the unspent outputs
+(``LedgerIndex.carriers``) serve the portal lookup and the affine policy
+check, which read only the outputs carrying the symbol they judge; a table
+plus the ``shadowed`` outputs carrying its symbol are exactly what
+``unspent_outputs()`` yields that carry it.  ``utxo``'s set
+(``LedgerIndex.unspent_set``) is kept too, so a later ``utxo`` copies a
+set, reusing its stored hashes, and hashes no output.
 """
 
 from __future__ import annotations
@@ -103,33 +103,27 @@ class LedgerIndex:
     """What sits at each position of a transaction sequence, and whether it
     is spent, for any sequence, valid or not.
 
-    For each position: the first transaction with an output there
-    (``producer``) and that output (``output``); ``spent`` holds every
-    position some input names.  So the positions the sequence mentions are
-    ``output.keys() | spent``.  ``unspent`` holds the outputs no later input
-    names, by position; ``shadowed`` holds more of them at a position
-    already in ``unspent``, empty on a valid chain.  ``size`` counts the
-    transactions summarized and ``last_slot`` is the last slot among them.
-    ``by_symbol`` maps each currency symbol asked for by ``carriers`` to the
-    outputs in ``unspent`` that carry it, by position; a symbol gets its
-    table on its first query, and ``absorb`` keeps every table built so
-    far.  ``shadowed`` outputs stay out of the tables and are filtered by
-    ``carriers`` itself, so a table's carriers plus the shadowed ones carrying
-    the symbol are exactly what ``unspent_outputs()`` yields that carry it.
-    ``kept`` is None until ``unspent_set`` is first asked, and from then on
-    the set of the outputs ``unspent_outputs()`` yields, kept current by
-    ``absorb``.
+    Eager: ``output``, the first output at each position; ``spent``, every
+    position some input names, so ``output.keys() | spent`` are the
+    positions mentioned; ``size`` and ``last_slot``.  Built on first query,
+    then kept by ``absorb``: ``unspent``, the outputs no later input names
+    by position (read through ``unspent_map()``; None until built), with
+    ``shadowed`` more of them at a position already in it, none on a valid
+    chain; ``by_symbol``, each symbol asked of ``carriers`` mapped to the
+    map's outputs carrying it (``carriers`` filters the shadowed ones
+    itself); and ``kept``, the set ``unspent_set`` copies.  The fresh rule:
+    while every output takes a position not yet mentioned, its own
+    transaction's inputs included, the map is ``output`` less ``spent``.
     """
 
-    __slots__ = ("size", "last_slot", "producer", "output", "spent", "unspent", "shadowed", "by_symbol", "kept")
+    __slots__ = ("size", "last_slot", "output", "spent", "unspent", "shadowed", "by_symbol", "kept")
 
     def __init__(self) -> None:
         self.size = 0
         self.last_slot: int | None = None
-        self.producer: dict[Position, int] = {}
         self.output: dict[Position, Output] = {}
         self.spent: set[Position] = set()
-        self.unspent: dict[Position, Output] = {}
+        self.unspent: dict[Position, Output] | None = None
         self.shadowed: dict[Position, list[Output]] = {}
         self.by_symbol: dict[int, dict[Position, Output]] = {}
         self.kept: set[Output] | None = None
@@ -138,62 +132,86 @@ class LedgerIndex:
     def of(cls, txs: Iterable[Transaction], slots: Sequence[int] | None = None) -> LedgerIndex:
         """The index of a sequence, built from scratch in O(n)."""
         index = cls()
-        for i, tx in enumerate(txs):
-            index.absorb(tx, None if slots is None else slots[i])
+        absorb = index.absorb
+        for tx, slot in zip(txs, itertools.repeat(None) if slots is None else slots):
+            absorb(tx, slot)
         return index
 
     def absorb(self, tx: Transaction, slot: int | None = None) -> None:
         """Summarize one more transaction, at index ``size``.  Its inputs
-        spend only earlier outputs, so they are taken first; then every
-        per-symbol table built so far takes the change.  The kept unspent
-        set, when there is one, takes it before the inputs take what they
-        spend: the outputs at each spent position, shadowed ones included,
-        leave it and the transaction's outputs join it."""
-        at = self.size
-        kept = self.kept
-        if kept is not None:
+        spend only earlier outputs, so they are taken first.  Without a map
+        the outputs just join ``output``, until one breaks the fresh rule and
+        builds the map.  With one, the kept set first drops the outputs at
+        each spent position, shadowed ones included, and takes the new ones;
+        the map and every per-symbol table built so far follow."""
+        unspent, output, spent = self.unspent, self.output, self.spent
+        if slot is not None:
+            self.last_slot = slot
+        self.size += 1
+        if unspent is None:
             for inp in tx.inputs:
-                out = self.unspent.get(inp.position)
-                if out is not None:
-                    kept.discard(out)
-                    kept.difference_update(self.shadowed.get(inp.position, ()))
-            kept.update(tx.outputs)
-        for inp in tx.inputs:
-            self.spent.add(inp.position)
-            self.unspent.pop(inp.position, None)
-            if self.shadowed:
-                self.shadowed.pop(inp.position, None)
-        for out in tx.outputs:
+                spent.add(inp.position)
+            outputs = iter(tx.outputs)
+            for out in outputs:
+                p = out.position
+                if p in output or p in spent:
+                    break
+                output[p] = out
+            else:
+                return  # every output took a fresh position
+            unspent, placed = self.unspent_map(), (out, *outputs)
+        else:
+            kept = self.kept
+            if kept is not None:
+                for inp in tx.inputs:
+                    out = unspent.get(inp.position)
+                    if out is not None:
+                        kept.discard(out)
+                        kept.difference_update(self.shadowed.get(inp.position, ()))
+                kept.update(tx.outputs)
+            for inp in tx.inputs:
+                spent.add(inp.position)
+                unspent.pop(inp.position, None)
+                if self.shadowed:
+                    self.shadowed.pop(inp.position, None)
+            placed = tx.outputs
+        for out in placed:
             p = out.position
-            if p in self.output:
-                if p in self.unspent:
+            if p in output:
+                if p in unspent:
                     self.shadowed.setdefault(p, []).append(out)
                     continue
             else:
-                self.producer[p] = at
-                self.output[p] = out
-            self.unspent[p] = out
-        if slot is not None:
-            self.last_slot = slot
-        self.size = at + 1
+                output[p] = out
+            unspent[p] = out
         tables = self.by_symbol
         if tables:  # only the symbols already asked for
             for inp in tx.inputs:
                 for table in tables.values():
                     table.pop(inp.position, None)
             for out in tx.outputs:
-                if self.unspent.get(out.position) is out:
+                if unspent.get(out.position) is out:
                     for chip, _ in out.value:
                         table = tables.get(chip.symbol)
                         if table is not None:
                             table[out.position] = out
 
+    def unspent_map(self) -> dict[Position, Output]:
+        """The unspent outputs, the first at each position (the rest are
+        ``shadowed``), by position: on first call ``output`` less ``spent``,
+        exact under the fresh rule, and kept by ``absorb`` from then on."""
+        if self.unspent is None:
+            spent = self.spent
+            self.unspent = {p: out for p, out in self.output.items() if p not in spent}
+        return self.unspent
+
     def unspent_outputs(self) -> Iterator[Output]:
         """Every output no later input names; one per position on a valid
         chain."""
+        unspent = self.unspent_map()
         if not self.shadowed:
-            return iter(self.unspent.values())
-        return itertools.chain(self.unspent.values(), *self.shadowed.values())
+            return iter(unspent.values())
+        return itertools.chain(unspent.values(), *self.shadowed.values())
 
     def unspent_set(self) -> frozenset[Output]:
         """``frozenset(unspent_outputs())``.  The first call builds the set
@@ -208,7 +226,7 @@ class LedgerIndex:
     def carriers(self, symbol: int) -> Iterator[Output]:
         """The outputs of ``unspent_outputs()`` whose value holds some chip
         of the currency symbol, shadowed ones included.  The first query for
-        a symbol builds its table in one scan of ``unspent``; ``absorb``
+        a symbol builds its table in one scan of the unspent map; ``absorb``
         keeps it from then on."""
 
         def holds(out: Output) -> bool:
@@ -216,7 +234,7 @@ class LedgerIndex:
 
         table = self.by_symbol.get(symbol)
         if table is None:
-            table = self.by_symbol[symbol] = {p: out for p, out in self.unspent.items() if holds(out)}
+            table = self.by_symbol[symbol] = {p: out for p, out in self.unspent_map().items() if holds(out)}
         if not self.shadowed:
             return iter(table.values())
         return itertools.chain(table.values(), filter(holds, itertools.chain.from_iterable(self.shadowed.values())))

@@ -287,12 +287,13 @@ def _near_misses(rng: random.Random, chain: Chain, alloc: PositionAllocator):
         moved[at] = Transaction(txs[at].inputs - {inp}, txs[at].outputs, txs[at].slot_range)
         moved[later] = Transaction(txs[later].inputs | {inp}, txs[later].outputs, txs[later].slot_range)
         yield "moved-input", chain, Chain(moved, slots), False
-    if index.unspent:
-        kept = rng.choice(sorted(index.unspent))
+    unspent = index.unspent_map()
+    if unspent:
+        kept = rng.choice(sorted(unspent))
         yield "unspent-renamed", chain, rename_positions(chain, {kept: fresh.fresh()}), False
-        at = index.producer[kept]
+        at = next(at for at, tx in enumerate(txs) if unspent[kept] in tx.outputs)
         if at < len(txs) - 1:  # made one transaction later
-            out, later = index.unspent[kept], at + 1
+            out, later = unspent[kept], at + 1
             moved = list(txs)
             moved[at] = Transaction(txs[at].inputs, txs[at].outputs - {out}, txs[at].slot_range)
             moved[later] = Transaction(txs[later].inputs, txs[later].outputs | {out}, txs[later].slot_range)

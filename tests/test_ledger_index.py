@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, multiple, rule
 
 import oracles
-from ledgersim.equivalence import spent_edges
+from ledgersim.equivalence import alpha_equiv, canonical_renaming, spent_edges
 from ledgersim.gen import ChainGen, spendable
 from ledgersim.ledger import (
     POLICY_VIOLATION,
@@ -317,6 +317,94 @@ def test_unqueried_chains_hold_no_symbol_table():
     assert unqueried(grown.index())
     utxo(grown)
     assert not grown.index().by_symbol and grown.index().kept is not None
+
+
+def test_valid_chains_derive_the_unspent_map_on_first_query():
+    """A valid chain's index holds no unspent map until a query asks for
+    one: not when the chain is built whole, judged by ``validate_chain`` or
+    grown by 1,000 tip appends.  Each of ``utxo``, ``carriers``,
+    ``spendable``, ``alpha_equiv`` and ``canonical_renaming`` builds it,
+    equal to the naive scan, and later appends keep it so."""
+    gen = ChainGen(random.Random(52))
+    source, _ = gen.chain(length=1_030)
+    txs = source.transactions
+    queries = (
+        utxo,
+        lambda chain: list(chain.index().carriers(0)),
+        spendable,
+        lambda chain: alpha_equiv(chain, chain),
+        canonical_renaming,
+    )
+    for query in queries:
+        whole = Chain(txs[:1_000])
+        assert whole.index().unspent is None
+        judged = Chain(txs[:1_000])
+        assert validate_chain(judged).valid and judged.index().unspent is None
+        grown = Chain()
+        for tx in txs[:1_000]:
+            grown = append(grown, tx)
+        assert grown.index().unspent is None
+        for chain in (whole, judged, grown):
+            query(chain)
+            index = chain.index()
+            assert index.unspent is not None and not index.shadowed
+            assert Counter(index.unspent_map().values()) == Counter(oracles.unspent_scan(chain.transactions))
+        for tx in txs[1_000:]:
+            grown = append(grown, tx)
+            assert Counter(grown.index().unspent_map().values()) == Counter(oracles.unspent_scan(grown.transactions))
+
+
+def first_clash(txs):
+    """The index of the first transaction with an output at a position
+    already mentioned, and how it was mentioned: by an earlier output
+    (duplicate), an earlier input (forward spend) or an input of the same
+    transaction; (None, set()) when every output takes a fresh position."""
+    outputs, inputs = set(), set()
+    for at, tx in enumerate(txs):
+        ins = {inp.position for inp in tx.inputs}
+        kinds = set()
+        for out in tx.outputs:
+            if out.position in outputs:
+                kinds.add("duplicate")
+            elif out.position in inputs:
+                kinds.add("forward-spend")
+            elif out.position in ins:
+                kinds.add("same-transaction")
+        if kinds:
+            return at, kinds
+        outputs |= {out.position for out in tx.outputs}
+        inputs |= ins
+    return None, set()
+
+
+def test_unspent_map_is_built_at_the_first_output_on_a_mentioned_position():
+    """On random sequences, with nothing asked of the index, ``absorb``
+    builds the unspent map exactly when an output lands on a position
+    already mentioned, which makes the sequence invalid, whether by a
+    duplicate output, a forward spend, or an input and an output at one
+    position in one transaction; from that prefix on the map, with the
+    shadowed outputs, is the naive scan.  Without such an output no map is
+    built."""
+    rng = random.Random(53)
+    clashes = Counter()
+    for _ in range(600):
+        txs, slots = random_sequence(rng)
+        clash, kinds = first_clash(txs)
+        index = LedgerIndex()
+        for at, tx in enumerate(txs):
+            index.absorb(tx, None if slots is None else slots[at])
+            if clash is None or at < clash:
+                assert index.unspent is None
+                continue
+            assert index.unspent is not None
+            assert Counter(index.unspent_outputs()) == Counter(oracles.unspent_scan(txs[: at + 1]))
+            assert index.unspent_map().keys() == {out.position for out in oracles.unspent_scan(txs[: at + 1])}
+        if clash is None:
+            continue
+        assert not oracles.validate(txs, slots).valid
+        if len(kinds) == 1:
+            clashes[kinds.pop()] += 1
+    assert {"duplicate", "forward-spend", "same-transaction"} <= clashes.keys()  # each kind drawn alone
 
 
 def test_tip_appends_match_from_scratch_check():

@@ -409,7 +409,7 @@ def test_portal_queries_stop_scanning_after_a_long_walk(monkeypatch):
 
     monkeypatch.setattr(LedgerIndex, "unspent_outputs", refuse)
     index = chain.index()
-    index.unspent = _NoScan(index.unspent)
+    index.unspent = _NoScan(index.unspent_map())
     rogue = rogue_mint()
     assert find_portal(chain, CFG) == expected
     assert policy_violation(POLICIES, index, rogue) == "symbol 2 is affine and already circulates (1)"
