@@ -16,9 +16,9 @@ import sys
 from typing import NoReturn
 
 from . import formats
-from .equivalence import alpha_mismatch, canonical_renaming, obs_equiv, rename_positions
+from .equivalence import alpha_mismatch, canonicalize, obs_equiv
 from .harness import STATEMENTS, bundled_race_scenario, fuzz_theorem, run_scenario
-from .ledger import Chain, classify, utxo, validate_chain
+from .ledger import classify, utxo, validate_chain
 
 
 def _refuse(message: str) -> NoReturn:
@@ -103,10 +103,9 @@ def cmd_equiv(args) -> int:
     lines = ["not alpha-equivalent", f"first canonical mismatch at transaction {mismatch_index}:"]
     at = slice(mismatch_index, mismatch_index + 1)
     for mark, chain in (("<", left), (">", right)):
-        slots = None if chain.slots is None else chain.slots[at]
-        # the canonical form's slice
-        part = rename_positions(Chain(chain.transactions[at], slots), canonical_renaming(chain))
-        text = formats.transactions_to_text(part.transactions, part.slots, mismatch_index)
+        canonical = canonicalize(chain)
+        slots = None if canonical.slots is None else canonical.slots[at]
+        text = formats.transactions_to_text(canonical.transactions[at], slots, mismatch_index)
         lines.append(f"{mark} " + (text.strip() or "(missing)").replace("\n", f"\n{mark} "))
     return _emit(args, payload, "\n".join(lines) + "\n", 1)
 

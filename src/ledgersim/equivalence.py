@@ -12,9 +12,10 @@ the canonical form and is the reference.  Spent names are bound, so
 ``alpha_equiv`` decides on descriptions that hold none of them, as de
 Bruijn's nameless terms do: two valid chains are alpha-equivalent exactly
 when their slots, slot ranges, unspent outputs with their producers' indices
-and sorted spent-edge keys (``_edge_key``) are equal.  ``alpha_mismatch``
-finds the first index at which the canonical forms differ, building neither:
-it reads each transaction through its chain's canonical renaming.
+and sorted spent-edge keys (``_edge_key``) are equal.  So there is one
+decision, ``alpha_equiv``, and one canonical form: ``alpha_mismatch`` asks
+the decision, and only for an inequivalent pair reads the first index at
+which the two canonical forms differ.
 """
 
 from __future__ import annotations
@@ -117,39 +118,6 @@ def canonicalize(chain: Chain) -> Chain:
     return rename_positions(chain, canonical_renaming(chain))
 
 
-def _renamed(tx: Transaction, table: dict[Position, Position]) -> tuple:
-    """``tx`` under a position renaming, as plain tuples: its inputs as
-    (position, redeemer) and its outputs as (position, validator, datum,
-    value), each sorted by position, then its slot range."""
-    return (
-        sorted((table.get(i.position, i.position), i.redeemer) for i in tx.inputs),
-        sorted((table.get(o.position, o.position), o.validator, o.datum, o.value) for o in tx.outputs),
-        tx.slot_range,
-    )
-
-
-def alpha_mismatch(a: Chain, b: Chain) -> int | None:
-    """The first index at which the canonical forms of two valid chains
-    differ, in transaction or slot, or None when they are alpha-equivalent.
-
-    When one chain is a prefix of the other up to renaming, the mismatch is
-    at the shorter length.  No canonical chain is built: each transaction is
-    read through its chain's canonical renaming, so the answer is the one
-    ``canonicalize`` would give at a fraction of the allocation.  Raises
-    InvalidChainError when either chain is invalid.
-    """
-    table_a, table_b = canonical_renaming(a), canonical_renaming(b)
-    slots_a, slots_b = a.slots, b.slots
-    for index, (tx_a, tx_b) in enumerate(zip(a.transactions, b.transactions)):
-        slot_a = None if slots_a is None else slots_a[index]
-        slot_b = None if slots_b is None else slots_b[index]
-        if slot_a != slot_b or _renamed(tx_a, table_a) != _renamed(tx_b, table_b):
-            return index
-    if len(a) != len(b):
-        return min(len(a), len(b))
-    return None
-
-
 def _nameless(chain: Chain) -> tuple:
     """A valid chain's description that holds no spent name: its slots, its
     slot ranges, its unspent outputs each with its producer's index, and its
@@ -174,6 +142,26 @@ def alpha_equiv(a: Chain, b: Chain) -> bool:
     equal keys and renaming spent pairs changes none of these.  Raises
     InvalidChainError when either chain is invalid, ``a`` checked first."""
     return _nameless(a) == _nameless(b)
+
+
+def alpha_mismatch(a: Chain, b: Chain) -> int | None:
+    """The first index at which the canonical forms of two valid chains
+    differ, in transaction or slot, or None when they are alpha-equivalent.
+
+    A missing transaction counts as a difference, so when one chain is a
+    prefix of the other up to renaming, the mismatch is at the shorter
+    length.  ``alpha_equiv`` decides; only an inequivalent pair builds the
+    two canonical chains.  Raises InvalidChainError when either chain is
+    invalid, ``a`` checked first.
+    """
+    if alpha_equiv(a, b):
+        return None
+    left, right = (
+        list(zip(chain.transactions, chain.slots or (None,) * len(chain)))
+        for chain in (canonicalize(a), canonicalize(b))
+    )
+    differ = (index for index, (x, y) in enumerate(zip(left, right)) if x != y)
+    return next(differ, min(len(left), len(right)))
 
 
 def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:

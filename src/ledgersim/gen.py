@@ -4,7 +4,7 @@ Chains grow by appending transactions that spend uniformly chosen unspent
 outputs and create a few fresh ones, with genesis transactions (no inputs)
 mixed in at the fixed rate ``GENESIS_PROB``; empty input and output sets both
 occur.  The distribution is part of every fuzzed statement, so its fixed
-values are the module constants below; ``ChainGen`` takes only the four that
+values are the module constants below; ``ChainGen`` takes only the two that
 some caller sets.  Everything is driven by a caller-supplied
 ``random.Random``, so campaigns are reproducible from a seed.
 
@@ -54,6 +54,8 @@ KEY_COUNT = 4
 MAX_DATUM = 9
 RANGE_PROB = 0.6
 MAX_SLOT_STEP = 3
+MAX_INPUTS = 4  # a spending transaction draws 1..MAX_INPUTS inputs
+MAX_OUTPUTS = 4  # a genesis draws 1..MAX_OUTPUTS outputs, a spend 0..MAX_OUTPUTS
 CHIPS = (ADA, Chip(1, 1), Chip(2, 5), Chip(3, 1))
 KEY_VALIDATORS = tuple(pay_to_pubkey(1 + k) for k in range(KEY_COUNT))
 VALUE_TABLE: dict[tuple[int, ...], Value] = {}
@@ -108,20 +110,10 @@ def spend(out: Output, rng: random.Random) -> Input:
 class ChainGen:
     """Random chain builder over a shared RNG."""
 
-    def __init__(
-        self,
-        rng: random.Random,
-        *,
-        slotted: bool = False,
-        reject_all_prob: float = 0.06,
-        max_inputs: int = 4,
-        max_outputs: int = 4,
-    ) -> None:
+    def __init__(self, rng: random.Random, *, slotted: bool = False, reject_all_prob: float = 0.06) -> None:
         self.rng = rng
         self.slotted = slotted
         self.reject_all_prob = reject_all_prob
-        self.max_inputs = max_inputs
-        self.max_outputs = max_outputs
 
     def random_output(self, alloc: PositionAllocator) -> Output:
         """A fresh output: its validator, datum and value drawn in that
@@ -171,12 +163,12 @@ class ChainGen:
         genesis = not pool or rng.random() < GENESIS_PROB
         inputs: frozenset[Input] = frozenset()
         if not genesis:
-            k = 1 + _below(rng.getrandbits, min(self.max_inputs, len(pool)))
+            k = 1 + _below(rng.getrandbits, min(MAX_INPUTS, len(pool)))
             inputs = frozenset(spend(out, rng) for out in rng.sample(pool, k))
         if rng.random() < NO_OUTPUT_PROB and inputs:
             n_out = 0
         else:
-            n_out = (1 if genesis else 0) + _below(rng.getrandbits, self.max_outputs + (0 if genesis else 1))
+            n_out = (1 if genesis else 0) + _below(rng.getrandbits, MAX_OUTPUTS + (0 if genesis else 1))
         outputs = frozenset(self.random_output(alloc) for _ in range(n_out))
         slot_range = self.random_range(slot) if slot is not None else None
         return Transaction(inputs, outputs, slot_range)

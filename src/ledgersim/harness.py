@@ -64,7 +64,7 @@ from .equivalence import (
 )
 from .formats import ACCOUNT, EUTXO, Intent, Scenario
 from .gen import ChainGen, spend, spendable
-from .ledger import Chain, ValidationReport, append, utxo, validate_chain
+from .ledger import Chain, InvalidChainError, ValidationReport, append, utxo, validate_chain
 from .model import (
     ADA,
     PAY_TO_PUBKEY_KIND,
@@ -700,8 +700,13 @@ def _judge_lemma21(instance: dict):
     """Alpha-equivalence is respected by observational equivalence and by
     appends, once name clashes are freshened away."""
     base, alpha, variant, tx = instance["base"], instance["alpha"], instance["variant"], instance["tx"]
-    # part 2: alpha-variants are alpha-equivalent and observationally equivalent
-    if not alpha_equiv(base, alpha) or not obs_equiv(base, alpha):
+    # part 2: alpha-variants are alpha-equivalent and observationally
+    # equivalent; a chain that is invalid is a counterexample, not an error
+    try:
+        equivalent = alpha_equiv(base, alpha)
+    except InvalidChainError:
+        equivalent = False
+    if not equivalent or not obs_equiv(base, alpha):
         return "_2", "alpha variant not equivalent"
     # part 1: appending the same valid tx to observationally equivalent chains
     extended, variant_extended = Chain(base.transactions + (tx,)), Chain(variant.transactions + (tx,))
@@ -725,7 +730,10 @@ def _judge_lemma21(instance: dict):
     fresh_extended = Chain(fresh_variant.transactions + (tx,))
     ok3 = validate_chain(fresh_extended).valid
     ok4 = obs_equiv(extended, fresh_extended)
-    ok_alpha = alpha_equiv(variant, fresh_variant)
+    try:
+        ok_alpha = alpha_equiv(variant, fresh_variant)
+    except InvalidChainError:
+        ok_alpha = False
     if ok3 and ok4 and ok_alpha:
         return True
     return "_34", f"freshened variant: valid={ok3} equiv={ok4} alpha={ok_alpha}"

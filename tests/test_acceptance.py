@@ -148,18 +148,23 @@ def test_criterion_5_slot_ranges(corpus_dir):
 
 
 def _small_chain_for_oracle(rng):
-    gen = ChainGen(rng, reject_all_prob=0.0, max_inputs=2, max_outputs=2)
+    """A chain of at most 5 transactions and 4 spent pairs; the caller sets
+    ``gen.MAX_INPUTS`` and ``gen.MAX_OUTPUTS`` to 2."""
+    gen = ChainGen(rng, reject_all_prob=0.0)
     while True:
         chain, alloc = gen.chain(rng.randrange(6))
         if len(spent_edges(chain)) <= 4:
             return chain, alloc
 
 
-def test_criterion_6_alpha_suite():
+def test_criterion_6_alpha_suite(monkeypatch):
     """The lemma21 campaign (all four parts per case) at 5,000 cases, and
     oracle agreement of the alpha decision on 1,000 small chains."""
     r = fuzz_theorem("lemma21", seed=21, cases=5_000)
     assert r.cases == 5_000 and not r.counterexamples
+
+    monkeypatch.setattr("ledgersim.gen.MAX_INPUTS", 2)
+    monkeypatch.setattr("ledgersim.gen.MAX_OUTPUTS", 2)
 
     rng = random.Random(6)
     mismatches = 0

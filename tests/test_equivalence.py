@@ -249,7 +249,9 @@ def test_alpha_mismatch_counts_a_length_difference_at_the_shorter_length(chain_b
     assert alpha_mismatch(Chain(), Chain()) is None
 
 
-def test_alpha_mismatch_builds_no_canonical_chain(monkeypatch, chain_b):
+def test_alpha_mismatch_of_an_equivalent_pair_builds_no_canonical_chain(monkeypatch, chain_b):
+    """An alpha-equivalent pair is decided by ``alpha_equiv`` alone: only an
+    inequivalent pair builds the canonical chains to find where they part."""
     import ledgersim.equivalence as equivalence
 
     def refuse(*args):
@@ -318,9 +320,10 @@ def _near_misses(rng: random.Random, chain: Chain, alloc: PositionAllocator):
 @pytest.mark.parametrize("slotted", [False, True], ids=["unslotted", "slotted"])
 def test_alpha_equiv_matches_canonical_oracle_on_near_misses(slotted):
     """On generated chains of 1 to 10^3 transactions: alpha_equiv gives the
-    canonical-chain verdict, and the expected one, on each near miss in both
-    argument orders, and an invalid chain in either position, beside a chain
-    of equal or of different length, raises its own InvalidChainError."""
+    canonical-chain verdict, and the expected one, and alpha_mismatch the
+    canonical chains' first mismatch, on each near miss in both argument
+    orders, and an invalid chain in either position, beside a chain of equal
+    or of different length, raises its own InvalidChainError."""
     rng = random.Random(37)
     gen = ChainGen(rng, slotted=slotted)
     seen = set()
@@ -330,6 +333,7 @@ def test_alpha_equiv_matches_canonical_oracle_on_near_misses(slotted):
             seen.add(label)
             for x, y in ((a, b), (b, a)):
                 assert alpha_equiv(x, y) is oracles.alpha_equiv(x, y) is equivalent, label
+                assert alpha_mismatch(x, y) == oracles.alpha_mismatch(x, y), label
         dangling = PositionAllocator(alloc.peek() + 10)
         broken = []
         for at in (0, len(chain) - 1):

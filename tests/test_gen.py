@@ -11,28 +11,32 @@ from ledgersim.gen import KEY_COUNT, KEY_VALIDATORS, ChainGen
 from ledgersim.harness import fuzz_theorem
 from ledgersim.model import PAY_TO_PUBKEY_KIND, PositionAllocator, pay_to_pubkey
 
-# (slotted, keyword arguments) for each generator setting that some caller uses
+# (slotted, keyword arguments, gen constants patched) for each generator
+# setting that some caller uses
 SETTINGS = [
-    (slotted, kwargs)
+    (slotted, kwargs, constants)
     for slotted in (False, True)
-    for kwargs in ({}, {"reject_all_prob": 0.0}, {"max_inputs": 2, "max_outputs": 2})
+    for kwargs, constants in (({}, {}), ({"reject_all_prob": 0.0}, {}), ({}, {"MAX_INPUTS": 2, "MAX_OUTPUTS": 2}))
 ]
 CHAINS_PER_SETTING = 50
 GENERATED_CHAINS_PIN = "84c7a2b399f625a55eeba9b0bdad38094940aa0bee2be52a433240bffe9f11c4"
 
 
-def test_generated_chains_pinned():
+def test_generated_chains_pinned(monkeypatch):
     """The generated chains, apart pairs and the RNG state after them are
     fixed across versions, not only across reruns: every fuzz campaign and
     every prefix-closure chain of the benchmark is drawn from them."""
     digest = hashlib.sha256()
-    for setting, (slotted, kwargs) in enumerate(SETTINGS):
+    for setting, (slotted, kwargs, constants) in enumerate(SETTINGS):
         rng = random.Random(setting)
-        for _ in range(CHAINS_PER_SETTING):
-            chains = ChainGen(rng, slotted=slotted, **kwargs)
-            chain, alloc = chains.chain()
-            digest.update(chain_to_text(chain).encode())
-            digest.update(transactions_to_text(chains.apart_pair(chain, alloc)).encode())
+        with monkeypatch.context() as patched:
+            for name, bound in constants.items():
+                patched.setattr(gen, name, bound)
+            for _ in range(CHAINS_PER_SETTING):
+                chains = ChainGen(rng, slotted=slotted, **kwargs)
+                chain, alloc = chains.chain()
+                digest.update(chain_to_text(chain).encode())
+                digest.update(transactions_to_text(chains.apart_pair(chain, alloc)).encode())
         digest.update(repr(rng.random()).encode())
     assert digest.hexdigest() == GENERATED_CHAINS_PIN
 

@@ -573,6 +573,10 @@ def _without_equiv(real):
     return lambda *args: dataclasses.replace(real(*args), equiv=False)
 
 
+def _doubled(real):
+    return lambda chain, names: Chain(real(chain, names).transactions * 2)
+
+
 # (statement, check patched in ledgersim.harness, the patch, kind, payload names)
 BROKEN_CHECKS = [
     ("lemma15_1", "check_defer", _without_equiv, "lemma15_1", ["base", "tx1", "tx2"]),
@@ -585,6 +589,10 @@ BROKEN_CHECKS = [
     # whose transactions are all rebuilt
     ("lemma21", "obs_equiv", lambda real: lambda a, b: a is b or (a.transactions[-1] is not b.transactions[-1] and real(a, b)), "lemma21_1", ["alpha", "base", "tx", "variant"]),
     ("lemma21", "freshen_spent_clashes", lambda real: lambda chain, positions: Chain(), "lemma21_34", ["alpha", "base", "tx", "variant"]),
+    # a derived chain that is invalid, every position in it named twice: the
+    # judge reports it rather than raising InvalidChainError
+    ("lemma21", "rename_positions", _doubled, "lemma21_2", ["alpha", "base", "tx", "variant"]),
+    ("lemma21", "freshen_spent_clashes", _doubled, "lemma21_34", ["alpha", "base", "tx", "variant"]),
 ]
 
 
