@@ -16,7 +16,7 @@ import sys
 from typing import NoReturn
 
 from . import formats
-from .equivalence import alpha_mismatch, canonicalize, obs_equiv
+from .equivalence import alpha_mismatch, obs_equiv
 from .harness import STATEMENTS, bundled_race_scenario, fuzz_theorem, run_scenario
 from .ledger import classify, utxo, validate_chain
 
@@ -96,16 +96,15 @@ def cmd_equiv(args) -> int:
         lines = ["observationally-equivalent"] if equivalent else ["not observationally equivalent"]
         lines += ["< " + text for text in only_left] + ["> " + text for text in only_right]
         return _emit(args, payload, "\n".join(lines) + "\n", 0 if equivalent else 1)
-    mismatch_index = alpha_mismatch(left, right)
-    payload = {"mode": "alpha", "equivalent": mismatch_index is None, "first_mismatch": mismatch_index}
-    if mismatch_index is None:
-        return _emit(args, payload, "alpha-equivalent\n")
-    lines = ["not alpha-equivalent", f"first canonical mismatch at transaction {mismatch_index}:"]
-    at = slice(mismatch_index, mismatch_index + 1)
-    for mark, chain in (("<", left), (">", right)):
-        canonical = canonicalize(chain)
-        slots = None if canonical.slots is None else canonical.slots[at]
-        text = formats.transactions_to_text(canonical.transactions[at], slots, mismatch_index)
+    mismatch = alpha_mismatch(left, right)
+    if mismatch is None:
+        return _emit(args, {"mode": "alpha", "equivalent": True, "first_mismatch": None}, "alpha-equivalent\n")
+    at, *canonical = mismatch
+    payload = {"mode": "alpha", "equivalent": False, "first_mismatch": at}
+    lines = ["not alpha-equivalent", f"first canonical mismatch at transaction {at}:"]
+    for mark, chain in zip("<>", canonical):
+        slots = None if chain.slots is None else chain.slots[at : at + 1]
+        text = formats.transactions_to_text(chain.transactions[at : at + 1], slots, at)
         lines.append(f"{mark} " + (text.strip() or "(missing)").replace("\n", f"\n{mark} "))
     return _emit(args, payload, "\n".join(lines) + "\n", 1)
 

@@ -14,8 +14,8 @@ Bruijn's nameless terms do: two valid chains are alpha-equivalent exactly
 when their slots, slot ranges, unspent outputs with their producers' indices
 and sorted spent-edge keys (``_edge_key``) are equal.  So there is one
 decision, ``alpha_equiv``, and one canonical form: ``alpha_mismatch`` asks
-the decision, and only for an inequivalent pair reads the first index at
-which the two canonical forms differ.
+the decision, and only for an inequivalent pair builds the two canonical
+forms and reads the first index at which they differ.
 """
 
 from __future__ import annotations
@@ -144,24 +144,23 @@ def alpha_equiv(a: Chain, b: Chain) -> bool:
     return _nameless(a) == _nameless(b)
 
 
-def alpha_mismatch(a: Chain, b: Chain) -> int | None:
-    """The first index at which the canonical forms of two valid chains
-    differ, in transaction or slot, or None when they are alpha-equivalent.
+def alpha_mismatch(a: Chain, b: Chain) -> tuple[int, Chain, Chain] | None:
+    """None when two valid chains are alpha-equivalent; else the first index
+    at which their canonical forms differ, in transaction or slot, and the
+    two canonical forms.
 
     A missing transaction counts as a difference, so when one chain is a
     prefix of the other up to renaming, the mismatch is at the shorter
     length.  ``alpha_equiv`` decides; only an inequivalent pair builds the
-    two canonical chains.  Raises InvalidChainError when either chain is
-    invalid, ``a`` checked first.
+    two canonical chains, once each.  Raises InvalidChainError when either
+    chain is invalid, ``a`` checked first.
     """
     if alpha_equiv(a, b):
         return None
-    left, right = (
-        list(zip(chain.transactions, chain.slots or (None,) * len(chain)))
-        for chain in (canonicalize(a), canonicalize(b))
-    )
-    differ = (index for index, (x, y) in enumerate(zip(left, right)) if x != y)
-    return next(differ, min(len(left), len(right)))
+    left, right = canonicalize(a), canonicalize(b)
+    pairs = (zip(chain.transactions, chain.slots or (None,) * len(chain)) for chain in (left, right))
+    differ = (index for index, (x, y) in enumerate(zip(*pairs)) if x != y)
+    return next(differ, min(len(left), len(right))), left, right
 
 
 def freshen_spent_clashes(chain: Chain, avoid: Iterable[Position]) -> Chain:

@@ -252,8 +252,11 @@ class Chain:
     past it, so a linear history shares one list.  It copies the parent's
     entries into a new list only on a fork: when the parent already has a
     child, or its log is a constructor's tuple.  ``prefix`` shares the log
-    too.  No entry a chain holds ever changes, since a push only extends the
-    log past every chain that shares it.  ``transactions`` and ``slots`` are
+    too.  Both make their chain in one step through ``_over``, the one
+    constructor over a shared log, which also sets the index: ``append``'s
+    child gets the parent's, updated, and a prefix none.  No entry a chain
+    holds ever changes, since a push only extends the log past every chain
+    that shares it.  ``transactions`` and ``slots`` are
     tuples built on first read and kept; equality, hashing and repr are
     those of ``(transactions, slots)``.  ``_report`` is ``validate_chain``'s
     verdict without policies once it has judged this object, else None.
@@ -279,14 +282,6 @@ class Chain:
         # The chain's LedgerIndex once built or handed over by append.
         self._index: LedgerIndex | None = None
         self._report: ValidationReport | None = None
-
-    @classmethod
-    def _over(cls, log: Sequence[Transaction], slot_log: Sequence[int] | None, length: int) -> Chain:
-        """The chain of the first ``length`` entries of the logs, sharing them."""
-        chain = cls.__new__(cls)
-        chain._log, chain._slot_log, chain._len = log, slot_log, length
-        chain._transactions = chain._slots = chain._index = chain._report = None
-        return chain
 
     @property
     def transactions(self) -> tuple[Transaction, ...]:
@@ -328,7 +323,7 @@ class Chain:
 
     def prefix(self, upto: int) -> Chain:
         length = len(range(self._len)[:upto])  # a tuple slice's length
-        return Chain._over(self._log, self._slot_log, length) if length else Chain()
+        return _over(self._log, self._slot_log, length, None) if length else Chain()
 
     def index(self) -> LedgerIndex:
         """The index of this chain: the cached one while it still summarizes
@@ -338,6 +333,20 @@ class Chain:
         if index is None or index.size != self._len:
             index = self._index = LedgerIndex.of(self._log[: self._len], self._slot_log)
         return index
+
+
+def _over(
+    log: Sequence[Transaction], slot_log: Sequence[int] | None, length: int, index: LedgerIndex | None
+) -> Chain:
+    """The chain of the first ``length`` entries of the logs, sharing them,
+    with ``index`` as its index (None: built on first query)."""
+    chain = object.__new__(Chain)
+    chain._log = log
+    chain._slot_log = slot_log
+    chain._len = length
+    chain._index = index
+    chain._transactions = chain._slots = chain._report = None
+    return chain
 
 
 def _check_transaction(index: LedgerIndex, tx: Transaction, slot: int | None, policies) -> list[Violation]:
@@ -412,20 +421,22 @@ def append(chain: Chain, tx: Transaction, slot: int | None = None, policies=None
     Returns the extended chain when the incremental check passes, otherwise a
     report carrying the violations.  Only ``tx`` is examined against the
     existing chain; agreement with whole-chain revalidation is guaranteed by
-    prefix closure.  Slot handling: a slotted chain requires a slot and an
-    unslotted nonempty chain forbids one (ValueError on misuse).
+    prefix closure.  Slot handling: a slotted chain requires a slot, an
+    unslotted nonempty chain forbids one, negative or not, and a slot must
+    be a natural (ValueError on misuse, the first of these rules winning).
     """
-    if chain.slotted and slot is None:
-        raise ValueError("appending to a slotted chain requires a slot")
-    if len(chain) > 0 and not chain.slotted and slot is not None:
+    length, log, slot_log = chain._len, chain._log, chain._slot_log
+    if slot is None:
+        if slot_log is not None:
+            raise ValueError("appending to a slotted chain requires a slot")
+    elif length and slot_log is None:
         raise ValueError("cannot attach a slot to an unslotted chain")
-    if slot is not None and slot < 0:
+    elif slot < 0:
         raise ValueError("slot must be a natural")
     index = chain.index()
     violations = _check_transaction(index, tx, slot, policies)
     if violations:
         return ValidationReport(tuple(violations))
-    length, log, slot_log = len(chain), chain._log, chain._slot_log
     if type(log) is not list or len(log) != length:  # a fork, or a constructor's tuple: copy
         log = list(log[:length])
         if slot is not None:
@@ -433,10 +444,8 @@ def append(chain: Chain, tx: Transaction, slot: int | None = None, policies=None
     log.append(tx)
     if slot is not None:
         slot_log.append(slot)
-    extended = Chain._over(log, slot_log, length + 1)
     index.absorb(tx, slot)
-    extended._index = index
-    return extended
+    return _over(log, slot_log, length + 1, index)
 
 
 def utxo(chain: Chain) -> frozenset[Output]:

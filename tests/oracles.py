@@ -23,9 +23,10 @@ draws, ``KEY_VALIDATORS`` and value table.  ``is_permutation`` is the schedule-o
 of exact ints that sorts to ``0..count-1``, which ``test_formats.py``
 compares with ``formats.is_permutation``.  ``alpha_equiv`` is alpha-equivalence by
 its definition, equal canonical chains, and ``alpha_mismatch`` the first
-index at which the two canonical chains differ; ``test_equivalence.py``
-compares ``equivalence.alpha_equiv`` and ``equivalence.alpha_mismatch``,
-which build no canonical chain, with them.
+index at which the two canonical chains differ, with both chains;
+``test_equivalence.py`` compares ``equivalence.alpha_equiv``, which builds
+no canonical chain, and ``equivalence.alpha_mismatch``, which builds them
+only for an inequivalent pair, with them.
 """
 
 import hashlib
@@ -474,13 +475,15 @@ def alpha_equiv(a, b):
 
 def alpha_mismatch(a, b):
     """The first index at which the canonical chains' (transaction, slot)
-    pairs differ, a missing pair counting as different; None when none do."""
+    pairs differ, a missing pair counting as different, and the two
+    canonical chains; None when none do."""
+    canonical = canonicalize(a), canonicalize(b)
     pairs = []
-    for chain in (canonicalize(a), canonicalize(b)):
+    for chain in canonical:
         slots = chain.slots if chain.slots is not None else (None,) * len(chain)
         pairs.append(list(zip(chain.transactions, slots)))
     left, right = pairs
     for index in range(max(len(left), len(right))):
         if left[index : index + 1] != right[index : index + 1]:
-            return index
+            return (index, *canonical)
     return None

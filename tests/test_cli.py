@@ -177,6 +177,25 @@ def test_equiv_alpha_validates_each_chain_once(capsys, corpus_dir, checks, fmt, 
     assert checks == walks[0] + walks[1]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_equiv_alpha_canonicalizes_each_chain_once(capsys, corpus_dir, monkeypatch, fmt):
+    """On an inequivalent pair, each chain's canonical renaming is built
+    once: the mismatch index and the printed slices read the same forms."""
+    from ledgersim import equivalence, formats
+
+    original, renamed = equivalence.canonical_renaming, []
+
+    def counted(chain):
+        renamed.append(chain)
+        return original(chain)
+
+    monkeypatch.setattr(equivalence, "canonical_renaming", counted)
+    a, b = corpus_dir / "figure-3-B.chain", corpus_dir / "figure-6-Bprime.chain"
+    code, out, _ = run_cli(capsys, "equiv", str(a), str(b), "--mode", "alpha", "--format", fmt)
+    assert code == 1 and out
+    assert renamed == [formats.parse_chain(path.read_text()) for path in (a, b)]
+
+
 def test_equiv_json_output(capsys, corpus_dir):
     code, out, _ = run_cli(
         capsys,

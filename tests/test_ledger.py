@@ -219,10 +219,52 @@ def test_append_slot_rules():
     assert isinstance(behind, ValidationReport)
     assert behind.first().condition == SLOT_OUT_OF_RANGE
 
-    with pytest.raises(ValueError):
-        append(chain, Transaction())  # slotted chain needs a slot
-    with pytest.raises(ValueError):
-        append(Chain((genesis,)), Transaction(), slot=1)  # unslotted chain refuses one
+
+def _grown(slotted: bool) -> tuple[Chain, tuple[Transaction, ...], tuple[int, ...] | None]:
+    """A two-transaction chain grown by tip appends, so it is its log's tip,
+    with its transactions and slots."""
+    txs = (
+        Transaction(frozenset(), frozenset({ref_output(A)})),
+        Transaction(frozenset({Input(A, 0)}), frozenset({ref_output(B)})),
+    )
+    slots = (0, 1) if slotted else None
+    chain = Chain()
+    for at, tx in enumerate(txs):
+        chain = append(chain, tx, slots and slots[at])
+    return chain, txs, slots
+
+
+@pytest.mark.parametrize(
+    "parent, slot, message",
+    [
+        ("slotted", None, "appending to a slotted chain requires a slot"),
+        ("unslotted", 2, "cannot attach a slot to an unslotted chain"),
+        ("unslotted", -1, "cannot attach a slot to an unslotted chain"),
+        ("empty", -1, "slot must be a natural"),
+        ("empty", 0, None),
+    ],
+    ids=["slotted-no-slot", "unslotted-slot", "unslotted-negative-slot", "empty-negative-slot", "empty-slot-0"],
+)
+def test_append_slot_refusals(parent, slot, message):
+    """Each misuse of ``slot`` raises its ValueError, the first rule that
+    applies winning: an unslotted nonempty chain refuses a negative slot as
+    a slot.  A refusal leaves the parent's transactions, slots and length as
+    they were and pushes nothing onto its log, so a tip append after it
+    still shares the log.  An empty chain takes slot 0 and becomes slotted."""
+    chain, txs, slots = (Chain(), (), None) if parent == "empty" else _grown(parent == "slotted")
+    tx = Transaction(frozenset(), frozenset({ref_output(C)}))
+    if message is None:
+        chain, txs, slots = append(chain, tx, slot), (tx,), (slot,)
+        assert isinstance(chain, Chain) and chain.slotted
+    else:
+        with pytest.raises(ValueError) as raised:
+            append(chain, tx, slot)
+        assert str(raised.value) == message
+    assert chain == Chain(txs, slots) and len(chain) == len(txs)
+    after = append(chain, Transaction(frozenset(), frozenset({ref_output(D)})), chain.last_slot())
+    assert isinstance(after, Chain) and after.transactions[:-1] == txs
+    if txs:  # the empty chain's log is the constructor's tuple, which an append copies
+        assert after._log is chain._log
 
 
 def test_slot_range_checked_on_append():
